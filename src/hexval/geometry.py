@@ -100,6 +100,7 @@ class Geometry:
         self.line_masks: Tuple[int, ...] = tuple(
             sum(1 << p for p in line) for line in self.lines)
         self.dist = [self._bfs(p) for p in range(n)]
+        self._diameter = max((max(row) for row in self.dist), default=0)
 
     def _bfs(self, start: int) -> List:
         row = [INF] * self.num_points
@@ -119,11 +120,8 @@ class Geometry:
         return self.num_points == 0 or INF not in self.dist[0]
 
     def diameter(self):
-        if self.num_points == 0:
-            return 0
-        if not self.is_connected():
-            return INF
-        return max(max(row) for row in self.dist)
+        """Largest point distance: 0 when empty, INF when disconnected."""
+        return self._diameter
 
     def distance_distribution(self, p: int) -> List[int]:
         """Count of points at each distance 0..diameter from p."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from . import gf2
+from . import gf2, perm
 from .geometry import Geometry, GeometryError
 from .perm import PermGroup
 
@@ -108,16 +108,11 @@ def classify_hyperplanes(g: Geometry,
     for h in hyps:
         if h.member_bits not in unseen:
             continue
-        orbit = {h.member_bits}
-        queue = [h.member_bits]
-        while queue:
-            m = queue.pop()
-            for gen in group.generators:
-                img = _apply_perm_to_mask(gen, m)
-                if img not in orbit:
-                    assert img in all_masks
-                    orbit.add(img)
-                    queue.append(img)
+        orbit = perm.orbit(group, h.member_bits, _apply_perm_to_mask)
+        if not orbit <= all_masks:
+            raise RuntimeError(
+                f"the orbit of hyperplane {h.member_bits:b} leaves the "
+                f"hyperplane set")
         unseen -= orbit
         rep_bits = min(orbit)
         key = (rep_bits.bit_count(), full_line_count(g, rep_bits))

@@ -2,7 +2,9 @@
 
 Permutations are image tuples (p maps point i to p[i]). PermGroup keeps a
 deterministic Schreier-Sims stabilizer chain (base points: smallest moved
-point first) supporting exact order, membership and orbits.
+point first) supporting exact order and membership. Every orbit, of a
+point, a point set or a point function, comes from ``orbit``, which takes
+the action of a generator as a parameter.
 
 Automorphism and isomorphism search runs a backtracking over points with
 candidate sets refined by full distance profiles relative to the already
@@ -11,7 +13,8 @@ line-preservation check.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import operator
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .geometry import Geometry
 
@@ -114,16 +117,7 @@ class PermGroup:
         return n
 
     def orbit(self, point: int) -> List[int]:
-        seen = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop()
-            for g in self.generators:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return sorted(seen)
+        return sorted(orbit(self, point, operator.getitem))
 
     def orbits(self) -> List[List[int]]:
         remaining = set(range(self.degree))
@@ -135,30 +129,25 @@ class PermGroup:
         return out
 
 
-def group_order(group: PermGroup) -> int:
-    return group.order()
-
-
-def orbit_of_set(group: PermGroup, points: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Orbit of a point set under the group, in canonical sorted order."""
-    start = tuple(sorted(points))
+def orbit(group: PermGroup, start: Hashable,
+          act: Callable[[Perm, Hashable], Hashable]) -> set:
+    """Orbit of start under the group; act(g, x) is the image of x under
+    the generator g. The search closes the set under the generators,
+    which suffices because the group is finite."""
     seen = {start}
     queue = [start]
     while queue:
-        s = queue.pop()
+        x = queue.pop()
         for g in group.generators:
-            img = tuple(sorted(g[x] for x in s))
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return sorted(seen)
+            y = act(g, x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
 
 
-def set_stabilizer_order(group: PermGroup, points: Sequence[int]) -> int:
-    orbit_len = len(orbit_of_set(group, points))
-    order = group.order()
-    assert order % orbit_len == 0
-    return order // orbit_len
+def _compose_function(g: Perm, f: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(f[y] for y in g)
 
 
 def orbit_of_function(group: PermGroup,
@@ -167,16 +156,7 @@ def orbit_of_function(group: PermGroup,
     start = tuple(values)
     if len(start) != group.degree:
         raise ValueError("function must be defined on all points")
-    seen = {start}
-    queue = [start]
-    while queue:
-        f = queue.pop()
-        for g in group.generators:
-            img = tuple(f[g[x]] for x in range(group.degree))
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return sorted(seen)
+    return sorted(orbit(group, start, _compose_function))
 
 
 # -- isomorphism search --------------------------------------------------

@@ -2,8 +2,11 @@
 
 A Bundle owns a geometry and computes its automorphism group, hyperplane
 classification, valuations, valuation-class labels and valuation geometry
-on demand, caching each stage. The built-in hexagons are cached at module
-level so CLI commands and tests share one computation.
+on demand, caching each stage. The valuations carried by each hyperplane
+class are computed once, on the class representative; the per-class
+counts, labels and isomorphism checks all read that one stage. The
+built-in hexagons are cached at module level so CLI commands and tests
+share one computation.
 """
 from __future__ import annotations
 
@@ -12,9 +15,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .constructions import build_h2, build_h2_dual, build_hexagon_2_1
 from .geometry import Geometry, find_ovoids
-from .hyperplanes import (Hyperplane, HyperplaneClass, _apply_perm_to_mask,
-                          classify_hyperplanes, enumerate_hyperplanes)
-from .perm import PermGroup, automorphism_group, orbit_of_function
+from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
+                          enumerate_hyperplanes)
+from .perm import PermGroup, automorphism_group
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
                       line_type_table, restrict)
 from .valuations import (Valuation, ValuationType, all_valuations,
@@ -49,23 +52,6 @@ class Bundle:
     @cached_property
     def hyperplane_classes(self) -> List[HyperplaneClass]:
         return classify_hyperplanes(self.geometry, self.aut_group)
-
-    @cached_property
-    def hyperplane_class_of(self) -> Dict[int, int]:
-        """Member bitmask -> index into hyperplane_classes."""
-        mapping: Dict[int, int] = {}
-        for idx, cls in enumerate(self.hyperplane_classes):
-            queue = [cls.representative.member_bits]
-            mapping[queue[0]] = idx
-            while queue:
-                m = queue.pop()
-                for gen in self.aut_group.generators:
-                    img = _apply_perm_to_mask(gen, m)
-                    if img not in mapping:
-                        mapping[img] = idx
-                        queue.append(img)
-        assert len(mapping) == len(self.hyperplanes)
-        return mapping
 
     @cached_property
     def valuations(self) -> List[Valuation]:
@@ -104,42 +90,50 @@ class Bundle:
     # -- valuations per hyperplane class ---------------------------------
 
     @cached_property
-    def valuations_per_class(self) -> List[int]:
-        """Number of valuations carried by each hyperplane class.
+    def class_valuations(self) -> List[List[Valuation]]:
+        """The valuations carried by each hyperplane class representative.
 
-        The count is an isomorphism invariant, so it is evaluated on the
-        class representative only; consistency with the global valuation
-        list is asserted by total count.
+        Each class carries the same number on every member, so the
+        weighted total must equal the global valuation count.
         """
-        counts = [len(valuations_from_hyperplane(self.geometry,
-                                                 cls.representative))
-                  for cls in self.hyperplane_classes]
-        total = sum(c * cls.orbit_size
-                    for c, cls in zip(counts, self.hyperplane_classes))
-        assert total == len(self.valuations)
-        return counts
+        per_class = [valuations_from_hyperplane(self.geometry,
+                                                cls.representative)
+                     for cls in self.hyperplane_classes]
+        total = sum(len(vals) * cls.orbit_size
+                    for vals, cls in zip(per_class, self.hyperplane_classes))
+        if total != len(self.valuations):
+            raise RuntimeError(
+                f"hyperplane classes carry {total} valuations, "
+                f"the full sweep found {len(self.valuations)}")
+        return per_class
+
+    @cached_property
+    def valuations_per_class(self) -> List[int]:
+        """Number of valuations carried by each hyperplane class."""
+        return [len(vals) for vals in self.class_valuations]
 
     def class_valuations_isomorphic(self, class_index: int) -> bool:
         """Whether all valuations on one representative hyperplane lie in
-        a single automorphism orbit."""
-        vals = valuations_from_hyperplane(
-            self.geometry, self.hyperplane_classes[class_index].representative)
-        if len(vals) <= 1:
-            return True
-        orbit = set(orbit_of_function(self.aut_group, vals[0].values))
-        return all(v.values in orbit for v in vals)
+        a single automorphism orbit.
+
+        classify_valuations checks that each label is one orbit, except
+        that every valuation of maximum 1 is labelled C; a hyperplane
+        carries at most one of those, so on one hyperplane the labels
+        tell the orbits apart.
+        """
+        vals = self.class_valuations[class_index]
+        return len({self.type_labels[v.values] for v in vals}) <= 1
 
     def valuation_class_labels_per_hyperplane_class(self) -> List[Optional[str]]:
         """For each hyperplane class, the valuation-type label of the
         valuations it carries (None if it carries none)."""
-        labels: List[Optional[str]] = [None] * len(self.hyperplane_classes)
-        for val in self.valuations:
-            idx = self.hyperplane_class_of[val.hyperplane().member_bits]
-            label = self.type_labels[val.values]
-            if labels[idx] is None:
-                labels[idx] = label
-            else:
-                assert labels[idx] == label
+        labels: List[Optional[str]] = []
+        for idx, vals in enumerate(self.class_valuations):
+            found = {self.type_labels[v.values] for v in vals}
+            if len(found) > 1:
+                raise RuntimeError(f"hyperplane class {idx} carries "
+                                   f"valuations of types {sorted(found)}")
+            labels.append(found.pop() if found else None)
         return labels
 
 

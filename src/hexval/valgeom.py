@@ -250,7 +250,9 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
 
     def zero_point(i: int) -> int:
         zeros = vprime.vpoints[i].zero_set()
-        assert len(zeros) == 1
+        if len(zeros) != 1:
+            raise ValueError(f"Lemma 3.1 needs one zero point per valuation; "
+                             f"point {i} of the restriction has {len(zeros)}")
         return zeros[0]
 
     collinear_ok = True

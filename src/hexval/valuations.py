@@ -4,15 +4,16 @@ A valuation assigns an integer to every point so that each line has a
 unique minimum and the remaining points sit one above it, with global
 minimum 0. Valuations are generated hyperplane by hyperplane: zeros are
 seeded on the hyperplane complement, line propagation closes the partial
-assignment, undefined points branch over {-1, -2, -3}, and completions
-are shifted so the minimum becomes 0.
+assignment, undefined points branch over -1 .. -diameter, and completions
+are shifted so the minimum becomes 0. The host must be connected: a
+disconnected one has infinitely many valuations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geometry import Geometry
+from .geometry import INF, Geometry
 from .hyperplanes import Hyperplane, enumerate_hyperplanes
 from .perm import PermGroup, orbit_of_function
 
@@ -168,10 +169,15 @@ def valuations_from_hyperplane(g: Geometry, hyp: Hyperplane) -> List[Valuation]:
     """All valuations whose non-maximal-value set is exactly hyp.
 
     Seeds value 0 on the complement of hyp, branches undefined points over
-    {-1, -2, -3} (lowest-index point first), normalizes completions to
+    -1 .. -diameter (lowest-index point first), normalizes completions to
     minimum 0 and keeps those whose maximal-value set equals the
-    complement.
+    complement. No lower value can occur: a valuation changes by at most
+    1 along a line, so its values span at most the diameter.
     """
+    diam = g.diameter()
+    if diam == INF:
+        raise ValueError("valuations require a connected geometry")
+    depths = range(-1, -diam - 1, -1)
     comp = hyp.complement_bits()
     pv = PartialValuation.empty(g)
     dirty = []
@@ -194,7 +200,7 @@ def valuations_from_hyperplane(g: Geometry, hyp: Hyperplane) -> List[Valuation]:
                 results.append(values)
             continue
         x = next(p for p in range(g.num_points) if pv.values[p] is None)
-        for i in (-1, -2, -3):
+        for i in depths:
             nxt = assign_value(pv, x, i)
             if nxt is not FAIL:
                 stack.append(nxt)
@@ -207,6 +213,8 @@ def valuations_from_hyperplane(g: Geometry, hyp: Hyperplane) -> List[Valuation]:
 
 def all_valuations(g: Geometry) -> List[Valuation]:
     """Every valuation of g, in canonical (value-vector) order."""
+    if not g.is_connected():
+        raise ValueError("valuations require a connected geometry")
     seen = set()
     for hyp in enumerate_hyperplanes(g):
         for val in valuations_from_hyperplane(g, hyp):
@@ -330,7 +338,7 @@ def classify_valuations(g: Geometry, group: PermGroup,
             labels[dist] = "A"
         elif st.max_value == 1:
             labels[dist] = "C"
-        elif has_ovoidal or dist == classical_dist:
+        elif has_ovoidal:
             if len(middle) == 1:
                 labels[dist] = "B"
             else:

@@ -1,5 +1,11 @@
 """Command-line surface: subcommands, formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from hexval.cli import run
 from hexval.geometry import from_text
@@ -162,3 +168,26 @@ class TestErrors:
 
     def test_missing_source(self, capsys):
         assert invoke(capsys, "aut")[0] == 2
+
+    @pytest.mark.parametrize("argv", [["valuations"], ["valgeom"], ["check"],
+                                      ["hyperplanes", "--classes"]])
+    def test_disconnected_host_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "two_lines.geom"
+        path.write_text("points 6\n0 1 2\n3 4 5\n")
+        code, _, err = invoke(capsys, argv[0], "--in", str(path), *argv[1:])
+        assert code == 2
+        assert err.splitlines() == [
+            "error: valuations require a connected geometry"]
+
+    def test_check_precondition_survives_optimize(self):
+        # the restriction of h21 has valuations with several zero points;
+        # the precondition must hold under -O, which strips asserts
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "hexval.cli", "check",
+             "--geometry", "h21"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "zero point" in proc.stderr

@@ -1,9 +1,9 @@
 """Hyperplane enumeration and classification."""
-from hexval import gf2
+from hexval import gf2, perm
 from hexval.constructions import grid_3x3
-from hexval.hyperplanes import (Hyperplane, classify_hyperplanes,
-                                enumerate_hyperplanes, full_line_count,
-                                incidence_matrix)
+from hexval.hyperplanes import (Hyperplane, _apply_perm_to_mask,
+                                classify_hyperplanes, enumerate_hyperplanes,
+                                full_line_count, incidence_matrix)
 from hexval.perm import automorphism_group
 
 
@@ -95,7 +95,11 @@ class TestClassification:
         assert (img.bit_count(), full_line_count(g, img)) == key
 
     def test_class_map_covers_all(self, h21):
-        mapping = h21.hyperplane_class_of
+        mapping = {}
+        for idx, cls in enumerate(h21.hyperplane_classes):
+            mapping.update(dict.fromkeys(
+                perm.orbit(h21.aut_group, cls.representative.member_bits,
+                           _apply_perm_to_mask), idx))
         assert len(mapping) == len(h21.hyperplanes)
         sizes = [0] * len(h21.hyperplane_classes)
         for idx in mapping.values():

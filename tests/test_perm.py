@@ -9,8 +9,7 @@ from hexval import perm
 from hexval.constructions import grid_3x3
 from hexval.geometry import Geometry
 from hexval.perm import (PermGroup, are_isomorphic, automorphism_group,
-                         compose, identity, inverse, orbit_of_function,
-                         orbit_of_set, set_stabilizer_order)
+                         compose, identity, inverse, orbit_of_function)
 
 
 def brute_force_automorphisms(g):
@@ -23,6 +22,19 @@ def brute_force_automorphisms(g):
                for line in g.lines):
             out.append(p)
     return out
+
+
+def orbit_of_set(group, points):
+    """Orbit of a point set under the group, in canonical sorted order."""
+    return sorted(perm.orbit(group, tuple(sorted(points)),
+                             lambda g, s: tuple(sorted(g[x] for x in s))))
+
+
+def set_stabilizer_order(group, points):
+    """Orbit-stabilizer: |Aut| divided by the orbit length of the set."""
+    orbit_len = len(orbit_of_set(group, points))
+    assert group.order() % orbit_len == 0
+    return group.order() // orbit_len
 
 
 perm_strategy = st.permutations(list(range(6))).map(tuple)

@@ -2,7 +2,9 @@
 statistics and isomorphism classification."""
 import pytest
 
-from hexval.geometry import find_ovoids
+from hexval.geometry import find_ovoids, from_text
+from hexval.perm import orbit_of_function
+from hexval.hyperplanes import Hyperplane
 from hexval.valuations import (FAIL, PartialValuation, Valuation,
                                all_valuations, assign_value,
                                brute_force_valuations, classical_valuation,
@@ -100,6 +102,19 @@ class TestEnumeration:
         assert [v.values for v in h21.valuations] == \
             brute_force_valuations(h21.geometry)
 
+    def test_diameter_four_chain_matches_brute_force(self):
+        # values fall to -4 below the hyperplane complement before the shift
+        g = from_text("points 9\n0 1 2\n2 3 4\n4 5 6\n6 7 8\n")
+        assert [v.values for v in all_valuations(g)] == \
+            brute_force_valuations(g)
+
+    def test_disconnected_rejected(self):
+        g = from_text("points 6\n0 1 2\n3 4 5\n")
+        with pytest.raises(ValueError, match="connected"):
+            all_valuations(g)
+        with pytest.raises(ValueError, match="connected"):
+            valuations_from_hyperplane(g, Hyperplane(6, 0b001001))
+
     def test_grid_valuation_census(self, grid3):
         # 9 classical + 6 ovoidal = 15 valuations of the 3x3 grid
         assert len(all_valuations(grid3.geometry)) == 15
@@ -187,3 +202,15 @@ class TestPerHyperplaneClass:
             assert len(idx) == 1
             assert labels[idx[0]] == expected
             assert bundle.class_valuations_isomorphic(idx[0])
+
+    def test_isomorphic_matches_orbit_oracle(self, h2, h2dual, h21):
+        # direct test: every valuation on the representative lies in the
+        # automorphism orbit of the first one
+        for bundle in (h2, h2dual, h21):
+            g = bundle.geometry
+            for i, cls in enumerate(bundle.hyperplane_classes):
+                vals = [v.values for v in
+                        valuations_from_hyperplane(g, cls.representative)]
+                direct = len(vals) <= 1 or set(vals) <= set(
+                    orbit_of_function(bundle.aut_group, vals[0]))
+                assert bundle.class_valuations_isomorphic(i) == direct

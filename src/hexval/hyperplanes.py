@@ -10,7 +10,7 @@ is re-verified against the per-line rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from . import gf2, perm
 from .geometry import Geometry, GeometryError
@@ -92,15 +92,18 @@ def _apply_perm_to_mask(perm, mask: int) -> int:
     return img
 
 
-def classify_hyperplanes(g: Geometry,
-                         group: PermGroup) -> List[HyperplaneClass]:
+def classify_hyperplanes(g: Geometry, group: PermGroup,
+                         hyps: Optional[List[Hyperplane]] = None
+                         ) -> List[HyperplaneClass]:
     """Partition all hyperplanes into automorphism orbits.
 
-    Classes are sorted by (invariant_key, minimal representative); the
-    class equation (sum of orbit sizes = 2^dim - 1) and the constancy of
-    the invariant on each orbit are asserted.
+    hyps is the output of enumerate_hyperplanes(g), enumerated here when
+    not given. Classes are sorted by (invariant_key, minimal
+    representative); the class equation (sum of orbit sizes = 2^dim - 1)
+    and the constancy of the invariant on each orbit are asserted.
     """
-    hyps = enumerate_hyperplanes(g)
+    if hyps is None:
+        hyps = enumerate_hyperplanes(g)
     all_masks = {h.member_bits for h in hyps}
     unseen = set(all_masks)
     order = group.order()

@@ -51,11 +51,12 @@ class Bundle:
 
     @cached_property
     def hyperplane_classes(self) -> List[HyperplaneClass]:
-        return classify_hyperplanes(self.geometry, self.aut_group)
+        return classify_hyperplanes(self.geometry, self.aut_group,
+                                    self.hyperplanes)
 
     @cached_property
     def valuations(self) -> List[Valuation]:
-        return all_valuations(self.geometry)
+        return all_valuations(self.geometry, self.hyperplanes)
 
     @cached_property
     def classification(self) -> Tuple[List[ValuationType],

@@ -63,10 +63,9 @@ class ValuationType:
 def is_semi_valuation(g: Geometry, values: Sequence[int]) -> bool:
     """Each line has a unique minimum; other points are one above it."""
     for line in g.lines:
-        vals = sorted(values[p] for p in line)
-        if vals.count(vals[0]) != 1:
-            return False
-        if any(v != vals[0] + 1 for v in vals[1:]):
+        vals = [values[p] for p in line]
+        low = min(vals)
+        if vals.count(low) != 1 or max(vals) > low + 1:
             return False
     return True
 
@@ -206,17 +205,28 @@ def valuations_from_hyperplane(g: Geometry, hyp: Hyperplane) -> List[Valuation]:
                 stack.append(nxt)
     out = [Valuation(g, v) for v in sorted(set(results))]
     for val in out:
-        assert is_valuation(g, val.values)
-        assert val.hyperplane().member_bits == hyp.member_bits
+        if not is_valuation(g, val.values):
+            raise RuntimeError(f"completion is not a valuation: "
+                               f"{val.values}")
+        if val.hyperplane().member_bits != hyp.member_bits:
+            raise RuntimeError(f"valuation {val.values} does not have "
+                               f"hyperplane {hyp.member_bits:b}")
     return out
 
 
-def all_valuations(g: Geometry) -> List[Valuation]:
-    """Every valuation of g, in canonical (value-vector) order."""
+def all_valuations(g: Geometry, hyps: Optional[List[Hyperplane]] = None
+                   ) -> List[Valuation]:
+    """Every valuation of g, in canonical (value-vector) order.
+
+    hyps is the output of enumerate_hyperplanes(g), enumerated here when
+    not given.
+    """
     if not g.is_connected():
         raise ValueError("valuations require a connected geometry")
+    if hyps is None:
+        hyps = enumerate_hyperplanes(g)
     seen = set()
-    for hyp in enumerate_hyperplanes(g):
+    for hyp in hyps:
         for val in valuations_from_hyperplane(g, hyp):
             seen.add(val.values)
     return [Valuation(g, v) for v in sorted(seen)]

@@ -1,5 +1,5 @@
 """Hyperplane enumeration and classification."""
-from hexval import gf2, perm
+from hexval import gf2, hyperplanes, perm
 from hexval.constructions import grid_3x3
 from hexval.hyperplanes import (Hyperplane, _apply_perm_to_mask,
                                 classify_hyperplanes, enumerate_hyperplanes,
@@ -93,6 +93,22 @@ class TestClassification:
             if rep >> p & 1:
                 img |= 1 << gen[p]
         assert (img.bit_count(), full_line_count(g, img)) == key
+
+    def test_bundle_enumerates_once(self, monkeypatch, h21):
+        # hyperplane_classes and valuations reuse Bundle.hyperplanes
+        from hexval import pipeline, valuations
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return enumerate_hyperplanes(g)
+
+        for module in (pipeline, hyperplanes, valuations):
+            monkeypatch.setattr(module, "enumerate_hyperplanes", counted)
+        bundle = pipeline.Bundle(h21.geometry)
+        assert bundle.hyperplane_classes == h21.hyperplane_classes
+        assert bundle.valuations == h21.valuations
+        assert len(calls) == 1
 
     def test_class_map_covers_all(self, h21):
         mapping = {}

@@ -1,14 +1,49 @@
 """Neighboring valuations, the star operator, valuation geometries,
 line-type tables and the subgeometry checks."""
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from hexval import reference
-from hexval.perm import are_isomorphic
-from hexval.valgeom import (EQUAL, ValuationGeometry, are_neighboring,
-                            build_valuation_geometry, check_lemma_3_1,
-                            extract_subgeometry, line_type_table, restrict,
-                            star)
-from hexval.valuations import classical_valuation
+from hexval.constructions import grid_3x3
+from hexval.geometry import Geometry, dual
+from hexval.perm import are_isomorphic, automorphism_group
+from hexval.valgeom import (EQUAL, ValuationGeometry, _star_closed_lines,
+                            are_neighboring, build_valuation_geometry,
+                            check_lemma_3_1, extract_subgeometry,
+                            line_type_table, restrict, star)
+from hexval.valuations import (Valuation, brute_force_valuations,
+                               classical_valuation, classify_valuations)
+
+
+def scalar_lines_through(vals, i):
+    """Oracle: the lines through row i of the sorted valuations, from a
+    scalar are_neighboring/star scan over every partner of row i."""
+    index = {v.values: k for k, v in enumerate(vals)}
+    lines = set()
+    for j in range(len(vals)):
+        if j == i or are_neighboring(vals[i], vals[j]) is None:
+            continue
+        k = index.get(star(vals[i], vals[j]).values)
+        if k is not None:
+            lines.add(tuple(sorted((i, j, k))))
+    return lines
+
+
+def scalar_build(vals, type_labels):
+    """Oracle: the valuation geometry from one scalar star per neighboring
+    pair. Returns (sorted value vectors, sorted lines, line types)."""
+    vals = sorted(vals, key=lambda v: v.values)
+    vlines = sorted(set().union(*(scalar_lines_through(vals, i)
+                                  for i in range(len(vals)))))
+    line_types = ["".join(sorted(type_labels[vals[x].values] for x in line))
+                  for line in vlines]
+    return [v.values for v in vals], vlines, line_types
 
 
 class TestNeighboring:
@@ -53,6 +88,35 @@ class TestStar:
         with pytest.raises(ValueError):
             star(classical_valuation(g, 0), classical_valuation(g, b))
 
+    def test_star_rejects_non_valuation(self, h21):
+        g = h21.geometry
+        f = classical_valuation(g, 0)
+        values = list(f.values)
+        values[1] += 1
+        values[2] -= 1
+        with pytest.raises(ValueError, match="second argument"):
+            star(f, Valuation(g, tuple(values)))
+
+    def test_star_input_check_survives_optimize(self):
+        # under -O asserts are stripped; the input check must still raise
+        code = (
+            "from hexval import build_hexagon_2_1, classical_valuation, star\n"
+            "from hexval.valuations import Valuation\n"
+            "g = build_hexagon_2_1()\n"
+            "f = classical_valuation(g, 0)\n"
+            "v = list(f.values); v[1] += 1; v[2] -= 1\n"
+            "try:\n"
+            "    star(f, Valuation(g, tuple(v)))\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ValueError\n"
+
     def test_star_algebra_on_all_h21_lines(self, h21):
         # (i) symmetry (ii)(iii) each pair recovers the third member
         vg = build_valuation_geometry(h21.geometry, h21.valuations,
@@ -88,6 +152,72 @@ class TestValuationGeometry:
     def test_h2_aaa_count(self, h2):
         vg = h2.valuation_geometry
         assert sum(1 for t in vg.line_types if t == "AAA") == 63
+
+
+class TestVectorisedBuild:
+    @pytest.mark.parametrize("name", ["h21", "fano", "grid3"])
+    def test_equals_scalar_oracle(self, request, name):
+        bundle = request.getfixturevalue(name)
+        vg = build_valuation_geometry(bundle.geometry, bundle.valuations,
+                                      bundle.type_labels)
+        points, vlines, line_types = scalar_build(bundle.valuations,
+                                                  bundle.type_labels)
+        assert [v.values for v in vg.vpoints] == points
+        assert vg.vlines == vlines
+        assert vg.line_types == line_types
+
+    def test_dual_grid_fails_like_scalar_oracle(self):
+        # with 2-point lines the star of a neighboring pair need not be a
+        # valuation; both builds must stop there
+        g = dual(grid_3x3())
+        vals = [Valuation(g, v) for v in brute_force_valuations(g)]
+        labels = classify_valuations(g, automorphism_group(g), vals)[1]
+        with pytest.raises(RuntimeError, match="not a valuation"):
+            scalar_build(vals, labels)
+        with pytest.raises(RuntimeError, match="not a valuation"):
+            build_valuation_geometry(g, vals, labels)
+
+    @pytest.mark.parametrize("name", ["h2", "h2dual"])
+    def test_sampled_rows_match_scalar_scan(self, request, name):
+        vg = request.getfixturevalue(name).valuation_geometry
+        through = {}
+        for line in vg.vlines:
+            for i in line:
+                through.setdefault(i, set()).add(line)
+        for i in random.Random(f"valgeom/{name}").sample(
+                range(len(vg.vpoints)), 64):
+            assert scalar_lines_through(vg.vpoints, i) == through[i]
+
+    def test_several_epsilons_rejected(self):
+        # on two disjoint lines the difference of these valuations is 0 on
+        # one line and -1 on the other, so eps = 0 and eps = 1 both fit
+        g = Geometry(6, [(0, 1, 2), (3, 4, 5)])
+        f1 = Valuation(g, (0, 1, 1, 0, 1, 1))
+        f2 = Valuation(g, (0, 1, 1, 1, 2, 2))
+        with pytest.raises(ValueError, match="more than one epsilon"):
+            build_valuation_geometry(g, [f1, f2])
+        with pytest.raises(ValueError, match="not unique"):
+            are_neighboring(f1, f2)
+
+    def test_line_found_by_fewer_than_three_pairs_rejected(self):
+        # keys (a * n + b) * n + c of sorted triples, n = 4: the line
+        # (0, 1, 2) found by two of its pairs is not star-closed
+        key = (0 * 4 + 1) * 4 + 2
+        with pytest.raises(RuntimeError, match="only 2 of its three"):
+            _star_closed_lines(np.array([key, key]), 4)
+        with pytest.raises(RuntimeError, match="repeats a member"):
+            _star_closed_lines(np.array([(1 * 4 + 1) * 4 + 2] * 3), 4)
+        assert _star_closed_lines(np.array([key] * 3), 4).tolist() \
+            == [[0, 1, 2]]
+
+    def test_non_valuation_rejected(self, h21):
+        g = h21.geometry
+        values = list(classical_valuation(g, 0).values)
+        values[1] += 1
+        values[2] -= 1
+        bad = Valuation(g, tuple(values))
+        with pytest.raises(ValueError, match="not a valuation"):
+            build_valuation_geometry(g, [h21.valuations[0], bad])
 
 
 class TestLineTypeTable:

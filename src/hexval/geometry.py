@@ -3,8 +3,9 @@
 A Geometry is a partial linear space with points 0..n-1 and lines given as
 sorted point tuples. Construction canonicalizes the line order, validates
 the partial-linear-space axiom and caches the collinearity graph and the
-distance matrix (BFS per point). Disconnected point pairs get an explicit
-``INF`` sentinel rather than a large number.
+distance matrix (BFS per point). Distances are ints; disconnected point
+pairs get the sentinel -1. ``diameter`` reports ``INF`` for a disconnected
+geometry.
 """
 from __future__ import annotations
 
@@ -57,6 +58,8 @@ class Geometry:
 
     def __init__(self, num_points: int, lines: Iterable[Sequence[int]],
                  name: str = ""):
+        if num_points < 0:
+            raise GeometryError(f"negative point count {num_points}")
         canon = sorted({tuple(sorted(line)) for line in lines})
         self.num_points = num_points
         self.lines: Tuple[Tuple[int, ...], ...] = tuple(canon)
@@ -99,17 +102,18 @@ class Geometry:
             sum(1 << q for q in t) for t in self.neighbors)
         self.line_masks: Tuple[int, ...] = tuple(
             sum(1 << p for p in line) for line in self.lines)
-        self.dist = [self._bfs(p) for p in range(n)]
-        self._diameter = max((max(row) for row in self.dist), default=0)
+        self.dist: List[List[int]] = [self._bfs(p) for p in range(n)]
+        self._diameter = (INF if not self.is_connected() else
+                          max((max(row) for row in self.dist), default=0))
 
-    def _bfs(self, start: int) -> List:
-        row = [INF] * self.num_points
+    def _bfs(self, start: int) -> List[int]:
+        row = [-1] * self.num_points
         row[start] = 0
         q = deque([start])
         while q:
             x = q.popleft()
             for y in self.neighbors[x]:
-                if row[y] is INF:
+                if row[y] < 0:
                     row[y] = row[x] + 1
                     q.append(y)
         return row
@@ -117,7 +121,7 @@ class Geometry:
     # -- basic queries ---------------------------------------------------
 
     def is_connected(self) -> bool:
-        return self.num_points == 0 or INF not in self.dist[0]
+        return self.num_points == 0 or -1 not in self.dist[0]
 
     def diameter(self):
         """Largest point distance: 0 when empty, INF when disconnected."""
@@ -126,8 +130,7 @@ class Geometry:
     def distance_distribution(self, p: int) -> List[int]:
         """Count of points at each distance 0..diameter from p."""
         counts = Counter(self.dist[p])
-        top = max(d for d in counts if d is not INF)
-        return [counts.get(i, 0) for i in range(int(top) + 1)]
+        return [counts.get(i, 0) for i in range(max(counts) + 1)]
 
     def line_index(self, a: int, b: int) -> Optional[int]:
         """Index of the unique line through two collinear points."""
@@ -384,6 +387,8 @@ def induced_valuation(ambient: Geometry, sub_points: Sequence[int],
                     f"not isometrically embedded: points {p},{q} have "
                     f"ambient distance {ambient.dist[p][q]} but internal "
                     f"distance {sub.dist[i][j]}")
+    if any(ambient.dist[x][p] < 0 for p in sub_points):
+        raise GeometryError(f"point {x} is not connected to the subgeometry")
     base = min(ambient.dist[x][p] for p in sub_points)
     values = [ambient.dist[x][p] - base for p in sub_points]
     for line in relabeled:

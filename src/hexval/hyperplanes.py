@@ -74,7 +74,9 @@ def enumerate_hyperplanes(g: Geometry) -> List[Hyperplane]:
                 f"nullspace vector {v.bits:b} fails the 1-or-3 line rule")
         out.append(hp)
     out.sort(key=lambda h: h.member_bits)
-    assert len(out) == (1 << len(basis)) - 1
+    if len(out) != (1 << len(basis)) - 1:
+        raise RuntimeError(f"span of a {len(basis)}-dimensional nullspace "
+                           f"gave {len(out)} hyperplanes")
     return out
 
 
@@ -99,8 +101,9 @@ def classify_hyperplanes(g: Geometry, group: PermGroup,
 
     hyps is the output of enumerate_hyperplanes(g), enumerated here when
     not given. Classes are sorted by (invariant_key, minimal
-    representative); the class equation (sum of orbit sizes = 2^dim - 1)
-    and the constancy of the invariant on each orbit are asserted.
+    representative); the class equation (sum of orbit sizes = 2^dim - 1),
+    orbit sizes dividing the group order and the constancy of the
+    invariant on each orbit are checked (RuntimeError otherwise).
     """
     if hyps is None:
         hyps = enumerate_hyperplanes(g)
@@ -120,14 +123,22 @@ def classify_hyperplanes(g: Geometry, group: PermGroup,
         rep_bits = min(orbit)
         key = (rep_bits.bit_count(), full_line_count(g, rep_bits))
         for m in orbit:
-            assert (m.bit_count(), full_line_count(g, m)) == key
-        assert order % len(orbit) == 0
+            if (m.bit_count(), full_line_count(g, m)) != key:
+                raise RuntimeError(
+                    f"hyperplanes {rep_bits:b} and {m:b} lie in one orbit "
+                    f"but have different (size, full lines) invariants")
+        if order % len(orbit):
+            raise RuntimeError(f"orbit size {len(orbit)} does not divide "
+                               f"the group order {order}")
         classes.append(HyperplaneClass(
             representative=Hyperplane(g.num_points, rep_bits),
             orbit_size=len(orbit),
             stabilizer_order=order // len(orbit),
             invariant_key=key))
-    assert sum(c.orbit_size for c in classes) == len(hyps)
+    total = sum(c.orbit_size for c in classes)
+    if total != len(hyps):
+        raise RuntimeError(f"orbit sizes sum to {total}, not to the "
+                           f"{len(hyps)} hyperplanes")
     classes.sort(key=lambda c: (c.invariant_key,
                                 c.representative.member_bits))
     return classes

@@ -9,12 +9,17 @@ the action of a generator as a parameter.
 Automorphism and isomorphism search runs a backtracking over points with
 candidate sets refined by full distance profiles relative to the already
 mapped points; complete maps are accepted only after an explicit
-line-preservation check.
+line-preservation check. An isomorphism search stops at its first leaf.
+The automorphism search prunes by cosets: along the path of the identity
+it looks, at each branch point, for one automorphism per image not yet in
+the orbit of the generators found below, so it visits a few leaves per
+base point instead of one leaf per automorphism.
 """
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .geometry import Geometry
 
@@ -162,143 +167,173 @@ def orbit_of_function(group: PermGroup,
 # -- isomorphism search --------------------------------------------------
 
 
-def _distance_key(d) -> int:
-    return -1 if d != d or d == float("inf") else int(d)
-
-
 def _distance_masks(g: Geometry) -> List[Dict[int, int]]:
     masks: List[Dict[int, int]] = []
-    for q in range(g.num_points):
-        row: Dict[int, int] = {}
-        for y, d in enumerate(g.dist[q]):
-            key = _distance_key(d)
-            row[key] = row.get(key, 0) | (1 << y)
-        masks.append(row)
+    for row in g.dist:
+        by_dist: Dict[int, int] = {}
+        for y, d in enumerate(row):
+            by_dist[d] = by_dist.get(d, 0) | (1 << y)
+        masks.append(by_dist)
     return masks
 
 
 def _point_profile(g: Geometry, p: int):
     hist: Dict[int, int] = {}
     for d in g.dist[p]:
-        key = _distance_key(d)
-        hist[key] = hist.get(key, 0) + 1
+        hist[d] = hist.get(d, 0) + 1
     sizes = sorted(len(g.lines[li]) for li in g.lines_through[p])
     return (tuple(sorted(hist.items())), tuple(sizes))
 
 
-def _iso_search(g1: Geometry, g2: Geometry, first_only: bool):
-    """Yield every point bijection g1 -> g2 sending lines to lines."""
-    n = g1.num_points
-    if n != g2.num_points or len(g1.lines) != len(g2.lines):
-        return
-    if sorted(map(len, g1.lines)) != sorted(map(len, g2.lines)):
-        return
-    dmask2 = _distance_masks(g2)
-    profiles2: Dict[object, int] = {}
-    for q in range(n):
-        key = _point_profile(g2, q)
-        profiles2[key] = profiles2.get(key, 0) | (1 << q)
-    init = []
-    for p in range(n):
-        mask = profiles2.get(_point_profile(g1, p), 0)
-        if not mask:
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+class _IsoSearch:
+    """Backtracking over point bijections g1 -> g2 sending lines to lines.
+
+    A node is a candidate list and an assigned mask: cand[x] is the
+    bitmask of possible images of point x, and assigned marks the mapped
+    points. Mapping p to q keeps, for every unmapped x, only the images
+    at distance d(p, x) from q. ``root`` is None when a point profile of
+    g1 (distance histogram, line sizes) has no match in g2.
+    """
+
+    def __init__(self, g1: Geometry, g2: Geometry):
+        self.n = n = g1.num_points
+        self.dist1 = g1.dist
+        self.lines1 = g1.lines
+        self.dmask2 = _distance_masks(g2)
+        self.line_set2 = set(g2.lines)
+        self.root: Optional[List[int]] = None
+        if n != g2.num_points or len(g1.lines) != len(g2.lines):
             return
-        init.append(mask)
-    line_set2 = set(g2.lines)
-    dist1 = g1.dist
-    found_first = False
+        if sorted(map(len, g1.lines)) != sorted(map(len, g2.lines)):
+            return
+        profiles2: Dict[object, int] = {}
+        for q in range(n):
+            key = _point_profile(g2, q)
+            profiles2[key] = profiles2.get(key, 0) | (1 << q)
+        root = [profiles2.get(_point_profile(g1, p), 0) for p in range(n)]
+        if all(root):
+            self.root = root
 
-    def verify(mapping: List[int]) -> bool:
-        if len(set(mapping)) != n:
+    def verify(self, mapping: Perm) -> bool:
+        if len(set(mapping)) != self.n:
             return False
-        for line in g1.lines:
-            if tuple(sorted(mapping[p] for p in line)) not in line_set2:
-                return False
-        return True
+        return all(tuple(sorted(mapping[p] for p in line)) in self.line_set2
+                   for line in self.lines1)
 
-    def assign(cand: List[int], assigned_mask: int, p: int, q: int):
+    def assign(self, cand: List[int], assigned: int, p: int, q: int
+               ) -> Tuple[List[int], int]:
+        """The child node that maps p to q."""
         cand = cand[:]
         cand[p] = 1 << q
         clear = ~(1 << q)
-        drow = dist1[p]
-        dm = dmask2[q]
-        for x in range(n):
-            if x != p and not (assigned_mask >> x & 1):
-                cand[x] &= dm.get(_distance_key(drow[x]), 0) & clear
-        return cand
+        drow = self.dist1[p]
+        dm = self.dmask2[q]
+        for x in range(self.n):
+            if x != p and not (assigned >> x & 1):
+                cand[x] &= dm.get(drow[x], 0) & clear
+        return cand, assigned | (1 << p)
 
-    def search(cand: List[int], assigned_mask: int):
-        nonlocal found_first
-        if found_first and first_only:
-            return
+    def settle(self, cand: List[int], assigned: int
+               ) -> Optional[Tuple[List[int], int, int]]:
+        """Map every unmapped point that has a single candidate, until none
+        is left. Returns (cand, assigned, b) with b the unmapped point of
+        fewest candidates (lowest index on ties), or b = -1 when every
+        point has a single candidate; None when some point has none."""
+        n = self.n
         while True:
-            branch_p, branch_count = -1, None
-            all_singleton = True
+            branch_p, branch_count = -1, n + 1
             forced = -1
             for x in range(n):
-                if assigned_mask >> x & 1:
+                if assigned >> x & 1:
                     continue
                 c = cand[x].bit_count()
                 if c == 0:
-                    return
+                    return None
                 if c == 1:
                     if forced < 0:
                         forced = x
-                    continue
-                all_singleton = False
-                if branch_count is None or c < branch_count:
+                elif c < branch_count:
                     branch_p, branch_count = x, c
-            if all_singleton:
-                mapping = [c.bit_length() - 1 for c in cand]
-                if verify(mapping):
-                    found_first = True
-                    yield tuple(mapping)
-                return
-            if forced >= 0:
-                q = cand[forced].bit_length() - 1
-                cand = assign(cand, assigned_mask, forced, q)
-                assigned_mask |= 1 << forced
-                continue
-            bits = cand[branch_p]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                q = low.bit_length() - 1
-                yield from search(assign(cand, assigned_mask, branch_p, q),
-                                  assigned_mask | (1 << branch_p))
-                if found_first and first_only:
-                    return
-            return
+            if branch_p < 0 or forced < 0:
+                return cand, assigned, branch_p
+            q = cand[forced].bit_length() - 1
+            cand, assigned = self.assign(cand, assigned, forced, q)
 
-    if n == 0:
-        yield ()
-        return
-    yield from search(init, 0)
+    def leaves(self, cand: List[int], assigned: int) -> Iterator[Perm]:
+        """Every verified bijection below a node, in a fixed order. The
+        generator is lazy: taking only the first stops the search there."""
+        node = self.settle(cand, assigned)
+        if node is None:
+            return
+        cand, assigned, b = node
+        if b < 0:
+            mapping = tuple(c.bit_length() - 1 for c in cand)
+            if self.verify(mapping):
+                yield mapping
+            return
+        for q in _bits(cand[b]):
+            yield from self.leaves(*self.assign(cand, assigned, b, q))
 
 
 def are_isomorphic(g1: Geometry, g2: Geometry) -> Optional[Perm]:
     """An incidence-preserving point bijection, or None if there is none."""
-    for mapping in _iso_search(g1, g2, first_only=True):
-        return mapping
-    return None
+    search = _IsoSearch(g1, g2)
+    if search.root is None:
+        return None
+    return next(search.leaves(search.root, 0), None)
 
 
 def automorphism_group(g: Geometry) -> PermGroup:
-    """Full automorphism group of g acting on points.
+    """Full automorphism group of g acting on points, by coset pruning.
 
-    The backtracking enumerates all automorphisms in a deterministic
-    order; elements not yet generated are kept as generators.
+    The search first follows the path of the identity, recording each
+    branch node k with its branch point b_k; the b_k form a base. Going
+    back up from the deepest node, generators found so far fix
+    b_0..b_{k-1}, and they generate the stabilizer of b_0..b_k. At node k
+    each candidate image q of b_k outside the orbit of b_k under them
+    gets one search for the first verified automorphism mapping b_k to
+    q; one leaf per coset of that stabilizer suffices, so the orbit of
+    b_k, and by orbit-stabilizer the group fixing b_0..b_{k-1}, come out
+    exact. See Seress, Permutation Group Algorithms (2003), ch. 4, and
+    McKay & Piperno, Practical graph isomorphism II (2014).
     """
+    search = _IsoSearch(g, g)
     group = PermGroup(g.num_points)
-    for mapping in _iso_search(g, g, first_only=False):
-        if not group.contains(mapping):
-            group.add_generator(mapping)
+    path = []
+    cand, assigned = search.root, 0
+    while True:
+        cand, assigned, b = search.settle(cand, assigned)
+        if b < 0:
+            break
+        path.append((cand, assigned, b))
+        cand, assigned = search.assign(cand, assigned, b, b)
+    for cand, assigned, b in reversed(path):
+        orbit_b = orbit(group, b, operator.getitem)
+        for q in _bits(cand[b]):
+            if q in orbit_b:
+                continue
+            leaf = next(search.leaves(*search.assign(cand, assigned, b, q)),
+                        None)
+            if leaf is not None:
+                group.add_generator(leaf)
+                orbit_b = orbit(group, b, operator.getitem)
     for gen in group.generators:
-        assert _preserves_lines(g, gen)
+        _check_automorphism(g, gen)
     return group
 
 
-def _preserves_lines(g: Geometry, p: Perm) -> bool:
+def _check_automorphism(g: Geometry, p: Perm) -> None:
+    """Raise RuntimeError unless p maps every line of g onto a line."""
     line_set = set(g.lines)
-    return all(tuple(sorted(p[x] for x in line)) in line_set
-               for line in g.lines)
+    for line in g.lines:
+        image = tuple(sorted(p[x] for x in line))
+        if image not in line_set:
+            raise RuntimeError(f"permutation {p} maps line {line} to "
+                               f"{image}, which is not a line")

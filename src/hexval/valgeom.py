@@ -121,10 +121,10 @@ def _line_index(g: Geometry) -> List[np.ndarray]:
 def _non_valuation_rows(mat: np.ndarray,
                         line_index: List[np.ndarray]) -> np.ndarray:
     """Indices of the rows of mat that are not valuations: the row
-    minimum is not 0, or some line does not have exactly one point at
+    minimum is not 0 (an empty row has none), or some line does not have exactly one point at
     its minimum m and all others at m + 1 (the per-line rule, read as
     one point at the line minimum and none above it plus one)."""
-    bad = mat.min(axis=1) != 0
+    bad = mat.min(axis=1, initial=1) != 0
     for idx in line_index:
         on_lines = mat[:, idx]
         low = on_lines.min(axis=1, keepdims=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geometry import INF, Geometry
+from .geometry import Geometry
 from .hyperplanes import Hyperplane, enumerate_hyperplanes
 from .perm import PermGroup, orbit_of_function
 
@@ -77,9 +77,9 @@ def is_valuation(g: Geometry, values: Sequence[int]) -> bool:
 def classical_valuation(g: Geometry, center: int) -> Valuation:
     """f(y) = d(center, y)."""
     row = g.dist[center]
-    if any(d == float("inf") for d in row):
+    if -1 in row:
         raise ValueError("classical valuation requires a connected geometry")
-    return Valuation(g, tuple(int(d) for d in row))
+    return Valuation(g, tuple(row))
 
 
 def ovoidal_valuation(g: Geometry, ovoid: Sequence[int]) -> Valuation:
@@ -173,10 +173,9 @@ def valuations_from_hyperplane(g: Geometry, hyp: Hyperplane) -> List[Valuation]:
     complement. No lower value can occur: a valuation changes by at most
     1 along a line, so its values span at most the diameter.
     """
-    diam = g.diameter()
-    if diam == INF:
+    if not g.is_connected():
         raise ValueError("valuations require a connected geometry")
-    depths = range(-1, -diam - 1, -1)
+    depths = range(-1, -g.diameter() - 1, -1)
     comp = hyp.complement_bits()
     pv = PartialValuation.empty(g)
     dirty = []
@@ -241,10 +240,9 @@ def brute_force_valuations(g: Geometry) -> List[Tuple[int, ...]]:
     The search always branches on the unassigned point with the most
     assigned line-mates, so completed lines prune early.
     """
-    diam = g.diameter()
-    if diam == float("inf"):
+    if not g.is_connected():
         raise ValueError("geometry must be connected")
-    diam = int(diam)
+    diam = g.diameter()
     n = g.num_points
     values: List[Optional[int]] = [None] * n
     out: List[Tuple[int, ...]] = []
@@ -293,8 +291,8 @@ def brute_force_valuations(g: Geometry) -> List[Tuple[int, ...]]:
 def valuation_stats(val: Valuation, width: Optional[int] = None) -> ValuationStats:
     top = val.max_value()
     if width is None:
-        diam = val.host.diameter()
-        width = int(diam) + 1 if diam != float("inf") else top + 1
+        width = (val.host.diameter() + 1 if val.host.is_connected()
+                 else top + 1)
     dist = [0] * max(width, top + 1)
     for v in val.values:
         dist[v] += 1
@@ -319,6 +317,8 @@ def classify_valuations(g: Geometry, group: PermGroup,
     """
     if vals is None:
         vals = all_valuations(g)
+    if not vals:
+        return [], {}
     by_dist: Dict[Tuple[int, ...], List[Valuation]] = {}
     for val in vals:
         by_dist.setdefault(valuation_stats(val).distribution, []).append(val)

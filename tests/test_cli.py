@@ -179,6 +179,36 @@ class TestErrors:
         assert err.splitlines() == [
             "error: valuations require a connected geometry"]
 
+    @pytest.mark.parametrize("argv", [["validate"], ["aut"],
+                                      ["hyperplanes", "--classes"],
+                                      ["valuations"], ["valgeom"], ["check"]])
+    def test_negative_point_count(self, capsys, tmp_path, argv):
+        path = tmp_path / "negative.geom"
+        path.write_text("points -3\n")
+        code, out, err = invoke(capsys, argv[0], "--in", str(path),
+                                *argv[1:])
+        # validate reports every GeometryError as an invalid geometry
+        assert code == (1 if argv[0] == "validate" else 2)
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "negative point count -3" in err
+
+    @pytest.mark.parametrize("argv,code,out_lines", [
+        (["validate"], 0, 5), (["aut"], 0, 2),
+        (["hyperplanes", "--classes"], 0, 3), (["valuations"], 0, 2),
+        (["valgeom"], 0, 2), (["check"], 1, 5)])
+    def test_empty_geometry(self, capsys, tmp_path, argv, code, out_lines):
+        # no points: empty tables; Lemma 3.1 fails its 16-grid count on the
+        # empty restriction, as on any host without type C valuations
+        path = tmp_path / "empty.geom"
+        path.write_text("points 0\n")
+        got, out, err = invoke(capsys, argv[0], "--in", str(path),
+                               *argv[1:])
+        assert got == code
+        assert len(out.splitlines()) == out_lines
+        assert err.splitlines() == (["check failed: grids16"]
+                                    if code else [])
+
     def test_check_precondition_survives_optimize(self):
         # the restriction of h21 has valuations with several zero points;
         # the precondition must hold under -O, which strips asserts
@@ -191,3 +221,19 @@ class TestErrors:
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert "zero point" in proc.stderr
+
+
+class TestOptimized:
+    def test_report_all_json_matches_golden(self):
+        # every invariant check is a raise, so -O (which strips asserts)
+        # must reproduce the committed report byte for byte
+        root = Path(__file__).resolve().parent.parent
+        golden = (root / "perfbench" / "golden" / "report_all.json"
+                  ).read_bytes()
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "hexval.cli", "report", "--all",
+             "--format", "json"],
+            capture_output=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == golden

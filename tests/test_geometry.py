@@ -34,13 +34,25 @@ class TestBuild:
         assert g.lines == ((0, 1, 2), (2, 3, 4))
 
     def test_disconnected_distances_are_inf(self):
+        # unreachable pairs carry the integer sentinel -1; the diameter
+        # of a disconnected geometry is still INF
         g = geometry.build(6, [(0, 1, 2), (3, 4, 5)])
-        assert g.dist[0][3] == INF
+        assert g.dist[0][3] == -1
+        assert all(type(d) is int for row in g.dist for d in row)
         assert not g.is_connected()
         assert g.diameter() == INF
 
+    def test_empty_geometry(self):
+        g = geometry.build(0, [])
+        assert g.is_connected() and g.diameter() == 0
+
+    def test_negative_point_count_rejected(self):
+        with pytest.raises(GeometryError, match="negative point count"):
+            geometry.build(-3, [])
+
     def test_distance_matrix_against_floyd_warshall(self):
-        for g in (grid_3x3(), build_hexagon_2_1(), build_fano()):
+        two_lines = geometry.build(6, [(0, 1, 2), (3, 4, 5)])
+        for g in (grid_3x3(), build_hexagon_2_1(), build_fano(), two_lines):
             n = g.num_points
             fw = [[0 if i == j else
                    (1 if j in g.neighbors[i] else math.inf)
@@ -51,7 +63,9 @@ class TestBuild:
                         via = fw[i][k] + fw[k][j]
                         if via < fw[i][j]:
                             fw[i][j] = via
-            assert fw == [list(row) for row in g.dist]
+            expected = [[-1 if d == math.inf else d for d in row]
+                        for row in fw]
+            assert expected == [list(row) for row in g.dist]
 
 
 class TestAxiomCheckers:
@@ -245,6 +259,12 @@ class TestInducedValuation:
                     if g.dist[p][q] == 2)
         with pytest.raises(GeometryError, match="isometrically"):
             induced_valuation(g, [p, q], [], p)
+
+
+    def test_unreachable_point_rejected(self):
+        g = geometry.build(6, [(0, 1, 2), (3, 4, 5)])
+        with pytest.raises(GeometryError, match="not connected"):
+            induced_valuation(g, [3, 4, 5], [(3, 4, 5)], 0)
 
 
 class TestTextFormat:

@@ -1,4 +1,6 @@
 """Hyperplane enumeration and classification."""
+import pytest
+
 from hexval import gf2, hyperplanes, perm
 from hexval.constructions import grid_3x3
 from hexval.hyperplanes import (Hyperplane, _apply_perm_to_mask,
@@ -93,6 +95,12 @@ class TestClassification:
             if rep >> p & 1:
                 img |= 1 << gen[p]
         assert (img.bit_count(), full_line_count(g, img)) == key
+
+    def test_orbit_size_not_dividing_order_raises(self, monkeypatch, h21):
+        group = perm.PermGroup(21, h21.aut_group.generators)
+        monkeypatch.setattr(group, "order", lambda: 7)
+        with pytest.raises(RuntimeError, match="does not divide"):
+            classify_hyperplanes(h21.geometry, group, h21.hyperplanes)
 
     def test_bundle_enumerates_once(self, monkeypatch, h21):
         # hyperplane_classes and valuations reuse Bundle.hyperplanes

@@ -1,13 +1,18 @@
 """Permutation groups and isomorphism search."""
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hexval import perm
-from hexval.constructions import grid_3x3
-from hexval.geometry import Geometry
+from hexval.constructions import (build_fano, build_h2, build_h2_dual,
+                                  build_hexagon_2_1, grid_3x3)
+from hexval.geometry import Geometry, dual
 from hexval.perm import (PermGroup, are_isomorphic, automorphism_group,
                          compose, identity, inverse, orbit_of_function)
 
@@ -35,6 +40,56 @@ def set_stabilizer_order(group, points):
     orbit_len = len(orbit_of_set(group, points))
     assert group.order() % orbit_len == 0
     return group.order() // orbit_len
+
+
+def enumerated_automorphism_group(g):
+    """Oracle: walk every leaf of the refinement tree, as the search did
+    before coset pruning, and keep each automorphism not yet generated.
+    Returns the group and the number of leaves walked."""
+    search = perm._IsoSearch(g, g)
+    group = PermGroup(g.num_points)
+    leaves = 0
+    for mapping in search.leaves(search.root, 0):
+        leaves += 1
+        if not group.contains(mapping):
+            group.add_generator(mapping)
+    return group, leaves
+
+
+def assert_same_group(pruned, oracle):
+    assert pruned.order() == oracle.order()
+    assert all(oracle.contains(p) for p in pruned.generators)
+    assert all(pruned.contains(p) for p in oracle.generators)
+
+
+def disjoint_lines(k):
+    return Geometry(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])
+
+
+def relabeled(g, seed):
+    relabel = random.Random(seed).sample(range(g.num_points), g.num_points)
+    return Geometry(g.num_points,
+                    [[relabel[p] for p in line] for line in g.lines])
+
+
+@st.composite
+def small_hosts(draw):
+    """Partial linear spaces with 3-point lines on at most 9 points, every
+    point on a line; lines sharing a pair with an earlier line are
+    dropped."""
+    n = draw(st.integers(3, 9))
+    triples = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
+                                    max_size=3), min_size=1, max_size=12))
+    lines, pairs = [], set()
+    for t in triples:
+        line = tuple(sorted(t))
+        new_pairs = set(itertools.combinations(line, 2))
+        if not new_pairs & pairs:
+            pairs |= new_pairs
+            lines.append(line)
+    used = sorted({p for line in lines for p in line})
+    index = {p: i for i, p in enumerate(used)}
+    return Geometry(len(used), [[index[p] for p in line] for line in lines])
 
 
 perm_strategy = st.permutations(list(range(6))).map(tuple)
@@ -118,6 +173,65 @@ class TestAutomorphisms:
     def test_hexagon_groups(self, h2, h2dual):
         assert h2.aut_order == 12096
         assert h2dual.aut_order == 12096
+
+
+class TestPrunedSearch:
+    """The coset-pruned automorphism_group against the full enumeration."""
+
+    @pytest.mark.parametrize("name,build,order", [
+        ("fano", build_fano, 168),
+        ("grid3", grid_3x3, 72),
+        ("grid3_dual", lambda: dual(grid_3x3()), 72),
+        ("triangle", lambda: Geometry(3, [(0, 1, 2)]), 6),
+        ("h21", build_hexagon_2_1, 336),
+        ("two_lines", lambda: disjoint_lines(2), 72),
+        ("three_lines", lambda: disjoint_lines(3), 1296),
+        ("four_lines", lambda: disjoint_lines(4), 31104),
+    ])
+    def test_matches_enumeration(self, name, build, order):
+        g = build()
+        oracle, leaves = enumerated_automorphism_group(g)
+        assert oracle.order() == leaves == order
+        assert_same_group(automorphism_group(g), oracle)
+
+    @pytest.mark.parametrize("build", [build_h2, build_h2_dual])
+    def test_relabeled_hexagons(self, build):
+        g = relabeled(build(), seed=11)
+        group = automorphism_group(g)
+        assert group.order() == 12096
+        line_set = set(g.lines)
+        for gen in group.generators:
+            assert all(tuple(sorted(gen[x] for x in line)) in line_set
+                       for line in g.lines)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_hosts())
+    def test_random_hosts_match_enumeration(self, g):
+        oracle, leaves = enumerated_automorphism_group(g)
+        assert oracle.order() == leaves
+        assert_same_group(automorphism_group(g), oracle)
+
+    def test_line_check_raises(self, fano):
+        g = fano.geometry
+        swap = (1, 0) + tuple(range(2, 7))
+        assert not automorphism_group(g).contains(swap)
+        with pytest.raises(RuntimeError, match="not a line"):
+            perm._check_automorphism(g, swap)
+
+    def test_line_check_survives_optimize(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from hexval.constructions import build_fano\n"
+            "from hexval.perm import _check_automorphism\n"
+            "try:\n"
+            "    _check_automorphism(build_fano(), (1, 0, 2, 3, 4, 5, 6))\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
 
 
 class TestIsomorphism:

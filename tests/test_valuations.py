@@ -3,7 +3,7 @@ statistics and isomorphism classification."""
 import pytest
 
 from hexval.geometry import find_ovoids, from_text
-from hexval.perm import orbit_of_function
+from hexval.perm import automorphism_group, orbit_of_function
 from hexval.hyperplanes import Hyperplane
 from hexval.valuations import (FAIL, PartialValuation, Valuation,
                                all_valuations, assign_value,
@@ -114,6 +114,11 @@ class TestEnumeration:
             all_valuations(g)
         with pytest.raises(ValueError, match="connected"):
             valuations_from_hyperplane(g, Hyperplane(6, 0b001001))
+
+    def test_empty_geometry_has_no_valuations(self):
+        g = from_text("points 0\n")
+        assert all_valuations(g) == []
+        assert classify_valuations(g, automorphism_group(g)) == ([], {})
 
     def test_grid_valuation_census(self, grid3):
         # 9 classical + 6 ovoidal = 15 valuations of the 3x3 grid

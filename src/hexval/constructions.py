@@ -49,7 +49,9 @@ def singular_lines(points: List[int]) -> List[Tuple[int, int, int]]:
     for u, v in combinations(points, 2):
         if _bilinear(u, v) == 0:
             w = u ^ v
-            assert w in pset
+            if w not in pset:
+                raise RuntimeError(f"singular line {{{u}, {v}, {w}}}: {w} "
+                                   f"is not a point of the quadric")
             lines.add(tuple(sorted((u, v, w))))
     return sorted(lines)
 

@@ -266,7 +266,9 @@ def _canonical_grid(g: Geometry, pts: frozenset) -> Grid:
                            for a in pts for b in pts
                            if a < b and g.dist[a][b] == 1}
              if set(g.lines[li]) <= pts]
-    assert len(lines) == 6
+    if len(lines) != 6:
+        raise RuntimeError(f"points {sorted(pts)} contain {len(lines)} "
+                           f"lines, not the 6 of a 3x3 grid")
     # split the 6 lines into the two parallel classes
     classes: List[List[int]] = []
     rest = sorted(lines)

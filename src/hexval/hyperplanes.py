@@ -5,7 +5,9 @@ A proper point set is a hyperplane iff every line meets it in 1 or 3
 points, which happens exactly when the characteristic vector of its
 complement lies in the GF(2) nullspace of the line-point incidence
 matrix. The full span is enumerated deterministically; every hyperplane
-is re-verified against the per-line rule.
+is re-verified against the per-line rule. Classification closes each
+hyperplane under the automorphism generators, which act on member masks
+through per-generator byte tables.
 """
 from __future__ import annotations
 
@@ -70,7 +72,7 @@ def enumerate_hyperplanes(g: Geometry) -> List[Hyperplane]:
         member = full ^ v.bits
         hp = Hyperplane(g.num_points, member)
         if not _check_line_rule(g, member):
-            raise AssertionError(
+            raise RuntimeError(
                 f"nullspace vector {v.bits:b} fails the 1-or-3 line rule")
         out.append(hp)
     out.sort(key=lambda h: h.member_bits)
@@ -85,12 +87,25 @@ def full_line_count(g: Geometry, member_bits: int) -> int:
                if (member_bits & mask) == mask)
 
 
-def _apply_perm_to_mask(perm, mask: int) -> int:
+def _byte_tables(p: perm.Perm) -> List[List[int]]:
+    """The action of p on point masks, one table per 8 points: row k maps
+    each value b of mask byte k to the image of those points. Each entry
+    adds one point to an entry built before it."""
+    tables = []
+    for base in range(0, len(p), 8):
+        row = [0] * (1 << min(8, len(p) - base))
+        for b in range(1, len(row)):
+            low = b & -b
+            row[b] = row[b ^ low] | 1 << p[base + low.bit_length() - 1]
+        tables.append(row)
+    return tables
+
+
+def _permute_mask(tables: List[List[int]], mask: int) -> int:
     img = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        img |= 1 << perm[low.bit_length() - 1]
+    for row in tables:
+        img |= row[mask & 0xFF]
+        mask >>= 8
     return img
 
 
@@ -110,11 +125,12 @@ def classify_hyperplanes(g: Geometry, group: PermGroup,
     all_masks = {h.member_bits for h in hyps}
     unseen = set(all_masks)
     order = group.order()
+    tables = [_byte_tables(gen) for gen in group.generators]
     classes = []
     for h in hyps:
         if h.member_bits not in unseen:
             continue
-        orbit = perm.orbit(group, h.member_bits, _apply_perm_to_mask)
+        orbit = perm.orbit(tables, h.member_bits, _permute_mask)
         if not orbit <= all_masks:
             raise RuntimeError(
                 f"the orbit of hyperplane {h.member_bits:b} leaves the "

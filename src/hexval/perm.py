@@ -4,7 +4,7 @@ Permutations are image tuples (p maps point i to p[i]). PermGroup keeps a
 deterministic Schreier-Sims stabilizer chain (base points: smallest moved
 point first) supporting exact order and membership. Every orbit, of a
 point, a point set or a point function, comes from ``orbit``, which takes
-the action of a generator as a parameter.
+the generators and their action as parameters.
 
 Automorphism and isomorphism search runs a backtracking over points with
 candidate sets refined by full distance profiles relative to the already
@@ -122,7 +122,7 @@ class PermGroup:
         return n
 
     def orbit(self, point: int) -> List[int]:
-        return sorted(orbit(self, point, operator.getitem))
+        return sorted(orbit(self.generators, point, operator.getitem))
 
     def orbits(self) -> List[List[int]]:
         remaining = set(range(self.degree))
@@ -134,16 +134,17 @@ class PermGroup:
         return out
 
 
-def orbit(group: PermGroup, start: Hashable,
-          act: Callable[[Perm, Hashable], Hashable]) -> set:
-    """Orbit of start under the group; act(g, x) is the image of x under
-    the generator g. The search closes the set under the generators,
-    which suffices because the group is finite."""
+def orbit(generators: Sequence, start: Hashable,
+          act: Callable[[object, Hashable], Hashable]) -> set:
+    """Orbit of start under the group the generators generate; act(g, x)
+    is the image of x under the generator g, in whatever form act reads
+    (a Perm, or a table derived from one). The search closes the set
+    under the generators, which suffices because the group is finite."""
     seen = {start}
     queue = [start]
     while queue:
         x = queue.pop()
-        for g in group.generators:
+        for g in generators:
             y = act(g, x)
             if y not in seen:
                 seen.add(y)
@@ -161,7 +162,7 @@ def orbit_of_function(group: PermGroup,
     start = tuple(values)
     if len(start) != group.degree:
         raise ValueError("function must be defined on all points")
-    return sorted(orbit(group, start, _compose_function))
+    return sorted(orbit(group.generators, start, _compose_function))
 
 
 # -- isomorphism search --------------------------------------------------
@@ -315,7 +316,7 @@ def automorphism_group(g: Geometry) -> PermGroup:
         path.append((cand, assigned, b))
         cand, assigned = search.assign(cand, assigned, b, b)
     for cand, assigned, b in reversed(path):
-        orbit_b = orbit(group, b, operator.getitem)
+        orbit_b = orbit(group.generators, b, operator.getitem)
         for q in _bits(cand[b]):
             if q in orbit_b:
                 continue
@@ -323,7 +324,7 @@ def automorphism_group(g: Geometry) -> PermGroup:
                         None)
             if leaf is not None:
                 group.add_generator(leaf)
-                orbit_b = orbit(group, b, operator.getitem)
+                orbit_b = orbit(group.generators, b, operator.getitem)
     for gen in group.generators:
         _check_automorphism(g, gen)
     return group

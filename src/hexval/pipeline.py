@@ -2,11 +2,16 @@
 
 A Bundle owns a geometry and computes its automorphism group, hyperplane
 classification, valuations, valuation-class labels and valuation geometry
-on demand, caching each stage. The valuations carried by each hyperplane
-class are computed once, on the class representative; the per-class
-counts, labels and isomorphism checks all read that one stage. The
-built-in hexagons are cached at module level so CLI commands and tests
-share one computation.
+on demand, caching each stage. Valuations come from the hyperplane
+classes: each class representative is propagated once
+(``class_valuations``), and the automorphism orbits of the valuations
+found there are all the valuations (``valuations``). The two orbit
+computations check each other: the class sizes times the valuations per
+representative must count the expanded set. The per-class counts, labels
+and isomorphism checks read the same representative stage. The full
+sweep over every hyperplane, ``valuations.all_valuations``, stays as the
+public function and as the slow oracle. The built-in hexagons are cached
+at module level so CLI commands and tests share one computation.
 """
 from __future__ import annotations
 
@@ -17,11 +22,11 @@ from .constructions import build_h2, build_h2_dual, build_hexagon_2_1
 from .geometry import Geometry, find_ovoids
 from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
                           enumerate_hyperplanes)
-from .perm import PermGroup, automorphism_group
+from .perm import PermGroup, automorphism_group, orbit_of_function
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
                       line_type_table, restrict)
-from .valuations import (Valuation, ValuationType, all_valuations,
-                         classify_valuations, valuations_from_hyperplane)
+from .valuations import (Valuation, ValuationType, classify_valuations,
+                         valuations_from_hyperplane)
 
 BUILTIN_BUILDERS = {
     "h2": build_h2,
@@ -55,8 +60,36 @@ class Bundle:
                                     self.hyperplanes)
 
     @cached_property
+    def class_valuations(self) -> List[List[Valuation]]:
+        """The valuations carried by each hyperplane class representative."""
+        if not self.geometry.is_connected():
+            raise ValueError("valuations require a connected geometry")
+        return [valuations_from_hyperplane(self.geometry,
+                                           cls.representative)
+                for cls in self.hyperplane_classes]
+
+    @cached_property
     def valuations(self) -> List[Valuation]:
-        return all_valuations(self.geometry, self.hyperplanes)
+        """Every valuation, in value-vector order: the union of the
+        automorphism orbits of the class representatives' valuations.
+
+        An automorphism maps the valuations on one hyperplane onto those
+        on its image, so each class contributes its orbit size times the
+        valuations on its representative; a different count means one of
+        the two orbit computations is wrong (RuntimeError).
+        """
+        found = set()
+        for vals in self.class_valuations:
+            for val in vals:
+                found.update(orbit_of_function(self.aut_group, val.values))
+        total = sum(len(vals) * cls.orbit_size
+                    for vals, cls in zip(self.class_valuations,
+                                         self.hyperplane_classes))
+        if total != len(found):
+            raise RuntimeError(
+                f"hyperplane classes carry {total} valuations, the orbits "
+                f"of their representatives' valuations hold {len(found)}")
+        return [Valuation(self.geometry, v) for v in sorted(found)]
 
     @cached_property
     def classification(self) -> Tuple[List[ValuationType],
@@ -89,24 +122,6 @@ class Bundle:
         return restrict(self.valuation_geometry, point_types, line_types)
 
     # -- valuations per hyperplane class ---------------------------------
-
-    @cached_property
-    def class_valuations(self) -> List[List[Valuation]]:
-        """The valuations carried by each hyperplane class representative.
-
-        Each class carries the same number on every member, so the
-        weighted total must equal the global valuation count.
-        """
-        per_class = [valuations_from_hyperplane(self.geometry,
-                                                cls.representative)
-                     for cls in self.hyperplane_classes]
-        total = sum(len(vals) * cls.orbit_size
-                    for vals, cls in zip(per_class, self.hyperplane_classes))
-        if total != len(self.valuations):
-            raise RuntimeError(
-                f"hyperplane classes carry {total} valuations, "
-                f"the full sweep found {len(self.valuations)}")
-        return per_class
 
     @cached_property
     def valuations_per_class(self) -> List[int]:

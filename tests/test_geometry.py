@@ -1,6 +1,10 @@
 """Geometry core: construction, axiom checkers, duality, grids, ovoids,
 bounds, induced valuations and the text format."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,38 @@ class TestGrids:
     def test_grids_through_point(self):
         grids = enumerate_grids(grid_3x3())
         assert len(grids_through_point(grids, 0)) == 1
+
+    @staticmethod
+    def near_grid(g):
+        """9 points: the 3 lines through point 0 and one more line through
+        a neighbour of 0; they contain 4 lines, so they are no grid."""
+        q = next(p for p in g.lines[g.lines_through[0][0]] if p != 0)
+        other = next(li for li in g.lines_through[q]
+                     if 0 not in g.lines[li])
+        pts = {p for li in g.lines_through[0] for p in g.lines[li]}
+        return frozenset(pts | set(g.lines[other]))
+
+    def test_canonical_grid_rejects_non_grid(self, h2):
+        pts = self.near_grid(h2.geometry)
+        assert len(pts) == 9
+        with pytest.raises(RuntimeError, match="contain 4 lines"):
+            geometry._canonical_grid(h2.geometry, pts)
+
+    def test_canonical_grid_check_survives_optimize(self, h2):
+        pts = sorted(self.near_grid(h2.geometry))
+        code = (
+            "from hexval.constructions import build_h2\n"
+            "from hexval.geometry import _canonical_grid\n"
+            "try:\n"
+            f"    _canonical_grid(build_h2(), frozenset({pts}))\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
 
 
 class TestOvoids:

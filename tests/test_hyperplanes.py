@@ -1,12 +1,25 @@
 """Hyperplane enumeration and classification."""
+import random
+
 import pytest
 
 from hexval import gf2, hyperplanes, perm
 from hexval.constructions import grid_3x3
-from hexval.hyperplanes import (Hyperplane, _apply_perm_to_mask,
+from hexval.geometry import Geometry
+from hexval.hyperplanes import (Hyperplane, _byte_tables, _permute_mask,
                                 classify_hyperplanes, enumerate_hyperplanes,
                                 full_line_count, incidence_matrix)
 from hexval.perm import automorphism_group
+
+
+def apply_perm_to_mask(p, mask):
+    """Oracle: the image of a point mask under p, one point at a time."""
+    img = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        img |= 1 << p[low.bit_length() - 1]
+    return img
 
 
 def brute_force_hyperplanes(g):
@@ -122,13 +135,44 @@ class TestClassification:
         mapping = {}
         for idx, cls in enumerate(h21.hyperplane_classes):
             mapping.update(dict.fromkeys(
-                perm.orbit(h21.aut_group, cls.representative.member_bits,
-                           _apply_perm_to_mask), idx))
+                perm.orbit(h21.aut_group.generators,
+                           cls.representative.member_bits,
+                           apply_perm_to_mask), idx))
         assert len(mapping) == len(h21.hyperplanes)
         sizes = [0] * len(h21.hyperplane_classes)
         for idx in mapping.values():
             sizes[idx] += 1
         assert sizes == [c.orbit_size for c in h21.hyperplane_classes]
+
+
+class TestByteTables:
+    def test_h21_hyperplanes_match_oracle(self, h21):
+        for gen in h21.aut_group.generators:
+            tables = _byte_tables(gen)
+            for h in h21.hyperplanes:
+                assert _permute_mask(tables, h.member_bits) == \
+                    apply_perm_to_mask(gen, h.member_bits)
+
+    @pytest.mark.parametrize("host", ["fano", "grid3", "four_lines", "h21",
+                                      "h2"])
+    def test_random_masks_match_oracle(self, request, host):
+        # 7, 9, 12, 21 and 63 points: every partial last byte width
+        if host == "four_lines":
+            g = Geometry(12, [(3 * i, 3 * i + 1, 3 * i + 2)
+                              for i in range(4)])
+            generators = automorphism_group(g).generators
+        else:
+            bundle = request.getfixturevalue(host)
+            g, generators = bundle.geometry, bundle.aut_group.generators
+        rng = random.Random(f"masks/{host}")
+        masks = [rng.getrandbits(g.num_points) for _ in range(200)]
+        masks += [0, (1 << g.num_points) - 1]
+        for gen in generators:
+            tables = _byte_tables(gen)
+            assert len(tables) == -(-g.num_points // 8)
+            for mask in masks:
+                assert _permute_mask(tables, mask) == \
+                    apply_perm_to_mask(gen, mask)
 
 
 class TestHyperplaneType:

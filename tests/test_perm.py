@@ -31,7 +31,7 @@ def brute_force_automorphisms(g):
 
 def orbit_of_set(group, points):
     """Orbit of a point set under the group, in canonical sorted order."""
-    return sorted(perm.orbit(group, tuple(sorted(points)),
+    return sorted(perm.orbit(group.generators, tuple(sorted(points)),
                              lambda g, s: tuple(sorted(g[x] for x in s))))
 
 

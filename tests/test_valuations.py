@@ -1,8 +1,15 @@
 """Valuations: construction, enumeration against the brute-force oracle,
 statistics and isomorphism classification."""
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from hexval.geometry import find_ovoids, from_text
+from hexval import pipeline, valuations
+from hexval.geometry import Geometry, find_ovoids, from_text
 from hexval.perm import automorphism_group, orbit_of_function
 from hexval.hyperplanes import Hyperplane
 from hexval.valuations import (FAIL, PartialValuation, Valuation,
@@ -219,3 +226,84 @@ class TestPerHyperplaneClass:
                 direct = len(vals) <= 1 or set(vals) <= set(
                     orbit_of_function(bundle.aut_group, vals[0]))
                 assert bundle.class_valuations_isomorphic(i) == direct
+
+
+def relabeled(g, seed):
+    relabel = random.Random(seed).sample(range(g.num_points), g.num_points)
+    return Geometry(g.num_points,
+                    [[relabel[p] for p in line] for line in g.lines])
+
+
+CHAIN = "points 9\n0 1 2\n2 3 4\n4 5 6\n6 7 8\n"
+
+# drops the last valuation of every representative carrying several; on
+# h21 that is the class whose three valuations form one orbit
+LOSSY_H21 = (
+    "from hexval import pipeline\n"
+    "from hexval.constructions import build_hexagon_2_1\n"
+    "exact = pipeline.valuations_from_hyperplane\n"
+    "def lossy(g, hyp):\n"
+    "    vals = exact(g, hyp)\n"
+    "    return vals[:-1] if len(vals) > 1 else vals\n"
+    "pipeline.valuations_from_hyperplane = lossy\n"
+    "try:\n"
+    "    pipeline.Bundle(build_hexagon_2_1()).valuations\n"
+    "except RuntimeError:\n"
+    "    print('RuntimeError')\n")
+
+
+class TestRepresentativeExpansion:
+    """Bundle.valuations expands the class representatives' valuations
+    by orbits; the full sweep all_valuations is its oracle."""
+
+    @pytest.mark.parametrize("host", ["h2", "h2dual", "h21", "fano",
+                                      "grid3"])
+    def test_matches_full_sweep(self, request, host):
+        bundle = request.getfixturevalue(host)
+        assert bundle.valuations == all_valuations(bundle.geometry,
+                                                   bundle.hyperplanes)
+
+    @pytest.mark.parametrize("text", [CHAIN, "points 1\n", "points 0\n"])
+    def test_small_hosts_match_full_sweep(self, text):
+        bundle = pipeline.Bundle(from_text(text))
+        assert bundle.valuations == all_valuations(bundle.geometry,
+                                                   bundle.hyperplanes)
+
+    def test_relabeled_h21_matches_full_sweep(self, h21):
+        bundle = pipeline.Bundle(relabeled(h21.geometry, seed=5))
+        expected = all_valuations(bundle.geometry, bundle.hyperplanes)
+        assert bundle.valuations == expected
+        assert len(expected) == len(h21.valuations)
+
+    def test_bundle_never_sweeps(self, monkeypatch, h21):
+        def sweep(*args, **kwargs):
+            raise AssertionError("all_valuations called")
+
+        monkeypatch.setattr(pipeline, "all_valuations", sweep,
+                            raising=False)
+        monkeypatch.setattr(valuations, "all_valuations", sweep)
+        bundle = pipeline.Bundle(h21.geometry)
+        assert [v.values for v in bundle.valuations] == \
+            brute_force_valuations(h21.geometry)
+        assert bundle.valuations_per_class == [1, 0, 1, 1, 1, 3]
+
+    def test_lost_representative_valuation_raises(self, monkeypatch, h21):
+        exact = valuations_from_hyperplane
+
+        def lossy(g, hyp):
+            vals = exact(g, hyp)
+            return vals[:-1] if len(vals) > 1 else vals
+
+        monkeypatch.setattr(pipeline, "valuations_from_hyperplane", lossy)
+        bundle = pipeline.Bundle(h21.geometry)
+        # class 5 (orbit 28) keeps 2 of its 3 valuations: 255 - 28 counted
+        with pytest.raises(RuntimeError, match="carry 227 .* hold 255"):
+            bundle.valuations
+
+    def test_lost_valuation_check_survives_optimize(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", LOSSY_H21], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "RuntimeError\n"

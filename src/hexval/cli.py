@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence
 from . import reference
 from .geometry import (GeometryError, check_generalized_hexagon,
                        check_near_polygon, from_text, order_of, to_text)
-from .hyperplanes import full_line_count
 from .pipeline import BUILTIN_BUILDERS, Bundle, get_bundle
 from .valgeom import check_lemma_3_1
 
@@ -63,18 +62,16 @@ def _line_rows(bundle: Bundle) -> List[dict]:
 
 
 def _hyperplane_section(bundle: Bundle) -> dict:
-    g = bundle.geometry
     classes = []
     for idx, cls in enumerate(bundle.hyperplane_classes):
-        bits = cls.representative.member_bits
         classes.append({
             "size": cls.representative.size(),
             "orbit_size": cls.orbit_size,
             "stabilizer_order": cls.stabilizer_order,
-            "full_lines": full_line_count(g, bits),
+            "full_lines": cls.invariant_key[1],
             "valuations": bundle.valuations_per_class[idx],
         })
-    return {"total": len(bundle.hyperplanes), "classes": classes}
+    return {"total": bundle.hyperplane_count, "classes": classes}
 
 
 def _lemma_dict(bundle: Bundle) -> dict:
@@ -318,7 +315,7 @@ def _cmd_hyperplanes(args) -> int:
     report = {"geometry": bundle.name,
               "hyperplanes": _hyperplane_section(bundle)
               if args.classes else
-              {"total": len(bundle.hyperplanes)}}
+              {"total": bundle.hyperplane_count}}
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0

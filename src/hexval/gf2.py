@@ -2,12 +2,17 @@
 
 Vectors are stored as arbitrary-precision Python integers (bit i of the
 integer is coordinate i), which keeps XOR-based elimination on 63-bit
-vectors a single machine-word operation.
+vectors a single machine-word operation. ``span_words`` lays a whole span
+out as a numpy array of 64-bit words, one row per vector.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Sequence
+
+import numpy as np
+
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -160,3 +165,33 @@ def span_iter(basis: List[BitVector]) -> Iterator[BitVector]:
         j = (i & -i).bit_length() - 1
         cur ^= basis[j].bits
         yield BitVector(length, cur)
+
+
+def to_words(values: Sequence[int], words: int) -> np.ndarray:
+    """The low ``64 * words`` bits of each int as a [len(values), words]
+    uint64 array, low word first."""
+    return np.array([[v >> (64 * w) & _WORD for w in range(words)]
+                     for v in values], dtype=np.uint64).reshape(-1, words)
+
+
+def from_words(row: np.ndarray) -> int:
+    """The int whose uint64 words, low word first, are row."""
+    return sum(int(x) << (64 * w) for w, x in enumerate(row))
+
+
+def span_rows(rows: np.ndarray) -> np.ndarray:
+    """All 2^k XOR combinations of the k rows of an integer array, as
+    rows: row i is the XOR of rows[j] over the bits j of i, built by
+    doubling (rows 2^j .. 2^(j+1) - 1 are rows 0 .. 2^j - 1 XOR
+    rows[j])."""
+    out = np.zeros((1 << len(rows), rows.shape[1]), dtype=rows.dtype)
+    for j, row in enumerate(rows):
+        out[1 << j:2 << j] = out[:1 << j] ^ row
+    return out
+
+
+def span_words(basis: Sequence[int], length: int) -> np.ndarray:
+    """All 2^k vectors of the span of k basis vectors of the given length,
+    as a [2^k, max(1, ceil(length / 64))] uint64 array of words; row i is
+    the XOR of basis[j] over the bits j of i."""
+    return span_rows(to_words(basis, max(1, -(-length // 64))))

@@ -4,19 +4,38 @@ geometries.
 A proper point set is a hyperplane iff every line meets it in 1 or 3
 points, which happens exactly when the characteristic vector of its
 complement lies in the GF(2) nullspace of the line-point incidence
-matrix. The full span is enumerated deterministically; every hyperplane
-is re-verified against the per-line rule. Classification closes each
-hyperplane under the automorphism generators, which act on member masks
-through per-generator byte tables.
+matrix, the universal embedding space (Ronan, Embeddings and hyperplanes
+of discrete geometries, Europ. J. Combin. 8 (1987)). So the hyperplanes
+are the 2^dim - 1 nonzero vectors of that space, and their number needs
+only its dimension.
+
+``enumerate_hyperplanes`` lists them one by one as ``Hyperplane`` objects;
+the full valuation sweep reads that list. ``classify_hyperplanes`` never
+builds it: it works on coordinate vectors. ``gf2.nullspace`` returns a
+basis in which vector i alone has its free column f_i, so a vector's
+coordinates are its bits at the free columns. An automorphism acts
+linearly on the coordinates, all 2^dim vectors and their images are
+numpy arrays built by doubling, and orbits come from min-label
+propagation. Spaces above ``MAX_DIMENSION`` are refused before anything
+is enumerated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from . import gf2, perm
+import numpy as np
+
+from . import gf2
 from .geometry import Geometry, GeometryError
-from .perm import PermGroup
+
+if TYPE_CHECKING:
+    from .perm import PermGroup
+
+#: largest nullspace dimension whose 2^dim vectors are enumerated
+MAX_DIMENSION = 24
+#: elements of the largest [lines, vectors, words] array of the line scan
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,6 +69,36 @@ def incidence_matrix(g: Geometry) -> gf2.BitMatrix:
     return gf2.BitMatrix.from_rows(g.num_points, rows)
 
 
+def nullspace_basis(g: Geometry) -> List[int]:
+    """Basis of the GF(2) nullspace of the incidence matrix, as point
+    masks, in the reduced form of gf2.nullspace."""
+    return [v.bits for v in gf2.nullspace(incidence_matrix(g))]
+
+
+def _hyperplane_basis(g: Geometry) -> List[int]:
+    """The nullspace basis, which spans the hyperplane complements when
+    every line has 3 points (GeometryError otherwise)."""
+    for line in g.lines:
+        if len(line) != 3:
+            raise GeometryError("hyperplane enumeration requires 3-point lines")
+    return nullspace_basis(g)
+
+
+def hyperplane_count(g: Geometry) -> int:
+    """The number of hyperplanes, 2^dim - 1; nothing is enumerated."""
+    return (1 << len(_hyperplane_basis(g))) - 1
+
+
+def _enumerable_basis(g: Geometry) -> List[int]:
+    basis = _hyperplane_basis(g)
+    if len(basis) > MAX_DIMENSION:
+        raise GeometryError(
+            f"the hyperplane space has dimension {len(basis)}; its "
+            f"2^{len(basis)} - 1 hyperplanes are not enumerated above "
+            f"dimension {MAX_DIMENSION}")
+    return basis
+
+
 def _check_line_rule(g: Geometry, member_bits: int) -> bool:
     for mask in g.line_masks:
         count = (member_bits & mask).bit_count()
@@ -60,10 +109,7 @@ def _check_line_rule(g: Geometry, member_bits: int) -> bool:
 
 def enumerate_hyperplanes(g: Geometry) -> List[Hyperplane]:
     """All hyperplanes, sorted by member bitmask; count is 2^dim - 1."""
-    for line in g.lines:
-        if len(line) != 3:
-            raise GeometryError("hyperplane enumeration requires 3-point lines")
-    basis = gf2.nullspace(incidence_matrix(g))
+    basis = [gf2.BitVector(g.num_points, b) for b in _enumerable_basis(g)]
     full = (1 << g.num_points) - 1
     out = []
     for v in gf2.span_iter(basis):
@@ -82,79 +128,138 @@ def enumerate_hyperplanes(g: Geometry) -> List[Hyperplane]:
     return out
 
 
-def full_line_count(g: Geometry, member_bits: int) -> int:
-    return sum(1 for mask in g.line_masks
-               if (member_bits & mask) == mask)
-
-
-def _byte_tables(p: perm.Perm) -> List[List[int]]:
-    """The action of p on point masks, one table per 8 points: row k maps
-    each value b of mask byte k to the image of those points. Each entry
-    adds one point to an entry built before it."""
-    tables = []
-    for base in range(0, len(p), 8):
-        row = [0] * (1 << min(8, len(p) - base))
-        for b in range(1, len(row)):
-            low = b & -b
-            row[b] = row[b ^ low] | 1 << p[base + low.bit_length() - 1]
-        tables.append(row)
-    return tables
-
-
-def _permute_mask(tables: List[List[int]], mask: int) -> int:
+def _image(p, mask: int) -> int:
     img = 0
-    for row in tables:
-        img |= row[mask & 0xFF]
-        mask >>= 8
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        img |= 1 << p[low.bit_length() - 1]
     return img
 
 
-def classify_hyperplanes(g: Geometry, group: PermGroup,
-                         hyps: Optional[List[Hyperplane]] = None
+def _image_coordinates(basis: List[int], free: List[int], p) -> List[int]:
+    """The coordinates of the image of each basis vector under the point
+    permutation p: its bits at the free columns, the columns of p's
+    matrix on the nullspace. An image that is not the vector with those
+    coordinates lies outside the nullspace (RuntimeError)."""
+    cols = []
+    for b in basis:
+        img = _image(p, b)
+        coords = span = 0
+        for j, f in enumerate(free):
+            if img >> f & 1:
+                coords |= 1 << j
+                span ^= basis[j]
+        if span != img:
+            raise RuntimeError(f"a generator maps nullspace vector {b:b} to "
+                               f"{img:b}, which is not in the nullspace")
+        cols.append(coords)
+    return cols
+
+
+def _orbit_labels(actions: np.ndarray, size: int) -> np.ndarray:
+    """The least index in the orbit of each index, by min-label
+    propagation: a label only decreases to the label of an image, or of
+    the index it already names, so it stays in the orbit; at the fixpoint
+    label[x] <= label[g x] for every generator g, which makes the labels
+    constant along each cycle of g and so on each orbit."""
+    labels = np.arange(size, dtype=np.intp)
+    while True:
+        prev = labels
+        for act in actions:
+            labels = np.minimum(labels, labels[act])
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            return labels
+
+
+def classify_hyperplanes(g: Geometry, group: PermGroup
                          ) -> List[HyperplaneClass]:
     """Partition all hyperplanes into automorphism orbits.
 
-    hyps is the output of enumerate_hyperplanes(g), enumerated here when
-    not given. Classes are sorted by (invariant_key, minimal
-    representative); the class equation (sum of orbit sizes = 2^dim - 1),
-    orbit sizes dividing the group order and the constancy of the
-    invariant on each orbit are checked (RuntimeError otherwise).
+    Works on the 2^dim coordinate vectors of the nullspace (index 0 is
+    the zero vector, the full point set, which is not a hyperplane).
+    Member masks are [2^dim, ceil(n / 64)] uint64 words; the
+    representative of a class is its least member mask, compared word by
+    word from the top. Classes are sorted by (invariant_key,
+    representative). The 1-or-3 line rule on every vector, the class
+    equation (orbit sizes sum to 2^dim - 1), orbit sizes dividing the
+    group order and the constancy of the invariant on each orbit are
+    checked (RuntimeError otherwise).
     """
-    if hyps is None:
-        hyps = enumerate_hyperplanes(g)
-    all_masks = {h.member_bits for h in hyps}
-    unseen = set(all_masks)
+    basis = _enumerable_basis(g)
+    n = g.num_points
+    free = [b.bit_length() - 1 for b in basis]
+    for j, b in enumerate(basis):
+        if any((b >> f & 1) != (i == j) for i, f in enumerate(free)):
+            raise RuntimeError(f"nullspace basis vector {b:b} is not the "
+                               f"only one with its free column")
+    size = 1 << len(basis)
+    vectors = gf2.span_words(basis, n)
+    words = vectors.shape[1]
+    # row g: the index of the image of each coordinate vector under
+    # generator g, by the same doubling from the images of the basis
+    images = np.array([_image_coordinates(basis, free, p)
+                       for p in group.generators], dtype=np.intp)
+    actions = gf2.span_rows(
+        images.reshape(len(group.generators), len(basis)).T).T
+    labels = _orbit_labels(actions, size)
+
+    members = vectors ^ gf2.to_words([(1 << n) - 1], words)
+    weight = np.bitwise_count(vectors).sum(axis=1, dtype=np.int64)
+    full_lines = np.zeros(size, dtype=np.int64)
+    odd = np.zeros(size, dtype=np.uint8)
+    lines = gf2.to_words(g.line_masks, words)
+    block = max(1, _BLOCK_ELEMENTS // (size * words))
+    for start in range(0, len(lines), block):
+        # a 3-point line meets a complement in 0 or 2 points, so the
+        # hyperplane in 3 or 1
+        met = np.bitwise_count(lines[start:start + block, None] & vectors
+                               ).sum(axis=2, dtype=np.uint8)
+        odd |= np.bitwise_or.reduce(met, axis=0)
+        full_lines += (met == 0).sum(axis=0)
+    bad = np.flatnonzero(odd & 1)
+    if bad.size:
+        raise RuntimeError(
+            f"hyperplane {gf2.from_words(members[bad[0]]):b} fails the "
+            f"1-or-3 line rule")
+    key = (n - weight) * (len(g.lines) + 1) + full_lines
+    bad = np.flatnonzero(key != key[labels])
+    if bad.size:
+        x, y = bad[0], labels[bad[0]]
+        raise RuntimeError(
+            f"hyperplanes {gf2.from_words(members[y]):b} and "
+            f"{gf2.from_words(members[x]):b} lie in one orbit but have "
+            f"different (size, full lines) invariants")
+
+    least = np.ones(size, dtype=bool)
+    top = np.iinfo(np.uint64).max
+    for w in reversed(range(words)):
+        col = np.where(least, members[:, w], top)
+        best = np.full(size, top, dtype=np.uint64)
+        np.minimum.at(best, labels, col)
+        least &= col == best[labels]
+    roots = np.flatnonzero(labels == np.arange(size))[1:]
+    reps = np.empty(size, dtype=np.intp)
+    reps[labels[least]] = np.flatnonzero(least)
+    orbit_sizes = np.bincount(labels, minlength=size)
+
     order = group.order()
-    tables = [_byte_tables(gen) for gen in group.generators]
     classes = []
-    for h in hyps:
-        if h.member_bits not in unseen:
-            continue
-        orbit = perm.orbit(tables, h.member_bits, _permute_mask)
-        if not orbit <= all_masks:
-            raise RuntimeError(
-                f"the orbit of hyperplane {h.member_bits:b} leaves the "
-                f"hyperplane set")
-        unseen -= orbit
-        rep_bits = min(orbit)
-        key = (rep_bits.bit_count(), full_line_count(g, rep_bits))
-        for m in orbit:
-            if (m.bit_count(), full_line_count(g, m)) != key:
-                raise RuntimeError(
-                    f"hyperplanes {rep_bits:b} and {m:b} lie in one orbit "
-                    f"but have different (size, full lines) invariants")
-        if order % len(orbit):
-            raise RuntimeError(f"orbit size {len(orbit)} does not divide "
+    for root in roots.tolist():
+        rep, orbit_size = int(reps[root]), int(orbit_sizes[root])
+        if order % orbit_size:
+            raise RuntimeError(f"orbit size {orbit_size} does not divide "
                                f"the group order {order}")
         classes.append(HyperplaneClass(
-            representative=Hyperplane(g.num_points, rep_bits),
-            orbit_size=len(orbit),
-            stabilizer_order=order // len(orbit),
-            invariant_key=key))
+            representative=Hyperplane(n, gf2.from_words(members[rep])),
+            orbit_size=orbit_size,
+            stabilizer_order=order // orbit_size,
+            invariant_key=(n - int(weight[rep]), int(full_lines[rep]))))
     total = sum(c.orbit_size for c in classes)
-    if total != len(hyps):
+    if total != size - 1:
         raise RuntimeError(f"orbit sizes sum to {total}, not to the "
-                           f"{len(hyps)} hyperplanes")
+                           f"{size - 1} hyperplanes")
     classes.sort(key=lambda c: (c.invariant_key,
                                 c.representative.member_bits))
     return classes

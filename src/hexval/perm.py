@@ -9,7 +9,9 @@ the generators and their action as parameters.
 Automorphism and isomorphism search runs a backtracking over points with
 candidate sets refined by full distance profiles relative to the already
 mapped points; complete maps are accepted only after an explicit
-line-preservation check. An isomorphism search stops at its first leaf.
+line-preservation check. An isomorphism search stops at its first leaf;
+before it starts, ``are_isomorphic`` compares the weight distributions
+of the two incidence nullspaces, which no isomorphism changes.
 The automorphism search prunes by cosets: along the path of the identity
 it looks, at each branch point, for one automorphism per image not yet in
 the orbit of the generators found below, so it visits a few leaves per
@@ -21,7 +23,11 @@ import operator
 from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
                     Sequence, Tuple)
 
+import numpy as np
+
+from . import gf2
 from .geometry import Geometry
+from .hyperplanes import MAX_DIMENSION, nullspace_basis
 
 Perm = Tuple[int, ...]
 
@@ -283,10 +289,29 @@ class _IsoSearch:
             yield from self.leaves(*self.assign(cand, assigned, b, q))
 
 
+def _nullspace_weights(g: Geometry) -> Tuple[int, Optional[Tuple[int, ...]]]:
+    """The dimension of the GF(2) nullspace of the incidence matrix and,
+    up to dimension MAX_DIMENSION, the number of its vectors of each
+    weight (None above)."""
+    basis = nullspace_basis(g)
+    if len(basis) > MAX_DIMENSION:
+        return len(basis), None
+    weights = np.bitwise_count(gf2.span_words(basis, g.num_points)).sum(
+        axis=1, dtype=np.int64)
+    return len(basis), tuple(np.bincount(weights).tolist())
+
+
 def are_isomorphic(g1: Geometry, g2: Geometry) -> Optional[Perm]:
-    """An incidence-preserving point bijection, or None if there is none."""
+    """An incidence-preserving point bijection, or None if there is none.
+
+    An isomorphism permutes the columns of the incidence matrix, so it
+    maps the nullspace onto the nullspace and keeps weights: different
+    nullspace dimensions or weight distributions prove there is none
+    without a search.
+    """
     search = _IsoSearch(g1, g2)
-    if search.root is None:
+    if search.root is None or \
+            _nullspace_weights(g1) != _nullspace_weights(g2):
         return None
     return next(search.leaves(search.root, 0), None)
 

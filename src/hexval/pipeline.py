@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from .constructions import build_h2, build_h2_dual, build_hexagon_2_1
 from .geometry import Geometry, find_ovoids
 from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
-                          enumerate_hyperplanes)
+                          enumerate_hyperplanes, hyperplane_count)
 from .perm import PermGroup, automorphism_group, orbit_of_function
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
                       line_type_table, restrict)
@@ -52,12 +52,16 @@ class Bundle:
 
     @cached_property
     def hyperplanes(self) -> List[Hyperplane]:
+        """Every hyperplane; only the full-sweep oracle needs the list."""
         return enumerate_hyperplanes(self.geometry)
 
     @cached_property
+    def hyperplane_count(self) -> int:
+        return hyperplane_count(self.geometry)
+
+    @cached_property
     def hyperplane_classes(self) -> List[HyperplaneClass]:
-        return classify_hyperplanes(self.geometry, self.aut_group,
-                                    self.hyperplanes)
+        return classify_hyperplanes(self.geometry, self.aut_group)
 
     @cached_property
     def class_valuations(self) -> List[List[Valuation]]:
@@ -94,8 +98,10 @@ class Bundle:
     @cached_property
     def classification(self) -> Tuple[List[ValuationType],
                                       Dict[Tuple[int, ...], str]]:
-        return classify_valuations(self.geometry, self.aut_group,
-                                   self.valuations)
+        # valuations first: on a disconnected host they fail at once,
+        # before the group search, which is slow on large groups
+        vals = self.valuations
+        return classify_valuations(self.geometry, self.aut_group, vals)
 
     @property
     def valuation_types(self) -> List[ValuationType]:

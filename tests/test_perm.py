@@ -262,6 +262,36 @@ class TestIsomorphism:
     def test_hexagons_not_isomorphic(self, h2, h2dual):
         assert are_isomorphic(h2.geometry, h2dual.geometry) is None
 
+    def test_hexagons_told_apart_without_search(self, monkeypatch, h2,
+                                                h2dual):
+        # h2 has 36 hyperplanes of 21 points (complements of weight 42),
+        # h2dual has none
+        dim, weights = perm._nullspace_weights(h2.geometry)
+        assert dim == 14 and weights[42] == 36
+        assert len(perm._nullspace_weights(h2dual.geometry)[1]) < 43
+
+        def no_search(*args):
+            raise AssertionError("isomorphism search started")
+
+        monkeypatch.setattr(perm._IsoSearch, "leaves", no_search)
+        assert are_isomorphic(h2.geometry, h2dual.geometry) is None
+
+    @pytest.mark.parametrize("build", [build_h2, build_h2_dual])
+    def test_relabeled_hexagon_isomorphic(self, build):
+        g = build()
+        assert are_isomorphic(relabeled(g, seed=3), g) is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_hosts(), small_hosts())
+    def test_invariant_agrees_with_search(self, g1, g2):
+        # the nullspace comparison only ever spares a search that would
+        # find nothing
+        for h in (g2, relabeled(g1, seed=1)):
+            search = perm._IsoSearch(g1, h)
+            found = search.root is not None and \
+                next(search.leaves(search.root, 0), None) is not None
+            assert (are_isomorphic(g1, h) is not None) == found
+
 
 class TestActions:
     def test_orbit_of_set(self, fano):

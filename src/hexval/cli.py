@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -19,7 +20,7 @@ from . import reference
 from .geometry import (GeometryError, check_generalized_hexagon,
                        check_near_polygon, from_text, order_of, to_text)
 from .pipeline import BUILTIN_BUILDERS, Bundle, get_bundle
-from .valgeom import check_lemma_3_1
+from .valgeom import LemmaReport, check_lemma_3_1
 
 REPORT_GEOMETRIES = ("h2dual", "h2")
 
@@ -74,8 +75,7 @@ def _hyperplane_section(bundle: Bundle) -> dict:
     return {"total": bundle.hyperplane_count, "classes": classes}
 
 
-def _lemma_dict(bundle: Bundle) -> dict:
-    rep = check_lemma_3_1(bundle.vprime(), bundle.geometry)
+def _lemma_dict(rep: LemmaReport) -> dict:
     return {"a_connected": rep.connected,
             "b_collinear_zero_distance": rep.collinear_zero_distance,
             "c_grid_zero_distance": rep.grid_zero_distance,
@@ -105,7 +105,8 @@ def build_report(bundle: Bundle, with_lemma: bool = False) -> dict:
         },
     }
     if with_lemma:
-        report["checks"]["lemma_3_1"] = _lemma_dict(bundle)
+        report["checks"]["lemma_3_1"] = _lemma_dict(
+            check_lemma_3_1(bundle.vprime(), bundle.geometry))
     return report
 
 
@@ -369,7 +370,8 @@ def _cmd_check(args) -> int:
         print(f"unknown check {args.lemma!r}", file=sys.stderr)
         return 2
     bundle = _load_bundle(args)
-    lemma = _lemma_dict(bundle)
+    rep = check_lemma_3_1(bundle.vprime(), bundle.geometry)
+    lemma = _lemma_dict(rep)
     ok = all(lemma.values())
     for key, value in lemma.items():
         print(f"{key}: {'pass' if value else 'FAIL'}")
@@ -377,6 +379,8 @@ def _cmd_check(args) -> int:
         for key, value in lemma.items():
             if not value:
                 print(f"check failed: {key}", file=sys.stderr)
+        if rep.witness is not None:
+            print(f"witness: {rep.witness}", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -407,7 +411,11 @@ def _cmd_report(args) -> int:
 # -- entry point ---------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first run() and reused by later calls;
+    each subcommand's set_defaults(func=...) binds its handler at that
+    first build."""
     parser = argparse.ArgumentParser(
         prog="hexval",
         description="Order-2 generalized hexagons, their hyperplanes, "

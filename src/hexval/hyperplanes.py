@@ -9,9 +9,9 @@ of discrete geometries, Europ. J. Combin. 8 (1987)). So the hyperplanes
 are the 2^dim - 1 nonzero vectors of that space, and their number needs
 only its dimension.
 
-``enumerate_hyperplanes`` lists them one by one as ``Hyperplane`` objects;
-the full valuation sweep reads that list. ``classify_hyperplanes`` never
-builds it: it works on coordinate vectors. ``gf2.nullspace`` returns a
+``enumerate_hyperplanes`` lists them one by one as ``Hyperplane`` objects.
+Neither ``classify_hyperplanes`` nor the full valuation sweep builds that
+list; the classification works on coordinate vectors. ``gf2.nullspace`` returns a
 basis in which vector i alone has its free column f_i, so a vector's
 coordinates are its bits at the free columns. An automorphism acts
 linearly on the coordinates, all 2^dim vectors and their images are

@@ -10,8 +10,10 @@ computations check each other: the class sizes times the valuations per
 representative must count the expanded set. The per-class counts, labels
 and isomorphism checks read the same representative stage. The full
 sweep over every hyperplane, ``valuations.all_valuations``, stays as the
-public function and as the slow oracle. The built-in hexagons are cached
-at module level so CLI commands and tests share one computation.
+public function and as the oracle that needs no automorphism group; it
+seeds from the nullspace directly and never reads ``hyperplanes``. The
+built-in hexagons are cached at module level so CLI commands and tests
+share one computation.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ class Bundle:
 
     @cached_property
     def hyperplanes(self) -> List[Hyperplane]:
-        """Every hyperplane; only the full-sweep oracle needs the list."""
+        """Every hyperplane, as a list; no other stage reads it."""
         return enumerate_hyperplanes(self.geometry)
 
     @cached_property

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Geometry, enumerate_grids, grids_through_point
-from .valuations import Valuation, is_valuation
+from .valuations import Valuation
 
 EQUAL = "equal"
 
@@ -53,7 +53,7 @@ def star(f1: Valuation, f2: Valuation) -> Valuation:
     not neighboring.
     """
     for which, f in (("first", f1), ("second", f2)):
-        if not is_valuation(f.host, f.values):
+        if not f.is_valid:
             raise ValueError(f"{which} argument is not a valuation: "
                              f"{f.values}")
     eps = are_neighboring(f1, f2)
@@ -68,11 +68,11 @@ def star(f1: Valuation, f2: Valuation) -> Valuation:
     m = min(raw)
     if m not in (-1, 0, 1):
         raise RuntimeError(f"star shifts by {m}, outside -1..1")
-    values = tuple(v - m for v in raw)
-    if not is_valuation(f1.host, values):
+    out = Valuation(f1.host, tuple(v - m for v in raw))
+    if not out.is_valid:
         raise RuntimeError(f"star of neighboring valuations is not a "
-                           f"valuation: {values}")
-    return Valuation(f1.host, values)
+                           f"valuation: {out.values}")
+    return out
 
 
 @dataclass

@@ -7,17 +7,32 @@ seeded on the hyperplane complement, line propagation closes the partial
 assignment, undefined points branch over -1 .. -diameter, and completions
 are shifted so the minimum becomes 0. The host must be connected: a
 disconnected one has infinitely many valuations.
+
+``valuations_from_hyperplane`` runs that search on one hyperplane, point
+by point. ``all_valuations`` runs it on every hyperplane at once: each
+nonzero vector of the incidence nullspace seeds one row of an int8 value
+matrix, in blocks of ``_BLOCK_ROWS`` rows, and the line rule is applied
+to all rows of a block per step until nothing changes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geometry import Geometry
-from .hyperplanes import Hyperplane, enumerate_hyperplanes
+import numpy as np
+
+from . import gf2
+from .geometry import Geometry, GeometryError
+from .hyperplanes import Hyperplane, _enumerable_basis
 from .perm import PermGroup, orbit_of_function
 
 FAIL = object()
+#: most value rows all_valuations propagates together: the hyperplane
+#: complements seeded at once, and each piece of a branched frontier
+_BLOCK_ROWS = 512
+#: an undefined point in the int8 value rows of all_valuations
+UNDEF = np.int8(np.iinfo(np.int8).max)
 
 
 @dataclass(frozen=True)
@@ -31,6 +46,12 @@ class Valuation:
     def __post_init__(self):
         if len(self.values) != self.host.num_points:
             raise ValueError("value vector length mismatch")
+
+    @cached_property
+    def is_valid(self) -> bool:
+        """Whether the values form a valuation of the host, computed on
+        first use and kept with the object."""
+        return is_valuation(self.host, self.values)
 
     def max_value(self) -> int:
         return max(self.values)
@@ -213,22 +234,143 @@ def valuations_from_hyperplane(g: Geometry, hyp: Hyperplane) -> List[Valuation]:
     return out
 
 
-def all_valuations(g: Geometry, hyps: Optional[List[Hyperplane]] = None
-                   ) -> List[Valuation]:
+def _propagate_rows(rows: np.ndarray, lines: np.ndarray, floor: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Close every row of an int8 value matrix under line propagation.
+
+    UNDEF marks an undefined point. A line with two values sets its
+    third point: equal values a, a give a - 1, and a, a + 1 give a + 1.
+    A row dies when two values of a line are 2 or more apart, when a full
+    line lacks a unique minimum with the other two points one above it,
+    or when a value would fall below floor. Two lines may set one point
+    to different values in one step; the write keeps one of them, and
+    since a line's third value is unique, the other line then fails the
+    full-line test in the next step. Mutates rows; returns the closed
+    surviving rows and their indices in rows.
+    """
+    kept = np.arange(len(rows))
+    while len(rows):
+        a, b, c = (rows[:, col] for col in lines.T)
+        # sorted line values; UNDEF, the largest int8, sorts last
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        low, high = np.minimum(lo, c), np.maximum(hi, c)
+        mid = np.minimum(hi, np.maximum(lo, c))
+        gap = mid - low
+        pair = (mid != UNDEF) & (high == UNDEF)
+        third = np.where(gap == 0, low - 1, mid)
+        dead = ((high != UNDEF) & ((gap != 1) | (high != mid))) \
+            | (pair & ((gap > 1) | (third < floor)))
+        alive = ~dead.any(axis=1)
+        r, li = np.nonzero(pair & alive[:, None])
+        if not len(r):
+            return rows[alive], kept[alive]
+        pos = np.where(a[r, li] == UNDEF, 0,
+                       np.where(b[r, li] == UNDEF, 1, 2))
+        rows[r, lines[li, pos]] = third[r, li]
+        rows, kept = rows[alive], kept[alive]
+    return rows, kept
+
+
+def _sweep_block(comp: np.ndarray, lines: np.ndarray, depth: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The search of valuations_from_hyperplane on each row of the bool
+    [seeds, points] complement matrix comp at once.
+
+    Returns the completions shifted to minimum 0 whose maximal-value set
+    is their seed's complement, and the row of comp each one came from.
+    No value falls below -depth, the diameter: the seed values 0 are the
+    maximum, and a valuation changes by at most 1 along a line. Branched
+    rows are propagated depth first in pieces of at most _BLOCK_ROWS, so
+    the rows held stay bounded when branching multiplies them.
+    """
+    branch = np.arange(-1, -depth - 1, -1, dtype=np.int8)
+    stack = [(np.where(comp, np.int8(0), UNDEF), np.arange(len(comp)))]
+    done, done_seeds = [], []
+    while stack:
+        rows, seeds = stack.pop()
+        rows, kept = _propagate_rows(rows, lines, -depth)
+        seeds = seeds[kept]
+        undefined = rows == UNDEF
+        open_ = undefined.any(axis=1)
+        vals, origin = rows[~open_], seeds[~open_]
+        vals -= vals.min(axis=1, keepdims=True)
+        top = vals == vals.max(axis=1, keepdims=True)
+        keep = (top == comp[origin]).all(axis=1)
+        done.append(vals[keep])
+        done_seeds.append(origin[keep])
+        # each open row repeats over -1 .. -depth at its lowest-index
+        # undefined point
+        x = undefined[open_].argmax(axis=1)
+        rows = np.repeat(rows[open_], depth, axis=0)
+        seeds = np.repeat(seeds[open_], depth)
+        rows[np.arange(len(rows)), np.repeat(x, depth)] = np.tile(
+            branch, len(x))
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            stack.append((rows[start:start + _BLOCK_ROWS],
+                          seeds[start:start + _BLOCK_ROWS]))
+    return np.concatenate(done), np.concatenate(done_seeds)
+
+
+def _check_sweep(vals: np.ndarray, lines: np.ndarray, comp_bytes: np.ndarray
+                 ) -> None:
+    """RuntimeError unless each row of vals is a valuation whose
+    maximal-value set has the packed little-endian bits of the same row
+    of comp_bytes; independent of the propagation that found it."""
+    on_line = vals[:, lines]
+    low = on_line.min(axis=2)
+    ok = ((on_line == low[..., None]).sum(axis=2, dtype=np.int8) == 1) \
+        & (on_line.max(axis=2) == low + 1)
+    bad = np.flatnonzero((vals.min(axis=1) != 0) | ~ok.all(axis=1))
+    if bad.size:
+        raise RuntimeError(f"completion is not a valuation: "
+                           f"{tuple(vals[bad[0]].tolist())}")
+    top = np.packbits(vals == vals.max(axis=1, keepdims=True), axis=1,
+                      bitorder="little")
+    bad = np.flatnonzero((top != comp_bytes).any(axis=1))
+    if bad.size:
+        raise RuntimeError(f"valuation {tuple(vals[bad[0]].tolist())} does "
+                           f"not have its seed's hyperplane")
+
+
+def all_valuations(g: Geometry) -> List[Valuation]:
     """Every valuation of g, in canonical (value-vector) order.
 
-    hyps is the output of enumerate_hyperplanes(g), enumerated here when
-    not given.
+    Every nonzero vector of the incidence nullspace is a hyperplane
+    complement. Blocks of _BLOCK_ROWS of them run the search of
+    valuations_from_hyperplane together, as rows of one int8 matrix.
+    Each result is checked to be a valuation whose hyperplane is its
+    seed's (RuntimeError otherwise).
     """
     if not g.is_connected():
         raise ValueError("valuations require a connected geometry")
-    if hyps is None:
-        hyps = enumerate_hyperplanes(g)
-    seen = set()
-    for hyp in hyps:
-        for val in valuations_from_hyperplane(g, hyp):
-            seen.add(val.values)
-    return [Valuation(g, v) for v in sorted(seen)]
+    n = g.num_points
+    depth = g.diameter()
+    if depth + 1 > np.iinfo(np.int8).max:
+        raise GeometryError(f"diameter {depth} is too large for the int8 "
+                            f"values of the full valuation sweep")
+    seeds = gf2.span_words(_enumerable_basis(g), n)[1:]
+    if not len(seeds):
+        return []
+    lines = np.array(g.lines, dtype=np.intp).reshape(-1, 3)
+    nbytes = -(-n // 8)
+    found = []
+    for start in range(0, len(seeds), _BLOCK_ROWS):
+        words = seeds[start:start + _BLOCK_ROWS].astype("<u8")
+        packed = words.view(np.uint8).reshape(len(words), -1)[:, :nbytes]
+        comp = np.unpackbits(packed, axis=1, count=n,
+                             bitorder="little").astype(bool)
+        met = comp[:, lines].sum(axis=2, dtype=np.int8)
+        bad = np.flatnonzero(((met != 0) & (met != 2)).any(axis=1))
+        if bad.size:
+            raise RuntimeError(
+                f"nullspace vector {gf2.from_words(words[bad[0]]):b} "
+                f"fails the 0-or-2 line rule")
+        vals, origin = _sweep_block(comp, lines, depth)
+        _check_sweep(vals, lines, packed[origin])
+        found.append(vals)
+    # sorted tuples, not np.unique(axis=0), which imports numpy.ma
+    return [Valuation(g, v) for v in
+            sorted(set(map(tuple, np.concatenate(found).tolist())))]
 
 
 def brute_force_valuations(g: Geometry) -> List[Tuple[int, ...]]:

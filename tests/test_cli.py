@@ -9,6 +9,7 @@ import pytest
 
 from hexval.cli import run
 from hexval.geometry import from_text
+from hexval.valgeom import ValuationGeometry, check_lemma_3_1
 
 
 def invoke(capsys, *argv):
@@ -130,6 +131,29 @@ class TestCheck:
         code, _, err = invoke(capsys, "check", "--geometry", "h2dual",
                               "--lemma", "9.9")
         assert code == 2
+
+    def test_failed_lemma_prints_witness(self, capsys, monkeypatch, h2dual):
+        # the restriction with its first line replaced by two valuations
+        # whose zero points are not at distance 3, plus a third one
+        vp = h2dual.vprime()
+        host = h2dual.geometry
+        zeros = [v.zero_set()[0] for v in vp.vpoints]
+        a, b = next((i, j) for i in range(len(zeros))
+                    for j in range(i + 1, len(zeros))
+                    if host.dist[zeros[i]][zeros[j]] != 3)
+        c = next(x for x in range(len(zeros)) if x not in (a, b))
+        corrupted = ValuationGeometry(
+            host, vp.vpoints, [tuple(sorted((a, b, c)))] + vp.vlines[1:],
+            vp.point_types, vp.line_types)
+        witness = check_lemma_3_1(corrupted, host).witness
+        assert witness is not None
+        monkeypatch.setattr(h2dual, "vprime", lambda: corrupted)
+        code, out, err = invoke(capsys, "check", "--geometry", "h2dual")
+        assert code == 1
+        assert "b_collinear_zero_distance: FAIL" in out
+        assert "witness" not in out
+        assert err.splitlines()[-1] == f"witness: {witness}"
+        assert err.count("\n") == out.count("FAIL") + 1
 
 
 class TestReport:

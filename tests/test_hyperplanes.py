@@ -242,14 +242,14 @@ class TestClassification:
 
     def test_bundle_enumerates_once(self, monkeypatch, h21):
         # the stages report needs never enumerate the hyperplanes
-        from hexval import pipeline, valuations
+        from hexval import pipeline
         calls = []
 
         def counted(g):
             calls.append(g)
             return enumerate_hyperplanes(g)
 
-        for module in (pipeline, hyperplanes, valuations):
+        for module in (pipeline, hyperplanes):
             monkeypatch.setattr(module, "enumerate_hyperplanes", counted)
         bundle = pipeline.Bundle(h21.geometry)
         assert bundle.hyperplane_classes == h21.hyperplane_classes

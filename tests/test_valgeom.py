@@ -94,8 +94,14 @@ class TestStar:
         values = list(f.values)
         values[1] += 1
         values[2] -= 1
-        with pytest.raises(ValueError, match="second argument"):
-            star(f, Valuation(g, tuple(values)))
+        bad = Valuation(g, tuple(values))
+        # validity is computed once per object; later calls still raise
+        for _ in range(2):
+            with pytest.raises(ValueError, match="second argument"):
+                star(f, bad)
+            with pytest.raises(ValueError, match="first argument"):
+                star(bad, f)
+        assert f.is_valid and not bad.is_valid
 
     def test_star_input_check_survives_optimize(self):
         # under -O asserts are stripped; the input check must still raise
@@ -105,17 +111,19 @@ class TestStar:
             "g = build_hexagon_2_1()\n"
             "f = classical_valuation(g, 0)\n"
             "v = list(f.values); v[1] += 1; v[2] -= 1\n"
-            "try:\n"
-            "    star(f, Valuation(g, tuple(v)))\n"
-            "except ValueError:\n"
-            "    print('ValueError')\n")
+            "bad = Valuation(g, tuple(v))\n"
+            "for pair in [(f, bad), (bad, f)] * 2:\n"
+            "    try:\n"
+            "        star(*pair)\n"
+            "    except ValueError:\n"
+            "        print('ValueError')\n")
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-O", "-c", code],
                               capture_output=True, text=True, env=env,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "ValueError\n"
+        assert proc.stdout == "ValueError\n" * 4
 
     def test_star_algebra_on_all_h21_lines(self, h21):
         # (i) symmetry (ii)(iii) each pair recovers the third member

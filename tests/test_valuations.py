@@ -1,17 +1,20 @@
 """Valuations: construction, enumeration against the brute-force oracle,
 statistics and isomorphism classification."""
+import itertools
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hexval import pipeline, valuations
-from hexval.geometry import Geometry, find_ovoids, from_text
+from hexval.geometry import Geometry, GeometryError, find_ovoids, from_text
 from hexval.perm import automorphism_group, orbit_of_function
-from hexval.hyperplanes import Hyperplane
+from hexval.hyperplanes import Hyperplane, enumerate_hyperplanes
 from hexval.valuations import (FAIL, PartialValuation, Valuation,
                                all_valuations, assign_value,
                                brute_force_valuations, classical_valuation,
@@ -234,7 +237,67 @@ def relabeled(g, seed):
                     [[relabel[p] for p in line] for line in g.lines])
 
 
+def pendant_path(g):
+    """g with a path of two new lines hanging from point 0."""
+    n = g.num_points
+    return Geometry(n + 4, list(g.lines) + [(0, n, n + 1),
+                                            (n + 1, n + 2, n + 3)])
+
+
+def chain(k):
+    """k lines in a row, each meeting the next in one point."""
+    return Geometry(2 * k + 1, [(2 * i, 2 * i + 1, 2 * i + 2)
+                                for i in range(k)])
+
+
+@st.composite
+def connected_hosts(draw):
+    """Connected partial linear spaces with 3-point lines on at most 12
+    points, every point on a line; lines sharing a pair with an earlier
+    line are dropped."""
+    n = draw(st.integers(3, 12))
+    triples = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
+                                    max_size=3), min_size=1, max_size=16))
+    lines, pairs = [], set()
+    for t in triples:
+        line = tuple(sorted(t))
+        new_pairs = set(itertools.combinations(line, 2))
+        if not new_pairs & pairs:
+            pairs |= new_pairs
+            lines.append(line)
+    used = sorted({p for line in lines for p in line})
+    index = {p: i for i, p in enumerate(used)}
+    g = Geometry(len(used), [[index[p] for p in line] for line in lines])
+    assume(g.is_connected())
+    return g
+
+
+def sweep_oracle(g):
+    """The per-hyperplane loop that all_valuations batches."""
+    return sorted(set().union(*(valuations_from_hyperplane(g, h)
+                                for h in enumerate_hyperplanes(g))),
+                  key=lambda v: v.values)
+
+
 CHAIN = "points 9\n0 1 2\n2 3 4\n4 5 6\n6 7 8\n"
+
+# lowers the least value of one completed row after every propagation
+CORRUPT_H21 = (
+    "import numpy as np\n"
+    "from hexval import valuations\n"
+    "from hexval.constructions import build_hexagon_2_1\n"
+    "exact = valuations._propagate_rows\n"
+    "def corrupt(rows, lines, floor):\n"
+    "    rows, kept = exact(rows, lines, floor)\n"
+    "    done = np.flatnonzero((rows != valuations.UNDEF).all(axis=1))\n"
+    "    if done.size:\n"
+    "        rows[done[0], rows[done[0]].argmin()] -= 1\n"
+    "    return rows, kept\n"
+    "valuations._propagate_rows = corrupt\n"
+    "try:\n"
+    "    valuations.all_valuations(build_hexagon_2_1())\n"
+    "except RuntimeError as exc:\n"
+    "    print(exc)\n")
 
 # drops the last valuation of every representative carrying several; on
 # h21 that is the class whose three valuations form one orbit
@@ -260,20 +323,26 @@ class TestRepresentativeExpansion:
                                       "grid3"])
     def test_matches_full_sweep(self, request, host):
         bundle = request.getfixturevalue(host)
-        assert bundle.valuations == all_valuations(bundle.geometry,
-                                                   bundle.hyperplanes)
+        assert bundle.valuations == all_valuations(bundle.geometry)
 
     @pytest.mark.parametrize("text", [CHAIN, "points 1\n", "points 0\n"])
     def test_small_hosts_match_full_sweep(self, text):
         bundle = pipeline.Bundle(from_text(text))
-        assert bundle.valuations == all_valuations(bundle.geometry,
-                                                   bundle.hyperplanes)
+        assert bundle.valuations == all_valuations(bundle.geometry)
 
     def test_relabeled_h21_matches_full_sweep(self, h21):
         bundle = pipeline.Bundle(relabeled(h21.geometry, seed=5))
-        expected = all_valuations(bundle.geometry, bundle.hyperplanes)
+        expected = all_valuations(bundle.geometry)
         assert bundle.valuations == expected
         assert len(expected) == len(h21.valuations)
+
+    def test_two_word_host_matches_full_sweep(self, h2):
+        # 67 points: the seeds and value rows span two 64-bit words
+        bundle = pipeline.Bundle(relabeled(pendant_path(h2.geometry),
+                                           seed=67))
+        expected = all_valuations(bundle.geometry)
+        assert bundle.valuations == expected
+        assert len(expected) > len(h2.valuations)
 
     def test_bundle_never_sweeps(self, monkeypatch, h21):
         def sweep(*args, **kwargs):
@@ -307,3 +376,63 @@ class TestRepresentativeExpansion:
             text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "RuntimeError\n"
+
+
+class TestBatchedSweep:
+    """all_valuations equals the per-hyperplane scalar loop exactly."""
+
+    @pytest.mark.parametrize("host", ["h21", "grid3", "fano"])
+    def test_matches_scalar_loop(self, request, host):
+        g = request.getfixturevalue(host).geometry
+        assert all_valuations(g) == sweep_oracle(g)
+
+    def test_chain_and_relabeled_h21(self, h21):
+        for g in (from_text(CHAIN), relabeled(h21.geometry, seed=11)):
+            assert all_valuations(g) == sweep_oracle(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_hosts())
+    def test_random_hosts(self, g):
+        assert all_valuations(g) == sweep_oracle(g)
+
+    def test_point_hosts(self):
+        assert all_valuations(from_text("points 0\n")) == []
+        g = from_text("points 1\n")
+        assert all_valuations(g) == [Valuation(g, (0,))]
+
+    def test_block_boundaries(self, monkeypatch, h21):
+        # 255 seeds in blocks of 7, 36 full and one of 3; frontiers in pieces
+        monkeypatch.setattr(valuations, "_BLOCK_ROWS", 7)
+        assert all_valuations(h21.geometry) == h21.valuations
+
+    def test_seed_outside_nullspace_raises(self, monkeypatch, grid3):
+        # one point meets each of its lines in 1 point
+        monkeypatch.setattr(valuations, "_enumerable_basis", lambda g: [1])
+        with pytest.raises(RuntimeError, match="0-or-2 line rule"):
+            all_valuations(grid3.geometry)
+
+    def test_diameter_beyond_int8_refused(self):
+        with pytest.raises(GeometryError, match="diameter 127"):
+            all_valuations(chain(127))
+
+    def test_corrupted_propagation_raises(self, monkeypatch, h21):
+        exact = valuations._propagate_rows
+
+        def corrupt(rows, lines, floor):
+            rows, kept = exact(rows, lines, floor)
+            done = np.flatnonzero((rows != valuations.UNDEF).all(axis=1))
+            if done.size:
+                rows[done[0], rows[done[0]].argmin()] -= 1
+            return rows, kept
+
+        monkeypatch.setattr(valuations, "_propagate_rows", corrupt)
+        with pytest.raises(RuntimeError, match="not a valuation"):
+            all_valuations(h21.geometry)
+
+    def test_corruption_check_survives_optimize(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CORRUPT_H21], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("completion is not a valuation")

@@ -17,7 +17,7 @@ from .perm import PermGroup, are_isomorphic, automorphism_group
 from .pipeline import Bundle, get_bundle
 from .valgeom import (ValuationGeometry, are_neighboring,
                       build_valuation_geometry, check_lemma_3_1,
-                      extract_subgeometry, line_type_table, star)
+                      line_type_table, star)
 from .valuations import (Valuation, all_valuations, classical_valuation,
                          classify_valuations, is_valuation,
                          ovoidal_valuation)
@@ -32,9 +32,8 @@ __all__ = [
     "build_h2_dual", "build_hexagon_2_1", "build_valuation_geometry",
     "check_generalized_hexagon", "check_lemma_3_1", "check_near_polygon",
     "classical_valuation", "classify_hyperplanes", "classify_valuations",
-    "dual", "enumerate_grids", "enumerate_hyperplanes",
-    "extract_subgeometry", "find_ovoids", "from_text", "get_bundle",
-    "grid_3x3", "is_valuation", "line_type_table",
-    "near_hexagon_point_bound", "order_of", "ovoidal_valuation", "star",
-    "to_text",
+    "dual", "enumerate_grids", "enumerate_hyperplanes", "find_ovoids",
+    "from_text", "get_bundle", "grid_3x3", "is_valuation",
+    "line_type_table", "near_hexagon_point_bound", "order_of",
+    "ovoidal_valuation", "star", "to_text",
 ]

@@ -254,15 +254,6 @@ def _report_csv(report: dict) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _emit(report: dict, fmt: str, renderer) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    elif fmt == "csv":
-        print(_report_csv(report))
-    else:
-        print(renderer(report))
-
-
 # -- subcommands ---------------------------------------------------------
 
 

@@ -222,17 +222,6 @@ def order_of(g: Geometry) -> OrderSpec:
     return OrderSpec(s, t)
 
 
-def common_neighbor_profile(g: Geometry) -> Counter:
-    """Histogram of common-neighbor counts over distance-2 point pairs."""
-    hist: Counter = Counter()
-    for x in range(g.num_points):
-        nx = set(g.neighbors[x])
-        for y in range(x + 1, g.num_points):
-            if g.dist[x][y] == 2:
-                hist[len(nx & set(g.neighbors[y]))] += 1
-    return hist
-
-
 def dual(g: Geometry) -> Geometry:
     """Interchange points and lines: new point i = old line i, new lines =
     pencils of old lines through each old point."""
@@ -362,7 +351,7 @@ def find_ovoids(g: Geometry) -> List[Tuple[int, ...]]:
     return sorted(results)
 
 
-# -- bound and induced valuations ---------------------------------------
+# -- point bound ---------------------------------------------------------
 
 
 def near_hexagon_point_bound(s: int, t: int) -> int:
@@ -371,35 +360,6 @@ def near_hexagon_point_bound(s: int, t: int) -> int:
     if s < 1 or t < 1:
         raise ValueError("order parameters must be >= 1")
     return (s + 1) * (s * s * t * t + s * t + 1)
-
-
-def induced_valuation(ambient: Geometry, sub_points: Sequence[int],
-                      sub_lines: Iterable[Sequence[int]],
-                      x: int) -> List[int]:
-    """Valuation y -> d(x, y) - d(x, sub_points) induced on a full
-    isometrically embedded subgeometry; values in sub_points order."""
-    sub_points = list(sub_points)
-    index = {p: i for i, p in enumerate(sub_points)}
-    relabeled = [[index[p] for p in line] for line in sub_lines]
-    sub = Geometry(len(sub_points), relabeled)
-    for i, p in enumerate(sub_points):
-        for j, q in enumerate(sub_points):
-            if sub.dist[i][j] != ambient.dist[p][q]:
-                raise GeometryError(
-                    f"not isometrically embedded: points {p},{q} have "
-                    f"ambient distance {ambient.dist[p][q]} but internal "
-                    f"distance {sub.dist[i][j]}")
-    if any(ambient.dist[x][p] < 0 for p in sub_points):
-        raise GeometryError(f"point {x} is not connected to the subgeometry")
-    base = min(ambient.dist[x][p] for p in sub_points)
-    values = [ambient.dist[x][p] - base for p in sub_points]
-    for line in relabeled:
-        vals = sorted(values[i] for i in line)
-        if not (vals.count(vals[0]) == 1
-                and all(v == vals[0] + 1 for v in vals[1:])):
-            raise GeometryError(
-                f"induced function is not a semi-valuation on line {line}")
-    return values
 
 
 # -- text format ---------------------------------------------------------

@@ -3,17 +3,18 @@
 A Bundle owns a geometry and computes its automorphism group, hyperplane
 classification, valuations, valuation-class labels and valuation geometry
 on demand, caching each stage. Valuations come from the hyperplane
-classes: each class representative is propagated once
-(``class_valuations``), and the automorphism orbits of the valuations
-found there are all the valuations (``valuations``). The two orbit
-computations check each other: the class sizes times the valuations per
-representative must count the expanded set. The per-class counts, labels
-and isomorphism checks read the same representative stage. The full
-sweep over every hyperplane, ``valuations.all_valuations``, stays as the
-public function and as the oracle that needs no automorphism group; it
-seeds from the nullspace directly and never reads ``hyperplanes``. The
-built-in hexagons are cached at module level so CLI commands and tests
-share one computation.
+classes: the class representatives seed one batched valuation search
+(``class_valuations``, through ``valuations.valuations_on_hyperplanes``),
+and the automorphism orbits of the valuations found there are all the
+valuations (``valuations``). The two orbit computations check each
+other: the class sizes times the valuations per representative must
+count the expanded set. The per-class counts, labels and isomorphism
+checks read the same representative stage. The full sweep over every
+hyperplane, ``valuations.all_valuations``, runs the same search seeded
+from the whole nullspace; it stays as the public function and as the
+oracle that needs no automorphism group, and never reads
+``hyperplanes``. The built-in hexagons are cached at module level so CLI
+commands and tests share one computation.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .perm import PermGroup, automorphism_group, orbit_of_function
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
                       line_type_table, restrict)
 from .valuations import (Valuation, ValuationType, classify_valuations,
-                         valuations_from_hyperplane)
+                         valuations_on_hyperplanes)
 
 BUILTIN_BUILDERS = {
     "h2": build_h2,
@@ -70,9 +71,9 @@ class Bundle:
         """The valuations carried by each hyperplane class representative."""
         if not self.geometry.is_connected():
             raise ValueError("valuations require a connected geometry")
-        return [valuations_from_hyperplane(self.geometry,
-                                           cls.representative)
-                for cls in self.hyperplane_classes]
+        return valuations_on_hyperplanes(
+            self.geometry,
+            [cls.representative for cls in self.hyperplane_classes])
 
     @cached_property
     def valuations(self) -> List[Valuation]:

@@ -325,11 +325,6 @@ def restrict(vg: ValuationGeometry, point_types: Sequence[str],
         keep_ltypes)
 
 
-def extract_subgeometry(vg: ValuationGeometry, point_types: Sequence[str],
-                        line_types: Sequence[str]) -> Geometry:
-    return restrict(vg, point_types, line_types).as_geometry()
-
-
 @dataclass(frozen=True)
 class LemmaReport:
     """Results of the subgeometry checks on the Type-C/CCC restriction.
@@ -348,23 +343,6 @@ class LemmaReport:
     total_grids: int = 0
     grid_completions_per_point: Optional[int] = None
     witness: Optional[tuple] = None
-
-    # short aliases for the three lettered sub-checks
-    @property
-    def a(self) -> bool:
-        return self.connected
-
-    @property
-    def b(self) -> bool:
-        return self.collinear_zero_distance
-
-    @property
-    def c(self) -> bool:
-        return self.grid_zero_distance
-
-    @property
-    def grids16(self) -> bool:
-        return self.grids_per_point_16
 
     def all_pass(self) -> bool:
         return (self.connected and self.collinear_zero_distance

@@ -8,17 +8,18 @@ assignment, undefined points branch over -1 .. -diameter, and completions
 are shifted so the minimum becomes 0. The host must be connected: a
 disconnected one has infinitely many valuations.
 
-``valuations_from_hyperplane`` runs that search on one hyperplane, point
-by point. ``all_valuations`` runs it on every hyperplane at once: each
-nonzero vector of the incidence nullspace seeds one row of an int8 value
-matrix, in blocks of ``_BLOCK_ROWS`` rows, and the line rule is applied
-to all rows of a block per step until nothing changes.
+One search does this for many hyperplanes at once: each hyperplane
+complement seeds one row of an int8 value matrix, in blocks of
+``_BLOCK_ROWS`` rows, and the line rule is applied to all rows of a block
+per step until nothing changes. ``valuations_on_hyperplanes`` seeds it
+with given hyperplanes, such as the class representatives;
+``all_valuations`` with every nonzero vector of the incidence nullspace.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from .geometry import Geometry, GeometryError
 from .hyperplanes import Hyperplane, _enumerable_basis
 from .perm import PermGroup, orbit_of_function
 
-FAIL = object()
-#: most value rows all_valuations propagates together: the hyperplane
-#: complements seeded at once, and each piece of a branched frontier
+#: most value rows the valuation search propagates together: the
+#: hyperplane complements seeded at once, and each piece of a branched
+#: frontier
 _BLOCK_ROWS = 512
-#: an undefined point in the int8 value rows of all_valuations
+#: an undefined point in the int8 value rows of the valuation search
 UNDEF = np.int8(np.iinfo(np.int8).max)
 
 
@@ -109,129 +110,7 @@ def ovoidal_valuation(g: Geometry, ovoid: Sequence[int]) -> Valuation:
                               for p in range(g.num_points)))
 
 
-# -- partial valuations (line propagation) -------------------------------
-
-
-class PartialValuation:
-    """Partially defined point values, closed under line propagation.
-
-    The defined set is a subspace: whenever two points of a line carry
-    values, the third is determined (equal values a,a force a-1; values
-    a,a+1 force a+1; a gap of 2 or more is impossible).
-    """
-
-    __slots__ = ("host", "values", "defined_count")
-
-    def __init__(self, host: Geometry, values: List[Optional[int]],
-                 defined_count: int):
-        self.host = host
-        self.values = values
-        self.defined_count = defined_count
-
-    @classmethod
-    def empty(cls, host: Geometry) -> "PartialValuation":
-        return cls(host, [None] * host.num_points, 0)
-
-    def is_complete(self) -> bool:
-        return self.defined_count == self.host.num_points
-
-    def copy(self) -> "PartialValuation":
-        return PartialValuation(self.host, self.values[:], self.defined_count)
-
-
-def _propagate(pv: PartialValuation, dirty: List[int]):
-    """Close pv under line propagation starting from the given points.
-
-    Returns pv or FAIL. Mutates pv in place.
-    """
-    g = pv.host
-    values = pv.values
-    qi = 0
-    while qi < len(dirty):
-        x = dirty[qi]
-        qi += 1
-        for li in g.lines_through[x]:
-            line = g.lines[li]
-            known = [p for p in line if values[p] is not None]
-            if len(known) < 2:
-                continue
-            if len(known) == 3:
-                vals = sorted(values[p] for p in line)
-                if vals.count(vals[0]) != 1 or vals[1] != vals[0] + 1 \
-                        or vals[2] != vals[0] + 1:
-                    return FAIL
-                continue
-            a, b = values[known[0]], values[known[1]]
-            third = next(p for p in line if values[p] is None)
-            if a == b:
-                val = a - 1
-            elif abs(a - b) == 1:
-                val = max(a, b)
-            else:
-                return FAIL
-            values[third] = val
-            pv.defined_count += 1
-            dirty.append(third)
-    return pv
-
-
-def assign_value(pv: PartialValuation, x: int, value: int):
-    """Smallest partial valuation extending pv with pv(x) = value, or FAIL."""
-    if pv.values[x] is not None:
-        raise ValueError(f"point {x} already defined")
-    new = pv.copy()
-    new.values[x] = value
-    new.defined_count += 1
-    return _propagate(new, [x])
-
-
-def valuations_from_hyperplane(g: Geometry, hyp: Hyperplane) -> List[Valuation]:
-    """All valuations whose non-maximal-value set is exactly hyp.
-
-    Seeds value 0 on the complement of hyp, branches undefined points over
-    -1 .. -diameter (lowest-index point first), normalizes completions to
-    minimum 0 and keeps those whose maximal-value set equals the
-    complement. No lower value can occur: a valuation changes by at most
-    1 along a line, so its values span at most the diameter.
-    """
-    if not g.is_connected():
-        raise ValueError("valuations require a connected geometry")
-    depths = range(-1, -g.diameter() - 1, -1)
-    comp = hyp.complement_bits()
-    pv = PartialValuation.empty(g)
-    dirty = []
-    for p in range(g.num_points):
-        if comp >> p & 1:
-            pv.values[p] = 0
-            pv.defined_count += 1
-            dirty.append(p)
-    state = _propagate(pv, dirty)
-    results = []
-    stack = [] if state is FAIL else [state]
-    while stack:
-        pv = stack.pop()
-        if pv.is_complete():
-            shift = min(pv.values)
-            values = tuple(v - shift for v in pv.values)
-            top = max(values)
-            max_set = sum(1 << p for p, v in enumerate(values) if v == top)
-            if max_set == comp:
-                results.append(values)
-            continue
-        x = next(p for p in range(g.num_points) if pv.values[p] is None)
-        for i in depths:
-            nxt = assign_value(pv, x, i)
-            if nxt is not FAIL:
-                stack.append(nxt)
-    out = [Valuation(g, v) for v in sorted(set(results))]
-    for val in out:
-        if not is_valuation(g, val.values):
-            raise RuntimeError(f"completion is not a valuation: "
-                               f"{val.values}")
-        if val.hyperplane().member_bits != hyp.member_bits:
-            raise RuntimeError(f"valuation {val.values} does not have "
-                               f"hyperplane {hyp.member_bits:b}")
-    return out
+# -- the int8 row search -------------------------------------------------
 
 
 def _propagate_rows(rows: np.ndarray, lines: np.ndarray, floor: int
@@ -273,12 +152,15 @@ def _propagate_rows(rows: np.ndarray, lines: np.ndarray, floor: int
 
 def _sweep_block(comp: np.ndarray, lines: np.ndarray, depth: int
                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """The search of valuations_from_hyperplane on each row of the bool
-    [seeds, points] complement matrix comp at once.
+    """The valuations whose maximal-value set is the seed complement, for
+    each row of the bool [seeds, points] complement matrix comp at once.
 
-    Returns the completions shifted to minimum 0 whose maximal-value set
-    is their seed's complement, and the row of comp each one came from.
-    No value falls below -depth, the diameter: the seed values 0 are the
+    Each row starts with value 0 on its complement and is closed under
+    line propagation; open rows branch over -1 .. -depth at their
+    lowest-index undefined point, and completions are shifted to minimum
+    0 and kept when their maximal-value set is their seed's complement.
+    Returns those completions and the row of comp each one came from. No
+    value falls below -depth, the diameter: the seed values 0 are the
     maximum, and a valuation changes by at most 1 along a line. Branched
     rows are propagated depth first in pieces of at most _BLOCK_ROWS, so
     the rows held stay bounded when branching multiplies them.
@@ -332,14 +214,18 @@ def _check_sweep(vals: np.ndarray, lines: np.ndarray, comp_bytes: np.ndarray
                            f"not have its seed's hyperplane")
 
 
-def all_valuations(g: Geometry) -> List[Valuation]:
-    """Every valuation of g, in canonical (value-vector) order.
+def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The valuations on each hyperplane complement of seed_words(), a
+    [seeds, words] uint64 array of point masks, low word first.
 
-    Every nonzero vector of the incidence nullspace is a hyperplane
-    complement. Blocks of _BLOCK_ROWS of them run the search of
-    valuations_from_hyperplane together, as rows of one int8 matrix.
-    Each result is checked to be a valuation whose hyperplane is its
-    seed's (RuntimeError otherwise).
+    seed_words is called after the guards: a disconnected host raises
+    ValueError; a diameter of 127 or more, too large for int8 values, or
+    a line without 3 points raises GeometryError. Blocks of _BLOCK_ROWS
+    seeds are searched together. Each seed must meet every line in 0 or
+    2 points, and each completion is checked to be a valuation whose
+    hyperplane is its seed's (RuntimeError otherwise). Returns the int8
+    value rows and the index of the seed each one came from.
     """
     if not g.is_connected():
         raise ValueError("valuations require a connected geometry")
@@ -347,13 +233,14 @@ def all_valuations(g: Geometry) -> List[Valuation]:
     depth = g.diameter()
     if depth + 1 > np.iinfo(np.int8).max:
         raise GeometryError(f"diameter {depth} is too large for the int8 "
-                            f"values of the full valuation sweep")
-    seeds = gf2.span_words(_enumerable_basis(g), n)[1:]
-    if not len(seeds):
-        return []
+                            f"values of the valuation search")
+    if any(len(line) != 3 for line in g.lines):
+        raise GeometryError("the valuation search requires 3-point lines")
+    seeds = seed_words()
     lines = np.array(g.lines, dtype=np.intp).reshape(-1, 3)
     nbytes = -(-n // 8)
-    found = []
+    found = [np.empty((0, n), dtype=np.int8)]
+    origins = [np.empty(0, dtype=np.intp)]
     for start in range(0, len(seeds), _BLOCK_ROWS):
         words = seeds[start:start + _BLOCK_ROWS].astype("<u8")
         packed = words.view(np.uint8).reshape(len(words), -1)[:, :nbytes]
@@ -363,14 +250,40 @@ def all_valuations(g: Geometry) -> List[Valuation]:
         bad = np.flatnonzero(((met != 0) & (met != 2)).any(axis=1))
         if bad.size:
             raise RuntimeError(
-                f"nullspace vector {gf2.from_words(words[bad[0]]):b} "
+                f"hyperplane complement {gf2.from_words(words[bad[0]]):b} "
                 f"fails the 0-or-2 line rule")
         vals, origin = _sweep_block(comp, lines, depth)
         _check_sweep(vals, lines, packed[origin])
         found.append(vals)
+        origins.append(origin + start)
+    return np.concatenate(found), np.concatenate(origins)
+
+
+def valuations_on_hyperplanes(g: Geometry, hyps: Sequence[Hyperplane]
+                              ) -> List[List[Valuation]]:
+    """The valuations whose non-maximal-value set is each hyperplane, in
+    value-vector order: the search of all_valuations, with the same
+    guards and checks, seeded with the hyperplane complements."""
+    words = max(1, -(-g.num_points // 64))
+    vals, origin = _search_rows(g, lambda: gf2.to_words(
+        [h.complement_bits() for h in hyps], words))
+    found = [set() for _ in hyps]
+    for values, i in zip(map(tuple, vals.tolist()), origin.tolist()):
+        found[i].add(values)
+    return [[Valuation(g, v) for v in sorted(rows)] for rows in found]
+
+
+def all_valuations(g: Geometry) -> List[Valuation]:
+    """Every valuation of g, in canonical (value-vector) order.
+
+    Every nonzero vector of the incidence nullspace is a hyperplane
+    complement and seeds one row of the search, without the automorphism
+    group.
+    """
+    vals, _ = _search_rows(g, lambda: gf2.span_words(
+        _enumerable_basis(g), g.num_points)[1:])
     # sorted tuples, not np.unique(axis=0), which imports numpy.ma
-    return [Valuation(g, v) for v in
-            sorted(set(map(tuple, np.concatenate(found).tolist())))]
+    return [Valuation(g, v) for v in sorted(set(map(tuple, vals.tolist())))]
 
 
 def brute_force_valuations(g: Geometry) -> List[Tuple[int, ...]]:

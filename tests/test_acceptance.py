@@ -65,7 +65,9 @@ def test_criterion_4_hyperplane_classes(h2, h2dual):
 def test_criterion_5_lemma_suite(h2dual):
     vp = h2dual.vprime()
     rep = check_lemma_3_1(vp, h2dual.geometry)
-    ok = (rep.a and rep.b and rep.c and rep.grids16 and rep.triangle_free
+    ok = (rep.connected and rep.collinear_zero_distance
+          and rep.grid_zero_distance and rep.grids_per_point_16
+          and rep.triangle_free
           and len(vp.vpoints) == 252 and len(vp.vlines) == 672
           and rep.grid_completions_per_point == 16)
     _verdict(5, "subgeometry suite on H^D(2): connectivity, zero-point "

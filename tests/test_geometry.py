@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,48 @@ from hexval import geometry
 from hexval.constructions import (build_fano, build_hexagon_2_1, grid_3x3)
 from hexval.geometry import (Geometry, GeometryError, INF,
                              check_generalized_hexagon, check_near_polygon,
-                             common_neighbor_profile, dual, enumerate_grids,
-                             find_ovoids, from_text, grids_through_point,
-                             induced_valuation, near_hexagon_point_bound,
+                             dual, enumerate_grids, find_ovoids, from_text,
+                             grids_through_point, near_hexagon_point_bound,
                              order_of, to_text)
 from hexval.perm import are_isomorphic
+
+
+def common_neighbor_profile(g):
+    """Histogram of common-neighbor counts over distance-2 point pairs."""
+    hist = Counter()
+    for x in range(g.num_points):
+        nx = set(g.neighbors[x])
+        for y in range(x + 1, g.num_points):
+            if g.dist[x][y] == 2:
+                hist[len(nx & set(g.neighbors[y]))] += 1
+    return hist
+
+
+def induced_valuation(ambient, sub_points, sub_lines, x):
+    """Valuation y -> d(x, y) - d(x, sub_points) induced on a full
+    isometrically embedded subgeometry; values in sub_points order."""
+    sub_points = list(sub_points)
+    index = {p: i for i, p in enumerate(sub_points)}
+    relabeled = [[index[p] for p in line] for line in sub_lines]
+    sub = Geometry(len(sub_points), relabeled)
+    for i, p in enumerate(sub_points):
+        for j, q in enumerate(sub_points):
+            if sub.dist[i][j] != ambient.dist[p][q]:
+                raise GeometryError(
+                    f"not isometrically embedded: points {p},{q} have "
+                    f"ambient distance {ambient.dist[p][q]} but internal "
+                    f"distance {sub.dist[i][j]}")
+    if any(ambient.dist[x][p] < 0 for p in sub_points):
+        raise GeometryError(f"point {x} is not connected to the subgeometry")
+    base = min(ambient.dist[x][p] for p in sub_points)
+    values = [ambient.dist[x][p] - base for p in sub_points]
+    for line in relabeled:
+        vals = sorted(values[i] for i in line)
+        if not (vals.count(vals[0]) == 1
+                and all(v == vals[0] + 1 for v in vals[1:])):
+            raise GeometryError(
+                f"induced function is not a semi-valuation on line {line}")
+    return values
 
 
 class TestBuild:

@@ -15,10 +15,16 @@ from hexval.geometry import Geometry, dual
 from hexval.perm import are_isomorphic, automorphism_group
 from hexval.valgeom import (EQUAL, ValuationGeometry, _star_closed_lines,
                             are_neighboring, build_valuation_geometry,
-                            check_lemma_3_1, extract_subgeometry,
-                            line_type_table, restrict, star)
+                            check_lemma_3_1, line_type_table, restrict,
+                            star)
 from hexval.valuations import (Valuation, brute_force_valuations,
                                classical_valuation, classify_valuations)
+
+
+def extract_subgeometry(vg, point_types, line_types):
+    """The restriction of vg to the given point and line types, as a
+    plain geometry."""
+    return restrict(vg, point_types, line_types).as_geometry()
 
 
 def scalar_lines_through(vals, i):
@@ -285,10 +291,10 @@ class TestRestriction:
 class TestSubgeometryChecks:
     def test_lemma_suite_passes(self, h2dual):
         rep = check_lemma_3_1(h2dual.vprime(), h2dual.geometry)
-        assert rep.connected and rep.a
-        assert rep.collinear_zero_distance and rep.b
-        assert rep.grid_zero_distance and rep.c
-        assert rep.grids_per_point_16 and rep.grids16
+        assert rep.connected
+        assert rep.collinear_zero_distance
+        assert rep.grid_zero_distance
+        assert rep.grids_per_point_16
         assert rep.triangle_free
         assert rep.all_pass()
         assert rep.witness is None

@@ -1,5 +1,6 @@
-"""Valuations: construction, enumeration against the brute-force oracle,
-statistics and isomorphism classification."""
+"""Valuations: construction, enumeration against the brute-force oracle
+and the scalar per-hyperplane search, statistics and isomorphism
+classification."""
 import itertools
 import os
 import random
@@ -15,12 +16,137 @@ from hexval import pipeline, valuations
 from hexval.geometry import Geometry, GeometryError, find_ovoids, from_text
 from hexval.perm import automorphism_group, orbit_of_function
 from hexval.hyperplanes import Hyperplane, enumerate_hyperplanes
-from hexval.valuations import (FAIL, PartialValuation, Valuation,
-                               all_valuations, assign_value,
+from hexval.valuations import (Valuation, all_valuations,
                                brute_force_valuations, classical_valuation,
                                classify_valuations, is_semi_valuation,
                                is_valuation, ovoidal_valuation,
-                               valuation_stats, valuations_from_hyperplane)
+                               valuation_stats, valuations_on_hyperplanes)
+
+
+# -- the scalar search: the oracle of the int8 row search ----------------
+
+FAIL = object()
+
+
+class PartialValuation:
+    """Partially defined point values, closed under line propagation.
+
+    The defined set is a subspace: whenever two points of a line carry
+    values, the third is determined (equal values a,a force a-1; values
+    a,a+1 force a+1; a gap of 2 or more is impossible).
+    """
+
+    __slots__ = ("host", "values", "defined_count")
+
+    def __init__(self, host, values, defined_count):
+        self.host = host
+        self.values = values
+        self.defined_count = defined_count
+
+    @classmethod
+    def empty(cls, host):
+        return cls(host, [None] * host.num_points, 0)
+
+    def is_complete(self):
+        return self.defined_count == self.host.num_points
+
+    def copy(self):
+        return PartialValuation(self.host, self.values[:], self.defined_count)
+
+
+def _propagate(pv, dirty):
+    """Close pv under line propagation starting from the given points.
+
+    Returns pv or FAIL. Mutates pv in place.
+    """
+    g = pv.host
+    values = pv.values
+    qi = 0
+    while qi < len(dirty):
+        x = dirty[qi]
+        qi += 1
+        for li in g.lines_through[x]:
+            line = g.lines[li]
+            known = [p for p in line if values[p] is not None]
+            if len(known) < 2:
+                continue
+            if len(known) == 3:
+                vals = sorted(values[p] for p in line)
+                if vals.count(vals[0]) != 1 or vals[1] != vals[0] + 1 \
+                        or vals[2] != vals[0] + 1:
+                    return FAIL
+                continue
+            a, b = values[known[0]], values[known[1]]
+            third = next(p for p in line if values[p] is None)
+            if a == b:
+                val = a - 1
+            elif abs(a - b) == 1:
+                val = max(a, b)
+            else:
+                return FAIL
+            values[third] = val
+            pv.defined_count += 1
+            dirty.append(third)
+    return pv
+
+
+def assign_value(pv, x, value):
+    """Smallest partial valuation extending pv with pv(x) = value, or FAIL."""
+    if pv.values[x] is not None:
+        raise ValueError(f"point {x} already defined")
+    new = pv.copy()
+    new.values[x] = value
+    new.defined_count += 1
+    return _propagate(new, [x])
+
+
+def valuations_from_hyperplane(g, hyp):
+    """All valuations whose non-maximal-value set is exactly hyp, point
+    by point.
+
+    Seeds value 0 on the complement of hyp, branches undefined points over
+    -1 .. -diameter (lowest-index point first, the order of the int8 row
+    search), normalizes completions to minimum 0 and keeps those whose
+    maximal-value set equals the complement.
+    """
+    if not g.is_connected():
+        raise ValueError("valuations require a connected geometry")
+    depths = range(-1, -g.diameter() - 1, -1)
+    comp = hyp.complement_bits()
+    pv = PartialValuation.empty(g)
+    dirty = []
+    for p in range(g.num_points):
+        if comp >> p & 1:
+            pv.values[p] = 0
+            pv.defined_count += 1
+            dirty.append(p)
+    state = _propagate(pv, dirty)
+    results = []
+    stack = [] if state is FAIL else [state]
+    while stack:
+        pv = stack.pop()
+        if pv.is_complete():
+            shift = min(pv.values)
+            values = tuple(v - shift for v in pv.values)
+            top = max(values)
+            max_set = sum(1 << p for p, v in enumerate(values) if v == top)
+            if max_set == comp:
+                results.append(values)
+            continue
+        x = next(p for p in range(g.num_points) if pv.values[p] is None)
+        for i in depths:
+            nxt = assign_value(pv, x, i)
+            if nxt is not FAIL:
+                stack.append(nxt)
+    out = [Valuation(g, v) for v in sorted(set(results))]
+    for val in out:
+        if not is_valuation(g, val.values):
+            raise RuntimeError(f"completion is not a valuation: "
+                               f"{val.values}")
+        if val.hyperplane().member_bits != hyp.member_bits:
+            raise RuntimeError(f"valuation {val.values} does not have "
+                               f"hyperplane {hyp.member_bits:b}")
+    return out
 
 
 class TestPredicates:
@@ -66,9 +192,11 @@ class TestHyperplaneLink:
 
     def test_valuations_from_hyperplane_roundtrip(self, h21):
         g = h21.geometry
-        for val in all_valuations(g)[:40]:
-            found = valuations_from_hyperplane(g, val.hyperplane())
-            assert val.values in [f.values for f in found]
+        vals = all_valuations(g)[:40]
+        batched = valuations_on_hyperplanes(g, [v.hyperplane() for v in vals])
+        for val, found in zip(vals, batched):
+            assert val in found
+            assert found == valuations_from_hyperplane(g, val.hyperplane())
 
     def test_non_valuation_hyperplane_empty(self, h2):
         # some hyperplane of H(2) carrying no valuation
@@ -76,6 +204,7 @@ class TestHyperplaneLink:
         empty = next(h for h in h2.hyperplanes
                      if h.member_bits not in carrying)
         assert valuations_from_hyperplane(h2.geometry, empty) == []
+        assert valuations_on_hyperplanes(h2.geometry, [empty]) == [[]]
 
 
 class TestPartialValuation:
@@ -124,6 +253,8 @@ class TestEnumeration:
             all_valuations(g)
         with pytest.raises(ValueError, match="connected"):
             valuations_from_hyperplane(g, Hyperplane(6, 0b001001))
+        with pytest.raises(ValueError, match="connected"):
+            valuations_on_hyperplanes(g, [Hyperplane(6, 0b001001)])
 
     def test_empty_geometry_has_no_valuations(self):
         g = from_text("points 0\n")
@@ -279,12 +410,42 @@ def sweep_oracle(g):
                   key=lambda v: v.values)
 
 
+def class_oracle(bundle):
+    """The scalar search on each class representative of a bundle."""
+    return [valuations_from_hyperplane(bundle.geometry, cls.representative)
+            for cls in bundle.hyperplane_classes]
+
+
+def run_optimized(script):
+    """The stdout of script run by python -O with this checkout's src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+EXACT_PROPAGATE_ROWS = valuations._propagate_rows
+
+
+def corrupt_propagate_rows(rows, lines, floor):
+    """_propagate_rows, then the least value of one completed row
+    lowered by 1."""
+    rows, kept = EXACT_PROPAGATE_ROWS(rows, lines, floor)
+    done = np.flatnonzero((rows != valuations.UNDEF).all(axis=1))
+    if done.size:
+        rows[done[0], rows[done[0]].argmin()] -= 1
+    return rows, kept
+
+
 CHAIN = "points 9\n0 1 2\n2 3 4\n4 5 6\n6 7 8\n"
 
-# lowers the least value of one completed row after every propagation
-CORRUPT_H21 = (
+# lowers the least value of one completed row after every propagation;
+# the search of h21 through the call appended below then raises
+CORRUPT = (
     "import numpy as np\n"
-    "from hexval import valuations\n"
+    "from hexval import pipeline, valuations\n"
     "from hexval.constructions import build_hexagon_2_1\n"
     "exact = valuations._propagate_rows\n"
     "def corrupt(rows, lines, floor):\n"
@@ -295,20 +456,24 @@ CORRUPT_H21 = (
     "    return rows, kept\n"
     "valuations._propagate_rows = corrupt\n"
     "try:\n"
-    "    valuations.all_valuations(build_hexagon_2_1())\n"
+    "    {call}\n"
     "except RuntimeError as exc:\n"
     "    print(exc)\n")
+CORRUPT_H21 = CORRUPT.format(
+    call="valuations.all_valuations(build_hexagon_2_1())")
+CORRUPT_H21_CLASSES = CORRUPT.format(
+    call="pipeline.Bundle(build_hexagon_2_1()).class_valuations")
 
 # drops the last valuation of every representative carrying several; on
 # h21 that is the class whose three valuations form one orbit
 LOSSY_H21 = (
     "from hexval import pipeline\n"
     "from hexval.constructions import build_hexagon_2_1\n"
-    "exact = pipeline.valuations_from_hyperplane\n"
-    "def lossy(g, hyp):\n"
-    "    vals = exact(g, hyp)\n"
-    "    return vals[:-1] if len(vals) > 1 else vals\n"
-    "pipeline.valuations_from_hyperplane = lossy\n"
+    "exact = pipeline.valuations_on_hyperplanes\n"
+    "def lossy(g, hyps):\n"
+    "    return [vals[:-1] if len(vals) > 1 else vals\n"
+    "            for vals in exact(g, hyps)]\n"
+    "pipeline.valuations_on_hyperplanes = lossy\n"
     "try:\n"
     "    pipeline.Bundle(build_hexagon_2_1()).valuations\n"
     "except RuntimeError:\n"
@@ -357,25 +522,76 @@ class TestRepresentativeExpansion:
         assert bundle.valuations_per_class == [1, 0, 1, 1, 1, 3]
 
     def test_lost_representative_valuation_raises(self, monkeypatch, h21):
-        exact = valuations_from_hyperplane
+        exact = valuations_on_hyperplanes
 
-        def lossy(g, hyp):
-            vals = exact(g, hyp)
-            return vals[:-1] if len(vals) > 1 else vals
+        def lossy(g, hyps):
+            return [vals[:-1] if len(vals) > 1 else vals
+                    for vals in exact(g, hyps)]
 
-        monkeypatch.setattr(pipeline, "valuations_from_hyperplane", lossy)
+        monkeypatch.setattr(pipeline, "valuations_on_hyperplanes", lossy)
         bundle = pipeline.Bundle(h21.geometry)
         # class 5 (orbit 28) keeps 2 of its 3 valuations: 255 - 28 counted
         with pytest.raises(RuntimeError, match="carry 227 .* hold 255"):
             bundle.valuations
 
     def test_lost_valuation_check_survives_optimize(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", LOSSY_H21], capture_output=True,
-            text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "RuntimeError\n"
+        assert run_optimized(LOSSY_H21) == "RuntimeError\n"
+
+
+class TestClassSearch:
+    """Bundle.class_valuations equals the scalar search on every class
+    representative exactly."""
+
+    @pytest.mark.parametrize("host", ["h2", "h2dual", "h21", "fano",
+                                      "grid3"])
+    def test_matches_scalar_search(self, request, host):
+        bundle = request.getfixturevalue(host)
+        assert bundle.class_valuations == class_oracle(bundle)
+
+    def test_chain_and_relabeled_h21(self, h21):
+        for g in (from_text(CHAIN), relabeled(h21.geometry, seed=11)):
+            bundle = pipeline.Bundle(g)
+            assert bundle.class_valuations == class_oracle(bundle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_hosts())
+    def test_random_hosts(self, g):
+        bundle = pipeline.Bundle(g)
+        assert bundle.class_valuations == class_oracle(bundle)
+
+    def test_block_boundaries(self, monkeypatch, h2):
+        # 25 representatives in blocks of 7: three full and one of 4
+        monkeypatch.setattr(valuations, "_BLOCK_ROWS", 7)
+        bundle = pipeline.Bundle(h2.geometry)
+        assert bundle.class_valuations == class_oracle(h2)
+
+    def test_corrupted_propagation_raises(self, monkeypatch, h21):
+        monkeypatch.setattr(valuations, "_propagate_rows",
+                            corrupt_propagate_rows)
+        with pytest.raises(RuntimeError, match="not a valuation"):
+            pipeline.Bundle(h21.geometry).class_valuations
+
+    def test_corruption_check_survives_optimize(self):
+        assert run_optimized(CORRUPT_H21_CLASSES).startswith(
+            "completion is not a valuation")
+
+    def test_wrong_seed_raises(self, monkeypatch, h21):
+        # each completion credited to the next representative
+        exact = valuations._sweep_block
+
+        def shifted(comp, lines, depth):
+            vals, origin = exact(comp, lines, depth)
+            return vals, (origin + 1) % len(comp)
+
+        monkeypatch.setattr(valuations, "_sweep_block", shifted)
+        with pytest.raises(RuntimeError, match="not have its seed's"):
+            pipeline.Bundle(h21.geometry).class_valuations
+
+    def test_four_point_line_refused(self):
+        # its 4 columns must not be read as the 3 of a line
+        g = from_text("points 4\n0 1 2 3\n")
+        with pytest.raises(GeometryError, match="3-point lines"):
+            valuations_on_hyperplanes(g, [Hyperplane(4, 0b0001)])
 
 
 class TestBatchedSweep:
@@ -416,23 +632,11 @@ class TestBatchedSweep:
             all_valuations(chain(127))
 
     def test_corrupted_propagation_raises(self, monkeypatch, h21):
-        exact = valuations._propagate_rows
-
-        def corrupt(rows, lines, floor):
-            rows, kept = exact(rows, lines, floor)
-            done = np.flatnonzero((rows != valuations.UNDEF).all(axis=1))
-            if done.size:
-                rows[done[0], rows[done[0]].argmin()] -= 1
-            return rows, kept
-
-        monkeypatch.setattr(valuations, "_propagate_rows", corrupt)
+        monkeypatch.setattr(valuations, "_propagate_rows",
+                            corrupt_propagate_rows)
         with pytest.raises(RuntimeError, match="not a valuation"):
             all_valuations(h21.geometry)
 
     def test_corruption_check_survives_optimize(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", CORRUPT_H21], capture_output=True,
-            text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("completion is not a valuation")
+        assert run_optimized(CORRUPT_H21).startswith(
+            "completion is not a valuation")

@@ -4,7 +4,8 @@ Subcommands: build, validate, aut, hyperplanes, valuations, valgeom,
 check, report. Table-producing commands accept ``--format text|json|csv``;
 text and JSON render the same internal report value. Exit codes: 0 all
 checks pass, 1 a check or reproduction mismatch (cell-by-cell diff on
-standard error), 2 usage or I/O error.
+standard error) or a failed internal check (one ``error:`` line), 2
+usage, input or I/O error.
 """
 from __future__ import annotations
 
@@ -480,6 +481,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (GeometryError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a failed internal check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -79,16 +79,6 @@ class BitMatrix:
         rows = tuple(rows)
         return cls(len(rows), cols, rows)
 
-    def mul_vec(self, v: BitVector) -> BitVector:
-        """Matrix-vector product over GF(2)."""
-        if v.length != self.cols:
-            raise ValueError("dimension mismatch")
-        bits = 0
-        for i, row in enumerate(self.row_data):
-            if (row.bits & v.bits).bit_count() & 1:
-                bits |= 1 << i
-        return BitVector(self.rows, bits)
-
 
 def _eliminate(row_bits: List[int], cols: int, col_order: Iterable[int]):
     """Row-reduce in place over the given column order.

@@ -4,22 +4,23 @@ A Bundle owns a geometry and computes its automorphism group, hyperplane
 classification, valuations, valuation-class labels and valuation geometry
 on demand, caching each stage. Valuations come from the hyperplane
 classes: the class representatives seed one batched valuation search
-(``class_valuations``, through ``valuations.valuations_on_hyperplanes``),
-and the automorphism orbits of the valuations found there are all the
-valuations (``valuations``). The two orbit computations check each
-other: the class sizes times the valuations per representative must
-count the expanded set. The per-class counts, labels and isomorphism
-checks read the same representative stage. The full sweep over every
-hyperplane, ``valuations.all_valuations``, runs the same search seeded
-from the whole nullspace; it stays as the public function and as the
-oracle that needs no automorphism group, and never reads
+(``class_valuations``, through ``valuations.valuations_on_hyperplanes``).
+The automorphism orbits of the valuations found there
+(``valuation_orbits``) are the valuation classes: ``valuations`` is
+their union and ``classification`` labels them. The class sizes times
+the valuations per representative must count the expanded set. The
+per-class counts read the representative stage. The full sweep over
+every hyperplane, ``valuations.all_valuations``, runs the same search
+seeded from the whole nullspace; it stays as the public function and as
+the oracle that needs no automorphism group, and never reads
 ``hyperplanes``. The built-in hexagons are cached at module level so CLI
 commands and tests share one computation.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Tuple
 
 from .constructions import build_h2, build_h2_dual, build_hexagon_2_1
 from .geometry import Geometry, find_ovoids
@@ -28,7 +29,7 @@ from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
 from .perm import PermGroup, automorphism_group, orbit_of_function
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
                       line_type_table, restrict)
-from .valuations import (Valuation, ValuationType, classify_valuations,
+from .valuations import (Valuation, ValuationType, _label_orbits,
                          valuations_on_hyperplanes)
 
 BUILTIN_BUILDERS = {
@@ -76,35 +77,46 @@ class Bundle:
             [cls.representative for cls in self.hyperplane_classes])
 
     @cached_property
-    def valuations(self) -> List[Valuation]:
-        """Every valuation, in value-vector order: the union of the
-        automorphism orbits of the class representatives' valuations.
+    def valuation_orbits(self) -> List[List[Tuple[int, ...]]]:
+        """The automorphism orbits of the class representatives'
+        valuations, each a sorted list of value vectors, computed once:
+        a valuation in an orbit found before is skipped.
 
         An automorphism maps the valuations on one hyperplane onto those
         on its image, so each class contributes its orbit size times the
         valuations on its representative; a different count means one of
         the two orbit computations is wrong (RuntimeError).
         """
-        found = set()
-        for vals in self.class_valuations:
+        # class_valuations first: on a disconnected host it fails at
+        # once, before the group search, which is slow on large groups
+        class_vals = self.class_valuations
+        orbits, found = [], set()
+        for vals in class_vals:
             for val in vals:
-                found.update(orbit_of_function(self.aut_group, val.values))
+                if val.values not in found:
+                    orbits.append(orbit_of_function(self.aut_group,
+                                                    val.values))
+                    found.update(orbits[-1])
         total = sum(len(vals) * cls.orbit_size
-                    for vals, cls in zip(self.class_valuations,
-                                         self.hyperplane_classes))
+                    for vals, cls in zip(class_vals, self.hyperplane_classes))
         if total != len(found):
             raise RuntimeError(
                 f"hyperplane classes carry {total} valuations, the orbits "
                 f"of their representatives' valuations hold {len(found)}")
-        return [Valuation(self.geometry, v) for v in sorted(found)]
+        return orbits
+
+    @cached_property
+    def valuations(self) -> List[Valuation]:
+        """Every valuation, in value-vector order: the union of
+        valuation_orbits."""
+        return [Valuation(self.geometry, v) for v in
+                sorted(chain.from_iterable(self.valuation_orbits))]
 
     @cached_property
     def classification(self) -> Tuple[List[ValuationType],
                                       Dict[Tuple[int, ...], str]]:
-        # valuations first: on a disconnected host they fail at once,
-        # before the group search, which is slow on large groups
-        vals = self.valuations
-        return classify_valuations(self.geometry, self.aut_group, vals)
+        """The valuation classes: one per orbit of valuation_orbits."""
+        return _label_orbits(self.geometry, self.valuation_orbits)
 
     @property
     def valuation_types(self) -> List[ValuationType]:
@@ -139,27 +151,9 @@ class Bundle:
 
     def class_valuations_isomorphic(self, class_index: int) -> bool:
         """Whether all valuations on one representative hyperplane lie in
-        a single automorphism orbit.
-
-        classify_valuations checks that each label is one orbit, except
-        that every valuation of maximum 1 is labelled C; a hyperplane
-        carries at most one of those, so on one hyperplane the labels
-        tell the orbits apart.
-        """
+        a single automorphism orbit, that is, carry one class label."""
         vals = self.class_valuations[class_index]
         return len({self.type_labels[v.values] for v in vals}) <= 1
-
-    def valuation_class_labels_per_hyperplane_class(self) -> List[Optional[str]]:
-        """For each hyperplane class, the valuation-type label of the
-        valuations it carries (None if it carries none)."""
-        labels: List[Optional[str]] = []
-        for idx, vals in enumerate(self.class_valuations):
-            found = {self.type_labels[v.values] for v in vals}
-            if len(found) > 1:
-                raise RuntimeError(f"hyperplane class {idx} carries "
-                                   f"valuations of types {sorted(found)}")
-            labels.append(found.pop() if found else None)
-        return labels
 
 
 _BUNDLES: Dict[str, Bundle] = {}

@@ -358,65 +358,68 @@ def valuation_stats(val: Valuation, width: Optional[int] = None) -> ValuationSta
         distribution=tuple(dist))
 
 
+def _label_orbits(g: Geometry, orbits: Sequence[List[Tuple[int, ...]]]
+                  ) -> Tuple[List[ValuationType], Dict[Tuple[int, ...], str]]:
+    """Label valuation orbits, each a sorted list of value vectors, as
+    isomorphism classes.
+
+    Orbits are ordered by maximum value (descending), zero-set size,
+    hyperplane size and value distribution, then by orbit size and
+    smallest value vector, which only break ties the statistics leave.
+    The orbit of the classical valuation at point 0 is A; orbits of
+    maximum value 1 (ovoidal) are C, or C1, C2, ... when there are
+    several; the rest are B (B1, B2, ... when there are several) on
+    hosts with an ovoidal orbit, and B, C, D, ... in order otherwise.
+    """
+    if not orbits:
+        return [], {}
+    classical = classical_valuation(g, 0).values
+    stats = [valuation_stats(Valuation(g, orbit[0])) for orbit in orbits]
+    order = sorted(range(len(orbits)), key=lambda i: (
+        -stats[i].max_value, len(stats[i].zero_set),
+        stats[i].hyperplane_size, stats[i].distribution,
+        len(orbits[i]), orbits[i][0]))
+    classical_at = next((i for i in order if classical in orbits[i]), None)
+    ovoidal = [i for i in order if stats[i].max_value == 1]
+    middle = [i for i in order
+              if i != classical_at and stats[i].max_value != 1]
+    labels = {classical_at: "A"}
+    if ovoidal:
+        for group, letter in ((ovoidal, "C"), (middle, "B")):
+            labels.update((i, letter if len(group) == 1 else
+                           f"{letter}{k + 1}") for k, i in enumerate(group))
+    else:
+        labels.update((i, chr(ord("B") + k)) for k, i in enumerate(middle))
+    types = [ValuationType(label=labels[i], class_size=len(orbits[i]),
+                           stats=stats[i]) for i in order]
+    point_labels = {values: labels[i] for i in order
+                    for values in orbits[i]}
+    return types, point_labels
+
+
 def classify_valuations(g: Geometry, group: PermGroup,
                         vals: Optional[List[Valuation]] = None
                         ) -> Tuple[List[ValuationType], Dict[Tuple[int, ...], str]]:
-    """Partition valuations into isomorphism classes and label them.
+    """Partition valuations (all of g's by default) into automorphism
+    orbits and label each orbit as one isomorphism class (see
+    _label_orbits: A classical, B / B1.. intermediate, C / C1..
+    ovoidal).
 
-    Classification keys on the value distribution, then verifies that each
-    distribution class is a single automorphism orbit (aborts otherwise).
-    Labels follow the classical/intermediate/ovoidal convention: the class
-    of classical valuations is A, ovoidal classes (max value 1) are C, and
-    everything in between gets B (with subscripts B1, B2, ... when there
-    are several, ordered by zero-set size then hyperplane size).
+    Each orbit is computed once, from its first member in vals; an orbit
+    that leaves the given valuations means the set is not closed under
+    the group (RuntimeError).
     """
     if vals is None:
         vals = all_valuations(g)
-    if not vals:
-        return [], {}
-    by_dist: Dict[Tuple[int, ...], List[Valuation]] = {}
+    # the orbits hold the given value tuples, not the orbit search's copies
+    remaining = {val.values: val.values for val in vals}
+    orbits = []
     for val in vals:
-        by_dist.setdefault(valuation_stats(val).distribution, []).append(val)
-    for dist, members in by_dist.items():
-        orbit = orbit_of_function(group, members[0].values)
-        if sorted(v.values for v in members) != orbit:
-            raise RuntimeError(
-                f"distribution {dist} does not form a single orbit")
-    classical_dist = valuation_stats(classical_valuation(g, 0)).distribution
-
-    def sort_key(item):
-        dist, members = item
-        st = valuation_stats(members[0])
-        return (-st.max_value, len(st.zero_set), st.hyperplane_size, dist)
-
-    ordered = sorted(by_dist.items(), key=sort_key)
-    middle = [d for d, _ in ordered
-              if d != classical_dist
-              and valuation_stats(by_dist[d][0]).max_value > 1]
-    labels: Dict[Tuple[int, ...], str] = {}
-    next_plain = 0
-    has_ovoidal = any(valuation_stats(m[0]).max_value == 1
-                      for m in by_dist.values())
-    for dist, members in ordered:
-        st = valuation_stats(members[0])
-        if dist == classical_dist:
-            labels[dist] = "A"
-        elif st.max_value == 1:
-            labels[dist] = "C"
-        elif has_ovoidal:
-            if len(middle) == 1:
-                labels[dist] = "B"
-            else:
-                labels[dist] = f"B{middle.index(dist) + 1}"
-        else:
-            labels[dist] = chr(ord("B") + next_plain)
-            next_plain += 1
-    types = []
-    for dist, members in ordered:
-        types.append(ValuationType(
-            label=labels[dist],
-            class_size=len(members),
-            stats=valuation_stats(members[0])))
-    point_labels = {val.values: labels[valuation_stats(val).distribution]
-                    for val in vals}
-    return types, point_labels
+        if val.values in remaining:
+            try:
+                orbits.append([remaining.pop(values) for values in
+                               orbit_of_function(group, val.values)])
+            except KeyError:
+                raise RuntimeError(f"the automorphism orbit of {val.values} "
+                                   f"leaves the given valuations") from None
+    return _label_orbits(g, orbits)

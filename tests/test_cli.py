@@ -1,4 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes."""
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -6,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hexval import pipeline
 from hexval.cli import run
-from hexval.geometry import from_text
+from hexval.geometry import Geometry, from_text, to_text
 from hexval.valgeom import ValuationGeometry, check_lemma_3_1
 
 
@@ -233,6 +238,20 @@ class TestErrors:
         assert err.splitlines() == (["check failed: grids16"]
                                     if code else [])
 
+    def test_failed_internal_check_exits_1(self, capsys, monkeypatch,
+                                           tmp_path, h21):
+        def broken(vg):
+            raise RuntimeError("line counts not constant on point type C")
+
+        monkeypatch.setattr(pipeline, "line_type_table", broken)
+        path = tmp_path / "h21.geom"
+        path.write_text(to_text(h21.geometry))
+        code, out, err = invoke(capsys, "valgeom", "--in", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: line counts not constant on point type C"]
+
     def test_check_precondition_survives_optimize(self):
         # the restriction of h21 has valuations with several zero points;
         # the precondition must hold under -O, which strips asserts
@@ -261,3 +280,47 @@ class TestOptimized:
             capture_output=True, env=env, timeout=600)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == golden
+
+
+@st.composite
+def partial_linear_spaces(draw):
+    """Partial linear spaces with 3-point lines on at most 12 points,
+    connected or not, every point on a line; lines sharing a pair with an
+    earlier line are dropped."""
+    n = draw(st.integers(3, 12))
+    triples = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
+                                    max_size=3), max_size=16))
+    lines, pairs = [], set()
+    for t in triples:
+        line = tuple(sorted(t))
+        new_pairs = set(itertools.combinations(line, 2))
+        if not new_pairs & pairs:
+            pairs |= new_pairs
+            lines.append(line)
+    used = sorted({p for line in lines for p in line})
+    index = {p: i for i, p in enumerate(used)}
+    return Geometry(len(used), [[index[p] for p in line] for line in lines])
+
+
+# each subcommand with the exit codes it may give: only validate and
+# check report a failed check (1), so a 1 elsewhere is an internal fault
+SUBCOMMANDS = [(["validate"], (0, 1)), (["aut"], (0, 2)),
+               (["hyperplanes", "--classes"], (0, 2)),
+               (["valuations", "--format", "json"], (0, 2)),
+               (["valgeom"], (0, 2)), (["check"], (0, 1, 2))]
+
+
+class TestRandomHosts:
+    @settings(max_examples=100, deadline=None)
+    @example(from_text("points 8\n1 2 6\n1 3 5\n3 4 7\n0 3 6\n"))
+    @given(partial_linear_spaces())
+    def test_every_subcommand_exits_cleanly(self, tmp_path_factory, g):
+        # every input ends in a result or an error line, never a traceback
+        path = tmp_path_factory.mktemp("host") / "host.geom"
+        path.write_text(to_text(g))
+        for argv, codes in SUBCOMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = run([argv[0], "--in", str(path)] + argv[1:])
+            assert code in codes, (argv, err.getvalue())

@@ -342,11 +342,11 @@ class TestPerHyperplaneClass:
 
     def test_double_valuation_class_labels(self, h2, h2dual):
         for bundle, expected in ((h2, "B4"), (h2dual, "B")):
-            labels = bundle.valuation_class_labels_per_hyperplane_class()
             idx = [i for i, n in enumerate(bundle.valuations_per_class)
                    if n == 2]
             assert len(idx) == 1
-            assert labels[idx[0]] == expected
+            assert {bundle.type_labels[v.values]
+                    for v in bundle.class_valuations[idx[0]]} == {expected}
             assert bundle.class_valuations_isomorphic(idx[0])
 
     def test_isomorphic_matches_orbit_oracle(self, h2, h2dual, h21):
@@ -640,3 +640,99 @@ class TestBatchedSweep:
     def test_corruption_check_survives_optimize(self):
         assert run_optimized(CORRUPT_H21).startswith(
             "completion is not a valuation")
+
+
+# the host whose distributions are shared by several orbits, and which
+# has three orbits of maximum value 1
+EXAMPLE_HOST = "points 8\n1 2 6\n1 3 5\n3 4 7\n0 3 6\n"
+
+# h21's valuations without the last one, which the orbit of another
+# valuation reaches
+OPEN_SET_H21 = (
+    "from hexval.constructions import build_hexagon_2_1\n"
+    "from hexval.perm import automorphism_group\n"
+    "from hexval.valuations import all_valuations, classify_valuations\n"
+    "g = build_hexagon_2_1()\n"
+    "try:\n"
+    "    classify_valuations(g, automorphism_group(g),\n"
+    "                        all_valuations(g)[:-1])\n"
+    "except RuntimeError as exc:\n"
+    "    print(exc)\n")
+
+
+def assert_labels_are_orbits(bundle):
+    """Each label's members are exactly one automorphism orbit, every
+    valuation has a label, and the line table is constant on labels."""
+    members = {}
+    for values, label in bundle.type_labels.items():
+        members.setdefault(label, []).append(values)
+    for label, vals in members.items():
+        assert sorted(vals) == orbit_of_function(bundle.aut_group, vals[0])
+    assert sorted(members) == sorted(t.label for t in bundle.valuation_types)
+    assert sorted(bundle.type_labels) == [v.values for v in bundle.valuations]
+    assert bundle.line_table is not None
+
+
+class OrbitCounter:
+    """orbit_of_function, counting its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        for module in (pipeline, valuations):
+            monkeypatch.setattr(module, "orbit_of_function", self)
+
+    def __call__(self, group, values):
+        self.calls += 1
+        return orbit_of_function(group, values)
+
+
+class TestOrbitLabels:
+    """Valuation classes are the orbits Bundle.valuations expands."""
+
+    def test_example_host(self):
+        bundle = pipeline.Bundle(from_text(EXAMPLE_HOST))
+        assert_labels_are_orbits(bundle)
+        labels = [t.label for t in bundle.valuation_types]
+        assert sorted(labels) == ["A", "B1", "B2", "B3", "B4", "B5", "B6",
+                                  "C1", "C2", "C3"]
+        # B2 and B3 share every statistic but are two orbits
+        b2, b3 = bundle.valuation_types[2:4]
+        assert (b2.label, b3.label) == ("B2", "B3")
+        assert b2.stats.distribution == b3.stats.distribution
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_hosts())
+    def test_random_hosts(self, g):
+        assert_labels_are_orbits(pipeline.Bundle(g))
+
+    def test_one_orbit_call_per_orbit(self, monkeypatch, h21):
+        counter = OrbitCounter(monkeypatch)
+        bundle = pipeline.Bundle(h21.geometry)
+        bundle.valuations
+        # 7 representative valuations in 5 orbits
+        assert sum(bundle.valuations_per_class) == 7
+        assert counter.calls == len(bundle.valuation_orbits) == 5
+        bundle.classification
+        assert counter.calls == 5
+
+    @pytest.mark.parametrize("host", ["h2", "h2dual", "h21"])
+    def test_public_classification_matches_bundle(self, request, host):
+        bundle = request.getfixturevalue(host)
+        assert classify_valuations(bundle.geometry, bundle.aut_group,
+                                   bundle.valuations) == bundle.classification
+
+    def test_public_classification_relabeled(self, h21):
+        for g in (relabeled(h21.geometry, seed=5),
+                  relabeled(from_text(EXAMPLE_HOST), seed=3)):
+            bundle = pipeline.Bundle(g)
+            assert classify_valuations(g, automorphism_group(g),
+                                       all_valuations(g)) \
+                == bundle.classification
+
+    def test_open_set_raises(self, h21):
+        with pytest.raises(RuntimeError, match="leaves the given"):
+            classify_valuations(h21.geometry, h21.aut_group,
+                                h21.valuations[:-1])
+
+    def test_open_set_check_survives_optimize(self):
+        assert "leaves the given valuations" in run_optimized(OPEN_SET_H21)

@@ -22,14 +22,17 @@ f1, f2, f3 = vg.vpoints[i], vg.vpoints[j], vg.vpoints[k]
 print("star closed:", star(f1, f2).values == f3.values
       and star(f1, f3).values == f2.values)
 
-# line types are sorted strings of the point-type labels; the number of
-# lines of each type through a point is constant on each point type
+# line types are sorted strings of the point-type labels; the table
+# counts the lines through one valuation of each point type, and a double
+# count checks it: for each line type, |P| x (lines through a P-point) /
+# (multiplicity of P on the line) is the same number for every point type P
 print("\nlines per point, by type:")
 for ltype, counts in bundle.line_table.items():
     print(f"  {ltype:4s} {counts}")
 
 # restricting to Type-C points and CCC lines gives a 252-point geometry
-# with 8 lines per point
+# with 8 lines per point; it is the valuation geometry of the type-C
+# valuations alone
 vprime = bundle.vprime()
 print("\nType-C/CCC restriction:", len(vprime.vpoints), "points,",
       len(vprime.vlines), "lines")

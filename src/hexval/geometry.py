@@ -302,10 +302,6 @@ def enumerate_grids(g: Geometry) -> List[Grid]:
     return [found[k] for k in sorted(found, key=sorted)]
 
 
-def grids_through_point(grids: List[Grid], p: int) -> List[Grid]:
-    return [gr for gr in grids if p in gr.points()]
-
-
 # -- ovoids --------------------------------------------------------------
 
 

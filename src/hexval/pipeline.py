@@ -13,8 +13,12 @@ per-class counts read the representative stage. The full sweep over
 every hyperplane, ``valuations.all_valuations``, runs the same search
 seeded from the whole nullspace; it stays as the public function and as
 the oracle that needs no automorphism group, and never reads
-``hyperplanes``. The built-in hexagons are cached at module level so CLI
-commands and tests share one computation.
+``hyperplanes``. The line table is read off the lines through the first
+valuation of each orbit (``valgeom.class_line_table``), and the Lemma
+3.1 input ``vprime()`` is the valuation geometry of the type-C
+valuations alone, so the report never builds the full
+``valuation_geometry``. The built-in hexagons are cached at module level
+so CLI commands and tests share one computation.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
                           enumerate_hyperplanes, hyperplane_count)
 from .perm import PermGroup, automorphism_group, orbit_of_function
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
-                      line_type_table, restrict)
+                      class_line_table)
 from .valuations import (Valuation, ValuationType, _label_orbits,
                          valuations_on_hyperplanes)
 
@@ -128,19 +132,30 @@ class Bundle:
 
     @cached_property
     def valuation_geometry(self) -> ValuationGeometry:
+        """The full valuation geometry; no other stage reads it."""
         return build_valuation_geometry(self.geometry, self.valuations,
                                         self.type_labels)
 
     @cached_property
     def line_table(self) -> Dict[str, Dict[str, int]]:
-        return line_type_table(self.valuation_geometry)
+        """Lines of each type through a point of each valuation class,
+        from the lines through one valuation per orbit."""
+        return class_line_table(self.geometry, self.valuations,
+                                [orbit[0] for orbit in self.valuation_orbits],
+                                self.type_labels)
 
     @cached_property
     def ovoids(self) -> List[Tuple[int, ...]]:
         return find_ovoids(self.geometry)
 
-    def vprime(self, point_types=("C",), line_types=("CCC",)):
-        return restrict(self.valuation_geometry, point_types, line_types)
+    def vprime(self) -> ValuationGeometry:
+        """The Type-C/CCC restriction of the valuation geometry, built on
+        the type-C valuations alone: a line with all three points of type
+        C is exactly a CCC line."""
+        return build_valuation_geometry(
+            self.geometry,
+            [v for v in self.valuations if self.type_labels[v.values] == "C"],
+            self.type_labels)
 
     # -- valuations per hyperplane class ---------------------------------
 

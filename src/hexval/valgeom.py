@@ -12,6 +12,12 @@ matrix, whether two rows are neighboring follows from the minimum and
 maximum of their difference, and star is an elementwise identity on two
 rows. Rows are processed in blocks sized from a fixed element budget, so
 the memory held stays bounded however many valuations there are.
+
+The report needs neither all pairs nor all lines. `class_line_table`
+scans one representative row per point type against every row with the
+same kernel, and checks the counts it reads off by double counting. The
+Lemma 3.1 input is `build_valuation_geometry` on the type-C rows alone.
+The full build stays as the public function and the tests' oracle.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Geometry, enumerate_grids, grids_through_point
+from .geometry import Geometry, enumerate_grids
 from .valuations import Valuation
 
 EQUAL = "equal"
@@ -171,27 +177,38 @@ def _row_matrix(g: Geometry, vals: Sequence[Valuation],
     return vmat
 
 
-def _neighbor_stars(vmat: np.ndarray, line_index: List[np.ndarray]):
-    """Every neighboring pair i < j of rows with its star row, scanned in
-    row blocks against all later rows. Yields (i, j, star rows) per
-    block."""
+def _epsilon_interval(diff: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The bounds [lower, upper] of the epsilons in {-1, 0, 1} with
+    |d + eps| <= 1 for every difference d along axis 0 of diff; a pair is
+    neighboring when lower <= upper."""
+    return (np.maximum(-1, -1 - diff.min(axis=0)),
+            np.minimum(1, 1 - diff.max(axis=0)))
+
+
+def _neighbor_stars(vmat: np.ndarray, line_index: List[np.ndarray],
+                    rows: Optional[np.ndarray] = None):
+    """Every neighboring pair (i, j) of distinct rows with its star row,
+    scanned in row blocks: each row i against every later row j, or, when
+    the sorted row indices rows are given, each of those rows against
+    every other row. Yields (i, j, star rows) per block."""
     n, num_points = vmat.shape
+    later = rows is None
+    if later:
+        rows = np.arange(n)
     # points first: min and max over points then combine whole
     # [rows, partners] slabs instead of reducing many short rows
     cols = np.ascontiguousarray(vmat.T)
     block = max(1, _BLOCK_ELEMENTS // max(1, n * num_points))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = np.subtract(cols[:, start:stop, None],
-                           cols[:, None, start + 1:], dtype=np.int16)
-        # epsilons in {-1, 0, 1} with |V[i] - V[j] + eps| <= 1 everywhere
-        lower = np.maximum(-1, -1 - diff.min(axis=0))
-        upper = np.minimum(1, 1 - diff.max(axis=0))
-        # offset c is row start + 1 + c; keep partners after row start + r
+    for start in range(0, len(rows), block):
+        mine = rows[start:start + block]
+        # partner c is row first + c
+        first = mine[0] + 1 if later else 0
+        lower, upper = _epsilon_interval(np.subtract(
+            cols[:, mine, None], cols[:, None, first:], dtype=np.int16))
         r, c = np.nonzero(lower <= upper)
-        later = c >= r
-        r, c = r[later], c[later]
-        i, j = start + r, start + 1 + c
+        i, j = mine[r], first + c
+        keep = j > i if later else j != i
+        r, c, i, j = r[keep], c[keep], i[keep], j[keep]
         several = np.flatnonzero(upper[r, c] > lower[r, c])
         if several.size:
             t = several[0]
@@ -205,6 +222,26 @@ def _neighbor_stars(vmat: np.ndarray, line_index: List[np.ndarray]):
             raise RuntimeError(f"star of valuations {i[t]} and {j[t]} is "
                                f"not a valuation: {tuple(stars[t].tolist())}")
         yield i, j, stars
+
+
+def _indexed_rows(g: Geometry, vals: Sequence[Valuation]):
+    """The valuations in value-vector order, the host's line index, their
+    checked int8 row matrix and {row bytes: row}; duplicates raise
+    ValueError."""
+    vals = sorted(vals, key=lambda v: v.values)
+    line_index = _line_index(g)
+    vmat = _row_matrix(g, vals, line_index)
+    index = {vmat[k].tobytes(): k for k in range(len(vals))}
+    if len(index) != len(vals):
+        raise ValueError("duplicate valuations")
+    return vals, line_index, vmat, index
+
+
+def _row_positions(index: Dict[bytes, int], stars: np.ndarray) -> np.ndarray:
+    """The row holding each star row, or -1 where none does."""
+    raw, width = stars.tobytes(), stars.shape[1]
+    return np.array([index.get(raw[t * width:(t + 1) * width], -1)
+                     for t in range(len(stars))], dtype=np.int64)
 
 
 def _star_closed_lines(keys: np.ndarray, n: int) -> np.ndarray:
@@ -251,18 +288,11 @@ def build_valuation_geometry(g: Geometry, vals: Sequence[Valuation],
     check raises RuntimeError. Block sizes come from a fixed element
     budget, so no n x n x points array is held.
     """
-    vals = sorted(vals, key=lambda v: v.values)
-    n, num_points = len(vals), g.num_points
-    line_index = _line_index(g)
-    vmat = _row_matrix(g, vals, line_index)
-    index = {vmat[k].tobytes(): k for k in range(n)}
-    if len(index) != n:
-        raise ValueError("duplicate valuations")
+    vals, line_index, vmat, index = _indexed_rows(g, vals)
+    n = len(vals)
     keys = [np.zeros(0, dtype=np.int64)]
     for i, j, stars in _neighbor_stars(vmat, line_index):
-        raw = stars.tobytes()
-        k = np.array([index.get(raw[t * num_points:(t + 1) * num_points], -1)
-                      for t in range(len(stars))], dtype=np.int64)
+        k = _row_positions(index, stars)
         present = k >= 0
         triple = np.sort(np.stack([i[present], j[present], k[present]]),
                          axis=0)
@@ -301,6 +331,114 @@ def line_type_table(vg: ValuationGeometry) -> Dict[str, Dict[str, int]]:
                     f"{per_point[i]}")
         for ltype, cnt in counts.items():
             table.setdefault(ltype, {})[ptype] = cnt
+    return dict(sorted(table.items()))
+
+
+def _check_double_count(table: Dict[str, Dict[str, int]],
+                        sizes: Dict[str, int],
+                        members: Dict[str, List[str]]) -> None:
+    """Count the lines of each type once per point type on it: with
+    multiplicity m of point type P among a line type's members,
+    |P| x (lines of that type through a P-point) / m must be one and the
+    same integer for every P on the line type (RuntimeError otherwise)."""
+    for ltype, labels in sorted(members.items()):
+        totals = {}
+        for ptype in sorted(set(labels)):
+            total, rest = divmod(sizes[ptype] * table[ltype].get(ptype, 0),
+                                 labels.count(ptype))
+            if rest:
+                raise RuntimeError(
+                    f"double count of line type {ltype} fails: "
+                    f"{sizes[ptype]} points of type {ptype} on "
+                    f"{table[ltype].get(ptype, 0)} lines each is not a "
+                    f"multiple of {labels.count(ptype)}")
+            totals[ptype] = total
+        if len(set(totals.values())) != 1:
+            raise RuntimeError(f"double count of line type {ltype} fails: "
+                               f"lines counted by point type {totals}")
+
+
+def class_line_table(g: Geometry, vals: Sequence[Valuation],
+                     representatives: Sequence[Tuple[int, ...]],
+                     type_labels: Dict[Tuple[int, ...], str]
+                     ) -> Dict[str, Dict[str, int]]:
+    """line_type_table(build_valuation_geometry(g, vals, type_labels)),
+    read off the lines through one valuation per point type.
+
+    representatives holds one value vector of each label that vals carry.
+    The counts through a representative stand for its whole point type,
+    which holds when the labels are orbits of a group of automorphisms of
+    the valuation geometry, as the automorphism orbits of `Bundle` are.
+    The rows are checked as in build_valuation_geometry, and each
+    representative row r is scanned against every other row with the same
+    kernel (more than one epsilon raises ValueError). A line {r, j, k} is
+    found from j, as star(r, j) = k, and from k; it must be found exactly
+    twice, and star(j, k) = r is checked on every line found. Then the
+    double count (_check_double_count) compares the counts of each line
+    type across its point types. A failed check raises RuntimeError.
+    """
+    vals, line_index, vmat, index = _indexed_rows(g, vals)
+    point_types = [type_labels[v.values] for v in vals]
+    position = {v.values: k for k, v in enumerate(vals)}
+    missing = [r for r in representatives if tuple(r) not in position]
+    if missing:
+        raise ValueError(f"representative is not among the valuations: "
+                         f"{tuple(missing[0])}")
+    reps = sorted(position[tuple(r)] for r in representatives)
+    if sorted(point_types[r] for r in reps) != sorted(set(point_types)):
+        raise ValueError("the representatives must carry each point type "
+                         "of the valuations exactly once")
+    if not reps:
+        return {}
+    found = [np.zeros((3, 0), dtype=np.int64)]
+    for i, j, stars in _neighbor_stars(vmat, line_index,
+                                       np.array(reps, dtype=np.intp)):
+        k = _row_positions(index, stars)
+        present = k >= 0
+        found.append(np.stack([i[present], j[present], k[present]]))
+    r, j, k = np.concatenate(found, axis=1)
+    repeated = np.flatnonzero((k == r) | (k == j))
+    if repeated.size:
+        t = repeated[0]
+        raise RuntimeError(f"line {(int(r[t]), int(j[t]), int(k[t]))} "
+                           f"repeats a member")
+    lines, counts = np.unique(
+        np.stack([r, np.minimum(j, k), np.maximum(j, k)], axis=1),
+        axis=0, return_counts=True)
+    short = np.flatnonzero(counts != 2)
+    if short.size:
+        t = short[0]
+        raise RuntimeError(f"line {tuple(lines[t].tolist())} through "
+                           f"representative {lines[t, 0]} is not found "
+                           f"twice, once from each other member, but "
+                           f"{counts[t]} times")
+    r, j, k = lines.T
+    lower, upper = _epsilon_interval(
+        np.subtract(vmat[j], vmat[k], dtype=np.int16).T)
+    wrong = np.flatnonzero(lower != upper)
+    if not wrong.size:
+        stars = _star_rows(vmat[j], vmat[k], lower)
+        wrong = np.flatnonzero((stars != vmat[r]).any(axis=1))
+    if wrong.size:
+        t = wrong[0]
+        raise RuntimeError(f"line {tuple(lines[t].tolist())}: valuations "
+                           f"{j[t]} and {k[t]} do not star to "
+                           f"representative {r[t]}")
+    through: Dict[int, Dict[str, int]] = {rep: {} for rep in reps}
+    members: Dict[str, List[str]] = {}
+    for line in lines.tolist():
+        labels = sorted(point_types[x] for x in line)
+        ltype = "".join(labels)
+        members[ltype] = labels
+        through[line[0]][ltype] = through[line[0]].get(ltype, 0) + 1
+    table: Dict[str, Dict[str, int]] = {}
+    for rep in sorted(reps, key=lambda x: point_types[x]):
+        for ltype, cnt in through[rep].items():
+            table.setdefault(ltype, {})[point_types[rep]] = cnt
+    sizes: Dict[str, int] = {}
+    for ptype in point_types:
+        sizes[ptype] = sizes.get(ptype, 0) + 1
+    _check_double_count(table, sizes, members)
     return dict(sorted(table.items()))
 
 
@@ -371,9 +509,10 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     geo = vprime.as_geometry()
     witness = None
     connected = geo.is_connected()
+    zero_sets = [v.zero_set() for v in vprime.vpoints]
 
     def zero_point(i: int) -> int:
-        zeros = vprime.vpoints[i].zero_set()
+        zeros = zero_sets[i]
         if len(zeros) != 1:
             raise ValueError(f"Lemma 3.1 needs one zero point per valuation; "
                              f"point {i} of the restriction has {len(zeros)}")
@@ -390,9 +529,11 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
                     witness = witness or ("collinear", a, b)
     grids = enumerate_grids(geo)
     grid_ok = True
+    grids_through = [0] * geo.num_points
     for grid in grids:
         pts = sorted(grid.points())
         for a in pts:
+            grids_through[a] += 1
             for b in pts:
                 if b <= a or geo.dist[a][b] != 2:
                     continue
@@ -401,8 +542,7 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
                     witness = witness or ("grid", a, b)
     # Grids rooted at a point: a grid on p is completed once from each of
     # its four opposite corners, so 4 completions per distinct grid.
-    completions = [4 * len(grids_through_point(grids, p))
-                   for p in range(geo.num_points)]
+    completions = [4 * count for count in grids_through]
     counts_ok = bool(completions) and all(c == 16 for c in completions)
     tri = _has_triangle(geo)
     return LemmaReport(

@@ -240,10 +240,10 @@ class TestErrors:
 
     def test_failed_internal_check_exits_1(self, capsys, monkeypatch,
                                            tmp_path, h21):
-        def broken(vg):
+        def broken(*args):
             raise RuntimeError("line counts not constant on point type C")
 
-        monkeypatch.setattr(pipeline, "line_type_table", broken)
+        monkeypatch.setattr(pipeline, "class_line_table", broken)
         path = tmp_path / "h21.geom"
         path.write_text(to_text(h21.geometry))
         code, out, err = invoke(capsys, "valgeom", "--in", str(path))

@@ -8,17 +8,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from hexval import reference
+from hexval import cli, pipeline, reference, valgeom
 from hexval.constructions import grid_3x3
-from hexval.geometry import Geometry, dual
+from hexval.geometry import Geometry, dual, from_text
 from hexval.perm import are_isomorphic, automorphism_group
-from hexval.valgeom import (EQUAL, ValuationGeometry, _star_closed_lines,
-                            are_neighboring, build_valuation_geometry,
-                            check_lemma_3_1, line_type_table, restrict,
+from hexval.valgeom import (EQUAL, ValuationGeometry, _check_double_count,
+                            _star_closed_lines, are_neighboring,
+                            build_valuation_geometry, check_lemma_3_1,
+                            class_line_table, line_type_table, restrict,
                             star)
 from hexval.valuations import (Valuation, brute_force_valuations,
                                classical_valuation, classify_valuations)
+from test_valuations import (EXAMPLE_HOST, connected_hosts, relabeled,
+                             run_optimized)
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS.parent / "perfbench" / "golden" / "report_all.json"
 
 
 def extract_subgeometry(vg, point_types, line_types):
@@ -210,6 +217,9 @@ class TestVectorisedBuild:
         f2 = Valuation(g, (0, 1, 1, 1, 2, 2))
         with pytest.raises(ValueError, match="more than one epsilon"):
             build_valuation_geometry(g, [f1, f2])
+        with pytest.raises(ValueError, match="more than one epsilon"):
+            class_line_table(g, [f1, f2], [f1.values],
+                             {f1.values: "A", f2.values: "A"})
         with pytest.raises(ValueError, match="not unique"):
             are_neighboring(f1, f2)
 
@@ -269,7 +279,204 @@ class TestLineTypeTable:
                 assert len(totals) == 1
 
 
+def full_line_table(bundle):
+    """Oracle: the line table of the full valuation geometry, with its
+    per-point constancy check."""
+    return line_type_table(build_valuation_geometry(
+        bundle.geometry, bundle.valuations, bundle.type_labels))
+
+
+def representative_tables(bundle):
+    """class_line_table from the first and from the last valuation of
+    each orbit."""
+    return [class_line_table(bundle.geometry, bundle.valuations,
+                             [orbit[pick] for orbit in
+                              bundle.valuation_orbits],
+                             bundle.type_labels)
+            for pick in (0, -1)]
+
+
+# Each mutant replaces one valgeom function by a faulty version; the
+# checks of class_line_table must then raise RuntimeError.
+EXACT_NEIGHBOR_STARS = valgeom._neighbor_stars
+EXACT_STAR_ROWS = valgeom._star_rows
+EXACT_DOUBLE_COUNT = valgeom._check_double_count
+
+
+def drop_line_partner(vmat, line_index, rows=None):
+    """_neighbor_stars without the first pair whose star is a row, so one
+    line is found from only one of its other points."""
+    present = {row.tobytes() for row in vmat}
+    dropped = False
+    for i, j, stars in EXACT_NEIGHBOR_STARS(vmat, line_index, rows):
+        keep = np.ones(len(i), dtype=bool)
+        on_line = [t for t in range(len(i)) if stars[t].tobytes() in present]
+        if on_line and not dropped:
+            keep[on_line[0]] = False
+            dropped = True
+        yield i[keep], j[keep], stars[keep]
+
+
+def corrupt_line_star(first, second, eps):
+    """_star_rows, with one value of the first star raised when
+    class_line_table recomputes star(j, k) on its lines."""
+    stars = EXACT_STAR_ROWS(first, second, eps)
+    if sys._getframe(1).f_code.co_name == "class_line_table" and len(stars):
+        stars[0, 0] += 1
+    return stars
+
+
+def miscount(table, sizes, members):
+    """_check_double_count on the table with one count of a line type of
+    two point types raised by 1."""
+    ltype = next(t for t in sorted(table) if len(table[t]) > 1)
+    ptype = sorted(table[ltype])[0]
+    table[ltype][ptype] += 1
+    return EXACT_DOUBLE_COUNT(table, sizes, members)
+
+
+def run_mutant_optimized(target, mutant):
+    """What h21's line table raises under python -O with valgeom.<target>
+    replaced by the mutant of this module."""
+    return run_optimized(
+        f"import sys\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"
+        f"import test_valgeom\n"
+        f"from hexval import pipeline, valgeom\n"
+        f"from hexval.constructions import build_hexagon_2_1\n"
+        f"valgeom.{target} = test_valgeom.{mutant}\n"
+        f"try:\n"
+        f"    pipeline.Bundle(build_hexagon_2_1()).line_table\n"
+        f"except RuntimeError as exc:\n"
+        f"    print(exc)\n")
+
+
+class TestClassLineTable:
+    """class_line_table from representatives equals the line table of the
+    full build, whose per-point constancy check it replaces."""
+
+    @pytest.mark.parametrize("host", ["h2", "h2dual", "h21"])
+    def test_matches_full_build(self, request, host):
+        bundle = request.getfixturevalue(host)
+        expected = line_type_table(bundle.valuation_geometry)
+        assert representative_tables(bundle) == [expected, expected]
+        assert bundle.line_table == expected
+
+    def test_relabeled_hosts(self, h21):
+        for g in (relabeled(h21.geometry, seed=5),
+                  relabeled(from_text(EXAMPLE_HOST), seed=3)):
+            bundle = pipeline.Bundle(g)
+            expected = full_line_table(bundle)
+            assert representative_tables(bundle) == [expected, expected]
+
+    def test_several_max_one_orbits(self):
+        # the C1, C2, C3 points of the example host
+        bundle = pipeline.Bundle(from_text(EXAMPLE_HOST))
+        table = bundle.line_table
+        assert table == full_line_table(bundle)
+        assert {"C1", "C2", "C3"} <= set().union(*table.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_hosts())
+    def test_random_hosts(self, g):
+        bundle = pipeline.Bundle(g)
+        expected = full_line_table(bundle)
+        assert representative_tables(bundle) == [expected, expected]
+
+    def test_block_boundaries(self, monkeypatch, h2):
+        # one representative row per block of the scan
+        monkeypatch.setattr(valgeom, "_BLOCK_ELEMENTS", 1)
+        assert representative_tables(h2)[0] == reference.LINE_TABLE_H2
+
+    def test_representatives_checked(self, h21):
+        g, vals, labels = h21.geometry, h21.valuations, h21.type_labels
+        reps = [orbit[0] for orbit in h21.valuation_orbits]
+        with pytest.raises(ValueError, match="not among the valuations"):
+            class_line_table(g, vals[1:], reps, labels)
+        with pytest.raises(ValueError, match="each point type"):
+            class_line_table(g, vals, reps[1:], labels)
+        with pytest.raises(ValueError, match="each point type"):
+            class_line_table(g, vals, reps + [h21.valuation_orbits[0][1]],
+                             labels)
+
+    def test_multiplicity_from_member_labels(self):
+        # "B1B12B12".count("B1") is 3, but B1 is on the line once
+        table = {"B1B12B12": {"B1": 2, "B12": 1}}
+        _check_double_count(table, {"B1": 1, "B12": 4},
+                            {"B1B12B12": ["B1", "B12", "B12"]})
+        with pytest.raises(RuntimeError, match="not a multiple of 2"):
+            _check_double_count(table, {"B1": 1, "B12": 3},
+                                {"B1B12B12": ["B1", "B12", "B12"]})
+
+    def test_dropped_partner_raises(self, monkeypatch, h21):
+        monkeypatch.setattr(valgeom, "_neighbor_stars", drop_line_partner)
+        with pytest.raises(RuntimeError, match="not found twice"):
+            pipeline.Bundle(h21.geometry).line_table
+
+    def test_corrupted_line_star_raises(self, monkeypatch, h21):
+        monkeypatch.setattr(valgeom, "_star_rows", corrupt_line_star)
+        with pytest.raises(RuntimeError, match="do not star to"):
+            pipeline.Bundle(h21.geometry).line_table
+
+    def test_miscount_fails_double_count(self, monkeypatch, h21):
+        monkeypatch.setattr(valgeom, "_check_double_count", miscount)
+        with pytest.raises(RuntimeError, match="double count of line type"):
+            pipeline.Bundle(h21.geometry).line_table
+
+    @pytest.mark.parametrize("target,mutant,message", [
+        ("_neighbor_stars", "drop_line_partner", "not found twice"),
+        ("_star_rows", "corrupt_line_star", "do not star to"),
+        ("_check_double_count", "miscount", "double count of line type")])
+    def test_checks_survive_optimize(self, target, mutant, message):
+        assert message in run_mutant_optimized(target, mutant)
+
+
+class TestReportPath:
+    """The report reads the line table from representatives and the
+    Lemma 3.1 input from the type-C rows, never the full geometry."""
+
+    def test_report_builds_only_type_c_geometry(self, monkeypatch, capsys):
+        sizes = []
+
+        def counting(g, vals, type_labels=None):
+            sizes.append(len(vals))
+            return build_valuation_geometry(g, vals, type_labels)
+
+        monkeypatch.setattr(pipeline, "build_valuation_geometry", counting)
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        assert cli.run(["report", "--all", "--format", "json"]) == 0
+        assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
+        assert sizes == [252]
+
+    @pytest.mark.parametrize("host,table", [
+        ("h2dual", reference.LINE_TABLE_H2DUAL),
+        ("h2", reference.LINE_TABLE_H2)])
+    def test_bundle_without_full_build(self, monkeypatch, request, host,
+                                       table):
+        def at_most_252_rows(g, vals, type_labels=None):
+            if len(vals) > 252:
+                raise AssertionError(f"full build on {len(vals)} rows")
+            return build_valuation_geometry(g, vals, type_labels)
+
+        monkeypatch.setattr(pipeline, "build_valuation_geometry",
+                            at_most_252_rows)
+        bundle = pipeline.Bundle(request.getfixturevalue(host).geometry)
+        assert bundle.line_table == table
+        assert len(bundle.vprime().vpoints) == (252 if host == "h2dual"
+                                                else 36)
+
+
 class TestRestriction:
+    def test_vprime_is_restriction(self, h2dual):
+        vp = h2dual.vprime()
+        full = restrict(h2dual.valuation_geometry, ("C",), ("CCC",))
+        assert vp.host is full.host
+        assert [v.values for v in vp.vpoints] == \
+            [v.values for v in full.vpoints]
+        assert vp.vlines == full.vlines
+        assert vp.point_types == full.point_types
+        assert vp.line_types == full.line_types
+
     def test_vprime_shape(self, h2dual):
         vp = h2dual.vprime()
         assert len(vp.vpoints) == 252

@@ -21,6 +21,7 @@ The full build stays as the public function and the tests' oracle.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -424,22 +425,18 @@ def class_line_table(g: Geometry, vals: Sequence[Valuation],
         raise RuntimeError(f"line {tuple(lines[t].tolist())}: valuations "
                            f"{j[t]} and {k[t]} do not star to "
                            f"representative {r[t]}")
-    through: Dict[int, Dict[str, int]] = {rep: {} for rep in reps}
+    table: Dict[str, Dict[str, int]] = {}
     members: Dict[str, List[str]] = {}
     for line in lines.tolist():
         labels = sorted(point_types[x] for x in line)
         ltype = "".join(labels)
         members[ltype] = labels
-        through[line[0]][ltype] = through[line[0]].get(ltype, 0) + 1
-    table: Dict[str, Dict[str, int]] = {}
-    for rep in sorted(reps, key=lambda x: point_types[x]):
-        for ltype, cnt in through[rep].items():
-            table.setdefault(ltype, {})[point_types[rep]] = cnt
-    sizes: Dict[str, int] = {}
-    for ptype in point_types:
-        sizes[ptype] = sizes.get(ptype, 0) + 1
-    _check_double_count(table, sizes, members)
-    return dict(sorted(table.items()))
+        counts = table.setdefault(ltype, {})
+        ptype = point_types[line[0]]
+        counts[ptype] = counts.get(ptype, 0) + 1
+    _check_double_count(table, Counter(point_types), members)
+    return {ltype: dict(sorted(table[ltype].items()))
+            for ltype in sorted(table)}
 
 
 def restrict(vg: ValuationGeometry, point_types: Sequence[str],

@@ -279,13 +279,6 @@ class TestLineTypeTable:
                 assert len(totals) == 1
 
 
-def full_line_table(bundle):
-    """Oracle: the line table of the full valuation geometry, with its
-    per-point constancy check."""
-    return line_type_table(build_valuation_geometry(
-        bundle.geometry, bundle.valuations, bundle.type_labels))
-
-
 def representative_tables(bundle):
     """class_line_table from the first and from the last valuation of
     each orbit."""
@@ -366,21 +359,21 @@ class TestClassLineTable:
         for g in (relabeled(h21.geometry, seed=5),
                   relabeled(from_text(EXAMPLE_HOST), seed=3)):
             bundle = pipeline.Bundle(g)
-            expected = full_line_table(bundle)
+            expected = line_type_table(bundle.valuation_geometry)
             assert representative_tables(bundle) == [expected, expected]
 
     def test_several_max_one_orbits(self):
         # the C1, C2, C3 points of the example host
         bundle = pipeline.Bundle(from_text(EXAMPLE_HOST))
         table = bundle.line_table
-        assert table == full_line_table(bundle)
+        assert table == line_type_table(bundle.valuation_geometry)
         assert {"C1", "C2", "C3"} <= set().union(*table.values())
 
     @settings(max_examples=40, deadline=None)
     @given(connected_hosts())
     def test_random_hosts(self, g):
         bundle = pipeline.Bundle(g)
-        expected = full_line_table(bundle)
+        expected = line_type_table(bundle.valuation_geometry)
         assert representative_tables(bundle) == [expected, expected]
 
     def test_block_boundaries(self, monkeypatch, h2):

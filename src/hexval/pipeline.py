@@ -13,7 +13,7 @@ per-class counts read the representative stage. The full sweep over
 every hyperplane, ``valuations.all_valuations``, runs the same search
 seeded from the whole nullspace; it stays as the public function and as
 the oracle that needs no automorphism group, and never reads
-``hyperplanes``. The line table is read off the lines through the first
+``hyperplanes``. The line table is read off the lines through one
 valuation of each orbit (``valgeom.class_line_table``), and the Lemma
 3.1 input ``vprime()`` is the valuation geometry of the type-C
 valuations alone, so the report never builds the full
@@ -141,7 +141,6 @@ class Bundle:
         """Lines of each type through a point of each valuation class,
         from the lines through one valuation per orbit."""
         return class_line_table(self.geometry, self.valuations,
-                                [orbit[0] for orbit in self.valuation_orbits],
                                 self.type_labels)
 
     @cached_property

@@ -360,40 +360,39 @@ def _check_double_count(table: Dict[str, Dict[str, int]],
 
 
 def class_line_table(g: Geometry, vals: Sequence[Valuation],
-                     representatives: Sequence[Tuple[int, ...]],
                      type_labels: Dict[Tuple[int, ...], str]
                      ) -> Dict[str, Dict[str, int]]:
-    """line_type_table(build_valuation_geometry(g, vals, type_labels)),
-    read off the lines through one valuation per point type.
+    """line_type_table(build_valuation_geometry(g, vals, type_labels))
+    for labels that are orbits of a group of automorphisms of the
+    valuation geometry, read off the lines through one valuation per
+    point type.
 
-    representatives holds one value vector of each label that vals carry.
-    The counts through a representative stand for its whole point type,
-    which holds when the labels are orbits of a group of automorphisms of
-    the valuation geometry, as the automorphism orbits of `Bundle` are.
-    The rows are checked as in build_valuation_geometry, and each
-    representative row r is scanned against every other row with the same
-    kernel (more than one epsilon raises ValueError). A line {r, j, k} is
-    found from j, as star(r, j) = k, and from k; it must be found exactly
-    twice, and star(j, k) = r is checked on every line found. Then the
-    double count (_check_double_count) compares the counts of each line
-    type across its point types. A failed check raises RuntimeError.
+    The orbit precondition is not checked. It is what lets the counts
+    through one valuation stand for its whole point type; the
+    automorphism orbits of `Bundle` satisfy it. On other labels the
+    result may differ from line_type_table, which raises "line counts
+    not constant" where the double count below can still pass.
+
+    The representative of a point type is its first valuation in
+    value-vector order. The rows are checked as in
+    build_valuation_geometry, and each representative row r is scanned
+    against every other row with the same kernel (more than one epsilon
+    raises ValueError). A line {r, j, k} is found from j, as
+    star(r, j) = k, and from k; it must be found exactly twice, and
+    star(j, k) = r is checked on every line found. Then the double count
+    (_check_double_count) compares the counts of each line type across
+    its point types. A failed check raises RuntimeError.
     """
     vals, line_index, vmat, index = _indexed_rows(g, vals)
     point_types = [type_labels[v.values] for v in vals]
-    position = {v.values: k for k, v in enumerate(vals)}
-    missing = [r for r in representatives if tuple(r) not in position]
-    if missing:
-        raise ValueError(f"representative is not among the valuations: "
-                         f"{tuple(missing[0])}")
-    reps = sorted(position[tuple(r)] for r in representatives)
-    if sorted(point_types[r] for r in reps) != sorted(set(point_types)):
-        raise ValueError("the representatives must carry each point type "
-                         "of the valuations exactly once")
-    if not reps:
+    first: Dict[str, int] = {}
+    for row, ptype in enumerate(point_types):
+        first.setdefault(ptype, row)
+    if not first:
         return {}
     found = [np.zeros((3, 0), dtype=np.int64)]
-    for i, j, stars in _neighbor_stars(vmat, line_index,
-                                       np.array(reps, dtype=np.intp)):
+    reps = np.array(list(first.values()), dtype=np.intp)
+    for i, j, stars in _neighbor_stars(vmat, line_index, reps):
         k = _row_positions(index, stars)
         present = k >= 0
         found.append(np.stack([i[present], j[present], k[present]]))
@@ -429,7 +428,7 @@ def class_line_table(g: Geometry, vals: Sequence[Valuation],
     members: Dict[str, List[str]] = {}
     for line in lines.tolist():
         labels = sorted(point_types[x] for x in line)
-        ltype = "".join(labels)
+        ltype = _line_type_string(labels)
         members[ltype] = labels
         counts = table.setdefault(ltype, {})
         ptype = point_types[line[0]]

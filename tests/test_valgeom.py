@@ -218,8 +218,7 @@ class TestVectorisedBuild:
         with pytest.raises(ValueError, match="more than one epsilon"):
             build_valuation_geometry(g, [f1, f2])
         with pytest.raises(ValueError, match="more than one epsilon"):
-            class_line_table(g, [f1, f2], [f1.values],
-                             {f1.values: "A", f2.values: "A"})
+            class_line_table(g, [f1, f2], {f1.values: "A", f2.values: "A"})
         with pytest.raises(ValueError, match="not unique"):
             are_neighboring(f1, f2)
 
@@ -279,14 +278,10 @@ class TestLineTypeTable:
                 assert len(totals) == 1
 
 
-def representative_tables(bundle):
-    """class_line_table from the first and from the last valuation of
-    each orbit."""
-    return [class_line_table(bundle.geometry, bundle.valuations,
-                             [orbit[pick] for orbit in
-                              bundle.valuation_orbits],
-                             bundle.type_labels)
-            for pick in (0, -1)]
+def representative_table(bundle):
+    """class_line_table of the bundle's valuations and orbit labels."""
+    return class_line_table(bundle.geometry, bundle.valuations,
+                            bundle.type_labels)
 
 
 # Each mutant replaces one valgeom function by a faulty version; the
@@ -352,45 +347,31 @@ class TestClassLineTable:
     def test_matches_full_build(self, request, host):
         bundle = request.getfixturevalue(host)
         expected = line_type_table(bundle.valuation_geometry)
-        assert representative_tables(bundle) == [expected, expected]
+        assert representative_table(bundle) == expected
         assert bundle.line_table == expected
 
     def test_relabeled_hosts(self, h21):
+        # relabeling reorders the rows, so other orbit members come first
+        # and represent their point types
         for g in (relabeled(h21.geometry, seed=5),
                   relabeled(from_text(EXAMPLE_HOST), seed=3)):
             bundle = pipeline.Bundle(g)
             expected = line_type_table(bundle.valuation_geometry)
-            assert representative_tables(bundle) == [expected, expected]
-
-    def test_several_max_one_orbits(self):
-        # the C1, C2, C3 points of the example host
-        bundle = pipeline.Bundle(from_text(EXAMPLE_HOST))
-        table = bundle.line_table
-        assert table == line_type_table(bundle.valuation_geometry)
-        assert {"C1", "C2", "C3"} <= set().union(*table.values())
+            assert representative_table(bundle) == expected
+        # the example host has several max-1 orbits, C1, C2 and C3
+        assert {"C1", "C2", "C3"} <= set().union(*expected.values())
 
     @settings(max_examples=40, deadline=None)
     @given(connected_hosts())
     def test_random_hosts(self, g):
         bundle = pipeline.Bundle(g)
         expected = line_type_table(bundle.valuation_geometry)
-        assert representative_tables(bundle) == [expected, expected]
+        assert representative_table(bundle) == expected
 
     def test_block_boundaries(self, monkeypatch, h2):
         # one representative row per block of the scan
         monkeypatch.setattr(valgeom, "_BLOCK_ELEMENTS", 1)
-        assert representative_tables(h2)[0] == reference.LINE_TABLE_H2
-
-    def test_representatives_checked(self, h21):
-        g, vals, labels = h21.geometry, h21.valuations, h21.type_labels
-        reps = [orbit[0] for orbit in h21.valuation_orbits]
-        with pytest.raises(ValueError, match="not among the valuations"):
-            class_line_table(g, vals[1:], reps, labels)
-        with pytest.raises(ValueError, match="each point type"):
-            class_line_table(g, vals, reps[1:], labels)
-        with pytest.raises(ValueError, match="each point type"):
-            class_line_table(g, vals, reps + [h21.valuation_orbits[0][1]],
-                             labels)
+        assert representative_table(h2) == reference.LINE_TABLE_H2
 
     def test_multiplicity_from_member_labels(self):
         # "B1B12B12".count("B1") is 3, but B1 is on the line once
@@ -400,21 +381,6 @@ class TestClassLineTable:
         with pytest.raises(RuntimeError, match="not a multiple of 2"):
             _check_double_count(table, {"B1": 1, "B12": 3},
                                 {"B1B12B12": ["B1", "B12", "B12"]})
-
-    def test_dropped_partner_raises(self, monkeypatch, h21):
-        monkeypatch.setattr(valgeom, "_neighbor_stars", drop_line_partner)
-        with pytest.raises(RuntimeError, match="not found twice"):
-            pipeline.Bundle(h21.geometry).line_table
-
-    def test_corrupted_line_star_raises(self, monkeypatch, h21):
-        monkeypatch.setattr(valgeom, "_star_rows", corrupt_line_star)
-        with pytest.raises(RuntimeError, match="do not star to"):
-            pipeline.Bundle(h21.geometry).line_table
-
-    def test_miscount_fails_double_count(self, monkeypatch, h21):
-        monkeypatch.setattr(valgeom, "_check_double_count", miscount)
-        with pytest.raises(RuntimeError, match="double count of line type"):
-            pipeline.Bundle(h21.geometry).line_table
 
     @pytest.mark.parametrize("target,mutant,message", [
         ("_neighbor_stars", "drop_line_partner", "not found twice"),

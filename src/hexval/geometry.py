@@ -2,17 +2,21 @@
 
 A Geometry is a partial linear space with points 0..n-1 and lines given as
 sorted point tuples. Construction canonicalizes the line order, validates
-the partial-linear-space axiom and caches the collinearity graph and the
-distance matrix (BFS per point). Distances are ints; disconnected point
-pairs get the sentinel -1. ``diameter`` reports ``INF`` for a disconnected
-geometry.
+the partial-linear-space axiom and builds the collinearity graph, also as
+int bitmasks. The distance matrix (BFS per point) is computed on first
+read and kept. Distances are ints; disconnected point pairs get the
+sentinel -1. ``is_connected`` needs no distances, and ``diameter`` reports
+``INF`` for a disconnected geometry.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import combinations, product
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 INF = math.inf
 
@@ -53,8 +57,16 @@ class Grid:
         return frozenset(p for row in self.cells for p in row)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 class Geometry:
-    """Immutable partial linear space with cached distance data."""
+    """Immutable partial linear space; distance data on first read."""
 
     def __init__(self, num_points: int, lines: Iterable[Sequence[int]],
                  name: str = ""):
@@ -102,9 +114,31 @@ class Geometry:
             sum(1 << q for q in t) for t in self.neighbors)
         self.line_masks: Tuple[int, ...] = tuple(
             sum(1 << p for p in line) for line in self.lines)
-        self.dist: List[List[int]] = [self._bfs(p) for p in range(n)]
-        self._diameter = (INF if not self.is_connected() else
-                          max((max(row) for row in self.dist), default=0))
+
+    @cached_property
+    def dist(self) -> List[List[int]]:
+        """Point distances, one BFS per point, computed on first read."""
+        return [self._bfs(p) for p in range(self.num_points)]
+
+    @cached_property
+    def _connected(self) -> bool:
+        """One frontier BFS from point 0 over the neighbour masks."""
+        if not self.num_points:
+            return True
+        reached = frontier = 1
+        while frontier:
+            step = 0
+            for q in _bits(frontier):
+                step |= self.neighbor_masks[q]
+            frontier = step & ~reached
+            reached |= frontier
+        return reached == (1 << self.num_points) - 1
+
+    @cached_property
+    def _diameter(self):
+        if not self.is_connected():
+            return INF
+        return max((max(row) for row in self.dist), default=0)
 
     def _bfs(self, start: int) -> List[int]:
         row = [-1] * self.num_points
@@ -121,7 +155,7 @@ class Geometry:
     # -- basic queries ---------------------------------------------------
 
     def is_connected(self) -> bool:
-        return self.num_points == 0 or -1 not in self.dist[0]
+        return self._connected
 
     def diameter(self):
         """Largest point distance: 0 when empty, INF when disconnected."""
@@ -131,21 +165,6 @@ class Geometry:
         """Count of points at each distance 0..diameter from p."""
         counts = Counter(self.dist[p])
         return [counts.get(i, 0) for i in range(max(counts) + 1)]
-
-    def line_index(self, a: int, b: int) -> Optional[int]:
-        """Index of the unique line through two collinear points."""
-        for li in self.lines_through[a]:
-            if b in self.lines[li]:
-                return li
-        return None
-
-    def third_point(self, a: int, b: int) -> Optional[int]:
-        """Third point of the line through a and b (3-point lines only)."""
-        li = self.line_index(a, b)
-        if li is None:
-            return None
-        line = self.lines[li]
-        return next(p for p in line if p != a and p != b)
 
     def __repr__(self):
         label = self.name or "geometry"
@@ -233,38 +252,17 @@ def dual(g: Geometry) -> Geometry:
 # -- grids ---------------------------------------------------------------
 
 
-def _complete_grid(g: Geometry, p11, p12, p21, p22):
-    """Try to extend a 4-cycle (rows p11-p12, p21-p22) to a full grid."""
-    p13 = g.third_point(p11, p12)
-    p23 = g.third_point(p21, p22)
-    p31 = g.third_point(p11, p21)
-    p32 = g.third_point(p12, p22)
-    if g.dist[p13][p23] != 1 or g.dist[p31][p32] != 1:
-        return None
-    p33 = g.third_point(p13, p23)
-    if p33 != g.third_point(p31, p32):
-        return None
-    pts = {p11, p12, p13, p21, p22, p23, p31, p32, p33}
-    if len(pts) != 9:
-        return None
-    return frozenset(pts)
-
-
 def _canonical_grid(g: Geometry, pts: frozenset) -> Grid:
-    lines = [li for li in {g.line_index(a, b)
-                           for a in pts for b in pts
-                           if a < b and g.dist[a][b] == 1}
-             if set(g.lines[li]) <= pts]
+    lines = sorted({li for p in pts for li in g.lines_through[p]
+                    if set(g.lines[li]) <= pts})
     if len(lines) != 6:
         raise RuntimeError(f"points {sorted(pts)} contain {len(lines)} "
                            f"lines, not the 6 of a 3x3 grid")
     # split the 6 lines into the two parallel classes
-    classes: List[List[int]] = []
-    rest = sorted(lines)
-    first = rest[0]
-    cls1 = [li for li in rest if li == first
+    first = lines[0]
+    cls1 = [li for li in lines if li == first
             or not set(g.lines[li]) & set(g.lines[first])]
-    cls2 = [li for li in rest if li not in cls1]
+    cls2 = [li for li in lines if li not in cls1]
     p0 = min(pts)
     row_cls, col_cls = cls1, cls2
     row0 = next(li for li in row_cls if p0 in g.lines[li])
@@ -283,23 +281,45 @@ def _canonical_grid(g: Geometry, pts: frozenset) -> Grid:
 
 
 def enumerate_grids(g: Geometry) -> List[Grid]:
-    """All (3x3)-subgrids, one per point set, in deterministic order."""
+    """All (3x3)-subgrids, one per point set, in deterministic order.
+
+    A grid is found from its least point p, with its row {p, x1, x2} and
+    column {p, y1, y2} among the lines through p. Cell z_ij is a common
+    neighbour of x_i and y_j after p; a host with triangles can offer
+    several, and each is tried. A candidate is a grid when its other
+    rows {x_i, z_i1, z_i2} and columns {y_j, z_1j, z_2j} are lines. That
+    makes its 9 points distinct: otherwise two points would lie on two
+    lines, or a cell would be p. Nine pairwise collinear points, as in
+    AG(2, 3), are no subgrid.
+    """
     for line in g.lines:
         if len(line) != 3:
             raise GeometryError("grid enumeration requires 3-point lines")
-    found: Dict[frozenset, Grid] = {}
-    for x in range(g.num_points):
-        nx = set(g.neighbors[x])
-        for y in range(x + 1, g.num_points):
-            if g.dist[x][y] != 2:
-                continue
-            common = sorted(nx & set(g.neighbors[y]))
-            for i in range(len(common)):
-                for j in range(i + 1, len(common)):
-                    pts = _complete_grid(g, x, common[i], common[j], y)
-                    if pts is not None and pts not in found:
-                        found[pts] = _canonical_grid(g, pts)
-    return [found[k] for k in sorted(found, key=sorted)]
+    nbr = g.neighbor_masks
+    lines = set(g.line_masks)
+    found = set()
+    for p in range(g.num_points):
+        after_p = -1 << (p + 1)
+        others = [g.lines[li][1:] for li in g.lines_through[p]
+                  if g.lines[li][0] == p]
+        for k, (x1, x2) in enumerate(others):
+            for y1, y2 in others[k + 1:]:
+                cells = [nbr[x] & nbr[y] & after_p for x in (x1, x2)
+                         for y in (y1, y2)]
+                if not all(cells):
+                    continue
+                bx1, bx2, by1, by2 = 1 << x1, 1 << x2, 1 << y1, 1 << y2
+                for corners in product(*map(_bits, cells)):
+                    z11, z12, z21, z22 = (1 << z for z in corners)
+                    if ((bx1 | z11 | z12) in lines
+                            and (bx2 | z21 | z22) in lines
+                            and (by1 | z11 | z21) in lines
+                            and (by2 | z12 | z22) in lines):
+                        found.add(1 << p | bx1 | bx2 | by1 | by2
+                                  | z11 | z12 | z21 | z22)
+    point_sets = sorted(list(_bits(pts)) for pts in found)
+    return [_canonical_grid(g, frozenset(pts)) for pts in point_sets
+            if not all(nbr[a] >> b & 1 for a, b in combinations(pts, 2))]
 
 
 # -- ovoids --------------------------------------------------------------

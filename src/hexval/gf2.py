@@ -51,13 +51,6 @@ class BitVector:
             b ^= low
         return out
 
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
-        bits = 0
-        for i in support:
-            bits |= 1 << i
-        return cls(length, bits)
-
 
 @dataclass(frozen=True)
 class BitMatrix:

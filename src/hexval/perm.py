@@ -26,7 +26,7 @@ from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
 import numpy as np
 
 from . import gf2
-from .geometry import Geometry
+from .geometry import Geometry, _bits
 from .hyperplanes import MAX_DIMENSION, nullspace_basis
 
 Perm = Tuple[int, ...]
@@ -190,13 +190,6 @@ def _point_profile(g: Geometry, p: int):
         hist[d] = hist.get(d, 0) + 1
     sizes = sorted(len(g.lines[li]) for li in g.lines_through[p])
     return (tuple(sorted(hist.items())), tuple(sizes))
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 class _IsoSearch:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,9 +99,6 @@ class ValuationGeometry:
             self._geometry = Geometry(len(self.vpoints), self.vlines,
                                       name=name or "valuation-geometry")
         return self._geometry
-
-    def line_type(self, i: int) -> str:
-        return self.line_types[i]
 
 
 def _line_type_string(labels: Sequence[str]) -> str:
@@ -478,22 +476,17 @@ class LemmaReport:
     grid_completions_per_point: Optional[int] = None
     witness: Optional[tuple] = None
 
-    def all_pass(self) -> bool:
-        return (self.connected and self.collinear_zero_distance
-                and self.grid_zero_distance and self.grids_per_point_16
-                and self.triangle_free)
-
 
 def _has_triangle(g: Geometry) -> Optional[tuple]:
-    """A triple of pairwise collinear points on three distinct lines."""
-    for li, line in enumerate(g.lines):
-        for a in line:
-            for b in line:
-                if b <= a:
-                    continue
-                for c in set(g.neighbors[a]) & set(g.neighbors[b]):
-                    if c not in line:
-                        return (a, b, c)
+    """A triple of pairwise collinear points on three distinct lines: the
+    first pair (a, b) of a line, in line order, with a common neighbour
+    off the line, and the least such neighbour c."""
+    nbr = g.neighbor_masks
+    for line, mask in zip(g.lines, g.line_masks):
+        for a, b in combinations(line, 2):
+            off_line = nbr[a] & nbr[b] & ~mask
+            if off_line:
+                return (a, b, (off_line & -off_line).bit_length() - 1)
     return None
 
 
@@ -501,8 +494,15 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     """Connectivity, zero-point distances for collinear pairs and for grid
     opposite pairs, the 16-grid-completions-per-point count and
     triangle-freeness of the Type-C/CCC restriction of the valuation
-    geometry of the dual hexagon."""
+    geometry of the dual hexagon.
+
+    Every check runs on the restriction's neighbour and line masks, so
+    its distance matrix is never computed. Two points of a grid are
+    opposite when they are not collinear, which within a grid is the same
+    as being at distance 2.
+    """
     geo = vprime.as_geometry()
+    nbr = geo.neighbor_masks
     witness = None
     connected = geo.is_connected()
     zero_sets = [v.zero_set() for v in vprime.vpoints]
@@ -516,13 +516,10 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
 
     collinear_ok = True
     for line in geo.lines:
-        for a in line:
-            for b in line:
-                if b <= a:
-                    continue
-                if host.dist[zero_point(a)][zero_point(b)] != 3:
-                    collinear_ok = False
-                    witness = witness or ("collinear", a, b)
+        for a, b in combinations(line, 2):
+            if host.dist[zero_point(a)][zero_point(b)] != 3:
+                collinear_ok = False
+                witness = witness or ("collinear", a, b)
     grids = enumerate_grids(geo)
     grid_ok = True
     grids_through = [0] * geo.num_points
@@ -530,12 +527,12 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
         pts = sorted(grid.points())
         for a in pts:
             grids_through[a] += 1
-            for b in pts:
-                if b <= a or geo.dist[a][b] != 2:
-                    continue
-                if host.dist[zero_point(a)][zero_point(b)] != 3:
-                    grid_ok = False
-                    witness = witness or ("grid", a, b)
+        for a, b in combinations(pts, 2):
+            if nbr[a] >> b & 1:
+                continue
+            if host.dist[zero_point(a)][zero_point(b)] != 3:
+                grid_ok = False
+                witness = witness or ("grid", a, b)
     # Grids rooted at a point: a grid on p is completed once from each of
     # its four opposite corners, so 4 completions per distinct grid.
     completions = [4 * count for count in grids_through]

@@ -11,7 +11,8 @@ from hexval.geometry import (check_generalized_hexagon, find_ovoids,
                              near_hexagon_point_bound, order_of)
 from hexval.perm import are_isomorphic
 from hexval.valgeom import check_lemma_3_1, star
-from hexval.valuations import all_valuations, brute_force_valuations
+from hexval.valuations import all_valuations
+from test_valuations import brute_force_valuations
 
 
 def _verdict(number: int, title: str, ok: bool):

@@ -1,5 +1,6 @@
 """Geometry core: construction, axiom checkers, duality, grids, ovoids,
 bounds, induced valuations and the text format."""
+import itertools
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexval import geometry
 from hexval.constructions import (build_fano, build_hexagon_2_1, grid_3x3)
@@ -16,6 +18,7 @@ from hexval.geometry import (Geometry, GeometryError, INF,
                              dual, enumerate_grids, find_ovoids, from_text,
                              near_hexagon_point_bound, order_of, to_text)
 from hexval.perm import are_isomorphic
+from test_valuations import connected_hosts
 
 
 def common_neighbor_profile(g):
@@ -27,6 +30,120 @@ def common_neighbor_profile(g):
             if g.dist[x][y] == 2:
                 hist[len(nx & set(g.neighbors[y]))] += 1
     return hist
+
+
+def third_point(g, a, b):
+    """Third point of the line through a and b (3-point lines only), or
+    None when a and b are not collinear."""
+    for li in g.lines_through[a]:
+        if b in g.lines[li]:
+            return next(p for p in g.lines[li] if p != a and p != b)
+    return None
+
+
+def _complete_grid(g, p11, p12, p21, p22):
+    """Try to extend a 4-cycle (rows p11-p12, p21-p22) to a full grid."""
+    p13 = third_point(g, p11, p12)
+    p23 = third_point(g, p21, p22)
+    p31 = third_point(g, p11, p21)
+    p32 = third_point(g, p12, p22)
+    if g.dist[p13][p23] != 1 or g.dist[p31][p32] != 1:
+        return None
+    p33 = third_point(g, p13, p23)
+    if p33 != third_point(g, p31, p32):
+        return None
+    pts = {p11, p12, p13, p21, p22, p23, p31, p32, p33}
+    if len(pts) != 9:
+        return None
+    return frozenset(pts)
+
+
+def enumerate_grids_oracle(g):
+    """Oracle of enumerate_grids: every 4-cycle x, c_i, y, c_j on a
+    distance-2 pair x < y and two of its common neighbours, completed
+    through third_point and the distance matrix."""
+    for line in g.lines:
+        if len(line) != 3:
+            raise GeometryError("grid enumeration requires 3-point lines")
+    found = {}
+    for x in range(g.num_points):
+        nx = set(g.neighbors[x])
+        for y in range(x + 1, g.num_points):
+            if g.dist[x][y] != 2:
+                continue
+            common = sorted(nx & set(g.neighbors[y]))
+            for i in range(len(common)):
+                for j in range(i + 1, len(common)):
+                    pts = _complete_grid(g, x, common[i], common[j], y)
+                    if pts is not None and pts not in found:
+                        found[pts] = geometry._canonical_grid(g, pts)
+    return [found[k] for k in sorted(found, key=sorted)]
+
+
+def grids_or_error(search, g):
+    """search(g), or RuntimeError when a point set it finds holds more
+    lines than a grid."""
+    try:
+        return search(g)
+    except RuntimeError:
+        return RuntimeError
+
+
+def grid_with_diagonal():
+    """The 3x3 grid with its centre cell numbered 9, plus the line
+    {1, 3, 4} through two opposite cells: from point 0, the cell of 1 and
+    3 has the candidates 4 and 9, and only 9 completes the grid."""
+    rename = {4: 9}
+    lines = [tuple(rename.get(p, p) for p in line)
+             for line in grid_3x3().lines]
+    return Geometry(10, lines + [(1, 3, 4)])
+
+
+def affine_plane_3():
+    """AG(2, 3): the 3x3 grid plus its two classes of diagonals, so every
+    two of its 9 points are collinear."""
+    diagonals = [[3 * t + (t + k) % 3 for t in range(3)] for k in range(3)]
+    anti = [[3 * t + (k - t) % 3 for t in range(3)] for k in range(3)]
+    return Geometry(9, grid_3x3().lines + tuple(map(tuple, diagonals + anti)))
+
+
+def add_random_lines(draw, n, lines, max_lines):
+    """The geometry on n points with the given lines and up to max_lines
+    random 3-point lines more; a line sharing a pair with an earlier one
+    is dropped."""
+    lines = list(lines)
+    pairs = {pair for line in lines
+             for pair in itertools.combinations(sorted(line), 2)}
+    for t in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
+                                   max_size=3), max_size=max_lines)):
+        new_pairs = set(itertools.combinations(sorted(t), 2))
+        if not new_pairs & pairs:
+            pairs |= new_pairs
+            lines.append(tuple(t))
+    return Geometry(n, lines)
+
+
+@st.composite
+def any_hosts(draw):
+    """Partial linear spaces on 0 to 12 points with up to 8 lines of 3
+    points, connected or not, isolated points included."""
+    n = draw(st.integers(0, 12))
+    return add_random_lines(draw, n, [], 8) if n >= 3 else Geometry(n, [])
+
+
+@st.composite
+def grid_hosts(draw):
+    """The 3x3 grid on points 0..8, or two grids sharing the row
+    {0, 1, 2}, plus random lines on up to 3 more points: triangles give
+    cells several candidates, and lines inside a grid make its point set
+    hold more than 6 lines."""
+    lines = list(grid_3x3().lines)
+    n = 9
+    if draw(st.booleans()):
+        lines += [(3 * i + 6, 3 * i + 7, 3 * i + 8) for i in (1, 2)]
+        lines += [(j, 9 + j, 12 + j) for j in range(3)]
+        n = 15
+    return add_random_lines(draw, n + draw(st.integers(0, 3)), lines, 6)
 
 
 def induced_valuation(ambient, sub_points, sub_lines, x):
@@ -86,6 +203,30 @@ class TestBuild:
     def test_empty_geometry(self):
         g = geometry.build(0, [])
         assert g.is_connected() and g.diameter() == 0
+
+    def test_distances_computed_on_first_read(self):
+        g = geometry.build(6, [(0, 1, 2), (3, 4, 5)])
+        assert not g.is_connected()
+        assert "dist" not in g.__dict__
+        # the diameter reads the distances only on a connected geometry
+        assert g.diameter() == INF
+        assert g.dist[0][3] == -1 and "dist" in g.__dict__
+        line = geometry.build(3, [(0, 1, 2)])
+        assert line.diameter() == 1 and "dist" in line.__dict__
+
+    @pytest.mark.parametrize("g", [
+        geometry.build(0, []), geometry.build(1, []),
+        geometry.build(7, [(0, 1, 2), (3, 4, 5)]), build_hexagon_2_1()],
+        ids=["empty", "one-point", "disconnected", "h21"])
+    def test_mask_connectivity_matches_distances(self, g):
+        assert g.is_connected() == all(-1 not in row for row in g.dist)
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_hosts())
+    def test_mask_connectivity_on_random_hosts(self, g):
+        connected = all(-1 not in row for row in g.dist)
+        assert g.is_connected() == connected
+        assert (g.diameter() == INF) == (not connected)
 
     def test_negative_point_count_rejected(self):
         with pytest.raises(GeometryError, match="negative point count"):
@@ -227,6 +368,31 @@ class TestGrids:
     def test_grids_through_point(self):
         grids = enumerate_grids(grid_3x3())
         assert sum(0 in grid.points() for grid in grids) == 1
+
+    def test_matches_oracle_on_known_geometries(self, h2, h2dual):
+        vprime = h2dual.vprime().as_geometry()
+        for g, count in ((grid_3x3(), 1), (h2.geometry, 0), (vprime, 112)):
+            grids = enumerate_grids(g)
+            assert grids == enumerate_grids_oracle(g)
+            assert len(grids) == count
+
+    def test_several_common_neighbours_per_cell(self):
+        g = grid_with_diagonal()
+        assert g.neighbor_masks[1] & g.neighbor_masks[3] == 1 | 1 << 4 | 1 << 9
+        grids = enumerate_grids(g)
+        assert grids == enumerate_grids_oracle(g)
+        assert [grid.points() for grid in grids] == [
+            frozenset(range(10)) - {4}]
+
+    def test_affine_plane_has_no_grid(self):
+        g = affine_plane_3()
+        assert enumerate_grids(g) == enumerate_grids_oracle(g) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(connected_hosts(), grid_hosts()))
+    def test_matches_oracle_on_random_hosts(self, g):
+        assert (grids_or_error(enumerate_grids, g)
+                == grids_or_error(enumerate_grids_oracle, g))
 
     @staticmethod
     def near_grid(g):

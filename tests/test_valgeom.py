@@ -14,15 +14,16 @@ from hexval import cli, pipeline, reference, valgeom
 from hexval.constructions import grid_3x3
 from hexval.geometry import Geometry, dual, from_text
 from hexval.perm import are_isomorphic, automorphism_group
-from hexval.valgeom import (EQUAL, ValuationGeometry, _check_double_count,
+from hexval.valgeom import (EQUAL, LemmaReport, ValuationGeometry,
+                            _check_double_count,
                             _star_closed_lines, are_neighboring,
                             build_valuation_geometry, check_lemma_3_1,
                             class_line_table, line_type_table, restrict,
                             star)
-from hexval.valuations import (Valuation, brute_force_valuations,
-                               classical_valuation, classify_valuations)
-from test_valuations import (EXAMPLE_HOST, connected_hosts, relabeled,
-                             run_optimized)
+from hexval.valuations import (Valuation, classical_valuation,
+                               classify_valuations)
+from test_valuations import (EXAMPLE_HOST, brute_force_valuations,
+                             connected_hosts, relabeled, run_optimized)
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS.parent / "perfbench" / "golden" / "report_all.json"
@@ -454,35 +455,117 @@ class TestRestriction:
         assert sub.vpoints == [] and sub.vlines == []
 
 
+def with_lines(vp, lines):
+    """The restriction vp with its lines replaced."""
+    return ValuationGeometry(vp.host, vp.vpoints, list(lines))
+
+
+def line_through_far_pair(vp):
+    """vp with its first line replaced by a non-star triple of valuations
+    whose first two zero points are not at distance 3."""
+    geo = vp.as_geometry()
+    zeros = [v.zero_set()[0] for v in vp.vpoints]
+    host = vp.host
+    bad = next((i, j) for i in range(252) for j in range(i + 1, 252)
+               if host.dist[zeros[i]][zeros[j]] != 3)
+    lines = list(vp.vlines)
+    k = next(x for x in range(252)
+             if x not in bad and geo.dist[bad[0]][x] > 1
+             and geo.dist[bad[1]][x] > 1)
+    lines[0] = tuple(sorted((bad[0], bad[1], k)))
+    return with_lines(vp, lines)
+
+
+def classical_grid(host):
+    """A 3x3 grid restriction on host whose cell (i, j) is the classical
+    valuation at the ((i + j) mod 3)-th of three pairwise opposite points:
+    collinear cells have opposite zero points, but cells 0 and 5 share
+    theirs."""
+    centers = []
+    for p in range(host.num_points):
+        if all(host.dist[p][q] == 3 for q in centers):
+            centers.append(p)
+    vals = [classical_valuation(host, centers[(i + j) % 3])
+            for i in range(3) for j in range(3)]
+    return ValuationGeometry(host, vals, grid_3x3().lines)
+
+
+def corrupted_restriction(bundle, case):
+    """A restriction on the bundle's host that breaks one Lemma 3.1
+    check; all but the grid case alter the bundle's vprime()."""
+    if case == "grid":
+        return classical_grid(bundle.geometry)
+    vp = bundle.vprime()
+    if case == "collinear":
+        return line_through_far_pair(vp)
+    if case == "triangle":
+        # 0 and 96 are at distance 2 and 61 is collinear with neither, so
+        # the new line closes triangles on 0, 96 and each of their common
+        # neighbours; the three zero points are pairwise opposite
+        return with_lines(vp, vp.vlines + [(0, 61, 96)])
+    if case == "connected":
+        return with_lines(vp, [line for line in vp.vlines if 0 not in line])
+    if case == "grid_count":
+        return with_lines(vp, vp.vlines[1:])
+    raise ValueError(case)
+
+
 class TestSubgeometryChecks:
     def test_lemma_suite_passes(self, h2dual):
         rep = check_lemma_3_1(h2dual.vprime(), h2dual.geometry)
-        assert rep.connected
-        assert rep.collinear_zero_distance
-        assert rep.grid_zero_distance
-        assert rep.grids_per_point_16
-        assert rep.triangle_free
-        assert rep.all_pass()
-        assert rep.witness is None
-        assert rep.total_grids == 112
-        assert rep.grid_completions_per_point == 16
+        assert rep == LemmaReport(
+            connected=True, collinear_zero_distance=True,
+            grid_zero_distance=True, grids_per_point_16=True,
+            triangle_free=True, total_grids=112,
+            grid_completions_per_point=16, witness=None)
+
+    def test_restriction_distances_never_computed(self, h2dual):
+        vp = h2dual.vprime()
+        fresh = ValuationGeometry(vp.host, vp.vpoints, vp.vlines)
+        assert check_lemma_3_1(fresh, h2dual.geometry).total_grids == 112
+        assert "dist" not in fresh.as_geometry().__dict__
 
     def test_corrupted_line_detected(self, h2dual):
-        vp = h2dual.vprime()
-        # replace one line by a non-star triple of valuations whose zero
-        # points are not pairwise at distance 3
-        geo = vp.as_geometry()
-        zeros = [v.zero_set()[0] for v in vp.vpoints]
-        host = h2dual.geometry
-        bad = next((i, j) for i in range(252) for j in range(i + 1, 252)
-                   if host.dist[zeros[i]][zeros[j]] != 3)
-        lines = list(vp.vlines)
-        k = next(x for x in range(252)
-                 if x not in bad and geo.dist[bad[0]][x] > 1
-                 and geo.dist[bad[1]][x] > 1)
-        lines[0] = tuple(sorted((bad[0], bad[1], k)))
-        corrupted = ValuationGeometry(host, vp.vpoints, lines,
-                                      vp.point_types, vp.line_types)
-        rep = check_lemma_3_1(corrupted, host)
-        assert not rep.collinear_zero_distance
-        assert rep.witness is not None
+        corrupted = corrupted_restriction(h2dual, "collinear")
+        assert check_lemma_3_1(corrupted, h2dual.geometry) == LemmaReport(
+            connected=True, collinear_zero_distance=False,
+            grid_zero_distance=True, grids_per_point_16=False,
+            triangle_free=True, total_grids=111,
+            witness=("collinear", 0, 1))
+
+    @pytest.mark.parametrize("case,expected", [
+        ("grid", LemmaReport(
+            connected=True, collinear_zero_distance=True,
+            grid_zero_distance=False, grids_per_point_16=False,
+            triangle_free=True, total_grids=1, witness=("grid", 0, 5))),
+        ("triangle", LemmaReport(
+            connected=True, collinear_zero_distance=True,
+            grid_zero_distance=True, grids_per_point_16=True,
+            triangle_free=False, total_grids=112,
+            grid_completions_per_point=16,
+            witness=("triangle", 0, 91, 96))),
+        ("connected", LemmaReport(
+            connected=False, collinear_zero_distance=True,
+            grid_zero_distance=True, grids_per_point_16=False,
+            triangle_free=True, total_grids=108)),
+        ("grid_count", LemmaReport(
+            connected=True, collinear_zero_distance=True,
+            grid_zero_distance=True, grids_per_point_16=False,
+            triangle_free=True, total_grids=111))])
+    def test_corrupted_restriction_detected(self, h2dual, case, expected):
+        corrupted = corrupted_restriction(h2dual, case)
+        assert check_lemma_3_1(corrupted, h2dual.geometry) == expected
+
+    def test_witness_survives_optimize(self, h2dual):
+        expected = check_lemma_3_1(corrupted_restriction(h2dual, "triangle"),
+                                   h2dual.geometry)
+        assert run_optimized(
+            f"import sys\n"
+            f"sys.path.insert(0, {str(TESTS)!r})\n"
+            f"from test_valgeom import corrupted_restriction\n"
+            f"from hexval.pipeline import get_bundle\n"
+            f"from hexval.valgeom import check_lemma_3_1\n"
+            f"bundle = get_bundle('h2dual')\n"
+            f"print(repr(check_lemma_3_1(corrupted_restriction(\n"
+            f"    bundle, 'triangle'), bundle.geometry)))\n"
+        ) == repr(expected) + "\n"

@@ -16,8 +16,7 @@ from hexval import pipeline, valuations
 from hexval.geometry import Geometry, GeometryError, find_ovoids, from_text
 from hexval.perm import automorphism_group, orbit_of_function
 from hexval.hyperplanes import Hyperplane, enumerate_hyperplanes
-from hexval.valuations import (Valuation, all_valuations,
-                               brute_force_valuations, classical_valuation,
+from hexval.valuations import (Valuation, all_valuations, classical_valuation,
                                classify_valuations, is_semi_valuation,
                                is_valuation, ovoidal_valuation,
                                valuation_stats, valuations_on_hyperplanes)
@@ -147,6 +146,60 @@ def valuations_from_hyperplane(g, hyp):
             raise RuntimeError(f"valuation {val.values} does not have "
                                f"hyperplane {hyp.member_bits:b}")
     return out
+
+
+def brute_force_valuations(g):
+    """Independent oracle: depth-first enumeration of all point functions
+    with values in 0..diameter satisfying the per-line rule and min 0.
+
+    Values of a min-0 valuation never exceed the diameter (stepping along
+    a geodesic from a zero point changes the value by at most 1 per hop).
+    The search always branches on the unassigned point with the most
+    assigned line-mates, so completed lines prune early.
+    """
+    if not g.is_connected():
+        raise ValueError("geometry must be connected")
+    diam = g.diameter()
+    n = g.num_points
+    values = [None] * n
+    out = []
+
+    def line_ok(li):
+        known = [values[p] for p in g.lines[li] if values[p] is not None]
+        if len(known) < len(g.lines[li]):
+            # partial: still satisfiable iff spread <= 1
+            return max(known) - min(known) <= 1
+        vals = sorted(known)
+        return vals.count(vals[0]) == 1 and all(v == vals[0] + 1
+                                                for v in vals[1:])
+
+    def pick():
+        best, best_score = -1, (-1, -1)
+        for p in range(n):
+            if values[p] is not None:
+                continue
+            assigned_mates = sum(
+                1 for li in g.lines_through[p]
+                for q in g.lines[li] if q != p and values[q] is not None)
+            score = (assigned_mates, -p)
+            if score > best_score:
+                best, best_score = p, score
+        return best
+
+    def rec(assigned):
+        if assigned == n:
+            if 0 in values:
+                out.append(tuple(values))
+            return
+        p = pick()
+        for v in range(diam + 1):
+            values[p] = v
+            if all(line_ok(li) for li in g.lines_through[p]):
+                rec(assigned + 1)
+        values[p] = None
+
+    rec(0)
+    return sorted(out)
 
 
 class TestPredicates:

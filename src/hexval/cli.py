@@ -15,7 +15,7 @@ import functools
 import io
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from . import reference
 from .geometry import (GeometryError, check_generalized_hexagon,
@@ -46,6 +46,12 @@ def _load_bundle(args) -> Bundle:
 
 
 # -- report construction -------------------------------------------------
+
+
+#: columns of the valuation and line tables, in CSV order
+_VALUATION_KEYS = ("type", "count", "max_value", "ovoid_size",
+                   "hyperplane_size", "distribution")
+_LINE_KEYS = ("type", "per_point")
 
 
 def _valuation_rows(bundle: Bundle) -> List[dict]:
@@ -235,6 +241,26 @@ def _report_text(report: dict) -> str:
     return "\n".join(parts)
 
 
+def _csv_table(keys: Sequence[str], rows: List[dict]) -> str:
+    """A header of keys, then one CSV row per dict; nested values are
+    written as JSON."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    for r in rows:
+        writer.writerow([json.dumps(r[k]) if isinstance(r[k], (list, dict))
+                         else r[k] for k in keys])
+    return buf.getvalue().rstrip("\n")
+
+
+def _emit(value: dict, fmt: str, text: Dict[str, Callable[[], str]]
+          ) -> None:
+    """Print value as JSON, or for another format the string that its
+    renderer text[fmt] returns."""
+    print(json.dumps(value, indent=2, sort_keys=True) if fmt == "json"
+          else text[fmt]())
+
+
 def _report_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -309,51 +335,30 @@ def _cmd_hyperplanes(args) -> int:
               "hyperplanes": _hyperplane_section(bundle)
               if args.classes else
               {"total": bundle.hyperplane_count}}
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print(f"hyperplanes: {report['hyperplanes']['total']}")
+    parts = [f"hyperplanes: {report['hyperplanes']['total']}"]
     if args.classes:
-        print(_hyperplane_table_text(report))
+        parts.append(_hyperplane_table_text(report))
+    _emit(report, args.format, {"text": lambda: "\n".join(parts)})
     return 0
 
 
 def _cmd_valuations(args) -> int:
     bundle = _load_bundle(args)
-    report = {"geometry": bundle.name,
-              "tables": {"valuations": _valuation_rows(bundle)}}
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["type", "count", "max_value", "ovoid_size",
-                         "hyperplane_size", "distribution"])
-        for r in report["tables"]["valuations"]:
-            writer.writerow([r["type"], r["count"], r["max_value"],
-                             r["ovoid_size"], r["hyperplane_size"],
-                             json.dumps(r["distribution"])])
-        print(buf.getvalue().rstrip("\n"))
-    else:
-        print(_valuation_table_text(report))
+    rows = _valuation_rows(bundle)
+    report = {"geometry": bundle.name, "tables": {"valuations": rows}}
+    _emit(report, args.format, {
+        "text": lambda: _valuation_table_text(report),
+        "csv": lambda: _csv_table(_VALUATION_KEYS, rows)})
     return 0
 
 
 def _cmd_valgeom(args) -> int:
     bundle = _load_bundle(args)
-    report = {"geometry": bundle.name,
-              "tables": {"lines": _line_rows(bundle)}}
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["type", "per_point"])
-        for r in report["tables"]["lines"]:
-            writer.writerow([r["type"], json.dumps(r["per_point"])])
-        print(buf.getvalue().rstrip("\n"))
-    else:
-        print(_line_table_text(report))
+    rows = _line_rows(bundle)
+    report = {"geometry": bundle.name, "tables": {"lines": rows}}
+    _emit(report, args.format, {
+        "text": lambda: _line_table_text(report),
+        "csv": lambda: _csv_table(_LINE_KEYS, rows)})
     return 0
 
 
@@ -391,12 +396,9 @@ def _cmd_report(args) -> int:
         if diffs:
             exit_code = 1
     payload = reports[0] if len(reports) == 1 else {"reports": reports}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print("\n".join(_report_csv(r) for r in reports))
-    else:
-        print("\n\n".join(_report_text(r) for r in reports))
+    _emit(payload, args.format, {
+        "text": lambda: "\n\n".join(_report_text(r) for r in reports),
+        "csv": lambda: "\n".join(_report_csv(r) for r in reports)})
     return exit_code
 
 

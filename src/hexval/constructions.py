@@ -95,20 +95,26 @@ def _validate_hexagon(g: Geometry, label: str) -> Geometry:
     return g
 
 
-def build_h2() -> Geometry:
-    """The split Cayley hexagon H(2): 63 points, 63 lines, order (2, 2)."""
+def _h2_geometry() -> Geometry:
+    """H(2) from the quadric, not yet validated."""
     points = singular_points()
     index = {p: i for i, p in enumerate(points)}
     raw_lines = [line for line in singular_lines(points)
                  if _hexagon_line_filter(line)]
     lines = [[index[p] for p in line] for line in raw_lines]
-    g = Geometry(len(points), lines, name="h2")
-    return _validate_hexagon(g, "H(2)")
+    return Geometry(len(points), lines, name="h2")
+
+
+def build_h2() -> Geometry:
+    """The split Cayley hexagon H(2): 63 points, 63 lines, order (2, 2)."""
+    return _validate_hexagon(_h2_geometry(), "H(2)")
 
 
 def build_h2_dual() -> Geometry:
-    """The point-line dual H^D(2) of the split Cayley hexagon."""
-    g = dual(build_h2())
+    """The point-line dual H^D(2) of the split Cayley hexagon. The
+    hexagon axioms are self-dual, so validating the dual also validates
+    the H(2) it comes from."""
+    g = dual(_h2_geometry())
     g.name = "h2dual"
     return _validate_hexagon(g, "H^D(2)")
 

@@ -2,8 +2,9 @@
 
 A Geometry is a partial linear space with points 0..n-1 and lines given as
 sorted point tuples. Construction canonicalizes the line order, validates
-the partial-linear-space axiom and builds the collinearity graph, also as
-int bitmasks. The distance matrix (BFS per point) is computed on first
+the partial-linear-space axiom and builds the collinearity graph as int
+bitmasks: point p's neighbours are ``neighbor_masks[p]``. The distance
+matrix (a frontier BFS over those masks per point) is computed on first
 read and kept. Distances are ints; disconnected point pairs get the
 sentinel -1. ``is_connected`` needs no distances, and ``diameter`` reports
 ``INF`` for a disconnected geometry.
@@ -11,7 +12,7 @@ sentinel -1. ``is_connected`` needs no distances, and ``diameter`` reports
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -99,21 +100,17 @@ class Geometry:
                     seen_pairs[pair] = line
 
     def _build_graph(self):
-        n = self.num_points
-        nbrs = [set() for _ in range(n)]
-        lines_through: List[List[int]] = [[] for _ in range(n)]
-        for li, line in enumerate(self.lines):
-            for p in line:
-                lines_through[p].append(li)
-                nbrs[p].update(q for q in line if q != p)
-        self.neighbors: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in nbrs)
-        self.lines_through: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(v) for v in lines_through)
-        self.neighbor_masks: Tuple[int, ...] = tuple(
-            sum(1 << q for q in t) for t in self.neighbors)
+        lines_through: List[List[int]] = [[] for _ in range(self.num_points)]
+        nbrs = [0] * self.num_points
         self.line_masks: Tuple[int, ...] = tuple(
             sum(1 << p for p in line) for line in self.lines)
+        for li, (line, mask) in enumerate(zip(self.lines, self.line_masks)):
+            for p in line:
+                lines_through[p].append(li)
+                nbrs[p] |= mask ^ (1 << p)
+        self.lines_through: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(v) for v in lines_through)
+        self.neighbor_masks: Tuple[int, ...] = tuple(nbrs)
 
     @cached_property
     def dist(self) -> List[List[int]]:
@@ -122,17 +119,7 @@ class Geometry:
 
     @cached_property
     def _connected(self) -> bool:
-        """One frontier BFS from point 0 over the neighbour masks."""
-        if not self.num_points:
-            return True
-        reached = frontier = 1
-        while frontier:
-            step = 0
-            for q in _bits(frontier):
-                step |= self.neighbor_masks[q]
-            frontier = step & ~reached
-            reached |= frontier
-        return reached == (1 << self.num_points) - 1
+        return not self.num_points or -1 not in self._bfs(0)
 
     @cached_property
     def _diameter(self):
@@ -141,15 +128,19 @@ class Geometry:
         return max((max(row) for row in self.dist), default=0)
 
     def _bfs(self, start: int) -> List[int]:
+        """Distances from start (-1 when unreachable), by a frontier BFS
+        over the neighbour masks."""
         row = [-1] * self.num_points
-        row[start] = 0
-        q = deque([start])
-        while q:
-            x = q.popleft()
-            for y in self.neighbors[x]:
-                if row[y] < 0:
-                    row[y] = row[x] + 1
-                    q.append(y)
+        reached = frontier = 1 << start
+        d = 0
+        while frontier:
+            step = 0
+            for q in _bits(frontier):
+                row[q] = d
+                step |= self.neighbor_masks[q]
+            frontier = step & ~reached
+            reached |= frontier
+            d += 1
         return row
 
     # -- basic queries ---------------------------------------------------
@@ -218,14 +209,13 @@ def check_generalized_hexagon(g: Geometry) -> HexagonReport:
     for p in range(g.num_points):
         if len(g.lines_through[p]) < 2:
             return HexagonReport(False, "point on fewer than 2 lines", (p,))
+    nm = g.neighbor_masks
     for x in range(g.num_points):
         for y in range(x + 1, g.num_points):
-            if g.dist[x][y] == 2:
-                common = set(g.neighbors[x]) & set(g.neighbors[y])
-                if len(common) != 1:
-                    return HexagonReport(
-                        False, "distance-2 pair without unique common "
-                        "neighbor", (x, y, sorted(common)))
+            if g.dist[x][y] == 2 and (nm[x] & nm[y]).bit_count() != 1:
+                return HexagonReport(
+                    False, "distance-2 pair without unique common "
+                    "neighbor", (x, y, list(_bits(nm[x] & nm[y]))))
     return HexagonReport(True)
 
 

@@ -1,79 +1,22 @@
 """Bit-packed linear algebra over GF(2).
 
-Vectors are stored as arbitrary-precision Python integers (bit i of the
-integer is coordinate i), which keeps XOR-based elimination on 63-bit
-vectors a single machine-word operation. ``span_words`` lays a whole span
-out as a numpy array of 64-bit words, one row per vector.
+A vector, and a matrix row, is a plain Python int: bit i is coordinate
+i, so a point set of a geometry is its own GF(2) vector and XOR-based
+elimination on 63-bit vectors is a single machine-word operation.
+``rank`` and ``nullspace`` take a sequence of int rows and the column
+count. ``span_words`` lays a whole span out as a numpy array of 64-bit
+words, one row per vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 _WORD = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """A GF(2) vector of fixed length, packed into an int."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("negative length")
-        if self.bits >> self.length:
-            raise ValueError("bits set beyond vector length")
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> List[int]:
-        """Indices of the nonzero coordinates, ascending."""
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """A GF(2) matrix as a list of BitVector rows."""
-
-    rows: int
-    cols: int
-    row_data: tuple
-
-    def __post_init__(self):
-        if len(self.row_data) != self.rows:
-            raise ValueError("row count mismatch")
-        for r in self.row_data:
-            if r.length != self.cols:
-                raise ValueError("row length mismatch")
-
-    @classmethod
-    def from_rows(cls, cols: int, rows: Iterable[BitVector]) -> "BitMatrix":
-        rows = tuple(rows)
-        return cls(len(rows), cols, rows)
-
-
-def _eliminate(row_bits: List[int], cols: int, col_order: Iterable[int]):
+def _eliminate(row_bits: List[int], col_order: Iterable[int]):
     """Row-reduce in place over the given column order.
 
     Returns the list of (pivot_row, pivot_col) pairs in elimination order.
@@ -100,54 +43,34 @@ def _eliminate(row_bits: List[int], cols: int, col_order: Iterable[int]):
     return pivots
 
 
-def rank(m: BitMatrix, col_order: Iterable[int] | None = None) -> int:
-    """GF(2) rank, optionally with a custom column elimination order."""
+def rank(rows: Sequence[int], cols: int,
+         col_order: Iterable[int] | None = None) -> int:
+    """GF(2) rank of the int rows over the columns 0..cols-1, optionally
+    with a custom column elimination order."""
     if col_order is None:
-        col_order = range(m.cols)
-    bits = [r.bits for r in m.row_data]
-    return len(_eliminate(bits, m.cols, col_order))
+        col_order = range(cols)
+    return len(_eliminate(list(rows), col_order))
 
 
-def nullspace(m: BitMatrix) -> List[BitVector]:
-    """Basis of {v : M v = 0} in reduced echelon form of the kernel.
+def nullspace(rows: Sequence[int], cols: int) -> List[int]:
+    """Basis of {v : (row & v) has even weight for every row}, in reduced
+    echelon form of the kernel.
 
     Pivoting is deterministic (lowest-index column first); the basis
     vectors are sorted by their pivot (free) column.
     """
-    bits = [r.bits for r in m.row_data]
-    pivots = _eliminate(bits, m.cols, range(m.cols))
+    bits = list(rows)
+    pivots = _eliminate(bits, range(cols))
     pivot_cols = {col: row for row, col in pivots}
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
+    free_cols = [c for c in range(cols) if c not in pivot_cols]
     basis = []
     for f in free_cols:
         v = 1 << f
         for col, row in pivot_cols.items():
             if bits[row] & (1 << f):
                 v |= 1 << col
-        basis.append(BitVector(m.cols, v))
+        basis.append(v)
     return basis
-
-
-def span_iter(basis: List[BitVector]) -> Iterator[BitVector]:
-    """Yield all 2^k vectors of the span of an independent basis.
-
-    Order is the Gray-code walk over coefficient vectors: step i flips the
-    basis element indexed by the number of trailing zeros of i. The walk is
-    stable for a fixed basis, starting at the zero vector.
-    """
-    if not basis:
-        yield BitVector(0, 0)
-        return
-    length = basis[0].length
-    mat = BitMatrix.from_rows(length, basis)
-    if rank(mat) != len(basis):
-        raise ValueError("basis vectors are linearly dependent")
-    cur = 0
-    yield BitVector(length, cur)
-    for i in range(1, 1 << len(basis)):
-        j = (i & -i).bit_length() - 1
-        cur ^= basis[j].bits
-        yield BitVector(length, cur)
 
 
 def to_words(values: Sequence[int], words: int) -> np.ndarray:

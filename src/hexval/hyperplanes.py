@@ -9,11 +9,14 @@ of discrete geometries, Europ. J. Combin. 8 (1987)). So the hyperplanes
 are the 2^dim - 1 nonzero vectors of that space, and their number needs
 only its dimension.
 
+Point sets and nullspace vectors are int bitmasks throughout: the
+incidence matrix is the tuple of line masks, and ``gf2.nullspace`` of it
+returns a basis in which vector i alone has its free column f_i, so a
+vector's coordinates are its bits at the free columns.
+
 ``enumerate_hyperplanes`` lists them one by one as ``Hyperplane`` objects.
 Neither ``classify_hyperplanes`` nor the full valuation sweep builds that
-list; the classification works on coordinate vectors. ``gf2.nullspace`` returns a
-basis in which vector i alone has its free column f_i, so a vector's
-coordinates are its bits at the free columns. An automorphism acts
+list; the classification works on coordinate vectors. An automorphism acts
 linearly on the coordinates, all 2^dim vectors and their images are
 numpy arrays built by doubling, and orbits come from min-label
 propagation. Spaces above ``MAX_DIMENSION`` are refused before anything
@@ -27,7 +30,7 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from . import gf2
-from .geometry import Geometry, GeometryError
+from .geometry import Geometry, GeometryError, _bits
 
 if TYPE_CHECKING:
     from .perm import PermGroup
@@ -49,7 +52,7 @@ class Hyperplane:
         return self.member_bits.bit_count()
 
     def points(self) -> Tuple[int, ...]:
-        return tuple(gf2.BitVector(self.num_points, self.member_bits).support())
+        return tuple(_bits(self.member_bits))
 
     def complement_bits(self) -> int:
         return ((1 << self.num_points) - 1) ^ self.member_bits
@@ -63,16 +66,11 @@ class HyperplaneClass:
     invariant_key: Tuple[int, int]  # (size, number of full lines)
 
 
-def incidence_matrix(g: Geometry) -> gf2.BitMatrix:
-    """Line-point incidence matrix (rows = lines) over GF(2)."""
-    rows = [gf2.BitVector(g.num_points, mask) for mask in g.line_masks]
-    return gf2.BitMatrix.from_rows(g.num_points, rows)
-
-
 def nullspace_basis(g: Geometry) -> List[int]:
-    """Basis of the GF(2) nullspace of the incidence matrix, as point
-    masks, in the reduced form of gf2.nullspace."""
-    return [v.bits for v in gf2.nullspace(incidence_matrix(g))]
+    """Basis of the GF(2) nullspace of the line-point incidence matrix,
+    whose rows are the line masks, as point masks in the reduced form of
+    gf2.nullspace."""
+    return gf2.nullspace(g.line_masks, g.num_points)
 
 
 def _hyperplane_basis(g: Geometry) -> List[int]:
@@ -108,33 +106,29 @@ def _check_line_rule(g: Geometry, member_bits: int) -> bool:
 
 
 def enumerate_hyperplanes(g: Geometry) -> List[Hyperplane]:
-    """All hyperplanes, sorted by member bitmask; count is 2^dim - 1."""
-    basis = [gf2.BitVector(g.num_points, b) for b in _enumerable_basis(g)]
+    """All hyperplanes, sorted by member bitmask; count is 2^dim - 1.
+
+    The span is built by doubling; a basis whose span does not hold
+    2^dim - 1 distinct nonzero vectors, or a vector that fails the
+    1-or-3 line rule, raises RuntimeError."""
+    basis = _enumerable_basis(g)
+    span = [0]
+    for b in basis:
+        span += [v ^ b for v in span]
     full = (1 << g.num_points) - 1
-    out = []
-    for v in gf2.span_iter(basis):
-        if v.bits == 0:
-            continue
-        member = full ^ v.bits
-        hp = Hyperplane(g.num_points, member)
-        if not _check_line_rule(g, member):
-            raise RuntimeError(
-                f"nullspace vector {v.bits:b} fails the 1-or-3 line rule")
-        out.append(hp)
-    out.sort(key=lambda h: h.member_bits)
-    if len(out) != (1 << len(basis)) - 1:
+    members = sorted({full ^ v for v in span if v})
+    if len(members) != len(span) - 1:
         raise RuntimeError(f"span of a {len(basis)}-dimensional nullspace "
-                           f"gave {len(out)} hyperplanes")
-    return out
+                           f"gave {len(members)} hyperplanes")
+    for member in members:
+        if not _check_line_rule(g, member):
+            raise RuntimeError(f"nullspace vector {full ^ member:b} fails "
+                               f"the 1-or-3 line rule")
+    return [Hyperplane(g.num_points, member) for member in members]
 
 
 def _image(p, mask: int) -> int:
-    img = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        img |= 1 << p[low.bit_length() - 1]
-    return img
+    return sum(1 << p[q] for q in _bits(mask))
 
 
 def _image_coordinates(basis: List[int], free: List[int], p) -> List[int]:

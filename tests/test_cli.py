@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes."""
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hexval import pipeline
+from hexval import cli, pipeline, reference
 from hexval.cli import run
 from hexval.geometry import Geometry, from_text, to_text
 from hexval.valgeom import ValuationGeometry, check_lemma_3_1
@@ -109,6 +110,10 @@ class TestValuations:
         header = out.splitlines()[0]
         assert header.startswith("type,count,")
 
+    def test_empty_csv_table_keeps_header(self):
+        assert cli._csv_table(cli._VALUATION_KEYS, []) == (
+            "type,count,max_value,ovoid_size,hyperplane_size,distribution")
+
 
 class TestValgeom:
     def test_lines_table(self, capsys, h2dual):
@@ -122,6 +127,15 @@ class TestValgeom:
                               "--format", "json")
         rows = json.loads(out)["tables"]["lines"]
         table = {r["type"]: r["per_point"] for r in rows}
+        assert table["CCD"] == {"C": 40, "D": 5}
+
+    def test_lines_table_csv(self, capsys, h2dual):
+        code, out, _ = invoke(capsys, "valgeom", "--geometry", "h2dual",
+                              "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["type", "per_point"]
+        table = {t: json.loads(per_point) for t, per_point in rows[1:]}
         assert table["CCD"] == {"C": 40, "D": 5}
 
 
@@ -184,6 +198,15 @@ class TestReport:
         _, second, _ = invoke(capsys, "report", "--geometry", "h2dual",
                               "--format", "json")
         assert first == second
+
+    def test_reference_mismatch_exits_1(self, capsys, monkeypatch, h2dual):
+        monkeypatch.setitem(reference.OVOID_COUNT, "h2dual", 1)
+        code, out, err = invoke(capsys, "report", "--geometry", "h2dual",
+                                "--format", "json")
+        assert code == 1
+        assert err == "h2dual: checks.ovoids: expected 1, got 0\n"
+        assert '"reference_match": false' in out
+        assert json.loads(out)["checks"]["reference_match"] is False
 
 
 class TestErrors:

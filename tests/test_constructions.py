@@ -3,9 +3,9 @@ order-(2,1) hexagon and the 3x3 grid."""
 import pytest
 
 from hexval import constructions
-from hexval.constructions import (ConstructionError, build_h2, grid_3x3,
-                                  quadric_form, singular_lines,
-                                  singular_points)
+from hexval.constructions import (ConstructionError, build_h2,
+                                  build_h2_dual, grid_3x3, quadric_form,
+                                  singular_lines, singular_points)
 from hexval.geometry import (Geometry, check_generalized_hexagon, dual,
                              order_of)
 from hexval.perm import are_isomorphic
@@ -108,3 +108,25 @@ class TestValidationGate:
         bad = list(g.lines[:-1])
         with pytest.raises(ConstructionError):
             constructions._validate_hexagon(Geometry(63, bad), "corrupted")
+
+    def test_corrupted_identities_rejected(self, monkeypatch):
+        # without the last identity more singular lines pass the filter;
+        # the dual build validates only the dual, which must still fail
+        monkeypatch.setattr(constructions, "_HEXAGON_IDENTITIES",
+                            constructions._HEXAGON_IDENTITIES[:-1])
+        for build in (build_h2, build_h2_dual):
+            with pytest.raises(ConstructionError):
+                build()
+
+    def test_dual_builds_h2_once(self, monkeypatch):
+        calls = []
+        real = constructions._validate_hexagon
+
+        def counted(g, label):
+            calls.append(label)
+            return real(g, label)
+
+        monkeypatch.setattr(constructions, "_validate_hexagon", counted)
+        g = build_h2_dual()
+        assert calls == ["H^D(2)"]
+        assert g.name == "h2dual" and g.num_points == 63

@@ -21,14 +21,24 @@ from hexval.perm import are_isomorphic
 from test_valuations import connected_hosts
 
 
+def neighbour_sets(g):
+    """The neighbours of each point, read from the lines, so an oracle
+    does not depend on the masks it checks."""
+    nbrs = [set() for _ in range(g.num_points)]
+    for line in g.lines:
+        for p in line:
+            nbrs[p].update(q for q in line if q != p)
+    return nbrs
+
+
 def common_neighbor_profile(g):
     """Histogram of common-neighbor counts over distance-2 point pairs."""
+    nbrs = neighbour_sets(g)
     hist = Counter()
     for x in range(g.num_points):
-        nx = set(g.neighbors[x])
         for y in range(x + 1, g.num_points):
             if g.dist[x][y] == 2:
-                hist[len(nx & set(g.neighbors[y]))] += 1
+                hist[len(nbrs[x] & nbrs[y])] += 1
     return hist
 
 
@@ -65,13 +75,13 @@ def enumerate_grids_oracle(g):
     for line in g.lines:
         if len(line) != 3:
             raise GeometryError("grid enumeration requires 3-point lines")
+    nbrs = neighbour_sets(g)
     found = {}
     for x in range(g.num_points):
-        nx = set(g.neighbors[x])
         for y in range(x + 1, g.num_points):
             if g.dist[x][y] != 2:
                 continue
-            common = sorted(nx & set(g.neighbors[y]))
+            common = sorted(nbrs[x] & nbrs[y])
             for i in range(len(common)):
                 for j in range(i + 1, len(common)):
                     pts = _complete_grid(g, x, common[i], common[j], y)
@@ -228,6 +238,12 @@ class TestBuild:
         assert g.is_connected() == connected
         assert (g.diameter() == INF) == (not connected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(any_hosts())
+    def test_neighbor_masks_match_lines(self, g):
+        assert list(g.neighbor_masks) == [sum(1 << q for q in nbrs)
+                                          for nbrs in neighbour_sets(g)]
+
     def test_negative_point_count_rejected(self):
         with pytest.raises(GeometryError, match="negative point count"):
             geometry.build(-3, [])
@@ -236,8 +252,8 @@ class TestBuild:
         two_lines = geometry.build(6, [(0, 1, 2), (3, 4, 5)])
         for g in (grid_3x3(), build_hexagon_2_1(), build_fano(), two_lines):
             n = g.num_points
-            fw = [[0 if i == j else
-                   (1 if j in g.neighbors[i] else math.inf)
+            nbrs = neighbour_sets(g)
+            fw = [[0 if i == j else (1 if j in nbrs[i] else math.inf)
                    for j in range(n)] for i in range(n)]
             for k in range(n):
                 for i in range(n):
@@ -270,6 +286,19 @@ class TestAxiomCheckers:
         rep = check_generalized_hexagon(grid_3x3())
         assert not rep.is_generalized_hexagon
         assert "diameter" in rep.reason
+
+    def test_common_neighbour_witness(self):
+        # the 3x3x3 Hamming near hexagon: points (a, b, c) numbered
+        # 9a + 3b + c, lines vary one coordinate; 0 and (0, 1, 1) have the
+        # two common neighbours (0, 0, 1) and (0, 1, 0)
+        lines = [[p + k * step for k in range(3)]
+                 for step in (1, 3, 9) for p in range(27)
+                 if p // step % 3 == 0]
+        rep = check_generalized_hexagon(Geometry(27, lines))
+        assert not rep.is_generalized_hexagon
+        assert rep.reason == ("distance-2 pair without unique common "
+                              "neighbor")
+        assert rep.witness == (0, 4, [1, 3])
 
     def test_line_deletion_breaks_hexagon(self, h2):
         g = h2.geometry

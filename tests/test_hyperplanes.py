@@ -21,7 +21,7 @@ from hexval.constructions import grid_3x3
 from hexval.geometry import Geometry, GeometryError, to_text
 from hexval.hyperplanes import (MAX_DIMENSION, Hyperplane, HyperplaneClass,
                                 classify_hyperplanes, enumerate_hyperplanes,
-                                hyperplane_count, incidence_matrix)
+                                hyperplane_count)
 from hexval.perm import automorphism_group
 
 
@@ -196,10 +196,27 @@ class TestEnumeration:
         bits = [h.member_bits for h in h21.hyperplanes]
         assert bits == sorted(set(bits))
 
+    def test_rejects_dependent_basis(self, monkeypatch, h21):
+        # three nullspace vectors, so every one of them keeps the line
+        # rule, but the third is the sum of the first two: their span
+        # holds 3 nonzero vectors, not 7
+        b0, b1 = hyperplanes.nullspace_basis(h21.geometry)[:2]
+        monkeypatch.setattr(hyperplanes, "nullspace_basis",
+                            lambda g: [b0, b1, b0 ^ b1])
+        with pytest.raises(RuntimeError, match="gave 3 hyperplanes"):
+            enumerate_hyperplanes(h21.geometry)
+
+    def test_rejects_vector_outside_nullspace(self, monkeypatch, h21):
+        # a single point meets its lines in 1 point, so its complement
+        # fails the 1-or-3 rule
+        monkeypatch.setattr(hyperplanes, "nullspace_basis", lambda g: [1])
+        with pytest.raises(RuntimeError, match="fails the 1-or-3 line rule"):
+            enumerate_hyperplanes(h21.geometry)
+
     def test_nullspace_dimension_two_elimination_orders(self, h2):
-        m = incidence_matrix(h2.geometry)
-        dim = m.cols - gf2.rank(m)
-        dim_rev = m.cols - gf2.rank(m, col_order=reversed(range(m.cols)))
+        rows, n = h2.geometry.line_masks, h2.geometry.num_points
+        dim = n - gf2.rank(rows, n)
+        dim_rev = n - gf2.rank(rows, n, col_order=reversed(range(n)))
         assert dim == dim_rev == 14
 
 
@@ -320,7 +337,7 @@ class TestAgainstOracle:
         g = relabeled(pendant_path(h2.geometry), seed=67)
         group = automorphism_group(g)
         classes = classify_hyperplanes(g, group)
-        assert len(gf2.nullspace(incidence_matrix(g))) == 16
+        assert len(gf2.nullspace(g.line_masks, g.num_points)) == 16
         assert sum(c.orbit_size for c in classes) == (1 << 16) - 1
         assert max(c.representative.member_bits for c in classes) >> 64
         assert classes == oracle_classes(g, group)

@@ -3,6 +3,8 @@ import ast
 import importlib
 from pathlib import Path
 
+from hexval.pipeline import Bundle
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hexval"
 
@@ -31,3 +33,15 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(module),
                                        name, None))]
     assert missing == []
+
+
+def test_report_stages_exist():
+    # a traced report pass reads each stage with getattr(bundle, stage),
+    # so a removed or renamed Bundle stage would crash every traced run
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(
+        encoding="utf-8"))
+    stages = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["REPORT_STAGES"])
+    assert stages
+    assert [s for s in stages if not hasattr(Bundle, s)] == []

@@ -23,9 +23,11 @@ ovoid = find_ovoids(g)[0]
 print("ovoidal valuation: max", ovoidal_valuation(g, ovoid).max_value())
 
 # all valuations are generated hyperplane by hyperplane: zeros seeded on
-# the complement, line propagation, then a small branch-and-filter
+# the complement, line propagation, then a small branch-and-filter. The
+# bundle searches one hyperplane per class and closes the result under
+# the automorphism group; it holds one int8 row per valuation
 vals = bundle.valuations
-print("valuations of H(2):", len(vals))
+print("valuations of H(2):", len(vals), "rows of", vals.shape[1], "values")
 
 # the automorphism group splits them into 7 classes; the table records
 # class size, maximum value, zero-set and hyperplane sizes and the

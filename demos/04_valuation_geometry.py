@@ -7,7 +7,7 @@ for some fixed eps in {-1, 0, 1} and all points x. Every neighboring
 pair determines a third valuation f1 * f2, and the triples {f1, f2,
 f1 * f2} are the lines of the valuation geometry.
 """
-from hexval import check_lemma_3_1, get_bundle, star
+from hexval import Valuation, check_lemma_3_1, get_bundle, star
 
 bundle = get_bundle("h2dual")
 
@@ -16,9 +16,12 @@ vg = bundle.valuation_geometry
 print("valuation geometry:", len(vg.vpoints), "points,",
       len(vg.vlines), "lines")
 
-# the star operator is symmetric and each pair recovers the third member
+# the points are the rows of one int8 matrix; the scalar star takes
+# Valuation objects. It is symmetric and each pair recovers the third
+# member
 i, j, k = vg.vlines[0]
-f1, f2, f3 = vg.vpoints[i], vg.vpoints[j], vg.vpoints[k]
+f1, f2, f3 = (Valuation(bundle.geometry, tuple(vg.vpoints[x].tolist()))
+              for x in (i, j, k))
 print("star closed:", star(f1, f2).values == f3.values
       and star(f1, f3).values == f2.values)
 

@@ -2,9 +2,9 @@
 
 Permutations are image tuples (p maps point i to p[i]). PermGroup keeps a
 deterministic Schreier-Sims stabilizer chain (base points: smallest moved
-point first) supporting exact order and membership. Every orbit, of a
-point, a point set or a point function, comes from ``orbit``, which takes
-the generators and their action as parameters.
+point first) supporting exact order and membership. Orbits of points and
+point sets come from ``orbit``, which takes the generators and their
+action as parameters.
 
 Automorphism and isomorphism search runs a backtracking over points with
 candidate sets refined by full distance profiles relative to the already
@@ -156,19 +156,6 @@ def orbit(generators: Sequence, start: Hashable,
                 seen.add(y)
                 queue.append(y)
     return seen
-
-
-def _compose_function(g: Perm, f: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(f[y] for y in g)
-
-
-def orbit_of_function(group: PermGroup,
-                      values: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Orbit {f o theta : theta in group} of a point function, sorted."""
-    start = tuple(values)
-    if len(start) != group.degree:
-        raise ValueError("function must be defined on all points")
-    return sorted(orbit(group.generators, start, _compose_function))
 
 
 # -- isomorphism search --------------------------------------------------

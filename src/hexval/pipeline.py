@@ -2,38 +2,39 @@
 
 A Bundle owns a geometry and computes its automorphism group, hyperplane
 classification, valuations, valuation-class labels and valuation geometry
-on demand, caching each stage. Valuations come from the hyperplane
-classes: the class representatives seed one batched valuation search
-(``class_valuations``, through ``valuations.valuations_on_hyperplanes``).
-The automorphism orbits of the valuations found there
-(``valuation_orbits``) are the valuation classes: ``valuations`` is
-their union and ``classification`` labels them. The class sizes times
-the valuations per representative must count the expanded set. The
-per-class counts read the representative stage. The full sweep over
-every hyperplane, ``valuations.all_valuations``, runs the same search
-seeded from the whole nullspace; it stays as the public function and as
-the oracle that needs no automorphism group, and never reads
-``hyperplanes``. The line table is read off the lines through one
-valuation of each orbit (``valgeom.class_line_table``), and the Lemma
-3.1 input ``vprime()`` is the valuation geometry of the type-C
-valuations alone, so the report never builds the full
-``valuation_geometry``. The built-in hexagons are cached at module level
-so CLI commands and tests share one computation.
+on demand, caching each stage. Valuations are one int8 matrix, a row per
+valuation in value-vector order, from the search to the report. The
+hyperplane class representatives seed one batched valuation search
+(``class_valuations``, through ``valuations.valuations_on_hyperplanes``),
+and ``valuations`` closes their rows under the automorphism generators;
+the class sizes times the valuations per representative must count the
+closure. ``classification`` labels the orbits of those rows, one label
+per row. The full sweep over every hyperplane,
+``valuations.all_valuations``, runs the same search seeded from the
+whole nullspace; it stays as the public function and as the oracle that
+needs no automorphism group, and never reads ``hyperplanes``. The line
+table is read off the lines through one valuation of each orbit
+(``valgeom.class_line_table``), and the Lemma 3.1 input ``vprime()`` is
+the valuation geometry of the type-C rows alone, so the report never
+builds the full ``valuation_geometry``. The built-in hexagons are cached
+at module level so CLI commands and tests share one computation.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .constructions import build_h2, build_h2_dual, build_hexagon_2_1
 from .geometry import Geometry, find_ovoids
 from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
                           enumerate_hyperplanes, hyperplane_count)
-from .perm import PermGroup, automorphism_group, orbit_of_function
+from .perm import PermGroup, automorphism_group
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
                       class_line_table)
-from .valuations import (Valuation, ValuationType, _label_orbits,
+from .valuations import (ValuationType, _label_orbits, _orbit_roots,
+                         find_rows, unique_rows,
                          valuations_on_hyperplanes)
 
 BUILTIN_BUILDERS = {
@@ -72,8 +73,8 @@ class Bundle:
         return classify_hyperplanes(self.geometry, self.aut_group)
 
     @cached_property
-    def class_valuations(self) -> List[List[Valuation]]:
-        """The valuations carried by each hyperplane class representative."""
+    def class_valuations(self) -> List[np.ndarray]:
+        """The int8 valuation rows on each hyperplane class representative."""
         if not self.geometry.is_connected():
             raise ValueError("valuations require a connected geometry")
         return valuations_on_hyperplanes(
@@ -81,10 +82,9 @@ class Bundle:
             [cls.representative for cls in self.hyperplane_classes])
 
     @cached_property
-    def valuation_orbits(self) -> List[List[Tuple[int, ...]]]:
-        """The automorphism orbits of the class representatives'
-        valuations, each a sorted list of value vectors, computed once:
-        a valuation in an orbit found before is skipped.
+    def valuations(self) -> np.ndarray:
+        """Every valuation as an int8 row, in value-vector order: the
+        class representatives' rows closed under the images rows[:, theta].
 
         An automorphism maps the valuations on one hyperplane onto those
         on its image, so each class contributes its orbit size times the
@@ -94,40 +94,33 @@ class Bundle:
         # class_valuations first: on a disconnected host it fails at
         # once, before the group search, which is slow on large groups
         class_vals = self.class_valuations
-        orbits, found = [], set()
-        for vals in class_vals:
-            for val in vals:
-                if val.values not in found:
-                    orbits.append(orbit_of_function(self.aut_group,
-                                                    val.values))
-                    found.update(orbits[-1])
+        empty = np.empty((0, self.geometry.num_points), dtype=np.int8)
+        rows = new = unique_rows(np.concatenate([empty] + class_vals))
+        while len(new):
+            images = np.concatenate([empty] + [
+                new[:, theta] for theta in self.aut_group.generators])
+            new = unique_rows(images[find_rows(rows, images) < 0])
+            rows = unique_rows(np.concatenate([rows, new]))
         total = sum(len(vals) * cls.orbit_size
                     for vals, cls in zip(class_vals, self.hyperplane_classes))
-        if total != len(found):
+        if total != len(rows):
             raise RuntimeError(
                 f"hyperplane classes carry {total} valuations, the orbits "
-                f"of their representatives' valuations hold {len(found)}")
-        return orbits
+                f"of their representatives' valuations hold {len(rows)}")
+        return rows
 
     @cached_property
-    def valuations(self) -> List[Valuation]:
-        """Every valuation, in value-vector order: the union of
-        valuation_orbits."""
-        return [Valuation(self.geometry, v) for v in
-                sorted(chain.from_iterable(self.valuation_orbits))]
-
-    @cached_property
-    def classification(self) -> Tuple[List[ValuationType],
-                                      Dict[Tuple[int, ...], str]]:
-        """The valuation classes: one per orbit of valuation_orbits."""
-        return _label_orbits(self.geometry, self.valuation_orbits)
+    def classification(self) -> Tuple[List[ValuationType], List[str]]:
+        """The valuation classes and the label of each valuation row."""
+        return _label_orbits(self.geometry, self.valuations,
+                             _orbit_roots(self.valuations, self.aut_group))
 
     @property
     def valuation_types(self) -> List[ValuationType]:
         return self.classification[0]
 
     @property
-    def type_labels(self) -> Dict[Tuple[int, ...], str]:
+    def type_labels(self) -> List[str]:
         return self.classification[1]
 
     @cached_property
@@ -151,10 +144,10 @@ class Bundle:
         """The Type-C/CCC restriction of the valuation geometry, built on
         the type-C valuations alone: a line with all three points of type
         C is exactly a CCC line."""
+        type_c = [i for i, label in enumerate(self.type_labels)
+                  if label == "C"]
         return build_valuation_geometry(
-            self.geometry,
-            [v for v in self.valuations if self.type_labels[v.values] == "C"],
-            self.type_labels)
+            self.geometry, self.valuations[type_c], ["C"] * len(type_c))
 
     # -- valuations per hyperplane class ---------------------------------
 
@@ -166,8 +159,8 @@ class Bundle:
     def class_valuations_isomorphic(self, class_index: int) -> bool:
         """Whether all valuations on one representative hyperplane lie in
         a single automorphism orbit, that is, carry one class label."""
-        vals = self.class_valuations[class_index]
-        return len({self.type_labels[v.values] for v in vals}) <= 1
+        rows = find_rows(self.valuations, self.class_valuations[class_index])
+        return len({self.type_labels[i] for i in rows.tolist()}) <= 1
 
 
 _BUNDLES: Dict[str, Bundle] = {}

@@ -7,7 +7,7 @@ sorted string of its point types.
 
 `are_neighboring` and `star` are the scalar definitions on one pair of
 valuations. `build_valuation_geometry` applies the same definitions to all
-pairs as array algebra: the sorted valuations are the rows of one int8
+pairs as array algebra: the points are the sorted rows of one int8
 matrix, whether two rows are neighboring follows from the minimum and
 maximum of their difference, and star is an elementwise identity on two
 rows. Rows are processed in blocks sized from a fixed element budget, so
@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Geometry, enumerate_grids
-from .valuations import Valuation
+from .valuations import (Valuation, _line_index, _non_valuation_rows,
+                         find_rows, row_keys)
 
 EQUAL = "equal"
 
@@ -88,7 +89,7 @@ class ValuationGeometry:
     """Partial linear space of valuations with star-closed triple lines."""
 
     host: Geometry
-    vpoints: List[Valuation]
+    vpoints: np.ndarray
     vlines: List[Tuple[int, int, int]]
     point_types: Optional[List[str]] = None
     line_types: Optional[List[str]] = None
@@ -113,32 +114,6 @@ _BLOCK_ELEMENTS = 1 << 18
 _INT8_TOP = 124
 
 
-def _line_index(g: Geometry) -> List[np.ndarray]:
-    """The host's lines as point-index arrays, one [length, lines] array
-    per line length."""
-    by_length: Dict[int, List[Tuple[int, ...]]] = {}
-    for line in g.lines:
-        by_length.setdefault(len(line), []).append(line)
-    return [np.array(lines, dtype=np.intp).T
-            for _, lines in sorted(by_length.items())]
-
-
-def _non_valuation_rows(mat: np.ndarray,
-                        line_index: List[np.ndarray]) -> np.ndarray:
-    """Indices of the rows of mat that are not valuations: the row
-    minimum is not 0 (an empty row has none), or some line does not have exactly one point at
-    its minimum m and all others at m + 1 (the per-line rule, read as
-    one point at the line minimum and none above it plus one)."""
-    bad = mat.min(axis=1, initial=1) != 0
-    for idx in line_index:
-        on_lines = mat[:, idx]
-        low = on_lines.min(axis=1, keepdims=True)
-        ok = (((on_lines == low).sum(axis=1) == 1)
-              & (on_lines <= low + 1).all(axis=1))
-        bad |= ~ok.all(axis=1)
-    return np.flatnonzero(bad)
-
-
 def _star_rows(first: np.ndarray, second: np.ndarray,
                eps: np.ndarray) -> np.ndarray:
     """star of each row pair (first, second) with its epsilon, as int8
@@ -154,28 +129,6 @@ def _star_rows(first: np.ndarray, second: np.ndarray,
     return (raw - shift[:, None]).astype(np.int8)
 
 
-def _row_matrix(g: Geometry, vals: Sequence[Valuation],
-                line_index: List[np.ndarray]) -> np.ndarray:
-    """The value vectors as an int8 [n, points] matrix, after checking
-    that every one is a valuation of g."""
-    for v in vals:
-        if len(v.values) != g.num_points:
-            raise ValueError(f"value vectors must have {g.num_points} "
-                             f"entries: {v.values}")
-        if min(v.values, default=0) < 0:
-            raise ValueError(f"not a valuation of the host: {v.values}")
-        if max(v.values, default=0) > _INT8_TOP:
-            raise ValueError(f"valuation values above {_INT8_TOP} are not "
-                             f"supported: {v.values}")
-    vmat = np.array([v.values for v in vals], dtype=np.int8).reshape(
-        len(vals), g.num_points)
-    bad = _non_valuation_rows(vmat, line_index)
-    if bad.size:
-        raise ValueError(f"not a valuation of the host: "
-                         f"{vals[bad[0]].values}")
-    return vmat
-
-
 def _epsilon_interval(diff: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The bounds [lower, upper] of the epsilons in {-1, 0, 1} with
     |d + eps| <= 1 for every difference d along axis 0 of diff; a pair is
@@ -186,10 +139,10 @@ def _epsilon_interval(diff: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _neighbor_stars(vmat: np.ndarray, line_index: List[np.ndarray],
                     rows: Optional[np.ndarray] = None):
-    """Every neighboring pair (i, j) of distinct rows with its star row,
-    scanned in row blocks: each row i against every later row j, or, when
-    the sorted row indices rows are given, each of those rows against
-    every other row. Yields (i, j, star rows) per block."""
+    """Every neighboring pair (i, j) of distinct rows whose star is a row
+    k, scanned in row blocks: each row i against every later row j, or,
+    when the sorted row indices rows are given, each of those rows against
+    every other row. Yields (i, j, k) per block."""
     n, num_points = vmat.shape
     later = rows is None
     if later:
@@ -220,27 +173,44 @@ def _neighbor_stars(vmat: np.ndarray, line_index: List[np.ndarray],
             t = bad[0]
             raise RuntimeError(f"star of valuations {i[t]} and {j[t]} is "
                                f"not a valuation: {tuple(stars[t].tolist())}")
-        yield i, j, stars
+        k = find_rows(vmat, stars)
+        yield i[k >= 0], j[k >= 0], k[k >= 0]
 
 
-def _indexed_rows(g: Geometry, vals: Sequence[Valuation]):
-    """The valuations in value-vector order, the host's line index, their
-    checked int8 row matrix and {row bytes: row}; duplicates raise
-    ValueError."""
-    vals = sorted(vals, key=lambda v: v.values)
+def _checked_rows(g: Geometry, rows: Sequence[Sequence[int]],
+                  point_types: Optional[Sequence[str]]):
+    """rows as an int8 matrix in value-vector order, the point types in
+    that order and the host's line index. ValueError for a wrong length
+    or type count, a value outside 0.._INT8_TOP (checked before the int8
+    cast), a non-valuation or a repeated row."""
+    n = g.num_points
+    mat = np.asarray(rows, dtype=np.int64)
+    if mat.shape == (0,):
+        mat = mat.reshape(0, n)
+    if mat.ndim != 2 or mat.shape[1] != n:
+        raise ValueError(f"value vectors must have {n} entries, not an "
+                         f"array of shape {mat.shape}")
+    if point_types is not None and len(point_types) != len(mat):
+        raise ValueError(f"{len(point_types)} point types for "
+                         f"{len(mat)} value vectors")
+    bad = ((mat < 0) | (mat > _INT8_TOP)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"valuation values must lie in 0..{_INT8_TOP}: "
+                         f"{tuple(mat[bad.argmax()].tolist())}")
+    vmat = mat.astype(np.int8)
+    order = np.argsort(row_keys(vmat), kind="stable")
+    vmat = vmat[order]
     line_index = _line_index(g)
-    vmat = _row_matrix(g, vals, line_index)
-    index = {vmat[k].tobytes(): k for k in range(len(vals))}
-    if len(index) != len(vals):
+    bad = _non_valuation_rows(vmat, line_index)
+    if bad.size:
+        raise ValueError(f"not a valuation of the host: "
+                         f"{tuple(vmat[bad[0]].tolist())}")
+    keys = row_keys(vmat)
+    if (keys[1:] == keys[:-1]).any():
         raise ValueError("duplicate valuations")
-    return vals, line_index, vmat, index
-
-
-def _row_positions(index: Dict[bytes, int], stars: np.ndarray) -> np.ndarray:
-    """The row holding each star row, or -1 where none does."""
-    raw, width = stars.tobytes(), stars.shape[1]
-    return np.array([index.get(raw[t * width:(t + 1) * width], -1)
-                     for t in range(len(stars))], dtype=np.int64)
+    if point_types is not None:
+        point_types = [point_types[i] for i in order.tolist()]
+    return vmat, point_types, line_index
 
 
 def _star_closed_lines(keys: np.ndarray, n: int) -> np.ndarray:
@@ -265,45 +235,41 @@ def _star_closed_lines(keys: np.ndarray, n: int) -> np.ndarray:
     return lines
 
 
-def build_valuation_geometry(g: Geometry, vals: Sequence[Valuation],
-                             type_labels: Optional[Dict[Tuple[int, ...], str]]
-                             = None) -> ValuationGeometry:
+def build_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
+                             point_types: Optional[Sequence[str]] = None
+                             ) -> ValuationGeometry:
     """Lines are the triples {i, j, k} with v_i, v_j neighboring, distinct
     and star(v_i, v_j) = v_k present among the input valuations.
 
-    Points are indexed by position in the canonically sorted valuation
-    list. The sorted value vectors form one int8 [n, points] matrix V,
-    and every input row is checked to be a valuation of g (ValueError
-    naming the first that is not). Rows are scanned in blocks against
-    all later rows: for the differences D = V[i] - V[j], the pair is
-    neighboring when the epsilon interval [max(-1, -1 - min D),
-    min(1, 1 - max D)] is non-empty, and more than one epsilon raises
-    ValueError (this only happens on disconnected hosts). Each
-    neighboring pair's star is computed row-wise, checked to be a
-    valuation and looked up by its bytes among the rows. Every line is
+    rows are value vectors and point_types, when given, one type per row.
+    The rows, sorted and checked by _checked_rows (ValueError naming the
+    first bad row), form one int8 [n, points] matrix V, whose row index
+    is the point index. Rows are scanned in blocks against all later
+    rows: for the differences D = V[i] - V[j], the pair is neighboring
+    when the epsilon interval [max(-1, -1 - min D), min(1, 1 - max D)] is
+    non-empty, and more than one epsilon raises ValueError (this only
+    happens on disconnected hosts). Each neighboring pair's star is
+    computed row-wise, checked to be a valuation and looked up by its key
+    among the rows. Every line is
     then re-checked: its members are distinct, and each of its three
     pairs is neighboring with the third member as star, i.e.
     star(i, j) = k, star(i, k) = j and star(j, k) = i. A failed internal
     check raises RuntimeError. Block sizes come from a fixed element
     budget, so no n x n x points array is held.
     """
-    vals, line_index, vmat, index = _indexed_rows(g, vals)
-    n = len(vals)
+    vmat, point_types, line_index = _checked_rows(g, rows, point_types)
+    n = len(vmat)
     keys = [np.zeros(0, dtype=np.int64)]
-    for i, j, stars in _neighbor_stars(vmat, line_index):
-        k = _row_positions(index, stars)
-        present = k >= 0
-        triple = np.sort(np.stack([i[present], j[present], k[present]]),
-                         axis=0)
+    for i, j, k in _neighbor_stars(vmat, line_index):
+        triple = np.sort(np.stack([i, j, k]), axis=0)
         keys.append((triple[0] * n + triple[1]) * n + triple[2])
     lines = _star_closed_lines(np.concatenate(keys), n)
     vlines = list(zip(*lines.T.tolist()))
-    point_types = line_types = None
-    if type_labels is not None:
-        point_types = [type_labels[v.values] for v in vals]
+    line_types = None
+    if point_types is not None:
         line_types = [_line_type_string([point_types[i] for i in line])
                       for line in vlines]
-    return ValuationGeometry(g, list(vals), vlines, point_types, line_types)
+    return ValuationGeometry(g, vmat, vlines, point_types, line_types)
 
 
 def line_type_table(vg: ValuationGeometry) -> Dict[str, Dict[str, int]]:
@@ -357,10 +323,10 @@ def _check_double_count(table: Dict[str, Dict[str, int]],
                                f"lines counted by point type {totals}")
 
 
-def class_line_table(g: Geometry, vals: Sequence[Valuation],
-                     type_labels: Dict[Tuple[int, ...], str]
+def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
+                     point_types: Sequence[str]
                      ) -> Dict[str, Dict[str, int]]:
-    """line_type_table(build_valuation_geometry(g, vals, type_labels))
+    """line_type_table(build_valuation_geometry(g, rows, point_types))
     for labels that are orbits of a group of automorphisms of the
     valuation geometry, read off the lines through one valuation per
     point type.
@@ -381,8 +347,7 @@ def class_line_table(g: Geometry, vals: Sequence[Valuation],
     (_check_double_count) compares the counts of each line type across
     its point types. A failed check raises RuntimeError.
     """
-    vals, line_index, vmat, index = _indexed_rows(g, vals)
-    point_types = [type_labels[v.values] for v in vals]
+    vmat, point_types, line_index = _checked_rows(g, rows, point_types)
     first: Dict[str, int] = {}
     for row, ptype in enumerate(point_types):
         first.setdefault(ptype, row)
@@ -390,10 +355,8 @@ def class_line_table(g: Geometry, vals: Sequence[Valuation],
         return {}
     found = [np.zeros((3, 0), dtype=np.int64)]
     reps = np.array(list(first.values()), dtype=np.intp)
-    for i, j, stars in _neighbor_stars(vmat, line_index, reps):
-        k = _row_positions(index, stars)
-        present = k >= 0
-        found.append(np.stack([i[present], j[present], k[present]]))
+    for i, j, k in _neighbor_stars(vmat, line_index, reps):
+        found.append(np.stack([i, j, k]))
     r, j, k = np.concatenate(found, axis=1)
     repeated = np.flatnonzero((k == r) | (k == j))
     if repeated.size:
@@ -451,7 +414,7 @@ def restrict(vg: ValuationGeometry, point_types: Sequence[str],
             keep_ltypes.append(ltype)
     return ValuationGeometry(
         vg.host,
-        [vg.vpoints[i] for i in keep_pts],
+        vg.vpoints[keep_pts],
         keep_lines,
         [vg.point_types[i] for i in keep_pts],
         keep_ltypes)
@@ -505,7 +468,7 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     nbr = geo.neighbor_masks
     witness = None
     connected = geo.is_connected()
-    zero_sets = [v.zero_set() for v in vprime.vpoints]
+    zero_sets = [np.flatnonzero(row == 0).tolist() for row in vprime.vpoints]
 
     def zero_point(i: int) -> int:
         zeros = zero_sets[i]

@@ -14,6 +14,7 @@ complement seeds one row of an int8 value matrix, in blocks of
 per step until nothing changes. ``valuations_on_hyperplanes`` seeds it
 with given hyperplanes, such as the class representatives;
 ``all_valuations`` with every nonzero vector of the incidence nullspace.
+Both keep rows in value-vector order, the byte order of ``row_keys``.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import gf2
 from .geometry import Geometry, GeometryError
-from .hyperplanes import Hyperplane, _enumerable_basis
-from .perm import PermGroup, orbit_of_function
+from .hyperplanes import Hyperplane, _enumerable_basis, _orbit_labels
+from .perm import PermGroup
 
 #: most value rows the valuation search propagates together: the
 #: hyperplane complements seeded at once, and each piece of a branched
@@ -193,16 +194,38 @@ def _sweep_block(comp: np.ndarray, lines: np.ndarray, depth: int
     return np.concatenate(done), np.concatenate(done_seeds)
 
 
+def _line_index(g: Geometry) -> List[np.ndarray]:
+    """The host's lines as point-index arrays, one [length, lines] array
+    per line length."""
+    by_length: Dict[int, List[Tuple[int, ...]]] = {}
+    for line in g.lines:
+        by_length.setdefault(len(line), []).append(line)
+    return [np.array(lines, dtype=np.intp).T
+            for _, lines in sorted(by_length.items())]
+
+
+def _non_valuation_rows(mat: np.ndarray,
+                        line_index: List[np.ndarray]) -> np.ndarray:
+    """Indices of the rows of mat that are not valuations: the row
+    minimum is not 0 (an empty row has none), or some line does not have
+    exactly one point at its minimum m and none above m + 1, so all
+    others at m + 1."""
+    bad = mat.min(axis=1, initial=1) != 0
+    for idx in line_index:
+        on_lines = mat[:, idx]
+        low = on_lines.min(axis=1, keepdims=True)
+        ok = (((on_lines == low).sum(axis=1) == 1)
+              & (on_lines <= low + 1).all(axis=1))
+        bad |= ~ok.all(axis=1)
+    return np.flatnonzero(bad)
+
+
 def _check_sweep(vals: np.ndarray, lines: np.ndarray, comp_bytes: np.ndarray
                  ) -> None:
     """RuntimeError unless each row of vals is a valuation whose
     maximal-value set has the packed little-endian bits of the same row
     of comp_bytes; independent of the propagation that found it."""
-    on_line = vals[:, lines]
-    low = on_line.min(axis=2)
-    ok = ((on_line == low[..., None]).sum(axis=2, dtype=np.int8) == 1) \
-        & (on_line.max(axis=2) == low + 1)
-    bad = np.flatnonzero((vals.min(axis=1) != 0) | ~ok.all(axis=1))
+    bad = _non_valuation_rows(vals, [lines.T])
     if bad.size:
         raise RuntimeError(f"completion is not a valuation: "
                            f"{tuple(vals[bad[0]].tolist())}")
@@ -260,17 +283,18 @@ def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
 
 
 def valuations_on_hyperplanes(g: Geometry, hyps: Sequence[Hyperplane]
-                              ) -> List[List[Valuation]]:
-    """The valuations whose non-maximal-value set is each hyperplane, in
-    value-vector order: the search of all_valuations, with the same
-    guards and checks, seeded with the hyperplane complements."""
+                              ) -> List[np.ndarray]:
+    """The valuations whose non-maximal-value set is each hyperplane, one
+    int8 matrix each in value-vector order: the search of all_valuations,
+    with the same guards and checks, seeded with the hyperplane
+    complements. No row repeats on a seed, as branches differ."""
     words = max(1, -(-g.num_points // 64))
     vals, origin = _search_rows(g, lambda: gf2.to_words(
         [h.complement_bits() for h in hyps], words))
-    found = [set() for _ in hyps]
-    for values, i in zip(map(tuple, vals.tolist()), origin.tolist()):
-        found[i].add(values)
-    return [[Valuation(g, v) for v in sorted(rows)] for rows in found]
+    order = np.lexsort((row_keys(vals), origin))
+    # [:len(hyps)]: np.split gives one (empty) piece when hyps is empty
+    return np.split(vals[order], np.searchsorted(
+        origin[order], np.arange(1, len(hyps))))[:len(hyps)]
 
 
 def all_valuations(g: Geometry) -> List[Valuation]:
@@ -282,18 +306,53 @@ def all_valuations(g: Geometry) -> List[Valuation]:
     """
     vals, _ = _search_rows(g, lambda: gf2.span_words(
         _enumerable_basis(g), g.num_points)[1:])
-    # sorted tuples, not np.unique(axis=0), which imports numpy.ma
-    return [Valuation(g, v) for v in sorted(set(map(tuple, vals.tolist())))]
+    return [Valuation(g, v) for v in map(tuple, unique_rows(vals).tolist())]
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of an int8 matrix as one void scalar; values are at least
+    0, so the byte order of the keys is value-vector order."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[1]}").reshape(len(rows))
+
+
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an int8 matrix, in value-vector order."""
+    # a sort and a mask, not np.unique, whose plain form imports numpy.ma
+    keys = np.sort(row_keys(rows))
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep].view(np.int8).reshape(int(keep.sum()), rows.shape[1])
+
+
+def find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index of each of rows in the sorted distinct int8 rows table,
+    or -1 where it is absent."""
+    keys, want = row_keys(table), row_keys(rows)
+    pos = np.searchsorted(keys, want)
+    # a row is present when its right insertion point lies past its left
+    return np.where(np.searchsorted(keys, want, side="right") > pos, pos, -1)
+
+
+def _orbit_roots(rows: np.ndarray, group: PermGroup) -> np.ndarray:
+    """The least row index of the orbit of each of the sorted distinct
+    int8 rows, whose row holds the smallest value vector of the orbit; an
+    image f o theta = rows[:, theta] outside rows raises RuntimeError."""
+    actions = [find_rows(rows, rows[:, theta]) for theta in group.generators]
+    for image in actions:
+        if (image < 0).any():
+            row = tuple(rows[(image < 0).argmax()].tolist())
+            raise RuntimeError(f"the automorphism orbit of {row} leaves the "
+                               f"given valuations")
+    return _orbit_labels(actions, len(rows))
 
 
 # -- statistics and classification ---------------------------------------
 
 
-def valuation_stats(val: Valuation, width: Optional[int] = None) -> ValuationStats:
+def valuation_stats(val: Valuation) -> ValuationStats:
     top = val.max_value()
-    if width is None:
-        width = (val.host.diameter() + 1 if val.host.is_connected()
-                 else top + 1)
+    width = val.host.diameter() + 1 if val.host.is_connected() else 0
     dist = [0] * max(width, top + 1)
     for v in val.values:
         dist[v] += 1
@@ -304,10 +363,10 @@ def valuation_stats(val: Valuation, width: Optional[int] = None) -> ValuationSta
         distribution=tuple(dist))
 
 
-def _label_orbits(g: Geometry, orbits: Sequence[List[Tuple[int, ...]]]
-                  ) -> Tuple[List[ValuationType], Dict[Tuple[int, ...], str]]:
-    """Label valuation orbits, each a sorted list of value vectors, as
-    isomorphism classes.
+def _label_orbits(g: Geometry, rows: np.ndarray, roots: np.ndarray
+                  ) -> Tuple[List[ValuationType], List[str]]:
+    """Label the orbits of the sorted distinct int8 rows, given by their
+    _orbit_roots, as isomorphism classes; also return each row's label.
 
     Orbits are ordered by maximum value (descending), zero-set size,
     hyperplane size and value distribution, then by orbit size and
@@ -317,15 +376,19 @@ def _label_orbits(g: Geometry, orbits: Sequence[List[Tuple[int, ...]]]
     several; the rest are B (B1, B2, ... when there are several) on
     hosts with an ovoidal orbit, and B, C, D, ... in order otherwise.
     """
-    if not orbits:
-        return [], {}
-    classical = classical_valuation(g, 0).values
-    stats = [valuation_stats(Valuation(g, orbit[0])) for orbit in orbits]
-    order = sorted(range(len(orbits)), key=lambda i: (
+    if not len(rows):
+        return [], []
+    sizes = np.bincount(roots, minlength=len(rows))
+    orbits = np.flatnonzero(sizes).tolist()
+    stats = {i: valuation_stats(Valuation(g, tuple(rows[i].tolist())))
+             for i in orbits}
+    # a root's index orders orbits as its smallest value vector does
+    order = sorted(orbits, key=lambda i: (
         -stats[i].max_value, len(stats[i].zero_set),
-        stats[i].hyperplane_size, stats[i].distribution,
-        len(orbits[i]), orbits[i][0]))
-    classical_at = next((i for i in order if classical in orbits[i]), None)
+        stats[i].hyperplane_size, stats[i].distribution, sizes[i], i))
+    classical = classical_valuation(g, 0).values
+    at = find_rows(rows, np.array([classical], dtype=np.int8))[0]
+    classical_at = int(roots[at]) if at >= 0 else None
     ovoidal = [i for i in order if stats[i].max_value == 1]
     middle = [i for i in order
               if i != classical_at and stats[i].max_value != 1]
@@ -336,36 +399,25 @@ def _label_orbits(g: Geometry, orbits: Sequence[List[Tuple[int, ...]]]
                            f"{letter}{k + 1}") for k, i in enumerate(group))
     else:
         labels.update((i, chr(ord("B") + k)) for k, i in enumerate(middle))
-    types = [ValuationType(label=labels[i], class_size=len(orbits[i]),
+    types = [ValuationType(label=labels[i], class_size=int(sizes[i]),
                            stats=stats[i]) for i in order]
-    point_labels = {values: labels[i] for i in order
-                    for values in orbits[i]}
-    return types, point_labels
+    return types, [labels[i] for i in roots.tolist()]
 
 
 def classify_valuations(g: Geometry, group: PermGroup,
                         vals: Optional[List[Valuation]] = None
-                        ) -> Tuple[List[ValuationType], Dict[Tuple[int, ...], str]]:
+                        ) -> Tuple[List[ValuationType], List[str]]:
     """Partition valuations (all of g's by default) into automorphism
     orbits and label each orbit as one isomorphism class (see
     _label_orbits: A classical, B / B1.. intermediate, C / C1..
-    ovoidal).
+    ovoidal). Returns the classes and the label of each distinct
+    valuation in value-vector order.
 
-    Each orbit is computed once, from its first member in vals; an orbit
-    that leaves the given valuations means the set is not closed under
-    the group (RuntimeError).
+    An orbit that leaves the given valuations means the set is not
+    closed under the group (RuntimeError).
     """
     if vals is None:
         vals = all_valuations(g)
-    # the orbits hold the given value tuples, not the orbit search's copies
-    remaining = {val.values: val.values for val in vals}
-    orbits = []
-    for val in vals:
-        if val.values in remaining:
-            try:
-                orbits.append([remaining.pop(values) for values in
-                               orbit_of_function(group, val.values)])
-            except KeyError:
-                raise RuntimeError(f"the automorphism orbit of {val.values} "
-                                   f"leaves the given valuations") from None
-    return _label_orbits(g, orbits)
+    rows = unique_rows(np.array([v.values for v in vals], dtype=np.int8
+                                ).reshape(len(vals), g.num_points))
+    return _label_orbits(g, rows, _orbit_roots(rows, group))

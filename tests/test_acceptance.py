@@ -11,7 +11,7 @@ from hexval.geometry import (check_generalized_hexagon, find_ovoids,
                              near_hexagon_point_bound, order_of)
 from hexval.perm import are_isomorphic
 from hexval.valgeom import check_lemma_3_1, star
-from hexval.valuations import all_valuations
+from hexval.valuations import Valuation, all_valuations
 from test_valuations import brute_force_valuations
 
 
@@ -56,8 +56,10 @@ def test_criterion_4_hyperplane_classes(h2, h2dual):
         ok &= sum(1 for n in counts if n > 0) \
             == reference.CLASSES_WITH_VALUATIONS[name]
         ok &= max(counts) == 2 and len(double) == 1
-        ok &= {bundle.type_labels[v.values] for v in
-               bundle.class_valuations[double[0]]} \
+        labels = dict(zip(map(tuple, bundle.valuations.tolist()),
+                          bundle.type_labels))
+        ok &= {labels[v] for v in
+               map(tuple, bundle.class_valuations[double[0]].tolist())} \
             == {reference.TWO_VALUATION_CLASS[name]}
         ok &= bundle.class_valuations_isomorphic(double[0])
     _verdict(4, "hyperplane classification 25/14, valuation-carrying "
@@ -110,8 +112,9 @@ def test_criterion_8_oracle_suite(h2, h2dual, h21):
     # star algebra (i)(ii)(iii) on every constructed vline
     for bundle in (h21, h2, h2dual):
         vg = bundle.valuation_geometry
+        vals = [Valuation(vg.host, tuple(row)) for row in vg.vpoints.tolist()]
         for i, j, k in vg.vlines:
-            fi, fj, fk = (vg.vpoints[x] for x in (i, j, k))
+            fi, fj, fk = (vals[x] for x in (i, j, k))
             if not (star(fi, fj).values == star(fj, fi).values == fk.values
                     and star(fi, fk).values == fj.values
                     and star(fj, fk).values == fi.values):

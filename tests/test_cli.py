@@ -18,6 +18,9 @@ from hexval.geometry import Geometry, from_text, to_text
 from hexval.valgeom import ValuationGeometry, check_lemma_3_1
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -156,7 +159,7 @@ class TestCheck:
         # whose zero points are not at distance 3, plus a third one
         vp = h2dual.vprime()
         host = h2dual.geometry
-        zeros = [v.zero_set()[0] for v in vp.vpoints]
+        zeros = [row.index(0) for row in vp.vpoints.tolist()]
         a, b = next((i, j) for i in range(len(zeros))
                     for j in range(i + 1, len(zeros))
                     if host.dist[zeros[i]][zeros[j]] != 3)
@@ -191,6 +194,16 @@ class TestReport:
         code, out, _ = invoke(capsys, "report", "--all")
         assert code == 0
         assert "geometry: h2dual" in out and "geometry: h2" in out
+
+    @pytest.mark.parametrize("fmt,golden", [("text", "report_all.txt"),
+                                            ("csv", "report_all.csv")])
+    def test_report_all_matches_golden(self, capsys, h2, h2dual, fmt,
+                                       golden):
+        # the JSON report is pinned by TestOptimized; these two files pin
+        # the other renderers of the same report value
+        code, out, err = invoke(capsys, "report", "--all", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_deterministic_output(self, capsys, h2dual):
         _, first, _ = invoke(capsys, "report", "--geometry", "h2dual",

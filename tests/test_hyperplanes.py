@@ -270,7 +270,7 @@ class TestClassification:
             monkeypatch.setattr(module, "enumerate_hyperplanes", counted)
         bundle = pipeline.Bundle(h21.geometry)
         assert bundle.hyperplane_classes == h21.hyperplane_classes
-        assert bundle.valuations == h21.valuations
+        assert bundle.valuations.tolist() == h21.valuations.tolist()
         assert bundle.valuations_per_class == h21.valuations_per_class
         assert bundle.hyperplane_count == 255
         assert len(calls) == 0

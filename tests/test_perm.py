@@ -14,7 +14,8 @@ from hexval.constructions import (build_fano, build_h2, build_h2_dual,
                                   build_hexagon_2_1, grid_3x3)
 from hexval.geometry import Geometry, dual
 from hexval.perm import (PermGroup, are_isomorphic, automorphism_group,
-                         compose, identity, inverse, orbit_of_function)
+                         compose, identity, inverse)
+from test_valuations import orbit_of_function
 
 
 def brute_force_automorphisms(g):

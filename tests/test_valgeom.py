@@ -49,13 +49,20 @@ def scalar_lines_through(vals, i):
     return lines
 
 
-def scalar_build(vals, type_labels):
-    """Oracle: the valuation geometry from one scalar star per neighboring
-    pair. Returns (sorted value vectors, sorted lines, line types)."""
-    vals = sorted(vals, key=lambda v: v.values)
+def as_valuations(vg):
+    """The points of a valuation geometry as Valuation objects."""
+    return [Valuation(vg.host, tuple(row)) for row in vg.vpoints.tolist()]
+
+
+def scalar_build(g, rows, point_types):
+    """Oracle: the valuation geometry of value vectors with one type each,
+    from one scalar star per neighboring pair. Returns (sorted value
+    vectors, sorted lines, line types)."""
+    typed = sorted(zip(map(tuple, np.asarray(rows).tolist()), point_types))
+    vals = [Valuation(g, values) for values, _ in typed]
     vlines = sorted(set().union(*(scalar_lines_through(vals, i)
                                   for i in range(len(vals)))))
-    line_types = ["".join(sorted(type_labels[vals[x].values] for x in line))
+    line_types = ["".join(sorted(typed[x][1] for x in line))
                   for line in vlines]
     return [v.values for v in vals], vlines, line_types
 
@@ -143,8 +150,9 @@ class TestStar:
         # (i) symmetry (ii)(iii) each pair recovers the third member
         vg = build_valuation_geometry(h21.geometry, h21.valuations,
                                       h21.type_labels)
+        vals = as_valuations(vg)
         for i, j, k in vg.vlines:
-            fi, fj, fk = (vg.vpoints[x] for x in (i, j, k))
+            fi, fj, fk = (vals[x] for x in (i, j, k))
             assert star(fi, fj).values == star(fj, fi).values == fk.values
             assert star(fi, fk).values == fj.values
             assert star(fj, fk).values == fi.values
@@ -154,12 +162,12 @@ class TestStar:
 class TestValuationGeometry:
     def test_empty_input(self, h21):
         vg = build_valuation_geometry(h21.geometry, [])
-        assert vg.vpoints == [] and vg.vlines == []
+        assert vg.vpoints.shape == (0, 21) and vg.vlines == []
 
     def test_duplicates_rejected(self, h21):
         f = classical_valuation(h21.geometry, 0)
         with pytest.raises(ValueError):
-            build_valuation_geometry(h21.geometry, [f, f])
+            build_valuation_geometry(h21.geometry, [f.values, f.values])
 
     def test_h2dual_line_counts(self, h2dual):
         vg = h2dual.valuation_geometry
@@ -182,9 +190,10 @@ class TestVectorisedBuild:
         bundle = request.getfixturevalue(name)
         vg = build_valuation_geometry(bundle.geometry, bundle.valuations,
                                       bundle.type_labels)
-        points, vlines, line_types = scalar_build(bundle.valuations,
-                                                  bundle.type_labels)
-        assert [v.values for v in vg.vpoints] == points
+        points, vlines, line_types = scalar_build(
+            bundle.geometry, bundle.valuations, bundle.type_labels)
+        assert vg.vpoints.dtype == np.int8
+        assert list(map(tuple, vg.vpoints.tolist())) == points
         assert vg.vlines == vlines
         assert vg.line_types == line_types
 
@@ -192,12 +201,13 @@ class TestVectorisedBuild:
         # with 2-point lines the star of a neighboring pair need not be a
         # valuation; both builds must stop there
         g = dual(grid_3x3())
-        vals = [Valuation(g, v) for v in brute_force_valuations(g)]
-        labels = classify_valuations(g, automorphism_group(g), vals)[1]
+        rows = brute_force_valuations(g)
+        labels = classify_valuations(
+            g, automorphism_group(g), [Valuation(g, v) for v in rows])[1]
         with pytest.raises(RuntimeError, match="not a valuation"):
-            scalar_build(vals, labels)
+            scalar_build(g, rows, labels)
         with pytest.raises(RuntimeError, match="not a valuation"):
-            build_valuation_geometry(g, vals, labels)
+            build_valuation_geometry(g, rows, labels)
 
     @pytest.mark.parametrize("name", ["h2", "h2dual"])
     def test_sampled_rows_match_scalar_scan(self, request, name):
@@ -206,9 +216,10 @@ class TestVectorisedBuild:
         for line in vg.vlines:
             for i in line:
                 through.setdefault(i, set()).add(line)
+        vals = as_valuations(vg)
         for i in random.Random(f"valgeom/{name}").sample(
                 range(len(vg.vpoints)), 64):
-            assert scalar_lines_through(vg.vpoints, i) == through[i]
+            assert scalar_lines_through(vals, i) == through[i]
 
     def test_several_epsilons_rejected(self):
         # on two disjoint lines the difference of these valuations is 0 on
@@ -217,9 +228,9 @@ class TestVectorisedBuild:
         f1 = Valuation(g, (0, 1, 1, 0, 1, 1))
         f2 = Valuation(g, (0, 1, 1, 1, 2, 2))
         with pytest.raises(ValueError, match="more than one epsilon"):
-            build_valuation_geometry(g, [f1, f2])
+            build_valuation_geometry(g, [f1.values, f2.values])
         with pytest.raises(ValueError, match="more than one epsilon"):
-            class_line_table(g, [f1, f2], {f1.values: "A", f2.values: "A"})
+            class_line_table(g, [f1.values, f2.values], ["A", "A"])
         with pytest.raises(ValueError, match="not unique"):
             are_neighboring(f1, f2)
 
@@ -239,9 +250,50 @@ class TestVectorisedBuild:
         values = list(classical_valuation(g, 0).values)
         values[1] += 1
         values[2] -= 1
-        bad = Valuation(g, tuple(values))
         with pytest.raises(ValueError, match="not a valuation"):
-            build_valuation_geometry(g, [h21.valuations[0], bad])
+            build_valuation_geometry(g, [h21.valuations[0], values])
+
+    @pytest.mark.parametrize("build", [build_valuation_geometry,
+                                       class_line_table])
+    def test_empty_rows(self, h21, build):
+        for rows in ([], np.empty((0, 21), dtype=np.int8)):
+            result = build(h21.geometry, rows, [])
+            if isinstance(result, ValuationGeometry):
+                assert result.vpoints.shape == (0, 21)
+                assert result.vlines == [] and result.line_types == []
+            else:
+                assert result == {}
+
+    @pytest.mark.parametrize("build", [build_valuation_geometry,
+                                       class_line_table])
+    @pytest.mark.parametrize("case,message", [
+        ("value 200", "must lie in 0..124"),
+        ("negative", "must lie in 0..124"),
+        ("short", "must have 21 entries"),
+        ("flat", "must have 21 entries"),
+        ("not a valuation", "not a valuation of the host"),
+        ("duplicate", "duplicate valuations"),
+        ("types", "1 point types for 2 value vectors")])
+    def test_bad_rows_rejected(self, h21, build, case, message):
+        g = h21.geometry
+        first, second = h21.valuations[:2].tolist()
+        bad = list(first)
+        bad[1] += 1
+        bad[2] -= 1
+        high = list(first)
+        # 200 read as int8 would wrap to -56
+        high[0] = 200
+        rows = {"value 200": [second, high],
+                "negative": [second, [v - 1 for v in first]],
+                "short": [first[:-1], second[:-1]],
+                "flat": first,
+                "not a valuation": [second, bad],
+                "duplicate": [second, first, second],
+                "types": [first, second]}[case]
+        types = ["A"] if case == "types" else ["A"] * len(rows)
+        with pytest.raises(ValueError, match=message) as exc:
+            build(g, rows, types)
+        assert "\n" not in str(exc.value)
 
 
 class TestLineTypeTable:
@@ -293,17 +345,13 @@ EXACT_DOUBLE_COUNT = valgeom._check_double_count
 
 
 def drop_line_partner(vmat, line_index, rows=None):
-    """_neighbor_stars without the first pair whose star is a row, so one
-    line is found from only one of its other points."""
-    present = {row.tobytes() for row in vmat}
+    """_neighbor_stars without its first pair, so one line is found from
+    only one of its other points."""
     dropped = False
-    for i, j, stars in EXACT_NEIGHBOR_STARS(vmat, line_index, rows):
-        keep = np.ones(len(i), dtype=bool)
-        on_line = [t for t in range(len(i)) if stars[t].tobytes() in present]
-        if on_line and not dropped:
-            keep[on_line[0]] = False
-            dropped = True
-        yield i[keep], j[keep], stars[keep]
+    for i, j, k in EXACT_NEIGHBOR_STARS(vmat, line_index, rows):
+        if len(i) and not dropped:
+            i, j, k, dropped = i[1:], j[1:], k[1:], True
+        yield i, j, k
 
 
 def corrupt_line_star(first, second, eps):
@@ -398,9 +446,9 @@ class TestReportPath:
     def test_report_builds_only_type_c_geometry(self, monkeypatch, capsys):
         sizes = []
 
-        def counting(g, vals, type_labels=None):
-            sizes.append(len(vals))
-            return build_valuation_geometry(g, vals, type_labels)
+        def counting(g, rows, point_types=None):
+            sizes.append(len(rows))
+            return build_valuation_geometry(g, rows, point_types)
 
         monkeypatch.setattr(pipeline, "build_valuation_geometry", counting)
         monkeypatch.setattr(pipeline, "_BUNDLES", {})
@@ -413,10 +461,10 @@ class TestReportPath:
         ("h2", reference.LINE_TABLE_H2)])
     def test_bundle_without_full_build(self, monkeypatch, request, host,
                                        table):
-        def at_most_252_rows(g, vals, type_labels=None):
-            if len(vals) > 252:
-                raise AssertionError(f"full build on {len(vals)} rows")
-            return build_valuation_geometry(g, vals, type_labels)
+        def at_most_252_rows(g, rows, point_types=None):
+            if len(rows) > 252:
+                raise AssertionError(f"full build on {len(rows)} rows")
+            return build_valuation_geometry(g, rows, point_types)
 
         monkeypatch.setattr(pipeline, "build_valuation_geometry",
                             at_most_252_rows)
@@ -431,8 +479,7 @@ class TestRestriction:
         vp = h2dual.vprime()
         full = restrict(h2dual.valuation_geometry, ("C",), ("CCC",))
         assert vp.host is full.host
-        assert [v.values for v in vp.vpoints] == \
-            [v.values for v in full.vpoints]
+        assert vp.vpoints.tolist() == full.vpoints.tolist()
         assert vp.vlines == full.vlines
         assert vp.point_types == full.point_types
         assert vp.line_types == full.line_types
@@ -452,7 +499,7 @@ class TestRestriction:
 
     def test_empty_restriction(self, h2dual):
         sub = restrict(h2dual.valuation_geometry, [], [])
-        assert sub.vpoints == [] and sub.vlines == []
+        assert sub.vpoints.shape == (0, 63) and sub.vlines == []
 
 
 def with_lines(vp, lines):
@@ -464,7 +511,7 @@ def line_through_far_pair(vp):
     """vp with its first line replaced by a non-star triple of valuations
     whose first two zero points are not at distance 3."""
     geo = vp.as_geometry()
-    zeros = [v.zero_set()[0] for v in vp.vpoints]
+    zeros = [row.index(0) for row in vp.vpoints.tolist()]
     host = vp.host
     bad = next((i, j) for i in range(252) for j in range(i + 1, 252)
                if host.dist[zeros[i]][zeros[j]] != 3)
@@ -485,9 +532,10 @@ def classical_grid(host):
     for p in range(host.num_points):
         if all(host.dist[p][q] == 3 for q in centers):
             centers.append(p)
-    vals = [classical_valuation(host, centers[(i + j) % 3])
+    vals = [classical_valuation(host, centers[(i + j) % 3]).values
             for i in range(3) for j in range(3)]
-    return ValuationGeometry(host, vals, grid_3x3().lines)
+    return ValuationGeometry(host, np.array(vals, dtype=np.int8),
+                             grid_3x3().lines)
 
 
 def corrupted_restriction(bundle, case):

@@ -1,6 +1,6 @@
 """Valuations: construction, enumeration against the brute-force oracle
 and the scalar per-hyperplane search, statistics and isomorphism
-classification."""
+classification against the tuple orbit search."""
 import itertools
 import os
 import random
@@ -14,12 +14,44 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hexval import pipeline, valuations
 from hexval.geometry import Geometry, GeometryError, find_ovoids, from_text
-from hexval.perm import automorphism_group, orbit_of_function
+from hexval.perm import automorphism_group, orbit
 from hexval.hyperplanes import Hyperplane, enumerate_hyperplanes
-from hexval.valuations import (Valuation, all_valuations, classical_valuation,
-                               classify_valuations, is_semi_valuation,
-                               is_valuation, ovoidal_valuation,
+from hexval.valuations import (Valuation, _orbit_roots, all_valuations,
+                               classical_valuation, classify_valuations,
+                               find_rows, is_semi_valuation, is_valuation,
+                               ovoidal_valuation, row_keys, unique_rows,
                                valuation_stats, valuations_on_hyperplanes)
+
+
+def tuples(rows):
+    """The rows of an int8 value matrix as value tuples."""
+    return list(map(tuple, rows.tolist()))
+
+
+def as_valuations(bundle):
+    """A bundle's valuation rows as Valuation objects."""
+    return [Valuation(bundle.geometry, v) for v in tuples(bundle.valuations)]
+
+
+def label_of(bundle):
+    """{value tuple: class label} of a bundle's valuations."""
+    return dict(zip(tuples(bundle.valuations), bundle.type_labels))
+
+
+# -- the tuple orbit search: the oracle of the row orbits ----------------
+
+
+def _compose_function(g, f):
+    return tuple(f[y] for y in g)
+
+
+def orbit_of_function(group, values):
+    """Orbit {f o theta : theta in group} of a point function, sorted: one
+    tuple composition per generator per member."""
+    start = tuple(values)
+    if len(start) != group.degree:
+        raise ValueError("function must be defined on all points")
+    return sorted(orbit(group.generators, start, _compose_function))
 
 
 # -- the scalar search: the oracle of the int8 row search ----------------
@@ -248,16 +280,21 @@ class TestHyperplaneLink:
         vals = all_valuations(g)[:40]
         batched = valuations_on_hyperplanes(g, [v.hyperplane() for v in vals])
         for val, found in zip(vals, batched):
-            assert val in found
-            assert found == valuations_from_hyperplane(g, val.hyperplane())
+            assert found.dtype == np.int8
+            assert val.values in tuples(found)
+            assert tuples(found) == [v.values for v in
+                                     valuations_from_hyperplane(
+                                         g, val.hyperplane())]
 
     def test_non_valuation_hyperplane_empty(self, h2):
         # some hyperplane of H(2) carrying no valuation
-        carrying = {v.hyperplane().member_bits for v in h2.valuations}
+        carrying = {v.hyperplane().member_bits for v in as_valuations(h2)}
         empty = next(h for h in h2.hyperplanes
                      if h.member_bits not in carrying)
         assert valuations_from_hyperplane(h2.geometry, empty) == []
-        assert valuations_on_hyperplanes(h2.geometry, [empty]) == [[]]
+        assert [m.shape for m in valuations_on_hyperplanes(
+            h2.geometry, [empty])] == [(0, 63)]
+        assert valuations_on_hyperplanes(h2.geometry, []) == []
 
 
 class TestPartialValuation:
@@ -291,8 +328,7 @@ class TestEnumeration:
             brute_force_valuations(g)
 
     def test_h21_matches_brute_force(self, h21):
-        assert [v.values for v in h21.valuations] == \
-            brute_force_valuations(h21.geometry)
+        assert tuples(h21.valuations) == brute_force_valuations(h21.geometry)
 
     def test_diameter_four_chain_matches_brute_force(self):
         # values fall to -4 below the hyperplane complement before the shift
@@ -312,7 +348,7 @@ class TestEnumeration:
     def test_empty_geometry_has_no_valuations(self):
         g = from_text("points 0\n")
         assert all_valuations(g) == []
-        assert classify_valuations(g, automorphism_group(g)) == ([], {})
+        assert classify_valuations(g, automorphism_group(g)) == ([], [])
 
     def test_grid_valuation_census(self, grid3):
         # 9 classical + 6 ovoidal = 15 valuations of the 3x3 grid
@@ -324,12 +360,13 @@ class TestEnumeration:
 
     def test_all_are_valuations(self, h21):
         g = h21.geometry
-        for val in h21.valuations:
-            assert is_valuation(g, val.values)
+        for values in tuples(h21.valuations):
+            assert is_valuation(g, values)
 
     def test_canonical_order(self, h21):
-        values = [v.values for v in h21.valuations]
-        assert values == sorted(values)
+        values = tuples(h21.valuations)
+        assert values == sorted(set(values))
+        assert h21.valuations.dtype == np.int8
 
 
 class TestStatsAndClassification:
@@ -367,8 +404,7 @@ class TestStatsAndClassification:
     def test_labels_cover_all_valuations(self, h2):
         labels = h2.type_labels
         assert len(labels) == 1431
-        assert set(labels.values()) == {"A", "B1", "B2", "B3", "B4",
-                                        "B5", "C"}
+        assert set(labels) == {"A", "B1", "B2", "B3", "B4", "B5", "C"}
 
     def test_grid_classification(self, grid3):
         from hexval.perm import automorphism_group
@@ -398,8 +434,9 @@ class TestPerHyperplaneClass:
             idx = [i for i, n in enumerate(bundle.valuations_per_class)
                    if n == 2]
             assert len(idx) == 1
-            assert {bundle.type_labels[v.values]
-                    for v in bundle.class_valuations[idx[0]]} == {expected}
+            labels = label_of(bundle)
+            assert {labels[v] for v in
+                    tuples(bundle.class_valuations[idx[0]])} == {expected}
             assert bundle.class_valuations_isomorphic(idx[0])
 
     def test_isomorphic_matches_orbit_oracle(self, h2, h2dual, h21):
@@ -463,10 +500,24 @@ def sweep_oracle(g):
                   key=lambda v: v.values)
 
 
+def sweep_rows(g):
+    """The value tuples of all_valuations(g)."""
+    return [v.values for v in all_valuations(g)]
+
+
 def class_oracle(bundle):
-    """The scalar search on each class representative of a bundle."""
-    return [valuations_from_hyperplane(bundle.geometry, cls.representative)
+    """The value tuples of the scalar search on each class representative
+    of a bundle."""
+    return [[v.values for v in
+             valuations_from_hyperplane(bundle.geometry, cls.representative)]
             for cls in bundle.hyperplane_classes]
+
+
+def class_rows(bundle):
+    """Bundle.class_valuations as value tuples, after checking that each
+    class is an int8 matrix."""
+    assert all(m.dtype == np.int8 for m in bundle.class_valuations)
+    return [tuples(m) for m in bundle.class_valuations]
 
 
 def run_optimized(script):
@@ -493,6 +544,10 @@ def corrupt_propagate_rows(rows, lines, floor):
 
 
 CHAIN = "points 9\n0 1 2\n2 3 4\n4 5 6\n6 7 8\n"
+
+# the host whose distributions are shared by several orbits, and which
+# has three orbits of maximum value 1
+EXAMPLE_HOST = "points 8\n1 2 6\n1 3 5\n3 4 7\n0 3 6\n"
 
 # lowers the least value of one completed row after every propagation;
 # the search of h21 through the call appended below then raises
@@ -534,32 +589,36 @@ LOSSY_H21 = (
 
 
 class TestRepresentativeExpansion:
-    """Bundle.valuations expands the class representatives' valuations
-    by orbits; the full sweep all_valuations is its oracle."""
+    """Bundle.valuations closes the class representatives' rows under
+    the generators; the full sweep all_valuations is its oracle."""
 
     @pytest.mark.parametrize("host", ["h2", "h2dual", "h21", "fano",
                                       "grid3"])
     def test_matches_full_sweep(self, request, host):
         bundle = request.getfixturevalue(host)
-        assert bundle.valuations == all_valuations(bundle.geometry)
+        assert bundle.valuations.dtype == np.int8
+        assert tuples(bundle.valuations) == sweep_rows(bundle.geometry)
 
-    @pytest.mark.parametrize("text", [CHAIN, "points 1\n", "points 0\n"])
+    @pytest.mark.parametrize("text", [CHAIN, "points 1\n", "points 0\n",
+                                      EXAMPLE_HOST])
     def test_small_hosts_match_full_sweep(self, text):
         bundle = pipeline.Bundle(from_text(text))
-        assert bundle.valuations == all_valuations(bundle.geometry)
+        assert bundle.valuations.shape == (len(sweep_rows(bundle.geometry)),
+                                           bundle.geometry.num_points)
+        assert tuples(bundle.valuations) == sweep_rows(bundle.geometry)
 
     def test_relabeled_h21_matches_full_sweep(self, h21):
         bundle = pipeline.Bundle(relabeled(h21.geometry, seed=5))
-        expected = all_valuations(bundle.geometry)
-        assert bundle.valuations == expected
+        expected = sweep_rows(bundle.geometry)
+        assert tuples(bundle.valuations) == expected
         assert len(expected) == len(h21.valuations)
 
     def test_two_word_host_matches_full_sweep(self, h2):
         # 67 points: the seeds and value rows span two 64-bit words
         bundle = pipeline.Bundle(relabeled(pendant_path(h2.geometry),
                                            seed=67))
-        expected = all_valuations(bundle.geometry)
-        assert bundle.valuations == expected
+        expected = sweep_rows(bundle.geometry)
+        assert tuples(bundle.valuations) == expected
         assert len(expected) > len(h2.valuations)
 
     def test_bundle_never_sweeps(self, monkeypatch, h21):
@@ -570,7 +629,7 @@ class TestRepresentativeExpansion:
                             raising=False)
         monkeypatch.setattr(valuations, "all_valuations", sweep)
         bundle = pipeline.Bundle(h21.geometry)
-        assert [v.values for v in bundle.valuations] == \
+        assert tuples(bundle.valuations) == \
             brute_force_valuations(h21.geometry)
         assert bundle.valuations_per_class == [1, 0, 1, 1, 1, 3]
 
@@ -599,24 +658,24 @@ class TestClassSearch:
                                       "grid3"])
     def test_matches_scalar_search(self, request, host):
         bundle = request.getfixturevalue(host)
-        assert bundle.class_valuations == class_oracle(bundle)
+        assert class_rows(bundle) == class_oracle(bundle)
 
     def test_chain_and_relabeled_h21(self, h21):
         for g in (from_text(CHAIN), relabeled(h21.geometry, seed=11)):
             bundle = pipeline.Bundle(g)
-            assert bundle.class_valuations == class_oracle(bundle)
+            assert class_rows(bundle) == class_oracle(bundle)
 
     @settings(max_examples=40, deadline=None)
     @given(connected_hosts())
     def test_random_hosts(self, g):
         bundle = pipeline.Bundle(g)
-        assert bundle.class_valuations == class_oracle(bundle)
+        assert class_rows(bundle) == class_oracle(bundle)
 
     def test_block_boundaries(self, monkeypatch, h2):
         # 25 representatives in blocks of 7: three full and one of 4
         monkeypatch.setattr(valuations, "_BLOCK_ROWS", 7)
         bundle = pipeline.Bundle(h2.geometry)
-        assert bundle.class_valuations == class_oracle(h2)
+        assert class_rows(bundle) == class_oracle(h2)
 
     def test_corrupted_propagation_raises(self, monkeypatch, h21):
         monkeypatch.setattr(valuations, "_propagate_rows",
@@ -672,7 +731,8 @@ class TestBatchedSweep:
     def test_block_boundaries(self, monkeypatch, h21):
         # 255 seeds in blocks of 7, 36 full and one of 3; frontiers in pieces
         monkeypatch.setattr(valuations, "_BLOCK_ROWS", 7)
-        assert all_valuations(h21.geometry) == h21.valuations
+        assert [v.values for v in all_valuations(h21.geometry)] == \
+            tuples(h21.valuations)
 
     def test_seed_outside_nullspace_raises(self, monkeypatch, grid3):
         # one point meets each of its lines in 1 point
@@ -695,10 +755,6 @@ class TestBatchedSweep:
             "completion is not a valuation")
 
 
-# the host whose distributions are shared by several orbits, and which
-# has three orbits of maximum value 1
-EXAMPLE_HOST = "points 8\n1 2 6\n1 3 5\n3 4 7\n0 3 6\n"
-
 # h21's valuations without the last one, which the orbit of another
 # valuation reaches
 OPEN_SET_H21 = (
@@ -713,30 +769,44 @@ OPEN_SET_H21 = (
     "    print(exc)\n")
 
 
+class TestRowKeys:
+    """Key order is value-vector order: unique_rows and find_rows agree
+    with sorted tuples and a dict lookup."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 124), min_size=4, max_size=4),
+                    max_size=20),
+           st.lists(st.integers(0, 124), min_size=4, max_size=4))
+    def test_against_tuples(self, rows, probe):
+        mat = np.array(rows, dtype=np.int8).reshape(len(rows), 4)
+        distinct = sorted(set(map(tuple, rows)))
+        found = unique_rows(mat)
+        assert tuples(found) == distinct and found.dtype == np.int8
+        index = {values: i for i, values in enumerate(distinct)}
+        queries = rows + [probe]
+        assert find_rows(found, np.array(queries, dtype=np.int8)).tolist() \
+            == [index.get(tuple(q), -1) for q in queries]
+        assert np.argsort(row_keys(mat), kind="stable").tolist() == sorted(
+            range(len(rows)), key=lambda i: rows[i])
+
+
 def assert_labels_are_orbits(bundle):
-    """Each label's members are exactly one automorphism orbit, every
-    valuation has a label, and the line table is constant on labels."""
+    """Each label's members are exactly one automorphism orbit of the
+    tuple search, every valuation row has a label, each row's orbit root
+    is the row of its orbit's smallest value vector, and the line table
+    is constant on labels."""
+    rows = tuples(bundle.valuations)
+    assert len(bundle.type_labels) == len(rows)
     members = {}
-    for values, label in bundle.type_labels.items():
+    for values, label in zip(rows, bundle.type_labels):
         members.setdefault(label, []).append(values)
+    index = {values: i for i, values in enumerate(rows)}
+    roots = _orbit_roots(bundle.valuations, bundle.aut_group).tolist()
     for label, vals in members.items():
-        assert sorted(vals) == orbit_of_function(bundle.aut_group, vals[0])
+        assert vals == orbit_of_function(bundle.aut_group, vals[0])
+        assert {roots[index[v]] for v in vals} == {index[vals[0]]}
     assert sorted(members) == sorted(t.label for t in bundle.valuation_types)
-    assert sorted(bundle.type_labels) == [v.values for v in bundle.valuations]
     assert bundle.line_table is not None
-
-
-class OrbitCounter:
-    """orbit_of_function, counting its calls."""
-
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        for module in (pipeline, valuations):
-            monkeypatch.setattr(module, "orbit_of_function", self)
-
-    def __call__(self, group, values):
-        self.calls += 1
-        return orbit_of_function(group, values)
 
 
 class TestOrbitLabels:
@@ -758,21 +828,31 @@ class TestOrbitLabels:
     def test_random_hosts(self, g):
         assert_labels_are_orbits(pipeline.Bundle(g))
 
-    def test_one_orbit_call_per_orbit(self, monkeypatch, h21):
-        counter = OrbitCounter(monkeypatch)
+    def test_one_orbit_roots_call_per_host(self, monkeypatch, h21):
+        calls = []
+
+        def counting(rows, group):
+            calls.append(len(rows))
+            return _orbit_roots(rows, group)
+
+        monkeypatch.setattr(pipeline, "_orbit_roots", counting)
         bundle = pipeline.Bundle(h21.geometry)
         bundle.valuations
-        # 7 representative valuations in 5 orbits
+        assert calls == []
+        # 7 representative valuations in 5 orbits of 255 rows
         assert sum(bundle.valuations_per_class) == 7
-        assert counter.calls == len(bundle.valuation_orbits) == 5
-        bundle.classification
-        assert counter.calls == 5
+        assert len(bundle.valuation_types) == 5
+        bundle.line_table, bundle.vprime()
+        assert all(bundle.class_valuations_isomorphic(i)
+                   for i in range(len(bundle.hyperplane_classes)))
+        assert calls == [255]
 
     @pytest.mark.parametrize("host", ["h2", "h2dual", "h21"])
     def test_public_classification_matches_bundle(self, request, host):
         bundle = request.getfixturevalue(host)
         assert classify_valuations(bundle.geometry, bundle.aut_group,
-                                   bundle.valuations) == bundle.classification
+                                   as_valuations(bundle)) \
+            == bundle.classification
 
     def test_public_classification_relabeled(self, h21):
         for g in (relabeled(h21.geometry, seed=5),
@@ -785,7 +865,7 @@ class TestOrbitLabels:
     def test_open_set_raises(self, h21):
         with pytest.raises(RuntimeError, match="leaves the given"):
             classify_valuations(h21.geometry, h21.aut_group,
-                                h21.valuations[:-1])
+                                as_valuations(h21)[:-1])
 
     def test_open_set_check_survives_optimize(self):
         assert "leaves the given valuations" in run_optimized(OPEN_SET_H21)

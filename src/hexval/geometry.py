@@ -4,10 +4,10 @@ A Geometry is a partial linear space with points 0..n-1 and lines given as
 sorted point tuples. Construction canonicalizes the line order, validates
 the partial-linear-space axiom and builds the collinearity graph as int
 bitmasks: point p's neighbours are ``neighbor_masks[p]``. The distance
-matrix (a frontier BFS over those masks per point) is computed on first
-read and kept. Distances are ints; disconnected point pairs get the
-sentinel -1. ``is_connected`` needs no distances, and ``diameter`` reports
-``INF`` for a disconnected geometry.
+matrix (a frontier BFS over those masks per point) and the hexagon
+report are computed on first read and kept. Distances are ints;
+disconnected point pairs get the sentinel -1. ``is_connected`` needs no
+distances, and ``diameter`` reports ``INF`` for a disconnected geometry.
 """
 from __future__ import annotations
 
@@ -118,6 +118,28 @@ class Geometry:
         return [self._bfs(p) for p in range(self.num_points)]
 
     @cached_property
+    def hexagon_report(self) -> HexagonReport:
+        """Near hexagon + (GH1) >= 2 lines per point + (GH2) unique common
+        neighbor at distance 2, checked on first read and kept."""
+        near = check_near_polygon(self)
+        if not near.is_near_polygon:
+            return HexagonReport(False, "not a near polygon", near.witness)
+        if near.diameter != 3:
+            return HexagonReport(False, f"diameter {near.diameter} != 3")
+        for p in range(self.num_points):
+            if len(self.lines_through[p]) < 2:
+                return HexagonReport(False, "point on fewer than 2 lines",
+                                     (p,))
+        nm = self.neighbor_masks
+        for x, row in enumerate(self.dist):
+            for y in range(x + 1, self.num_points):
+                if row[y] == 2 and (nm[x] & nm[y]).bit_count() != 1:
+                    return HexagonReport(
+                        False, "distance-2 pair without unique common "
+                        "neighbor", (x, y, list(_bits(nm[x] & nm[y]))))
+        return HexagonReport(True)
+
+    @cached_property
     def _connected(self) -> bool:
         return not self.num_points or -1 not in self._bfs(0)
 
@@ -199,24 +221,9 @@ class HexagonReport:
 
 
 def check_generalized_hexagon(g: Geometry) -> HexagonReport:
-    """Near hexagon + (GH1) >= 2 lines per point + (GH2) unique common
-    neighbor at distance 2."""
-    np_report = check_near_polygon(g)
-    if not np_report.is_near_polygon:
-        return HexagonReport(False, "not a near polygon", np_report.witness)
-    if np_report.diameter != 3:
-        return HexagonReport(False, f"diameter {np_report.diameter} != 3")
-    for p in range(g.num_points):
-        if len(g.lines_through[p]) < 2:
-            return HexagonReport(False, "point on fewer than 2 lines", (p,))
-    nm = g.neighbor_masks
-    for x in range(g.num_points):
-        for y in range(x + 1, g.num_points):
-            if g.dist[x][y] == 2 and (nm[x] & nm[y]).bit_count() != 1:
-                return HexagonReport(
-                    False, "distance-2 pair without unique common "
-                    "neighbor", (x, y, list(_bits(nm[x] & nm[y]))))
-    return HexagonReport(True)
+    """The hexagon report of g (see Geometry.hexagon_report), computed
+    once per geometry."""
+    return g.hexagon_report
 
 
 def order_of(g: Geometry) -> OrderSpec:

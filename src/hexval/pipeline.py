@@ -5,11 +5,12 @@ classification, valuations, valuation-class labels and valuation geometry
 on demand, caching each stage. Valuations are one int8 matrix, a row per
 valuation in value-vector order, from the search to the report. The
 hyperplane class representatives seed one batched valuation search
-(``class_valuations``, through ``valuations.valuations_on_hyperplanes``),
-and ``valuations`` closes their rows under the automorphism generators;
-the class sizes times the valuations per representative must count the
-closure. ``classification`` labels the orbits of those rows, one label
-per row. The full sweep over every hyperplane,
+(``class_valuations``, through ``valuations.valuations_on_hyperplanes``).
+One orbit pass, ``valuations.orbit_closure``, closes their rows under
+the automorphism generators and finds each row's orbit root
+(``valuation_closure``); the class sizes times the valuations per
+representative must count the closure. ``classification`` labels those
+orbits, one label per row. The full sweep over every hyperplane,
 ``valuations.all_valuations``, runs the same search seeded from the
 whole nullspace; it stays as the public function and as the oracle that
 needs no automorphism group, and never reads ``hyperplanes``. The line
@@ -33,9 +34,8 @@ from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
 from .perm import PermGroup, automorphism_group
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
                       class_line_table)
-from .valuations import (ValuationType, _label_orbits, _orbit_roots,
-                         find_rows, unique_rows,
-                         valuations_on_hyperplanes)
+from .valuations import (ValuationType, find_rows, label_orbits,
+                         orbit_closure, valuations_on_hyperplanes)
 
 BUILTIN_BUILDERS = {
     "h2": build_h2,
@@ -82,9 +82,10 @@ class Bundle:
             [cls.representative for cls in self.hyperplane_classes])
 
     @cached_property
-    def valuations(self) -> np.ndarray:
-        """Every valuation as an int8 row, in value-vector order: the
-        class representatives' rows closed under the images rows[:, theta].
+    def valuation_closure(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every valuation as an int8 row, in value-vector order, and the
+        orbit root of each row: the class representatives' rows closed
+        under the automorphism generators (``orbit_closure``).
 
         An automorphism maps the valuations on one hyperplane onto those
         on its image, so each class contributes its orbit size times the
@@ -95,25 +96,25 @@ class Bundle:
         # once, before the group search, which is slow on large groups
         class_vals = self.class_valuations
         empty = np.empty((0, self.geometry.num_points), dtype=np.int8)
-        rows = new = unique_rows(np.concatenate([empty] + class_vals))
-        while len(new):
-            images = np.concatenate([empty] + [
-                new[:, theta] for theta in self.aut_group.generators])
-            new = unique_rows(images[find_rows(rows, images) < 0])
-            rows = unique_rows(np.concatenate([rows, new]))
+        rows, roots = orbit_closure(np.concatenate([empty] + class_vals),
+                                    self.aut_group)
         total = sum(len(vals) * cls.orbit_size
                     for vals, cls in zip(class_vals, self.hyperplane_classes))
         if total != len(rows):
             raise RuntimeError(
                 f"hyperplane classes carry {total} valuations, the orbits "
                 f"of their representatives' valuations hold {len(rows)}")
-        return rows
+        return rows, roots
+
+    @cached_property
+    def valuations(self) -> np.ndarray:
+        """Every valuation as an int8 row, in value-vector order."""
+        return self.valuation_closure[0]
 
     @cached_property
     def classification(self) -> Tuple[List[ValuationType], List[str]]:
         """The valuation classes and the label of each valuation row."""
-        return _label_orbits(self.geometry, self.valuations,
-                             _orbit_roots(self.valuations, self.aut_group))
+        return label_orbits(self.geometry, *self.valuation_closure)
 
     @property
     def valuation_types(self) -> List[ValuationType]:

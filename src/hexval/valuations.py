@@ -15,6 +15,9 @@ per step until nothing changes. ``valuations_on_hyperplanes`` seeds it
 with given hyperplanes, such as the class representatives;
 ``all_valuations`` with every nonzero vector of the incidence nullspace.
 Both keep rows in value-vector order, the byte order of ``row_keys``.
+``orbit_closure`` closes rows under the automorphism generators and
+finds their orbits in the same pass; ``label_orbits`` names the orbits,
+the valuation classes, from the statistics of their smallest rows.
 """
 from __future__ import annotations
 
@@ -334,39 +337,58 @@ def find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(np.searchsorted(keys, want, side="right") > pos, pos, -1)
 
 
-def _orbit_roots(rows: np.ndarray, group: PermGroup) -> np.ndarray:
-    """The least row index of the orbit of each of the sorted distinct
-    int8 rows, whose row holds the smallest value vector of the orbit; an
-    image f o theta = rows[:, theta] outside rows raises RuntimeError."""
-    actions = [find_rows(rows, rows[:, theta]) for theta in group.generators]
-    for image in actions:
-        if (image < 0).any():
-            row = tuple(rows[(image < 0).argmax()].tolist())
-            raise RuntimeError(f"the automorphism orbit of {row} leaves the "
-                               f"given valuations")
-    return _orbit_labels(actions, len(rows))
+def orbit_closure(seeds: np.ndarray, group: PermGroup
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The closure of the int8 rows seeds under the images rows[:, theta]
+    of the group's generators, as sorted distinct rows, and each row's
+    orbit root, the row of the orbit's smallest value vector. Rows are
+    numbered in discovery order, so each recorded image index stays
+    valid; the roots come from the images renumbered in sorted order."""
+    n = seeds.shape[1]
+    perms = np.array(group.generators, dtype=np.intp).reshape(
+        len(group.generators), n)
+    rows = new = unique_rows(seeds)
+    # per frontier: [frontier rows, generators] discovery indices of images
+    acts = [np.empty((0, len(perms)), dtype=np.intp)]
+    while len(new):
+        images = new[:, perms].reshape(-1, n)
+        order = np.argsort(row_keys(rows))
+        idx = find_rows(rows[order], images)
+        out = idx < 0
+        fresh = unique_rows(images[out])
+        idx = order[idx]
+        idx[out] = len(rows) + find_rows(fresh, images[out])
+        acts.append(idx.reshape(len(new), len(perms)))
+        rows, new = np.concatenate([rows, fresh]), fresh
+    order = np.argsort(row_keys(rows))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rows[order], _orbit_labels(rank[np.concatenate(acts)[order]].T,
+                                      len(rows))
 
 
 # -- statistics and classification ---------------------------------------
 
 
-def valuation_stats(val: Valuation) -> ValuationStats:
-    top = val.max_value()
-    width = val.host.diameter() + 1 if val.host.is_connected() else 0
-    dist = [0] * max(width, top + 1)
-    for v in val.values:
-        dist[v] += 1
-    return ValuationStats(
-        max_value=top,
-        zero_set=val.zero_set(),
-        hyperplane_size=val.hyperplane().size(),
-        distribution=tuple(dist))
+def row_stats(g: Geometry, rows: np.ndarray) -> List[ValuationStats]:
+    """The statistics of each valuation row of the connected host g, in
+    one pass over the matrix; the distribution counts the values
+    0 .. diameter, or up to the row maximum when that is larger."""
+    top = rows.max(axis=1)
+    span = g.diameter() + 1
+    dist = rows[:, :, None] == np.arange(max(span, top.max(initial=0) + 1))
+    below = (rows < top[:, None]).sum(axis=1)
+    return [ValuationStats(t, tuple(np.flatnonzero(row == 0).tolist()), h,
+                           tuple(d[:max(span, t + 1)]))
+            for t, row, h, d in zip(top.tolist(), rows, below.tolist(),
+                                    dist.sum(axis=1).tolist())]
 
 
-def _label_orbits(g: Geometry, rows: np.ndarray, roots: np.ndarray
-                  ) -> Tuple[List[ValuationType], List[str]]:
-    """Label the orbits of the sorted distinct int8 rows, given by their
-    _orbit_roots, as isomorphism classes; also return each row's label.
+def label_orbits(g: Geometry, rows: np.ndarray, roots: np.ndarray
+                 ) -> Tuple[List[ValuationType], List[str]]:
+    """Label the orbits of the sorted distinct int8 rows of a connected
+    host, given by their orbit_closure roots, as isomorphism classes;
+    also return each row's label.
 
     Orbits are ordered by maximum value (descending), zero-set size,
     hyperplane size and value distribution, then by orbit size and
@@ -380,14 +402,13 @@ def _label_orbits(g: Geometry, rows: np.ndarray, roots: np.ndarray
         return [], []
     sizes = np.bincount(roots, minlength=len(rows))
     orbits = np.flatnonzero(sizes).tolist()
-    stats = {i: valuation_stats(Valuation(g, tuple(rows[i].tolist())))
-             for i in orbits}
+    stats = dict(zip(orbits, row_stats(g, rows[orbits])))
     # a root's index orders orbits as its smallest value vector does
     order = sorted(orbits, key=lambda i: (
         -stats[i].max_value, len(stats[i].zero_set),
         stats[i].hyperplane_size, stats[i].distribution, sizes[i], i))
-    classical = classical_valuation(g, 0).values
-    at = find_rows(rows, np.array([classical], dtype=np.int8))[0]
+    # the classical valuation at point 0, d(0, .)
+    at = find_rows(rows, np.array(g.dist[:1], dtype=np.int8))[0]
     classical_at = int(roots[at]) if at >= 0 else None
     ovoidal = [i for i in order if stats[i].max_value == 1]
     middle = [i for i in order
@@ -409,15 +430,26 @@ def classify_valuations(g: Geometry, group: PermGroup,
                         ) -> Tuple[List[ValuationType], List[str]]:
     """Partition valuations (all of g's by default) into automorphism
     orbits and label each orbit as one isomorphism class (see
-    _label_orbits: A classical, B / B1.. intermediate, C / C1..
+    label_orbits: A classical, B / B1.. intermediate, C / C1..
     ovoidal). Returns the classes and the label of each distinct
     valuation in value-vector order.
 
-    An orbit that leaves the given valuations means the set is not
-    closed under the group (RuntimeError).
+    A disconnected host raises ValueError. An orbit that leaves the
+    given valuations means the set is not closed under the group
+    (RuntimeError).
     """
+    if not g.is_connected():
+        raise ValueError("valuations require a connected geometry")
     if vals is None:
         vals = all_valuations(g)
-    rows = unique_rows(np.array([v.values for v in vals], dtype=np.int8
-                                ).reshape(len(vals), g.num_points))
-    return _label_orbits(g, rows, _orbit_roots(rows, group))
+    given = unique_rows(np.array([v.values for v in vals], dtype=np.int8
+                                 ).reshape(len(vals), g.num_points))
+    rows, roots = orbit_closure(given, group)
+    if len(rows) > len(given):
+        # image of given row i under generator j at j * len(given) + i
+        images = given[:, group.generators].swapaxes(0, 1)
+        out = (find_rows(given, images.reshape(-1, g.num_points)) < 0).argmax()
+        row = tuple(given[out % len(given)].tolist())
+        raise RuntimeError(f"the automorphism orbit of {row} leaves the "
+                           f"given valuations")
+    return label_orbits(g, rows, roots)

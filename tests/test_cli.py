@@ -205,6 +205,28 @@ class TestReport:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    def test_hexagon_check_runs_once(self, capsys, monkeypatch, h2, h2dual):
+        # building a hexagon checks its axioms; the report reads that
+        # same hexagon report off the geometry instead of checking again
+        from hexval import geometry
+        calls = []
+        original = geometry.check_near_polygon
+
+        def counting(g):
+            calls.append(g.name)
+            return original(g)
+
+        monkeypatch.setattr(geometry, "check_near_polygon", counting)
+        monkeypatch.setattr(cli, "check_near_polygon", counting)
+        code, _, err = invoke(capsys, "report", "--all")
+        assert (code, err) == (0, "")
+        assert calls == []
+        # a new geometry is still checked, once
+        g = Geometry(h2.geometry.num_points, h2.geometry.lines, "copy")
+        assert geometry.check_generalized_hexagon(g).is_generalized_hexagon
+        assert geometry.check_generalized_hexagon(g) is g.hexagon_report
+        assert calls == ["copy"]
+
     def test_deterministic_output(self, capsys, h2dual):
         _, first, _ = invoke(capsys, "report", "--geometry", "h2dual",
                              "--format", "json")

@@ -45,3 +45,26 @@ def test_report_stages_exist():
                   and [t.id for t in node.targets] == ["REPORT_STAGES"])
     assert stages
     assert [s for s in stages if not hasattr(Bundle, s)] == []
+
+
+def test_drivers_import_no_private_names():
+    # the pipeline and the CLI drive each algorithm through the public
+    # names of the module that owns it
+    found = []
+    for name in ("pipeline.py", "cli.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("hexval")):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        found.append(f"{name}:{node.lineno} {alias.name}")
+                    if not node.module or node.module == "hexval":
+                        modules.add(alias.asname or alias.name)
+        found += [f"{name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")]
+    assert found == []

@@ -16,11 +16,12 @@ from hexval import pipeline, valuations
 from hexval.geometry import Geometry, GeometryError, find_ovoids, from_text
 from hexval.perm import automorphism_group, orbit
 from hexval.hyperplanes import Hyperplane, enumerate_hyperplanes
-from hexval.valuations import (Valuation, _orbit_roots, all_valuations,
+from hexval.valuations import (Valuation, ValuationStats, all_valuations,
                                classical_valuation, classify_valuations,
                                find_rows, is_semi_valuation, is_valuation,
-                               ovoidal_valuation, row_keys, unique_rows,
-                               valuation_stats, valuations_on_hyperplanes)
+                               orbit_closure, ovoidal_valuation, row_keys,
+                               row_stats, unique_rows,
+                               valuations_on_hyperplanes)
 
 
 def tuples(rows):
@@ -36,6 +37,29 @@ def as_valuations(bundle):
 def label_of(bundle):
     """{value tuple: class label} of a bundle's valuations."""
     return dict(zip(tuples(bundle.valuations), bundle.type_labels))
+
+
+def valuation_stats(val):
+    """The statistics of one Valuation, read off its values, zero set and
+    hyperplane: the oracle of the array statistics row_stats."""
+    top = val.max_value()
+    width = val.host.diameter() + 1 if val.host.is_connected() else 0
+    dist = [0] * max(width, top + 1)
+    for v in val.values:
+        dist[v] += 1
+    return ValuationStats(
+        max_value=top,
+        zero_set=val.zero_set(),
+        hyperplane_size=val.hyperplane().size(),
+        distribution=tuple(dist))
+
+
+def stats_of(val):
+    """The array statistics of one Valuation, after checking them
+    against the oracle."""
+    st, = row_stats(val.host, np.array([val.values], dtype=np.int8))
+    assert st == valuation_stats(val)
+    return st
 
 
 # -- the tuple orbit search: the oracle of the row orbits ----------------
@@ -371,7 +395,7 @@ class TestEnumeration:
 
 class TestStatsAndClassification:
     def test_classical_stats(self, h2):
-        st = valuation_stats(classical_valuation(h2.geometry, 0))
+        st = stats_of(classical_valuation(h2.geometry, 0))
         assert st.max_value == 3
         assert st.zero_set == (0,)
         assert st.hyperplane_size == 31
@@ -380,7 +404,7 @@ class TestStatsAndClassification:
     def test_distribution_padded_to_diameter(self, h2):
         g = h2.geometry
         ovoid = find_ovoids(g)[0]
-        st = valuation_stats(ovoidal_valuation(g, ovoid))
+        st = stats_of(ovoidal_valuation(g, ovoid))
         assert st.distribution == (21, 42, 0, 0)
 
     def test_h2dual_classes(self, h2dual):
@@ -416,6 +440,15 @@ class TestStatsAndClassification:
 
     def test_class_sizes_sum(self, h2dual):
         assert sum(t.class_size for t in h2dual.valuation_types) == 1575
+
+    def test_disconnected_host_rejected(self):
+        g = from_text("points 6\n0 1 2\n3 4 5\n")
+        group = automorphism_group(g)
+        for vals in (None, [Valuation(g, (0, 1, 1, 0, 1, 1))]):
+            with pytest.raises(ValueError) as info:
+                classify_valuations(g, group, vals)
+            assert str(info.value) == \
+                "valuations require a connected geometry"
 
 
 class TestPerHyperplaneClass:
@@ -793,15 +826,19 @@ class TestRowKeys:
 def assert_labels_are_orbits(bundle):
     """Each label's members are exactly one automorphism orbit of the
     tuple search, every valuation row has a label, each row's orbit root
-    is the row of its orbit's smallest value vector, and the line table
-    is constant on labels."""
+    is the row of its orbit's smallest value vector, both in the closure
+    of the class representatives' rows and in that of the closed set,
+    and the line table is constant on labels."""
     rows = tuples(bundle.valuations)
     assert len(bundle.type_labels) == len(rows)
     members = {}
     for values, label in zip(rows, bundle.type_labels):
         members.setdefault(label, []).append(values)
     index = {values: i for i, values in enumerate(rows)}
-    roots = _orbit_roots(bundle.valuations, bundle.aut_group).tolist()
+    closed, roots = orbit_closure(bundle.valuations, bundle.aut_group)
+    assert tuples(closed) == rows
+    assert roots.tolist() == bundle.valuation_closure[1].tolist()
+    roots = roots.tolist()
     for label, vals in members.items():
         assert vals == orbit_of_function(bundle.aut_group, vals[0])
         assert {roots[index[v]] for v in vals} == {index[vals[0]]}
@@ -828,24 +865,40 @@ class TestOrbitLabels:
     def test_random_hosts(self, g):
         assert_labels_are_orbits(pipeline.Bundle(g))
 
+    @settings(max_examples=40, deadline=None)
+    @given(connected_hosts())
+    def test_stats_against_oracle(self, g):
+        # every row's array statistics, and each class's, which are its
+        # smallest row's, equal those of the Valuation oracle
+        bundle = pipeline.Bundle(g)
+        rows = tuples(bundle.valuations)
+        assert row_stats(g, bundle.valuations) == [
+            valuation_stats(Valuation(g, values)) for values in rows]
+        smallest = {}
+        for values, label in zip(rows, bundle.type_labels):
+            smallest.setdefault(label, values)
+        assert [t.stats for t in bundle.valuation_types] == [
+            valuation_stats(Valuation(g, smallest[t.label]))
+            for t in bundle.valuation_types]
+
     def test_one_orbit_roots_call_per_host(self, monkeypatch, h21):
         calls = []
 
         def counting(rows, group):
             calls.append(len(rows))
-            return _orbit_roots(rows, group)
+            return orbit_closure(rows, group)
 
-        monkeypatch.setattr(pipeline, "_orbit_roots", counting)
+        monkeypatch.setattr(pipeline, "orbit_closure", counting)
         bundle = pipeline.Bundle(h21.geometry)
         bundle.valuations
-        assert calls == []
-        # 7 representative valuations in 5 orbits of 255 rows
+        # 7 representative valuations close to 255 rows
+        assert calls == [7]
         assert sum(bundle.valuations_per_class) == 7
         assert len(bundle.valuation_types) == 5
-        bundle.line_table, bundle.vprime()
+        bundle.classification, bundle.line_table, bundle.vprime()
         assert all(bundle.class_valuations_isomorphic(i)
                    for i in range(len(bundle.hyperplane_classes)))
-        assert calls == [255]
+        assert calls == [7]
 
     @pytest.mark.parametrize("host", ["h2", "h2dual", "h21"])
     def test_public_classification_matches_bundle(self, request, host):

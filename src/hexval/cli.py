@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from . import reference
 from .geometry import (GeometryError, check_generalized_hexagon,
-                       check_near_polygon, from_text, order_of, to_text)
+                       from_text, order_of, to_text)
 from .pipeline import BUILTIN_BUILDERS, Bundle, get_bundle
 from .valgeom import LemmaReport, check_lemma_3_1
 
@@ -303,7 +303,8 @@ def _cmd_validate(args) -> int:
         return 1
     g = bundle.geometry
     order = order_of(g)
-    np_report = check_near_polygon(g)
+    # kept on the geometry, so the hexagon check does not redo it
+    np_report = g.near_polygon_report
     hex_report = check_generalized_hexagon(g)
     print(f"points: {g.num_points}")
     print(f"lines: {len(g.lines)}")

@@ -4,10 +4,11 @@ A Geometry is a partial linear space with points 0..n-1 and lines given as
 sorted point tuples. Construction canonicalizes the line order, validates
 the partial-linear-space axiom and builds the collinearity graph as int
 bitmasks: point p's neighbours are ``neighbor_masks[p]``. The distance
-matrix (a frontier BFS over those masks per point) and the hexagon
-report are computed on first read and kept. Distances are ints;
-disconnected point pairs get the sentinel -1. ``is_connected`` needs no
-distances, and ``diameter`` reports ``INF`` for a disconnected geometry.
+matrix (a frontier BFS over those masks per point), the near-polygon
+report and the hexagon report built on it are computed on first read and
+kept. Distances are ints; disconnected point pairs get the sentinel -1.
+``is_connected`` needs no distances, and ``diameter`` reports ``INF`` for
+a disconnected geometry.
 """
 from __future__ import annotations
 
@@ -118,10 +119,15 @@ class Geometry:
         return [self._bfs(p) for p in range(self.num_points)]
 
     @cached_property
+    def near_polygon_report(self) -> NearPolygonReport:
+        """(NP1) and (NP2), checked on first read and kept."""
+        return check_near_polygon(self)
+
+    @cached_property
     def hexagon_report(self) -> HexagonReport:
         """Near hexagon + (GH1) >= 2 lines per point + (GH2) unique common
         neighbor at distance 2, checked on first read and kept."""
-        near = check_near_polygon(self)
+        near = self.near_polygon_report
         if not near.is_near_polygon:
             return HexagonReport(False, "not a near polygon", near.witness)
         if near.diameter != 3:

@@ -2,11 +2,12 @@
 
 A valuation assigns an integer to every point so that each line has a
 unique minimum and the remaining points sit one above it, with global
-minimum 0. Valuations are generated hyperplane by hyperplane: zeros are
-seeded on the hyperplane complement, line propagation closes the partial
-assignment, undefined points branch over -1 .. -diameter, and completions
-are shifted so the minimum becomes 0. The host must be connected: a
-disconnected one has infinitely many valuations.
+minimum 0. Valuations are generated hyperplane by hyperplane: the search
+starts from 0 on the hyperplane complement and -1 on the points collinear
+with it, the layer the line rule forces first; line propagation closes
+the partial assignment, undefined points branch over -1 .. -diameter, and
+completions are shifted so the minimum becomes 0. The host must be
+connected: a disconnected one has infinitely many valuations.
 
 One search does this for many hyperplanes at once: each hyperplane
 complement seeds one row of an int8 value matrix, in blocks of
@@ -32,9 +33,9 @@ from .geometry import Geometry, GeometryError
 from .hyperplanes import Hyperplane, _enumerable_basis, _orbit_labels
 from .perm import PermGroup
 
-#: most value rows the valuation search propagates together: the
+#: most value rows the valuation search propagates together (the
 #: hyperplane complements seeded at once, and each piece of a branched
-#: frontier
+#: frontier), and that find_rows compares at once
 _BLOCK_ROWS = 512
 #: an undefined point in the int8 value rows of the valuation search
 UNDEF = np.int8(np.iinfo(np.int8).max)
@@ -159,18 +160,36 @@ def _sweep_block(comp: np.ndarray, lines: np.ndarray, depth: int
     """The valuations whose maximal-value set is the seed complement, for
     each row of the bool [seeds, points] complement matrix comp at once.
 
-    Each row starts with value 0 on its complement and is closed under
-    line propagation; open rows branch over -1 .. -depth at their
-    lowest-index undefined point, and completions are shifted to minimum
-    0 and kept when their maximal-value set is their seed's complement.
-    Returns those completions and the row of comp each one came from. No
-    value falls below -depth, the diameter: the seed values 0 are the
-    maximum, and a valuation changes by at most 1 along a line. Branched
-    rows are propagated depth first in pieces of at most _BLOCK_ROWS, so
-    the rows held stay bounded when branching multiplies them.
+    Each row starts with value 0 on its complement C and -1 on every
+    other point collinear with C, and is closed under line propagation;
+    open rows branch over -1 .. -depth at their lowest-index undefined
+    point, and completions are shifted to minimum 0 and kept when their
+    maximal-value set is their seed's complement. The -1 layer is what
+    propagation would write first: a line meeting C meets it in 2 points
+    (the 0-or-2 rule the caller checks), so its third point gets -1, and
+    no such write conflicts. Returns the completions and the row of comp
+    each one came from. No value falls below -depth, the diameter: the
+    seed values 0 are the maximum, and a valuation changes by at most 1
+    along a line (a -1 needs a line, so depth >= 1). Branched rows are
+    propagated depth first in pieces of at most _BLOCK_ROWS, so the rows
+    held stay bounded when branching multiplies them.
     """
     branch = np.arange(-1, -depth - 1, -1, dtype=np.int8)
-    stack = [(np.where(comp, np.int8(0), UNDEF), np.arange(len(comp)))]
+    # a point off C is collinear with C when the next point of one of its
+    # lines, taken cyclically, is in C: the line holds 0 or 2 points of C.
+    # partners[p] lists those next points, padded with n, a column of
+    # False appended to comp. (Gathers, not a float product: a threaded
+    # BLAS call stalls when the other cores are busy.)
+    n = comp.shape[1]
+    points = lines.ravel()
+    order = np.argsort(points, kind="stable")
+    p, q = points[order], lines[:, [1, 2, 0]].ravel()[order]
+    partners = np.full((n, np.bincount(p, minlength=n).max(initial=0)), n)
+    partners[p, np.arange(len(p)) - np.searchsorted(p, p)] = q
+    padded = np.concatenate([comp, np.zeros((len(comp), 1), bool)], axis=1)
+    near = padded[:, partners].any(axis=2) & ~comp
+    # mask arithmetic, as np.where is slow on masks without a pattern
+    stack = [(UNDEF * ~(near | comp) - near, np.arange(len(comp)))]
     done, done_seeds = [], []
     while stack:
         rows, seeds = stack.pop()
@@ -332,9 +351,18 @@ def find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The index of each of rows in the sorted distinct int8 rows table,
     or -1 where it is absent."""
     keys, want = row_keys(table), row_keys(rows)
+    if not len(keys):
+        return np.full(len(want), -1, dtype=np.intp)
     pos = np.searchsorted(keys, want)
-    # a row is present when its right insertion point lies past its left
-    return np.where(np.searchsorted(keys, want, side="right") > pos, pos, -1)
+    # a row is present when the key at its left insertion point equals it;
+    # compared in pieces, as the keys gathered at once would take as much
+    # memory again as the rows
+    at = np.minimum(pos, len(keys) - 1)
+    hit = np.empty(len(want), dtype=bool)
+    for start in range(0, len(want), _BLOCK_ROWS):
+        piece = slice(start, start + _BLOCK_ROWS)
+        hit[piece] = keys[at[piece]] == want[piece]
+    return np.where(hit, pos, -1)
 
 
 def orbit_closure(seeds: np.ndarray, group: PermGroup

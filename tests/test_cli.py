@@ -217,7 +217,9 @@ class TestReport:
             return original(g)
 
         monkeypatch.setattr(geometry, "check_near_polygon", counting)
-        monkeypatch.setattr(cli, "check_near_polygon", counting)
+        # also counts a check made through a name bound in cli
+        monkeypatch.setattr(cli, "check_near_polygon", counting,
+                            raising=False)
         code, _, err = invoke(capsys, "report", "--all")
         assert (code, err) == (0, "")
         assert calls == []
@@ -226,6 +228,32 @@ class TestReport:
         assert geometry.check_generalized_hexagon(g).is_generalized_hexagon
         assert geometry.check_generalized_hexagon(g) is g.hexagon_report
         assert calls == ["copy"]
+
+    @pytest.mark.parametrize("host", ["h2", "h21", "h2-less-a-line"])
+    def test_validate_checks_near_polygon_once(self, request, capsys,
+                                               monkeypatch, tmp_path, host):
+        # validate prints the near-polygon report that the hexagon check
+        # computed and kept on the geometry
+        from hexval import geometry
+        g = request.getfixturevalue(host.split("-")[0]).geometry
+        if host.endswith("line"):
+            g = Geometry(g.num_points, g.lines[1:])
+        path = tmp_path / "host.geom"
+        path.write_text(to_text(g))
+        calls = []
+        original = geometry.check_near_polygon
+
+        def counting(checked):
+            calls.append(checked.num_points)
+            return original(checked)
+
+        monkeypatch.setattr(geometry, "check_near_polygon", counting)
+        monkeypatch.setattr(cli, "check_near_polygon", counting,
+                            raising=False)
+        code, out, _ = invoke(capsys, "validate", "--in", str(path))
+        assert calls == [g.num_points]
+        assert code == (1 if host.endswith("line") else 0)
+        assert "near polygon: " in out
 
     def test_deterministic_output(self, capsys, h2dual):
         _, first, _ = invoke(capsys, "report", "--geometry", "h2dual",

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hexval import pipeline, valuations
 from hexval.geometry import Geometry, GeometryError, find_ovoids, from_text
 from hexval.perm import automorphism_group, orbit
-from hexval.hyperplanes import Hyperplane, enumerate_hyperplanes
+from hexval.hyperplanes import (Hyperplane, _enumerable_basis,
+                               enumerate_hyperplanes)
 from hexval.valuations import (Valuation, ValuationStats, all_valuations,
                                classical_valuation, classify_valuations,
                                find_rows, is_semi_valuation, is_valuation,
@@ -576,6 +578,55 @@ def corrupt_propagate_rows(rows, lines, floor):
     return rows, kept
 
 
+def kernel_start_rows(search):
+    """Each complement matrix that search() hands _sweep_block, with the
+    rows that block hands its first _propagate_rows call: the rows the
+    search starts from."""
+    blocks = []
+    exact_block, exact_propagate = (valuations._sweep_block,
+                                    valuations._propagate_rows)
+
+    def block(comp, lines, depth):
+        blocks.append([comp.copy(), None])
+        return exact_block(comp, lines, depth)
+
+    def propagate(rows, lines, floor):
+        if blocks[-1][1] is None:
+            blocks[-1][1] = rows.copy()
+        return exact_propagate(rows, lines, floor)
+
+    with mock.patch.object(valuations, "_sweep_block", block), \
+            mock.patch.object(valuations, "_propagate_rows", propagate):
+        search()
+    return blocks
+
+
+def seeded_layer(g, comp):
+    """The start row of the complement C given as a bool row, from the
+    neighbour masks: 0 on C, -1 on the points a C-point is collinear
+    with, undefined elsewhere."""
+    c = near = 0
+    for p, member in enumerate(comp.tolist()):
+        if member:
+            c |= 1 << p
+            near |= g.neighbor_masks[p]
+    undef = int(valuations.UNDEF)
+    return [0 if c >> p & 1 else -1 if near >> p & 1 else undef
+            for p in range(g.num_points)]
+
+
+def assert_seeded_layer(g):
+    """all_valuations(g) starts every seed from its seeded_layer row, and
+    some row holds a -1."""
+    blocks = kernel_start_rows(lambda: all_valuations(g))
+    assert sum(len(comp) for comp, _ in blocks) == 2 ** len(
+        _enumerable_basis(g)) - 1
+    for comp, rows in blocks:
+        assert rows.dtype == np.int8
+        assert rows.tolist() == [seeded_layer(g, c) for c in comp]
+    assert any((rows == -1).any() for _, rows in blocks)
+
+
 CHAIN = "points 9\n0 1 2\n2 3 4\n4 5 6\n6 7 8\n"
 
 # the host whose distributions are shared by several orbits, and which
@@ -788,6 +839,23 @@ class TestBatchedSweep:
             "completion is not a valuation")
 
 
+class TestSeededLayer:
+    """The search starts each seed from 0 on its complement and -1 on the
+    points collinear with it; the neighbour masks are the oracle."""
+
+    @pytest.mark.parametrize("host", ["h2", "h2dual"])
+    def test_hexagons(self, request, host):
+        assert_seeded_layer(request.getfixturevalue(host).geometry)
+
+    def test_two_word_host(self, h2):
+        assert_seeded_layer(relabeled(pendant_path(h2.geometry), seed=67))
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_hosts())
+    def test_random_hosts(self, g):
+        assert_seeded_layer(g)
+
+
 # h21's valuations without the last one, which the orbit of another
 # valuation reaches
 OPEN_SET_H21 = (
@@ -817,8 +885,13 @@ class TestRowKeys:
         assert tuples(found) == distinct and found.dtype == np.int8
         index = {values: i for i, values in enumerate(distinct)}
         queries = rows + [probe]
+        expected = [index.get(tuple(q), -1) for q in queries]
         assert find_rows(found, np.array(queries, dtype=np.int8)).tolist() \
-            == [index.get(tuple(q), -1) for q in queries]
+            == expected
+        # the keys compared in pieces of 3
+        with mock.patch.object(valuations, "_BLOCK_ROWS", 3):
+            assert find_rows(found, np.array(queries, dtype=np.int8)
+                             ).tolist() == expected
         assert np.argsort(row_keys(mat), kind="stable").tolist() == sorted(
             range(len(rows)), key=lambda i: rows[i])
 

@@ -13,7 +13,7 @@ from .geometry import (Geometry, GeometryError, Grid, OrderSpec,
                        near_hexagon_point_bound, order_of, to_text)
 from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
                           enumerate_hyperplanes)
-from .perm import PermGroup, are_isomorphic, automorphism_group
+from .perm import AutGroup, are_isomorphic, automorphism_group
 from .pipeline import Bundle, get_bundle
 from .valgeom import (ValuationGeometry, are_neighboring,
                       build_valuation_geometry, check_lemma_3_1,
@@ -25,8 +25,8 @@ from .valuations import (Valuation, all_valuations, classical_valuation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bundle", "Geometry", "GeometryError", "Grid", "Hyperplane",
-    "HyperplaneClass", "OrderSpec", "PermGroup", "Valuation",
+    "AutGroup", "Bundle", "Geometry", "GeometryError", "Grid", "Hyperplane",
+    "HyperplaneClass", "OrderSpec", "Valuation",
     "ValuationGeometry", "all_valuations", "are_isomorphic",
     "are_neighboring", "automorphism_group", "build_fano", "build_h2",
     "build_h2_dual", "build_hexagon_2_1", "build_valuation_geometry",

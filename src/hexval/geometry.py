@@ -5,10 +5,11 @@ sorted point tuples. Construction canonicalizes the line order, validates
 the partial-linear-space axiom and builds the collinearity graph as int
 bitmasks: point p's neighbours are ``neighbor_masks[p]``. The distance
 matrix (a frontier BFS over those masks per point), the near-polygon
-report and the hexagon report built on it are computed on first read and
-kept. Distances are ints; disconnected point pairs get the sentinel -1.
-``is_connected`` needs no distances, and ``diameter`` reports ``INF`` for
-a disconnected geometry.
+report and the hexagon report built on it, and the GF(2) nullspace of
+the incidence matrix are computed on first read and kept. Distances are
+ints; disconnected point pairs get the sentinel -1. ``is_connected``
+needs no distances, and ``diameter`` reports ``INF`` for a disconnected
+geometry.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
+
+from . import gf2
 
 INF = math.inf
 
@@ -112,6 +115,13 @@ class Geometry:
         self.lines_through: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(v) for v in lines_through)
         self.neighbor_masks: Tuple[int, ...] = tuple(nbrs)
+
+    @cached_property
+    def nullspace_basis(self) -> Tuple[int, ...]:
+        """Basis of the GF(2) nullspace of the line-point incidence matrix,
+        whose rows are the line masks, as point masks in the reduced form
+        of gf2.nullspace; computed on first read."""
+        return tuple(gf2.nullspace(self.line_masks, self.num_points))
 
     @cached_property
     def dist(self) -> List[List[int]]:

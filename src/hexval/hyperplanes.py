@@ -10,9 +10,10 @@ are the 2^dim - 1 nonzero vectors of that space, and their number needs
 only its dimension.
 
 Point sets and nullspace vectors are int bitmasks throughout: the
-incidence matrix is the tuple of line masks, and ``gf2.nullspace`` of it
-returns a basis in which vector i alone has its free column f_i, so a
-vector's coordinates are its bits at the free columns.
+incidence matrix is the tuple of line masks, and ``gf2.nullspace`` of it,
+kept once per geometry as ``Geometry.nullspace_basis``, is a basis in
+which vector i alone has its free column f_i, so a vector's coordinates
+are its bits at the free columns.
 
 ``enumerate_hyperplanes`` lists them one by one as ``Hyperplane`` objects.
 Neither ``classify_hyperplanes`` nor the full valuation sweep builds that
@@ -25,7 +26,7 @@ is enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from . import gf2
 from .geometry import Geometry, GeometryError, _bits
 
 if TYPE_CHECKING:
-    from .perm import PermGroup
+    from .perm import AutGroup
 
 #: largest nullspace dimension whose 2^dim vectors are enumerated
 MAX_DIMENSION = 24
@@ -66,20 +67,14 @@ class HyperplaneClass:
     invariant_key: Tuple[int, int]  # (size, number of full lines)
 
 
-def nullspace_basis(g: Geometry) -> List[int]:
-    """Basis of the GF(2) nullspace of the line-point incidence matrix,
-    whose rows are the line masks, as point masks in the reduced form of
-    gf2.nullspace."""
-    return gf2.nullspace(g.line_masks, g.num_points)
-
-
-def _hyperplane_basis(g: Geometry) -> List[int]:
-    """The nullspace basis, which spans the hyperplane complements when
-    every line has 3 points (GeometryError otherwise)."""
+def _hyperplane_basis(g: Geometry) -> Tuple[int, ...]:
+    """The nullspace basis ``g.nullspace_basis``, which spans the
+    hyperplane complements when every line has 3 points (GeometryError
+    otherwise)."""
     for line in g.lines:
         if len(line) != 3:
             raise GeometryError("hyperplane enumeration requires 3-point lines")
-    return nullspace_basis(g)
+    return g.nullspace_basis
 
 
 def hyperplane_count(g: Geometry) -> int:
@@ -87,7 +82,7 @@ def hyperplane_count(g: Geometry) -> int:
     return (1 << len(_hyperplane_basis(g))) - 1
 
 
-def _enumerable_basis(g: Geometry) -> List[int]:
+def _enumerable_basis(g: Geometry) -> Tuple[int, ...]:
     basis = _hyperplane_basis(g)
     if len(basis) > MAX_DIMENSION:
         raise GeometryError(
@@ -131,7 +126,7 @@ def _image(p, mask: int) -> int:
     return sum(1 << p[q] for q in _bits(mask))
 
 
-def _image_coordinates(basis: List[int], free: List[int], p) -> List[int]:
+def _image_coordinates(basis: Sequence[int], free: List[int], p) -> List[int]:
     """The coordinates of the image of each basis vector under the point
     permutation p: its bits at the free columns, the columns of p's
     matrix on the nullspace. An image that is not the vector with those
@@ -167,7 +162,7 @@ def _orbit_labels(actions: np.ndarray, size: int) -> np.ndarray:
             return labels
 
 
-def classify_hyperplanes(g: Geometry, group: PermGroup
+def classify_hyperplanes(g: Geometry, group: AutGroup
                          ) -> List[HyperplaneClass]:
     """Partition all hyperplanes into automorphism orbits.
 

@@ -1,9 +1,7 @@
-"""Permutation groups on geometry points.
+"""Automorphism groups and isomorphism search on geometry points.
 
-Permutations are image tuples (p maps point i to p[i]). PermGroup keeps a
-deterministic Schreier-Sims stabilizer chain (base points: smallest moved
-point first) supporting exact order and membership. Orbits of points and
-point sets come from ``orbit``, which takes the generators and their
+Permutations are image tuples (p maps point i to p[i]). Orbits of points
+and point sets come from ``orbit``, which takes the generators and their
 action as parameters.
 
 Automorphism and isomorphism search runs a backtracking over points with
@@ -15,11 +13,16 @@ of the two incidence nullspaces, which no isomorphism changes.
 The automorphism search prunes by cosets: along the path of the identity
 it looks, at each branch point, for one automorphism per image not yet in
 the orbit of the generators found below, so it visits a few leaves per
-base point instead of one leaf per automorphism.
+base point instead of one leaf per automorphism. It returns an
+``AutGroup``: the generators, the branch points as a base and the orbit
+length of each; the group order is the product of those lengths, so no
+stabilizer chain is built.
 """
 from __future__ import annotations
 
+import math
 import operator
+from dataclasses import dataclass
 from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -27,117 +30,26 @@ import numpy as np
 
 from . import gf2
 from .geometry import Geometry, _bits
-from .hyperplanes import MAX_DIMENSION, nullspace_basis
+from .hyperplanes import MAX_DIMENSION
 
 Perm = Tuple[int, ...]
 
 
-def identity(degree: int) -> Perm:
-    return tuple(range(degree))
+@dataclass(frozen=True)
+class AutGroup:
+    """An automorphism group as the coset-pruned search leaves it: its
+    generators, the base points b_k of the identity path and the length
+    of the orbit of each b_k under the stabilizer of b_0..b_{k-1}."""
 
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p * q)(x) = p(q(x))."""
-    return tuple(p[x] for x in q)
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
-def check_perm(p: Sequence[int], degree: int) -> Perm:
-    p = tuple(p)
-    if len(p) != degree or set(p) != set(range(degree)):
-        raise ValueError("not a permutation of 0..degree-1")
-    return p
-
-
-class PermGroup:
-    """Permutation group with a Schreier-Sims stabilizer chain."""
-
-    def __init__(self, degree: int, generators: Sequence[Sequence[int]] = ()):
-        self.degree = degree
-        self._id = identity(degree)
-        self.base: List[int] = []
-        self._chain_gens: List[List[Perm]] = []
-        self._transversals: List[Dict[int, Perm]] = []
-        self.generators: List[Perm] = []
-        for g in generators:
-            self.add_generator(g)
-
-    # -- chain construction ----------------------------------------------
-
-    def add_generator(self, g: Sequence[int]):
-        g = check_perm(g, self.degree)
-        if g == self._id or self.contains(g):
-            return
-        self.generators.append(g)
-        self._insert(g, 0)
-
-    def _insert(self, g: Perm, level: int):
-        if level == len(self.base):
-            b = min(x for x in range(self.degree) if g[x] != x)
-            self.base.append(b)
-            self._chain_gens.append([])
-            self._transversals.append({b: self._id})
-        self._chain_gens[level].append(g)
-        self._recompute(level)
-
-    def _recompute(self, level: int):
-        b = self.base[level]
-        gens = self._chain_gens[level]
-        trans: Dict[int, Perm] = {b: self._id}
-        order_pts = [b]
-        qi = 0
-        while qi < len(order_pts):
-            x = order_pts[qi]
-            qi += 1
-            for h in gens:
-                y = h[x]
-                if y not in trans:
-                    trans[y] = compose(h, trans[x])
-                    order_pts.append(y)
-        self._transversals[level] = trans
-        for x in order_pts:
-            for h in gens:
-                sg = compose(inverse(trans[h[x]]), compose(h, trans[x]))
-                if sg != self._id and not self._contains_from(sg, level + 1):
-                    self._insert(sg, level + 1)
-
-    def _contains_from(self, p: Perm, level: int) -> bool:
-        for i in range(level, len(self.base)):
-            x = p[self.base[i]]
-            rep = self._transversals[i].get(x)
-            if rep is None:
-                return False
-            p = compose(inverse(rep), p)
-        return p == self._id
-
-    # -- queries -----------------------------------------------------------
-
-    def contains(self, p: Sequence[int]) -> bool:
-        return self._contains_from(check_perm(p, self.degree), 0)
+    degree: int
+    generators: Tuple[Perm, ...]
+    base: Tuple[int, ...]
+    base_orbit_lengths: Tuple[int, ...]
 
     def order(self) -> int:
-        n = 1
-        for t in self._transversals:
-            n *= len(t)
-        return n
-
-    def orbit(self, point: int) -> List[int]:
-        return sorted(orbit(self.generators, point, operator.getitem))
-
-    def orbits(self) -> List[List[int]]:
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            orb = self.orbit(min(remaining))
-            out.append(orb)
-            remaining -= set(orb)
-        return out
+        """|Aut|: by orbit-stabilizer, the product of the base orbit
+        lengths, as the stabilizer of the whole base is trivial."""
+        return math.prod(self.base_orbit_lengths)
 
 
 def orbit(generators: Sequence, start: Hashable,
@@ -273,7 +185,7 @@ def _nullspace_weights(g: Geometry) -> Tuple[int, Optional[Tuple[int, ...]]]:
     """The dimension of the GF(2) nullspace of the incidence matrix and,
     up to dimension MAX_DIMENSION, the number of its vectors of each
     weight (None above)."""
-    basis = nullspace_basis(g)
+    basis = g.nullspace_basis
     if len(basis) > MAX_DIMENSION:
         return len(basis), None
     weights = np.bitwise_count(gf2.span_words(basis, g.num_points)).sum(
@@ -296,7 +208,7 @@ def are_isomorphic(g1: Geometry, g2: Geometry) -> Optional[Perm]:
     return next(search.leaves(search.root, 0), None)
 
 
-def automorphism_group(g: Geometry) -> PermGroup:
+def automorphism_group(g: Geometry) -> AutGroup:
     """Full automorphism group of g acting on points, by coset pruning.
 
     The search first follows the path of the identity, recording each
@@ -306,12 +218,15 @@ def automorphism_group(g: Geometry) -> PermGroup:
     each candidate image q of b_k outside the orbit of b_k under them
     gets one search for the first verified automorphism mapping b_k to
     q; one leaf per coset of that stabilizer suffices, so the orbit of
-    b_k, and by orbit-stabilizer the group fixing b_0..b_{k-1}, come out
-    exact. See Seress, Permutation Group Algorithms (2003), ch. 4, and
-    McKay & Piperno, Practical graph isomorphism II (2014).
+    b_k under the group fixing b_0..b_{k-1} comes out exact. Every point
+    has a single candidate below the deepest node, so only the identity
+    fixes the whole base, and by orbit-stabilizer |Aut| is the product
+    of the final orbit lengths (``AutGroup.order``). See Seress,
+    Permutation Group Algorithms (2003), ch. 4, and McKay & Piperno,
+    Practical graph isomorphism II (2014).
     """
     search = _IsoSearch(g, g)
-    group = PermGroup(g.num_points)
+    generators: List[Perm] = []
     path = []
     cand, assigned = search.root, 0
     while True:
@@ -320,19 +235,22 @@ def automorphism_group(g: Geometry) -> PermGroup:
             break
         path.append((cand, assigned, b))
         cand, assigned = search.assign(cand, assigned, b, b)
+    lengths = []
     for cand, assigned, b in reversed(path):
-        orbit_b = orbit(group.generators, b, operator.getitem)
+        orbit_b = orbit(generators, b, operator.getitem)
         for q in _bits(cand[b]):
             if q in orbit_b:
                 continue
             leaf = next(search.leaves(*search.assign(cand, assigned, b, q)),
                         None)
             if leaf is not None:
-                group.add_generator(leaf)
-                orbit_b = orbit(group.generators, b, operator.getitem)
-    for gen in group.generators:
+                generators.append(leaf)
+                orbit_b = orbit(generators, b, operator.getitem)
+        lengths.append(len(orbit_b))
+    for gen in generators:
         _check_automorphism(g, gen)
-    return group
+    return AutGroup(g.num_points, tuple(generators),
+                    tuple(b for _, _, b in path), tuple(reversed(lengths)))
 
 
 def _check_automorphism(g: Geometry, p: Perm) -> None:

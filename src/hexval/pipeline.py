@@ -31,7 +31,7 @@ from .constructions import build_h2, build_h2_dual, build_hexagon_2_1
 from .geometry import Geometry, find_ovoids
 from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
                           enumerate_hyperplanes, hyperplane_count)
-from .perm import PermGroup, automorphism_group
+from .perm import AutGroup, automorphism_group
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
                       class_line_table)
 from .valuations import (ValuationType, find_rows, label_orbits,
@@ -52,7 +52,7 @@ class Bundle:
         self.name = name or geometry.name
 
     @cached_property
-    def aut_group(self) -> PermGroup:
+    def aut_group(self) -> AutGroup:
         return automorphism_group(self.geometry)
 
     @cached_property

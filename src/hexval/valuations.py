@@ -31,7 +31,7 @@ import numpy as np
 from . import gf2
 from .geometry import Geometry, GeometryError
 from .hyperplanes import Hyperplane, _enumerable_basis, _orbit_labels
-from .perm import PermGroup
+from .perm import AutGroup
 
 #: most value rows the valuation search propagates together (the
 #: hyperplane complements seeded at once, and each piece of a branched
@@ -155,8 +155,8 @@ def _propagate_rows(rows: np.ndarray, lines: np.ndarray, floor: int
     return rows, kept
 
 
-def _sweep_block(comp: np.ndarray, lines: np.ndarray, depth: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
+def _sweep_block(comp: np.ndarray, lines: np.ndarray, partners: np.ndarray,
+                 depth: int) -> Tuple[np.ndarray, np.ndarray]:
     """The valuations whose maximal-value set is the seed complement, for
     each row of the bool [seeds, points] complement matrix comp at once.
 
@@ -175,17 +175,8 @@ def _sweep_block(comp: np.ndarray, lines: np.ndarray, depth: int
     held stay bounded when branching multiplies them.
     """
     branch = np.arange(-1, -depth - 1, -1, dtype=np.int8)
-    # a point off C is collinear with C when the next point of one of its
-    # lines, taken cyclically, is in C: the line holds 0 or 2 points of C.
-    # partners[p] lists those next points, padded with n, a column of
-    # False appended to comp. (Gathers, not a float product: a threaded
-    # BLAS call stalls when the other cores are busy.)
-    n = comp.shape[1]
-    points = lines.ravel()
-    order = np.argsort(points, kind="stable")
-    p, q = points[order], lines[:, [1, 2, 0]].ravel()[order]
-    partners = np.full((n, np.bincount(p, minlength=n).max(initial=0)), n)
-    partners[p, np.arange(len(p)) - np.searchsorted(p, p)] = q
+    # partners[p] lists the next point of each line through p, padded
+    # with n, a column of False appended to comp
     padded = np.concatenate([comp, np.zeros((len(comp), 1), bool)], axis=1)
     near = padded[:, partners].any(axis=2) & ~comp
     # mask arithmetic, as np.where is slow on masks without a pattern
@@ -283,6 +274,16 @@ def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
         raise GeometryError("the valuation search requires 3-point lines")
     seeds = seed_words()
     lines = np.array(g.lines, dtype=np.intp).reshape(-1, 3)
+    # a point off a complement C is collinear with C when the next point
+    # of one of its lines, taken cyclically, is in C: the line holds 0 or
+    # 2 points of C. partners[p] lists those next points, padded with n.
+    # (Gathers, not a float product: a threaded BLAS call stalls when the
+    # other cores are busy.)
+    points = lines.ravel()
+    order = np.argsort(points, kind="stable")
+    p, q = points[order], lines[:, [1, 2, 0]].ravel()[order]
+    partners = np.full((n, np.bincount(p, minlength=n).max(initial=0)), n)
+    partners[p, np.arange(len(p)) - np.searchsorted(p, p)] = q
     nbytes = -(-n // 8)
     found = [np.empty((0, n), dtype=np.int8)]
     origins = [np.empty(0, dtype=np.intp)]
@@ -297,7 +298,7 @@ def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
             raise RuntimeError(
                 f"hyperplane complement {gf2.from_words(words[bad[0]]):b} "
                 f"fails the 0-or-2 line rule")
-        vals, origin = _sweep_block(comp, lines, depth)
+        vals, origin = _sweep_block(comp, lines, partners, depth)
         _check_sweep(vals, lines, packed[origin])
         found.append(vals)
         origins.append(origin + start)
@@ -365,7 +366,7 @@ def find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(hit, pos, -1)
 
 
-def orbit_closure(seeds: np.ndarray, group: PermGroup
+def orbit_closure(seeds: np.ndarray, group: AutGroup
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """The closure of the int8 rows seeds under the images rows[:, theta]
     of the group's generators, as sorted distinct rows, and each row's
@@ -453,7 +454,7 @@ def label_orbits(g: Geometry, rows: np.ndarray, roots: np.ndarray
     return types, [labels[i] for i in roots.tolist()]
 
 
-def classify_valuations(g: Geometry, group: PermGroup,
+def classify_valuations(g: Geometry, group: AutGroup,
                         vals: Optional[List[Valuation]] = None
                         ) -> Tuple[List[ValuationType], List[str]]:
     """Partition valuations (all of g's by default) into automorphism

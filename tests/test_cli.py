@@ -4,9 +4,11 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,27 @@ class TestAut:
         code, out, _ = invoke(capsys, "aut", "--geometry", "h2")
         assert code == 0
         assert "12096" in out
+
+    def test_thirteen_disjoint_lines(self, capsys, tmp_path):
+        # S_3 wr S_13, of order 6^13 * 13!: the order comes off the
+        # search's base orbits, and the classes are refused at dimension
+        # 26 right after the group search
+        path = tmp_path / "lines13.geom"
+        path.write_text("points 39\n" + "".join(
+            f"{3 * i} {3 * i + 1} {3 * i + 2}\n" for i in range(13)))
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "aut", "--in", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == (
+            f"automorphism group order: {6 ** 13 * math.factorial(13)}")
+        code, out, err = invoke(capsys, "hyperplanes", "--in", str(path),
+                                "--classes")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: the hyperplane space has dimension 26; its 2^26 - 1 "
+            "hyperplanes are not enumerated above dimension 24"]
 
 
 class TestHyperplanes:

@@ -23,6 +23,8 @@ from hexval.hyperplanes import (MAX_DIMENSION, Hyperplane, HyperplaneClass,
                                 classify_hyperplanes, enumerate_hyperplanes,
                                 hyperplane_count)
 from hexval.perm import automorphism_group
+from hexval.valuations import all_valuations
+from test_perm import PermGroup, oracle_group
 
 
 def apply_perm_to_mask(p, mask):
@@ -196,22 +198,42 @@ class TestEnumeration:
         bits = [h.member_bits for h in h21.hyperplanes]
         assert bits == sorted(set(bits))
 
-    def test_rejects_dependent_basis(self, monkeypatch, h21):
+    def test_rejects_dependent_basis(self, h21):
         # three nullspace vectors, so every one of them keeps the line
         # rule, but the third is the sum of the first two: their span
         # holds 3 nonzero vectors, not 7
-        b0, b1 = hyperplanes.nullspace_basis(h21.geometry)[:2]
-        monkeypatch.setattr(hyperplanes, "nullspace_basis",
-                            lambda g: [b0, b1, b0 ^ b1])
+        b0, b1 = h21.geometry.nullspace_basis[:2]
+        g = Geometry(21, h21.geometry.lines)
+        g.nullspace_basis = (b0, b1, b0 ^ b1)
         with pytest.raises(RuntimeError, match="gave 3 hyperplanes"):
-            enumerate_hyperplanes(h21.geometry)
+            enumerate_hyperplanes(g)
 
-    def test_rejects_vector_outside_nullspace(self, monkeypatch, h21):
+    def test_rejects_vector_outside_nullspace(self, h21):
         # a single point meets its lines in 1 point, so its complement
         # fails the 1-or-3 rule
-        monkeypatch.setattr(hyperplanes, "nullspace_basis", lambda g: [1])
+        g = Geometry(21, h21.geometry.lines)
+        g.nullspace_basis = (1,)
         with pytest.raises(RuntimeError, match="fails the 1-or-3 line rule"):
-            enumerate_hyperplanes(h21.geometry)
+            enumerate_hyperplanes(g)
+
+    def test_one_nullspace_per_geometry(self, monkeypatch, h21):
+        # the count, the classes, the isomorphism invariant and the full
+        # sweep all read the basis kept on the geometry
+        classes, count = h21.hyperplane_classes, len(h21.valuations)
+        calls = []
+
+        def counted(rows, cols):
+            calls.append(cols)
+            return exact(rows, cols)
+
+        exact = gf2.nullspace
+        monkeypatch.setattr(gf2, "nullspace", counted)
+        g = Geometry(21, h21.geometry.lines)
+        assert hyperplane_count(g) == 255
+        assert classify_hyperplanes(g, automorphism_group(g)) == classes
+        assert perm.are_isomorphic(g, g) is not None
+        assert len(all_valuations(g)) == count
+        assert calls == [21]
 
     def test_nullspace_dimension_two_elimination_orders(self, h2):
         rows, n = h2.geometry.line_masks, h2.geometry.num_points
@@ -252,7 +274,7 @@ class TestClassification:
         assert (img.bit_count(), full_line_count(g, img)) == key
 
     def test_orbit_size_not_dividing_order_raises(self, monkeypatch, h21):
-        group = perm.PermGroup(21, h21.aut_group.generators)
+        group = PermGroup(21, h21.aut_group.generators)
         monkeypatch.setattr(group, "order", lambda: 7)
         with pytest.raises(RuntimeError, match="does not divide"):
             classify_hyperplanes(h21.geometry, group)
@@ -296,18 +318,20 @@ NOT_AN_AUTOMORPHISM = (
     "from hexval.constructions import build_hexagon_2_1\n"
     "from hexval.hyperplanes import classify_hyperplanes\n"
     "swap = (1, 0) + tuple(range(2, 21))\n"
+    "group = perm.AutGroup(21, (swap,), (0,), (2,))\n"
     "try:\n"
-    "    classify_hyperplanes(build_hexagon_2_1(), perm.PermGroup(21, [swap]))\n"
+    "    classify_hyperplanes(build_hexagon_2_1(), group)\n"
     "except RuntimeError as exc:\n"
     "    print(exc)\n")
 
 WRONG_ORDER = (
+    "import dataclasses\n"
     "from hexval import perm\n"
     "from hexval.constructions import build_hexagon_2_1\n"
     "from hexval.hyperplanes import classify_hyperplanes\n"
     "g = build_hexagon_2_1()\n"
-    "group = perm.automorphism_group(g)\n"
-    "group.order = lambda: 7\n"
+    "group = dataclasses.replace(perm.automorphism_group(g),\n"
+    "                            base_orbit_lengths=(7,))\n"
     "try:\n"
     "    classify_hyperplanes(g, group)\n"
     "except RuntimeError as exc:\n"
@@ -350,15 +374,15 @@ class TestAgainstOracle:
 
     def test_trivial_group_and_no_hyperplanes(self):
         g = disjoint_lines(2)
-        classes = classify_hyperplanes(g, perm.PermGroup(6))
+        classes = classify_hyperplanes(g, PermGroup(6))
         assert [c.orbit_size for c in classes] == [1] * 15
-        assert classify_hyperplanes(Geometry(0, []), perm.PermGroup(0)) == []
+        assert classify_hyperplanes(Geometry(0, []), PermGroup(0)) == []
 
     def test_generator_outside_nullspace_raises(self, h21):
         swap = (1, 0) + tuple(range(2, 21))
-        assert not h21.aut_group.contains(swap)
+        assert not oracle_group(h21.aut_group).contains(swap)
         with pytest.raises(RuntimeError, match="not in the nullspace"):
-            classify_hyperplanes(h21.geometry, perm.PermGroup(21, [swap]))
+            classify_hyperplanes(h21.geometry, PermGroup(21, [swap]))
 
     def test_checks_survive_optimize(self):
         assert "not in the nullspace" in run_optimized(NOT_AN_AUTOMORPHISM)
@@ -376,7 +400,7 @@ class TestEnumerationGuard:
         tracemalloc.start()
         try:
             for fn in (enumerate_hyperplanes,
-                       lambda g: classify_hyperplanes(g, perm.PermGroup(39))):
+                       lambda g: classify_hyperplanes(g, PermGroup(39))):
                 with pytest.raises(GeometryError, match="dimension 26"):
                     fn(g)
             peak = tracemalloc.get_traced_memory()[1]
@@ -388,7 +412,8 @@ class TestEnumerationGuard:
                                       ["check"]])
     def test_cli_exits_2(self, capsys, tmp_path, argv):
         # disconnected, so refused before the hyperplanes; hyperplanes
-        # --classes would first search a group of order 6^13 * 13!
+        # --classes first searches the group of order 6^13 * 13!
+        # (test_cli.py, TestAut)
         path = tmp_path / "lines13.geom"
         path.write_text(to_text(disjoint_lines(13)))
         assert run([argv[0], "--in", str(path), *argv[1:]]) == 2

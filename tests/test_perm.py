@@ -1,10 +1,20 @@
-"""Permutation groups and isomorphism search."""
+"""Automorphism groups and isomorphism search.
+
+``PermGroup`` here is the oracle of the group the search returns: a
+deterministic Schreier-Sims stabilizer chain (base points: smallest moved
+point first) with exact order and membership, built from generators
+alone.
+"""
 import itertools
+import math
+import operator
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +23,122 @@ from hexval import perm
 from hexval.constructions import (build_fano, build_h2, build_h2_dual,
                                   build_hexagon_2_1, grid_3x3)
 from hexval.geometry import Geometry, dual
-from hexval.perm import (PermGroup, are_isomorphic, automorphism_group,
-                         compose, identity, inverse)
+from hexval.perm import are_isomorphic, automorphism_group
 from test_valuations import orbit_of_function
+
+Perm = Tuple[int, ...]
+
+
+# -- the Schreier-Sims oracle --------------------------------------------
+
+
+def identity(degree: int) -> Perm:
+    return tuple(range(degree))
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """(p * q)(x) = p(q(x))."""
+    return tuple(p[x] for x in q)
+
+
+def inverse(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def check_perm(p: Sequence[int], degree: int) -> Perm:
+    p = tuple(p)
+    if len(p) != degree or set(p) != set(range(degree)):
+        raise ValueError("not a permutation of 0..degree-1")
+    return p
+
+
+class PermGroup:
+    """Permutation group with a Schreier-Sims stabilizer chain."""
+
+    def __init__(self, degree: int, generators: Sequence[Sequence[int]] = ()):
+        self.degree = degree
+        self._id = identity(degree)
+        self.base: List[int] = []
+        self._chain_gens: List[List[Perm]] = []
+        self._transversals: List[Dict[int, Perm]] = []
+        self.generators: List[Perm] = []
+        for g in generators:
+            self.add_generator(g)
+
+    def add_generator(self, g: Sequence[int]):
+        g = check_perm(g, self.degree)
+        if g == self._id or self.contains(g):
+            return
+        self.generators.append(g)
+        self._insert(g, 0)
+
+    def _insert(self, g: Perm, level: int):
+        if level == len(self.base):
+            b = min(x for x in range(self.degree) if g[x] != x)
+            self.base.append(b)
+            self._chain_gens.append([])
+            self._transversals.append({b: self._id})
+        self._chain_gens[level].append(g)
+        self._recompute(level)
+
+    def _recompute(self, level: int):
+        b = self.base[level]
+        gens = self._chain_gens[level]
+        trans: Dict[int, Perm] = {b: self._id}
+        order_pts = [b]
+        qi = 0
+        while qi < len(order_pts):
+            x = order_pts[qi]
+            qi += 1
+            for h in gens:
+                y = h[x]
+                if y not in trans:
+                    trans[y] = compose(h, trans[x])
+                    order_pts.append(y)
+        self._transversals[level] = trans
+        for x in order_pts:
+            for h in gens:
+                sg = compose(inverse(trans[h[x]]), compose(h, trans[x]))
+                if sg != self._id and not self._contains_from(sg, level + 1):
+                    self._insert(sg, level + 1)
+
+    def _contains_from(self, p: Perm, level: int) -> bool:
+        for i in range(level, len(self.base)):
+            x = p[self.base[i]]
+            rep = self._transversals[i].get(x)
+            if rep is None:
+                return False
+            p = compose(inverse(rep), p)
+        return p == self._id
+
+    def contains(self, p: Sequence[int]) -> bool:
+        return self._contains_from(check_perm(p, self.degree), 0)
+
+    def order(self) -> int:
+        n = 1
+        for t in self._transversals:
+            n *= len(t)
+        return n
+
+    def orbit(self, point: int) -> List[int]:
+        return sorted(perm.orbit(self.generators, point, operator.getitem))
+
+    def orbits(self) -> List[List[int]]:
+        remaining = set(range(self.degree))
+        out = []
+        while remaining:
+            orb = self.orbit(min(remaining))
+            out.append(orb)
+            remaining -= set(orb)
+        return out
+
+
+def oracle_group(group) -> PermGroup:
+    """The Schreier-Sims group of a searched group's generators."""
+    return PermGroup(group.degree, group.generators)
 
 
 def brute_force_automorphisms(g):
@@ -58,13 +181,29 @@ def enumerated_automorphism_group(g):
 
 
 def assert_same_group(pruned, oracle):
-    assert pruned.order() == oracle.order()
+    """The searched group equals the oracle: one order, read off the
+    search and off a stabilizer chain of its generators, and generators
+    contained both ways."""
+    chain = oracle_group(pruned)
+    assert pruned.order() == chain.order() == oracle.order()
     assert all(oracle.contains(p) for p in pruned.generators)
-    assert all(pruned.contains(p) for p in oracle.generators)
+    assert all(chain.contains(p) for p in oracle.generators)
 
 
 def disjoint_lines(k):
     return Geometry(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])
+
+
+def wreath_group(k):
+    """S_3 wr S_k on k disjoint lines of 3 points, from its textbook
+    generators: a transposition and a 3-cycle on the first line, the swap
+    of the first two lines and a cycle of all lines."""
+    n = 3 * k
+    gens = [(1, 0, 2) + tuple(range(3, n)), (1, 2, 0) + tuple(range(3, n))]
+    if k > 1:
+        gens.append((3, 4, 5, 0, 1, 2) + tuple(range(6, n)))
+        gens.append(tuple(range(3, n)) + (0, 1, 2))
+    return PermGroup(n, gens)
 
 
 def relabeled(g, seed):
@@ -108,9 +247,9 @@ class TestPermBasics:
 
     def test_check_perm_rejects_non_bijection(self):
         with pytest.raises(ValueError):
-            perm.check_perm((0, 0, 2), 3)
+            check_perm((0, 0, 2), 3)
         with pytest.raises(ValueError):
-            perm.check_perm((0, 1), 3)
+            check_perm((0, 1), 3)
 
 
 class TestPermGroup:
@@ -157,7 +296,7 @@ class TestAutomorphisms:
         group = automorphism_group(fano.geometry)
         brute = brute_force_automorphisms(fano.geometry)
         assert group.order() == len(brute)
-        assert all(group.contains(p) for p in brute)
+        assert all(oracle_group(group).contains(p) for p in brute)
 
     def test_grid_group_order(self):
         # 3x3 grid: (S3 x S3) : 2
@@ -174,6 +313,39 @@ class TestAutomorphisms:
     def test_hexagon_groups(self, h2, h2dual):
         assert h2.aut_order == 12096
         assert h2dual.aut_order == 12096
+
+
+    def test_base_orbits_match_brute_force(self, fano):
+        # orbit-stabilizer along the base, against every automorphism
+        group = automorphism_group(fano.geometry)
+        brute = brute_force_automorphisms(fano.geometry)
+        assert len(group.base) == len(group.base_orbit_lengths)
+        for k, b in enumerate(group.base):
+            fixing = [p for p in brute
+                      if all(p[x] == x for x in group.base[:k])]
+            assert group.base_orbit_lengths[k] == len({p[b] for p in fixing})
+        assert [p for p in brute if all(p[x] == x for x in group.base)] \
+            == [identity(7)]
+
+
+class TestDisjointLines:
+    """k disjoint lines: Aut is S_3 wr S_k, of order 6^k k!. Building a
+    stabilizer chain of its generators takes seconds at k = 13; the order
+    comes off the search's base orbits instead."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_order_matches_oracles(self, k):
+        group = automorphism_group(disjoint_lines(k))
+        assert group.order() == 6 ** k * math.factorial(k)
+        assert_same_group(group, wreath_group(k))
+
+    def test_thirteen_lines_under_a_second(self):
+        start = time.perf_counter()
+        group = automorphism_group(disjoint_lines(13))
+        elapsed = time.perf_counter() - start
+        assert group.order() == 6 ** 13 * math.factorial(13)
+        assert len(group.generators) == 38
+        assert elapsed < 1.0
 
 
 class TestPrunedSearch:
@@ -215,7 +387,7 @@ class TestPrunedSearch:
     def test_line_check_raises(self, fano):
         g = fano.geometry
         swap = (1, 0) + tuple(range(2, 7))
-        assert not automorphism_group(g).contains(swap)
+        assert not oracle_group(automorphism_group(g)).contains(swap)
         with pytest.raises(RuntimeError, match="not a line"):
             perm._check_automorphism(g, swap)
 

@@ -3,6 +3,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import hexval
 from hexval.pipeline import Bundle
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,3 +69,9 @@ def test_drivers_import_no_private_names():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in modules and node.attr.startswith("_")]
     assert found == []
+
+
+def test_all_names_resolve():
+    # a stale name in __all__ breaks only ``from hexval import *``
+    assert [name for name in hexval.__all__
+            if not hasattr(hexval, name)] == []

@@ -586,9 +586,9 @@ def kernel_start_rows(search):
     exact_block, exact_propagate = (valuations._sweep_block,
                                     valuations._propagate_rows)
 
-    def block(comp, lines, depth):
+    def block(comp, lines, partners, depth):
         blocks.append([comp.copy(), None])
-        return exact_block(comp, lines, depth)
+        return exact_block(comp, lines, partners, depth)
 
     def propagate(rows, lines, floor):
         if blocks[-1][1] is None:
@@ -775,13 +775,27 @@ class TestClassSearch:
         # each completion credited to the next representative
         exact = valuations._sweep_block
 
-        def shifted(comp, lines, depth):
-            vals, origin = exact(comp, lines, depth)
+        def shifted(comp, lines, partners, depth):
+            vals, origin = exact(comp, lines, partners, depth)
             return vals, (origin + 1) % len(comp)
 
         monkeypatch.setattr(valuations, "_sweep_block", shifted)
         with pytest.raises(RuntimeError, match="not have its seed's"):
             pipeline.Bundle(h21.geometry).class_valuations
+
+    def test_partner_table_built_once(self, monkeypatch, h2):
+        # one line-partner table serves every 512-seed block of a sweep
+        tables = []
+        exact = valuations._sweep_block
+
+        def recorded(comp, lines, partners, depth):
+            tables.append(partners)
+            return exact(comp, lines, partners, depth)
+
+        monkeypatch.setattr(valuations, "_sweep_block", recorded)
+        all_valuations(h2.geometry)
+        assert len(tables) == 32
+        assert all(t is tables[0] for t in tables)
 
     def test_four_point_line_refused(self):
         # its 4 columns must not be read as the 3 of a line

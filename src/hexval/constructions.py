@@ -31,10 +31,9 @@ def quadric_form(v: int) -> int:
 
 
 def _bilinear(u: int, v: int) -> int:
-    s = 0
-    for i, j in ((0, 4), (1, 5), (2, 6)):
-        s ^= (_bit(u, i) & _bit(v, j)) ^ (_bit(u, j) & _bit(v, i))
-    return s
+    """The polar form sum x_i*y_(i+4) + x_(i+4)*y_i (i < 3) of the quadric:
+    the parity of u & v with v's bits i, i + 4 swapped and bit 3 dropped."""
+    return (u & ((v & 7) << 4 | v >> 4 & 7)).bit_count() & 1
 
 
 def singular_points() -> List[int]:

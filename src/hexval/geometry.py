@@ -4,12 +4,12 @@ A Geometry is a partial linear space with points 0..n-1 and lines given as
 sorted point tuples. Construction canonicalizes the line order, validates
 the partial-linear-space axiom and builds the collinearity graph as int
 bitmasks: point p's neighbours are ``neighbor_masks[p]``. The distance
-matrix (a frontier BFS over those masks per point), the near-polygon
-report and the hexagon report built on it, and the GF(2) nullspace of
-the incidence matrix are computed on first read and kept. Distances are
-ints; disconnected point pairs get the sentinel -1. ``is_connected``
-needs no distances, and ``diameter`` reports ``INF`` for a disconnected
-geometry.
+matrix (a frontier BFS over those masks per point), the masks of the
+points at each distance, the near-polygon report and the hexagon report
+built on them, and the GF(2) nullspace of the incidence matrix are
+computed on first read and kept. Distances are ints; disconnected point
+pairs get the sentinel -1. ``is_connected`` needs no distances, and
+``diameter`` reports ``INF`` for a disconnected geometry.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -129,6 +129,18 @@ class Geometry:
         return [self._bfs(p) for p in range(self.num_points)]
 
     @cached_property
+    def distance_masks(self) -> List[Dict[int, int]]:
+        """For each point, the mask of the points at each distance from
+        it (-1: unreachable), read off the distances on first read."""
+        masks = []
+        for row in self.dist:
+            by_dist: Dict[int, int] = {}
+            for y, d in enumerate(row):
+                by_dist[d] = by_dist.get(d, 0) | 1 << y
+            masks.append(by_dist)
+        return masks
+
+    @cached_property
     def near_polygon_report(self) -> NearPolygonReport:
         """(NP1) and (NP2), checked on first read and kept."""
         return check_near_polygon(self)
@@ -216,15 +228,21 @@ class NearPolygonReport:
 
 
 def check_near_polygon(g: Geometry) -> NearPolygonReport:
-    """(NP1) connected; (NP2) unique nearest point on every line."""
+    """(NP1) connected; (NP2) unique nearest point to x on every line:
+    the line's meet with the first of the distance masks of x that it
+    meets is one point. The witness (x, line index) is the first failure."""
     if not g.is_connected():
         return NearPolygonReport(False, INF)
     diam = g.diameter()
-    for x in range(g.num_points):
-        row = g.dist[x]
-        for li, line in enumerate(g.lines):
-            best = min(row[p] for p in line)
-            if sum(1 for p in line if row[p] == best) != 1:
+    for x, by_dist in enumerate(g.distance_masks):
+        # connected: the distances from x are 0, 1, ..., len(by_dist) - 1
+        layers = [by_dist[d] for d in range(len(by_dist))]
+        for li, mask in enumerate(g.line_masks):
+            for layer in layers:
+                nearest = layer & mask
+                if nearest:
+                    break
+            if nearest & (nearest - 1):
                 return NearPolygonReport(False, diam, witness=(x, li))
     return NearPolygonReport(True, diam)
 
@@ -266,35 +284,27 @@ def dual(g: Geometry) -> Geometry:
 
 
 def _canonical_grid(g: Geometry, pts: frozenset) -> Grid:
+    lm = g.line_masks
+    mask = sum(1 << p for p in pts)
     lines = sorted({li for p in pts for li in g.lines_through[p]
-                    if set(g.lines[li]) <= pts})
+                    if not lm[li] & ~mask})
     if len(lines) != 6:
         raise RuntimeError(f"points {sorted(pts)} contain {len(lines)} "
                            f"lines, not the 6 of a 3x3 grid")
-    # split the 6 lines into the two parallel classes
-    first = lines[0]
-    cls1 = [li for li in lines if li == first
-            or not set(g.lines[li]) & set(g.lines[first])]
-    cls2 = [li for li in lines if li not in cls1]
+    # line indices follow the sorted point tuples; a parallel class is a
+    # line through p0 and the two lines it misses
     p0 = min(pts)
-    row_cls, col_cls = cls1, cls2
-    row0 = next(li for li in row_cls if p0 in g.lines[li])
-    col0 = next(li for li in col_cls if p0 in g.lines[li])
-    if g.lines[col0] < g.lines[row0]:
-        row_cls, col_cls = col_cls, row_cls
-        row0, col0 = col0, row0
-    rows = [row0] + sorted((li for li in row_cls if li != row0),
-                           key=lambda li: g.lines[li])
-    cols = [col0] + sorted((li for li in col_cls if li != col0),
-                           key=lambda li: g.lines[li])
-    cells = tuple(
-        tuple(next(iter(set(g.lines[r]) & set(g.lines[c]))) for c in cols)
-        for r in rows)
+    row0, col0 = (li for li in lines if lm[li] >> p0 & 1)
+    rows, cols = ([first] + [li for li in lines if not lm[li] & lm[first]]
+                  for first in (row0, col0))
+    cells = tuple(tuple((lm[r] & lm[c]).bit_length() - 1 for c in cols)
+                  for r in rows)
     return Grid(cells, tuple(rows), tuple(cols))
 
 
-def enumerate_grids(g: Geometry) -> List[Grid]:
-    """All (3x3)-subgrids, one per point set, in deterministic order.
+def grid_masks(g: Geometry) -> List[int]:
+    """The point masks of all (3x3)-subgrids, ordered as their ascending
+    point lists.
 
     A grid is found from its least point p, with its row {p, x1, x2} and
     column {p, y1, y2} among the lines through p. Cell z_ij is a common
@@ -303,7 +313,8 @@ def enumerate_grids(g: Geometry) -> List[Grid]:
     rows {x_i, z_i1, z_i2} and columns {y_j, z_1j, z_2j} are lines. That
     makes its 9 points distinct: otherwise two points would lie on two
     lines, or a cell would be p. Nine pairwise collinear points, as in
-    AG(2, 3), are no subgrid.
+    AG(2, 3), are no subgrid. Points collinear off the grid's rows and
+    columns must lie on no line inside it (RuntimeError otherwise).
     """
     for line in g.lines:
         if len(line) != 3:
@@ -330,9 +341,22 @@ def enumerate_grids(g: Geometry) -> List[Grid]:
                             and (by2 | z12 | z22) in lines):
                         found.add(1 << p | bx1 | bx2 | by1 | by2
                                   | z11 | z12 | z21 | z22)
-    point_sets = sorted(list(_bits(pts)) for pts in found)
-    return [_canonical_grid(g, frozenset(pts)) for pts in point_sets
-            if not all(nbr[a] >> b & 1 for a, b in combinations(pts, 2))]
+    masks = []
+    for mask in sorted(found, key=lambda mask: list(_bits(mask))):
+        # twice the collinear pairs: 18 in a grid, 36 in AG(2, 3)
+        collinear = sum((nbr[a] & mask).bit_count() for a in _bits(mask))
+        if collinear == 2 * 36:
+            continue
+        if collinear != 2 * 18:
+            _canonical_grid(g, frozenset(_bits(mask)))
+        masks.append(mask)
+    return masks
+
+
+def enumerate_grids(g: Geometry) -> List[Grid]:
+    """The grids of grid_masks, in that order, in canonical form."""
+    return [_canonical_grid(g, frozenset(_bits(mask)))
+            for mask in grid_masks(g)]
 
 
 # -- ovoids --------------------------------------------------------------

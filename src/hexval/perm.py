@@ -73,22 +73,11 @@ def orbit(generators: Sequence, start: Hashable,
 # -- isomorphism search --------------------------------------------------
 
 
-def _distance_masks(g: Geometry) -> List[Dict[int, int]]:
-    masks: List[Dict[int, int]] = []
-    for row in g.dist:
-        by_dist: Dict[int, int] = {}
-        for y, d in enumerate(row):
-            by_dist[d] = by_dist.get(d, 0) | (1 << y)
-        masks.append(by_dist)
-    return masks
-
-
 def _point_profile(g: Geometry, p: int):
-    hist: Dict[int, int] = {}
-    for d in g.dist[p]:
-        hist[d] = hist.get(d, 0) + 1
+    hist = sorted((d, mask.bit_count())
+                  for d, mask in g.distance_masks[p].items())
     sizes = sorted(len(g.lines[li]) for li in g.lines_through[p])
-    return (tuple(sorted(hist.items())), tuple(sizes))
+    return (tuple(hist), tuple(sizes))
 
 
 class _IsoSearch:
@@ -105,7 +94,7 @@ class _IsoSearch:
         self.n = n = g1.num_points
         self.dist1 = g1.dist
         self.lines1 = g1.lines
-        self.dmask2 = _distance_masks(g2)
+        self.dmask2 = g2.distance_masks
         self.line_set2 = set(g2.lines)
         self.root: Optional[List[int]] = None
         if n != g2.num_points or len(g1.lines) != len(g2.lines):

@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .constructions import build_h2, build_h2_dual, build_hexagon_2_1
-from .geometry import Geometry, find_ovoids
+from .geometry import Geometry
 from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
                           enumerate_hyperplanes, hyperplane_count)
 from .perm import AutGroup, automorphism_group
@@ -139,7 +139,11 @@ class Bundle:
 
     @cached_property
     def ovoids(self) -> List[Tuple[int, ...]]:
-        return find_ovoids(self.geometry)
+        """The ovoids, ascending: the zero sets of the valuations of
+        maximum 1, exactly those with one 0 on each (3-point) line."""
+        vals = self.valuations
+        return sorted(tuple(np.flatnonzero(row == 0).tolist())
+                      for row in vals[vals.max(axis=1, initial=0) == 1])
 
     def vprime(self) -> ValuationGeometry:
         """The Type-C/CCC restriction of the valuation geometry, built on

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Geometry, enumerate_grids
+from .geometry import Geometry, _bits, grid_masks
 from .valuations import (Valuation, _line_index, _non_valuation_rows,
                          find_rows, row_keys)
 
@@ -459,23 +459,26 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     triangle-freeness of the Type-C/CCC restriction of the valuation
     geometry of the dual hexagon.
 
-    Every check runs on the restriction's neighbour and line masks, so
-    its distance matrix is never computed. Two points of a grid are
-    opposite when they are not collinear, which within a grid is the same
-    as being at distance 2.
+    Every check runs on the restriction's neighbour and line masks and
+    on its grid_masks, so its distance matrix is never computed. Two
+    points of a grid are opposite when they are not collinear, which
+    within a grid is the same as being at distance 2. A valuation with
+    other than one zero point raises ValueError when a check reads it.
     """
     geo = vprime.as_geometry()
     nbr = geo.neighbor_masks
     witness = None
     connected = geo.is_connected()
-    zero_sets = [np.flatnonzero(row == 0).tolist() for row in vprime.vpoints]
+    zeros = vprime.vpoints == 0
+    zero_counts = zeros.sum(axis=1).tolist()
+    first_zeros = zeros.argmax(axis=1).tolist() if zeros.size else []
 
     def zero_point(i: int) -> int:
-        zeros = zero_sets[i]
-        if len(zeros) != 1:
+        if zero_counts[i] != 1:
             raise ValueError(f"Lemma 3.1 needs one zero point per valuation; "
-                             f"point {i} of the restriction has {len(zeros)}")
-        return zeros[0]
+                             f"point {i} of the restriction has "
+                             f"{zero_counts[i]}")
+        return first_zeros[i]
 
     collinear_ok = True
     for line in geo.lines:
@@ -483,19 +486,17 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
             if host.dist[zero_point(a)][zero_point(b)] != 3:
                 collinear_ok = False
                 witness = witness or ("collinear", a, b)
-    grids = enumerate_grids(geo)
+    grids = grid_masks(geo)
     grid_ok = True
     grids_through = [0] * geo.num_points
-    for grid in grids:
-        pts = sorted(grid.points())
-        for a in pts:
+    for mask in grids:
+        for a in _bits(mask):
             grids_through[a] += 1
-        for a, b in combinations(pts, 2):
-            if nbr[a] >> b & 1:
-                continue
-            if host.dist[zero_point(a)][zero_point(b)] != 3:
-                grid_ok = False
-                witness = witness or ("grid", a, b)
+            # the grid points after a that are opposite to it
+            for b in _bits(mask & ~nbr[a] & -2 << a):
+                if host.dist[zero_point(a)][zero_point(b)] != 3:
+                    grid_ok = False
+                    witness = witness or ("grid", a, b)
     # Grids rooted at a point: a grid on p is completed once from each of
     # its four opposite corners, so 4 completions per distinct grid.
     completions = [4 * count for count in grids_through]

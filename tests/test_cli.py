@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hexval import cli, pipeline, reference
+from hexval import cli, geometry, pipeline, reference, valgeom
 from hexval.cli import run
 from hexval.geometry import Geometry, from_text, to_text
 from hexval.valgeom import ValuationGeometry, check_lemma_3_1
@@ -251,6 +251,27 @@ class TestReport:
         assert geometry.check_generalized_hexagon(g).is_generalized_hexagon
         assert geometry.check_generalized_hexagon(g) is g.hexagon_report
         assert calls == ["copy"]
+
+    def test_report_all_fast_path(self, capsys, monkeypatch):
+        # built afresh, each hexagon is checked as a near polygon once,
+        # and the report reads its ovoids and grids without the searches
+        calls = []
+        for name in ("find_ovoids", "enumerate_grids", "check_near_polygon"):
+            original = getattr(geometry, name)
+
+            def counting(g, name=name, original=original):
+                calls.append((name, g.name))
+                return original(g)
+
+            # also counts a call made through a name bound elsewhere
+            for module in (geometry, pipeline, valgeom, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        code, _, err = invoke(capsys, "report", "--all", "--format", "json")
+        assert (code, err) == (0, "")
+        assert sorted(calls) == [("check_near_polygon", "h2"),
+                                 ("check_near_polygon", "h2dual")]
 
     @pytest.mark.parametrize("host", ["h2", "h21", "h2-less-a-line"])
     def test_validate_checks_near_polygon_once(self, request, capsys,

@@ -33,6 +33,17 @@ class TestQuadricModel:
         for a, b, c in singular_lines(singular_points())[:20]:
             assert a ^ b == c
 
+    def test_bilinear_matches_coordinate_formula(self):
+        # x0*y4 + x4*y0 + x1*y5 + x5*y1 + x2*y6 + x6*y2 over GF(2)
+        def coordinate(u, v):
+            x = [u >> i & 1 for i in range(7)]
+            y = [v >> i & 1 for i in range(7)]
+            return sum(x[i] * y[i + 4] + x[i + 4] * y[i]
+                       for i in range(3)) % 2
+
+        assert all(constructions._bilinear(u, v) == coordinate(u, v)
+                   for u in range(128) for v in range(128))
+
 
 class TestH2:
     def test_axioms(self, h2):

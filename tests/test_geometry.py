@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 from hexval import geometry
 from hexval.constructions import (build_fano, build_hexagon_2_1, grid_3x3)
 from hexval.geometry import (Geometry, GeometryError, INF,
-                             check_generalized_hexagon, check_near_polygon,
-                             dual, enumerate_grids, find_ovoids, from_text,
+                             NearPolygonReport, check_generalized_hexagon,
+                             check_near_polygon, dual, enumerate_grids,
+                             find_ovoids, from_text, grid_masks,
                              near_hexagon_point_bound, order_of, to_text)
 from hexval.perm import are_isomorphic
+from hexval.pipeline import Bundle
 from test_valuations import connected_hosts
 
 
@@ -90,6 +92,33 @@ def enumerate_grids_oracle(g):
     return [found[k] for k in sorted(found, key=sorted)]
 
 
+def near_polygon_oracle(g):
+    """Oracle of check_near_polygon: on a connected host, the first point
+    x and line, x major, whose least distance from x is taken by more
+    than one of its points, read off the distance matrix."""
+    if not g.is_connected():
+        return NearPolygonReport(False, INF)
+    diam = g.diameter()
+    for x in range(g.num_points):
+        row = g.dist[x]
+        for li, line in enumerate(g.lines):
+            best = min(row[p] for p in line)
+            if sum(1 for p in line if row[p] == best) != 1:
+                return NearPolygonReport(False, diam, witness=(x, li))
+    return NearPolygonReport(True, diam)
+
+
+def mask_points(masks):
+    """The point sets of grid_masks' masks, in order."""
+    return [frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
+            for mask in masks]
+
+
+def grid_points(grids):
+    """The point sets of canonical grids, in order."""
+    return [grid.points() for grid in grids]
+
+
 def grids_or_error(search, g):
     """search(g), or RuntimeError when a point set it finds holds more
     lines than a grid."""
@@ -117,15 +146,15 @@ def affine_plane_3():
     return Geometry(9, grid_3x3().lines + tuple(map(tuple, diagonals + anti)))
 
 
-def add_random_lines(draw, n, lines, max_lines):
+def add_random_lines(draw, n, lines, max_lines, sizes=(3, 3)):
     """The geometry on n points with the given lines and up to max_lines
-    random 3-point lines more; a line sharing a pair with an earlier one
-    is dropped."""
+    random lines more, of sizes[0] to sizes[1] points (3 by default); a
+    line sharing a pair with an earlier one is dropped."""
     lines = list(lines)
     pairs = {pair for line in lines
              for pair in itertools.combinations(sorted(line), 2)}
-    for t in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
-                                   max_size=3), max_size=max_lines)):
+    for t in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=sizes[0],
+                                   max_size=sizes[1]), max_size=max_lines)):
         new_pairs = set(itertools.combinations(sorted(t), 2))
         if not new_pairs & pairs:
             pairs |= new_pairs
@@ -139,6 +168,16 @@ def any_hosts(draw):
     points, connected or not, isolated points included."""
     n = draw(st.integers(0, 12))
     return add_random_lines(draw, n, [], 8) if n >= 3 else Geometry(n, [])
+
+
+@st.composite
+def mixed_hosts(draw):
+    """Partial linear spaces on 0 to 10 points with up to 12 lines of 2, 3
+    or 4 points, connected or not."""
+    n = draw(st.integers(0, 10))
+    if n < 2:
+        return Geometry(n, [])
+    return add_random_lines(draw, n, [], 12, (2, min(4, n)))
 
 
 @st.composite
@@ -319,6 +358,46 @@ class TestAxiomCheckers:
         assert sum(1 for p in line if row[p] == best) != 1
 
 
+class TestNearPolygonOracle:
+    @pytest.mark.parametrize("host", ["h2", "h2dual", "h2-less-a-line"])
+    def test_hexagons(self, request, host):
+        g = request.getfixturevalue(host.split("-")[0]).geometry
+        if host.endswith("line"):
+            g = Geometry(g.num_points, g.lines[1:])
+        rep = check_near_polygon(g)
+        assert rep == near_polygon_oracle(g)
+        assert (rep.witness is None) == (host != "h2-less-a-line")
+
+    @pytest.mark.parametrize("lines,passes", [
+        # point 4 is collinear with 0 and 1 on the 4-point line
+        ([(0, 1, 2, 3), (0, 4), (1, 4)], False),
+        # a tree of lines of 4, 3 and 2 points
+        ([(0, 1, 2, 3), (0, 4, 5), (0, 6)], True),
+        # the pentagon: 0 is at distance 2 from both points of {2, 3}
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], False),
+        # the hexagon of 2-point lines and one with a 3-point side
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)], True),
+        ([(0, 1, 6), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)], False)])
+    def test_mixed_line_sizes(self, lines, passes):
+        g = Geometry(1 + max(map(max, lines)), lines)
+        rep = check_near_polygon(g)
+        assert rep == near_polygon_oracle(g)
+        assert rep.is_near_polygon == passes
+
+    @pytest.mark.parametrize("n,lines", [
+        (6, [(0, 1, 2), (3, 4, 5)]), (5, [(0, 1, 2, 3)]),
+        (4, [(0, 1), (2, 3)]), (2, [])])
+    def test_disconnected(self, n, lines):
+        g = Geometry(n, lines)
+        assert check_near_polygon(g) == near_polygon_oracle(g) == \
+            NearPolygonReport(False, INF)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(any_hosts(), mixed_hosts(), connected_hosts()))
+    def test_random_hosts(self, g):
+        assert check_near_polygon(g) == near_polygon_oracle(g)
+
+
 class TestOrderAndProfile:
     def test_h2_order(self, h2):
         assert order_of(h2.geometry) == geometry.OrderSpec(2, 2)
@@ -404,24 +483,40 @@ class TestGrids:
             grids = enumerate_grids(g)
             assert grids == enumerate_grids_oracle(g)
             assert len(grids) == count
+            assert mask_points(grid_masks(g)) == grid_points(grids)
 
     def test_several_common_neighbours_per_cell(self):
         g = grid_with_diagonal()
         assert g.neighbor_masks[1] & g.neighbor_masks[3] == 1 | 1 << 4 | 1 << 9
         grids = enumerate_grids(g)
         assert grids == enumerate_grids_oracle(g)
-        assert [grid.points() for grid in grids] == [
+        assert grid_points(grids) == mask_points(grid_masks(g)) == [
             frozenset(range(10)) - {4}]
 
     def test_affine_plane_has_no_grid(self):
         g = affine_plane_3()
         assert enumerate_grids(g) == enumerate_grids_oracle(g) == []
+        assert grid_masks(g) == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(connected_hosts(), grid_hosts()))
     def test_matches_oracle_on_random_hosts(self, g):
-        assert (grids_or_error(enumerate_grids, g)
-                == grids_or_error(enumerate_grids_oracle, g))
+        grids = grids_or_error(enumerate_grids, g)
+        assert grids == grids_or_error(enumerate_grids_oracle, g)
+        masks = grids_or_error(grid_masks, g)
+        if grids is RuntimeError:
+            assert masks is RuntimeError
+        else:
+            assert mask_points(masks) == grid_points(grids)
+
+    def test_grid_masks_raise_like_canonical_grids(self):
+        # the 3x3 grid with two diagonals added: its 9 points hold 8 lines
+        g = grid_3x3()
+        extra = Geometry(9, g.lines + ((1, 5, 6), (2, 3, 7)))
+        for search in (grid_masks, enumerate_grids, enumerate_grids_oracle):
+            with pytest.raises(RuntimeError,
+                               match="contain 8 lines, not the 6"):
+                search(extra)
 
     @staticmethod
     def near_grid(g):
@@ -472,6 +567,31 @@ class TestOvoids:
 
     def test_h2dual_has_no_ovoids(self, h2dual):
         assert find_ovoids(h2dual.geometry) == []
+
+    @pytest.mark.parametrize("host,count", [
+        ("h2", 36), ("h2dual", 0), ("h21", 24), ("grid3", 6), ("fano", 0)])
+    def test_bundle_ovoids_match_search(self, request, host, count):
+        bundle = request.getfixturevalue(host)
+        assert bundle.ovoids == find_ovoids(bundle.geometry)
+        assert len(bundle.ovoids) == count
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_hosts())
+    def test_bundle_ovoids_match_search_on_random_hosts(self, g):
+        assert Bundle(g).ovoids == find_ovoids(g)
+
+    @pytest.mark.parametrize("n,lines", [
+        (6, [(0, 1, 2), (3, 4, 5)]), (4, [(0, 1, 2), (2, 3)]),
+        (5, [(0, 1, 2, 3), (3, 4)])],
+        ids=["disconnected", "two-point-line", "four-point-line"])
+    def test_bundle_ovoids_error_like_valuations(self, n, lines):
+        errors = []
+        for stage in ("valuations", "ovoids"):
+            with pytest.raises(ValueError) as info:
+                getattr(Bundle(Geometry(n, lines)), stage)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert len(errors[0][1].splitlines()) == 1
 
     def test_every_ovoid_meets_every_line_once(self, h2):
         g = h2.geometry

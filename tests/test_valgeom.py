@@ -567,6 +567,15 @@ class TestSubgeometryChecks:
             triangle_free=True, total_grids=112,
             grid_completions_per_point=16, witness=None)
 
+    def test_several_zero_points_raise(self, h21):
+        # the zero counts come from one array pass; the error names the
+        # first valuation a check reads and its count
+        with pytest.raises(ValueError) as info:
+            check_lemma_3_1(h21.vprime(), h21.geometry)
+        assert str(info.value) == ("Lemma 3.1 needs one zero point per "
+                                   "valuation; point 0 of the restriction "
+                                   "has 7")
+
     def test_restriction_distances_never_computed(self, h2dual):
         vp = h2dual.vprime()
         fresh = ValuationGeometry(vp.host, vp.vpoints, vp.vlines)

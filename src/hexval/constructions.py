@@ -55,10 +55,6 @@ def singular_lines(points: List[int]) -> List[Tuple[int, int, int]]:
     return sorted(lines)
 
 
-def _grassmann(u: int, v: int, i: int, j: int) -> int:
-    return (_bit(u, i) & _bit(v, j)) ^ (_bit(u, j) & _bit(v, i))
-
-
 # Line-coordinate identities selecting the hexagon lines among the
 # singular lines: p12=p34, p54=p32, p20=p35, p65=p30, p01=p36, p46=p13.
 _HEXAGON_IDENTITIES = (
@@ -71,10 +67,26 @@ _HEXAGON_IDENTITIES = (
 )
 
 
-def _hexagon_line_filter(line: Tuple[int, int, int]) -> bool:
-    u, v = line[0], line[1]
-    return all(_grassmann(u, v, *a) == _grassmann(u, v, *b)
-               for a, b in _HEXAGON_IDENTITIES)
+def _hexagon_line_filter(lines: List[Tuple[int, int, int]]
+                         ) -> List[Tuple[int, int, int]]:
+    """The lines {u, v, u + v} whose Grassmann coordinates satisfy every
+    identity of _HEXAGON_IDENTITIES.
+
+    Bit 8i + j of the outer product mask of u and v is u_i*v_j, so the
+    coordinate p_ij = u_i*v_j + u_j*v_i is the parity of its bits 8i + j
+    and 8j + i, and an identity holds when the parity of the mask under
+    its four bits is even.
+    """
+    masks = [sum(1 << 8 * i + j | 1 << 8 * j + i for i, j in identity)
+             for identity in _HEXAGON_IDENTITIES]
+    chosen = []
+    for line in lines:
+        # u's 7 bits spread to bits 0, 8, .., 48 (seven copies of u that
+        # do not overlap, masked), times v: seven copies of v, a byte each
+        outer = (line[0] * 0x40810204081 & 0x1010101010101) * line[1]
+        if not any((outer & mask).bit_count() & 1 for mask in masks):
+            chosen.append(line)
+    return chosen
 
 
 def _validate_hexagon(g: Geometry, label: str) -> Geometry:
@@ -98,9 +110,8 @@ def _h2_geometry() -> Geometry:
     """H(2) from the quadric, not yet validated."""
     points = singular_points()
     index = {p: i for i, p in enumerate(points)}
-    raw_lines = [line for line in singular_lines(points)
-                 if _hexagon_line_filter(line)]
-    lines = [[index[p] for p in line] for line in raw_lines]
+    lines = [[index[p] for p in line]
+             for line in _hexagon_line_filter(singular_lines(points))]
     return Geometry(len(points), lines, name="h2")
 
 

@@ -10,11 +10,12 @@ completions are shifted so the minimum becomes 0. The host must be
 connected: a disconnected one has infinitely many valuations.
 
 One search does this for many hyperplanes at once: each hyperplane
-complement seeds one row of an int8 value matrix, in blocks of
-``_BLOCK_ROWS`` rows, and the line rule is applied to all rows of a block
-per step until nothing changes. ``valuations_on_hyperplanes`` seeds it
-with given hyperplanes, such as the class representatives;
-``all_valuations`` with every nonzero vector of the incidence nullspace.
+complement seeds one row of an int8 value matrix, a seed whose start row
+already puts a whole line at -1 is dropped, and the line rule is applied
+to the surviving rows in blocks of ``_BLOCK_ROWS`` per step until nothing
+changes. ``valuations_on_hyperplanes`` seeds it with given hyperplanes,
+such as the class representatives; ``all_valuations`` with every nonzero
+vector of the incidence nullspace.
 Both keep rows in value-vector order, the byte order of ``row_keys``.
 ``orbit_closure`` closes rows under the automorphism generators and
 finds their orbits in the same pass; ``label_orbits`` names the orbits,
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -155,19 +157,38 @@ def _propagate_rows(rows: np.ndarray, lines: np.ndarray, floor: int
     return rows, kept
 
 
-def _sweep_block(comp: np.ndarray, lines: np.ndarray, partners: np.ndarray,
-                 depth: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The valuations whose maximal-value set is the seed complement, for
-    each row of the bool [seeds, points] complement matrix comp at once.
+def _start_rows(comp: np.ndarray, lines: np.ndarray, partners: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """The forced start rows of the bool [seeds, points] complement matrix
+    comp, and the indices of the rows kept.
 
-    Each row starts with value 0 on its complement C and -1 on every
-    other point collinear with C, and is closed under line propagation;
-    open rows branch over -1 .. -depth at their lowest-index undefined
-    point, and completions are shifted to minimum 0 and kept when their
-    maximal-value set is their seed's complement. The -1 layer is what
-    propagation would write first: a line meeting C meets it in 2 points
-    (the 0-or-2 rule the caller checks), so its third point gets -1, and
-    no such write conflicts. Returns the completions and the row of comp
+    A row holds 0 on its complement C, -1 on every other point collinear
+    with C, and is undefined elsewhere. The -1 layer is what propagation
+    would write first: a line meeting C meets it in 2 points (the 0-or-2
+    rule the caller checks), so its third point gets -1, and no such
+    write conflicts. A row is dropped when some line lies inside its -1
+    layer, as that line reads -1, -1, -1 and the first propagation step
+    would kill it; every other first-step death is left to propagation.
+    """
+    # partners[p] lists the next point of each line through p, padded
+    # with n, a column of False appended to comp
+    padded = np.concatenate([comp, np.zeros((len(comp), 1), bool)], axis=1)
+    near = padded[:, partners].any(axis=2) & ~comp
+    live = np.flatnonzero(~near[:, lines].all(axis=2).any(axis=1))
+    near, comp = near[live], comp[live]
+    # mask arithmetic, as np.where is slow on masks without a pattern
+    return UNDEF * ~(near | comp) - near, live
+
+
+def _sweep_block(rows: np.ndarray, comp: np.ndarray, lines: np.ndarray,
+                 depth: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The valuations grown from each int8 start row of rows whose
+    maximal-value set is the same row of the bool complement matrix comp.
+
+    Each row is closed under line propagation; open rows branch over
+    -1 .. -depth at their lowest-index undefined point, and completions
+    are shifted to minimum 0 and kept when their maximal-value set is
+    their seed's complement. Returns the completions and the row of comp
     each one came from. No value falls below -depth, the diameter: the
     seed values 0 are the maximum, and a valuation changes by at most 1
     along a line (a -1 needs a line, so depth >= 1). Branched rows are
@@ -175,12 +196,7 @@ def _sweep_block(comp: np.ndarray, lines: np.ndarray, partners: np.ndarray,
     held stay bounded when branching multiplies them.
     """
     branch = np.arange(-1, -depth - 1, -1, dtype=np.int8)
-    # partners[p] lists the next point of each line through p, padded
-    # with n, a column of False appended to comp
-    padded = np.concatenate([comp, np.zeros((len(comp), 1), bool)], axis=1)
-    near = padded[:, partners].any(axis=2) & ~comp
-    # mask arithmetic, as np.where is slow on masks without a pattern
-    stack = [(UNDEF * ~(near | comp) - near, np.arange(len(comp)))]
+    stack = [(rows, np.arange(len(rows)))]
     done, done_seeds = [], []
     while stack:
         rows, seeds = stack.pop()
@@ -205,6 +221,25 @@ def _sweep_block(comp: np.ndarray, lines: np.ndarray, partners: np.ndarray,
             stack.append((rows[start:start + _BLOCK_ROWS],
                           seeds[start:start + _BLOCK_ROWS]))
     return np.concatenate(done), np.concatenate(done_seeds)
+
+
+def _full_blocks(pieces: Iterable[Tuple[np.ndarray, ...]]
+                 ) -> Iterator[Tuple[np.ndarray, ...]]:
+    """The row-aligned arrays of pieces regrouped into blocks of
+    _BLOCK_ROWS rows, the last one shorter; fewer than two blocks of rows
+    are held at once when no piece exceeds _BLOCK_ROWS rows."""
+    held: List[Tuple[np.ndarray, ...]] = []
+    count = 0
+    for piece in pieces:
+        held.append(piece)
+        count += len(piece[0])
+        while count >= _BLOCK_ROWS:
+            joined = [np.concatenate(arrays) for arrays in zip(*held)]
+            yield tuple(a[:_BLOCK_ROWS] for a in joined)
+            held = [tuple(a[_BLOCK_ROWS:] for a in joined)]
+            count -= _BLOCK_ROWS
+    if count:
+        yield tuple(np.concatenate(arrays) for arrays in zip(*held))
 
 
 def _line_index(g: Geometry) -> List[np.ndarray]:
@@ -257,11 +292,14 @@ def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
 
     seed_words is called after the guards: a disconnected host raises
     ValueError; a diameter of 127 or more, too large for int8 values, or
-    a line without 3 points raises GeometryError. Blocks of _BLOCK_ROWS
-    seeds are searched together. Each seed must meet every line in 0 or
-    2 points, and each completion is checked to be a valuation whose
-    hyperplane is its seed's (RuntimeError otherwise). Returns the int8
-    value rows and the index of the seed each one came from.
+    a line without 3 points raises GeometryError. The seeds are read in
+    blocks of _BLOCK_ROWS: each must meet every line in 0 or 2 points,
+    and its forced start row is built, or dropped when that row already
+    breaks a line (_start_rows). The surviving rows are then propagated
+    and branched in full blocks of _BLOCK_ROWS, and each completion is
+    checked to be a valuation whose hyperplane is its seed's
+    (RuntimeError otherwise). Returns the int8 value rows and the index
+    of the seed each one came from.
     """
     if not g.is_connected():
         raise ValueError("valuations require a connected geometry")
@@ -285,23 +323,32 @@ def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
     partners = np.full((n, np.bincount(p, minlength=n).max(initial=0)), n)
     partners[p, np.arange(len(p)) - np.searchsorted(p, p)] = q
     nbytes = -(-n // 8)
+
+    def survivors() -> Iterator[Tuple[np.ndarray, ...]]:
+        # per block of seeds: the kept start rows, their complements,
+        # packed seed bytes and seed indices
+        for start in range(0, len(seeds), _BLOCK_ROWS):
+            words = seeds[start:start + _BLOCK_ROWS].astype("<u8")
+            packed = words.view(np.uint8).reshape(len(words), -1)[:, :nbytes]
+            comp = np.unpackbits(packed, axis=1, count=n,
+                                 bitorder="little").astype(bool)
+            met = comp[:, lines].sum(axis=2, dtype=np.int8)
+            bad = np.flatnonzero(((met != 0) & (met != 2)).any(axis=1))
+            if bad.size:
+                raise RuntimeError(
+                    f"hyperplane complement "
+                    f"{gf2.from_words(words[bad[0]]):b} fails the 0-or-2 "
+                    f"line rule")
+            rows, live = _start_rows(comp, lines, partners)
+            yield rows, comp[live], packed[live], live + start
+
     found = [np.empty((0, n), dtype=np.int8)]
     origins = [np.empty(0, dtype=np.intp)]
-    for start in range(0, len(seeds), _BLOCK_ROWS):
-        words = seeds[start:start + _BLOCK_ROWS].astype("<u8")
-        packed = words.view(np.uint8).reshape(len(words), -1)[:, :nbytes]
-        comp = np.unpackbits(packed, axis=1, count=n,
-                             bitorder="little").astype(bool)
-        met = comp[:, lines].sum(axis=2, dtype=np.int8)
-        bad = np.flatnonzero(((met != 0) & (met != 2)).any(axis=1))
-        if bad.size:
-            raise RuntimeError(
-                f"hyperplane complement {gf2.from_words(words[bad[0]]):b} "
-                f"fails the 0-or-2 line rule")
-        vals, origin = _sweep_block(comp, lines, partners, depth)
+    for rows, comp, packed, index in _full_blocks(survivors()):
+        vals, origin = _sweep_block(rows, comp, lines, depth)
         _check_sweep(vals, lines, packed[origin])
         found.append(vals)
-        origins.append(origin + start)
+        origins.append(index[origin])
     return np.concatenate(found), np.concatenate(origins)
 
 

@@ -7,8 +7,22 @@ from hexval.constructions import (ConstructionError, build_h2,
                                   build_h2_dual, grid_3x3, quadric_form,
                                   singular_lines, singular_points)
 from hexval.geometry import (Geometry, check_generalized_hexagon, dual,
-                             order_of)
+                             order_of, to_text)
 from hexval.perm import are_isomorphic
+
+
+def grassmann(u, v, i, j):
+    """The Grassmann coordinate p_ij = u_i*v_j + u_j*v_i of the line
+    spanned by u and v, bit by bit."""
+    return (u >> i & 1) & (v >> j & 1) ^ (u >> j & 1) & (v >> i & 1)
+
+
+def hexagon_line_oracle(line):
+    """Whether a singular line satisfies the six Grassmann identities of
+    the hexagon, read coordinate by coordinate."""
+    u, v = line[0], line[1]
+    return all(grassmann(u, v, *a) == grassmann(u, v, *b)
+               for a, b in constructions._HEXAGON_IDENTITIES)
 
 
 class TestQuadricModel:
@@ -43,6 +57,22 @@ class TestQuadricModel:
 
         assert all(constructions._bilinear(u, v) == coordinate(u, v)
                    for u in range(128) for v in range(128))
+
+    def test_hexagon_line_filter_matches_coordinates(self):
+        lines = singular_lines(singular_points())
+        chosen = constructions._hexagon_line_filter(lines)
+        assert chosen == [line for line in lines if hexagon_line_oracle(line)]
+        assert len(lines) == 315 and len(chosen) == 63
+
+    def test_hexagon_text_matches_coordinate_filter(self):
+        # the hexagons, byte for byte, as built with the coordinate filter
+        points = singular_points()
+        index = {p: i for i, p in enumerate(points)}
+        g = Geometry(63, [[index[p] for p in line]
+                          for line in singular_lines(points)
+                          if hexagon_line_oracle(line)])
+        assert to_text(build_h2()) == to_text(g)
+        assert to_text(build_h2_dual()) == to_text(dual(g))
 
 
 class TestH2:

@@ -586,9 +586,9 @@ def kernel_start_rows(search):
     exact_block, exact_propagate = (valuations._sweep_block,
                                     valuations._propagate_rows)
 
-    def block(comp, lines, partners, depth):
+    def block(rows, comp, lines, depth):
         blocks.append([comp.copy(), None])
-        return exact_block(comp, lines, partners, depth)
+        return exact_block(rows, comp, lines, depth)
 
     def propagate(rows, lines, floor):
         if blocks[-1][1] is None:
@@ -601,30 +601,80 @@ def kernel_start_rows(search):
     return blocks
 
 
-def seeded_layer(g, comp):
-    """The start row of the complement C given as a bool row, from the
-    neighbour masks: 0 on C, -1 on the points a C-point is collinear
-    with, undefined elsewhere."""
-    c = near = 0
-    for p, member in enumerate(comp.tolist()):
-        if member:
-            c |= 1 << p
-            near |= g.neighbor_masks[p]
-    undef = int(valuations.UNDEF)
-    return [0 if c >> p & 1 else -1 if near >> p & 1 else undef
-            for p in range(g.num_points)]
+def point_mask(row):
+    """The point mask of a bool row."""
+    return sum(1 << p for p in np.flatnonzero(row).tolist())
+
+
+def near_mask(g, c):
+    """The points off the point mask c that are collinear with a point
+    of c, from the neighbour masks."""
+    near, rest = 0, c
+    while rest:
+        low = rest & -rest
+        near |= g.neighbor_masks[low.bit_length() - 1]
+        rest ^= low
+    return near & ~c
+
+
+def mask_matrix(masks, n):
+    """The bool [masks, n] matrix of a list of point masks."""
+    width = max(1, -(-n // 8))
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(
+        len(masks), width), axis=1, count=n, bitorder="little").astype(bool)
+
+
+def seeded_layers(g, masks, nears):
+    """The start row of each complement given as a point mask c, with
+    its near_mask(g, c): 0 on c, -1 on the near points, undefined
+    elsewhere."""
+    rows = np.full((len(masks), g.num_points), valuations.UNDEF)
+    rows[mask_matrix(nears, g.num_points)] = -1
+    rows[mask_matrix(masks, g.num_points)] = 0
+    return rows
 
 
 def assert_seeded_layer(g):
-    """all_valuations(g) starts every seed from its seeded_layer row, and
-    some row holds a -1."""
+    """all_valuations(g) drops exactly the seeds that have a line inside
+    their -1 layer, and the first propagation step kills each of them;
+    it starts every other seed once, from its seeded_layers row. Returns
+    the numbers of seeds dropped and started."""
     blocks = kernel_start_rows(lambda: all_valuations(g))
-    assert sum(len(comp) for comp, _ in blocks) == 2 ** len(
-        _enumerable_basis(g)) - 1
+    seeds = [0]
+    for b in _enumerable_basis(g):
+        seeds += [c ^ b for c in seeds]
+    assert len(set(seeds)) == len(seeds) == 2 ** len(_enumerable_basis(g))
+    near = {c: near_mask(g, c) for c in seeds[1:]}
+    kept = sorted(c for c, m in near.items()
+                  if not any(line & m == line for line in g.line_masks))
+    dropped = sorted(near.keys() - set(kept))
+    assert sorted(point_mask(c) for comp, _ in blocks for c in comp) == kept
     for comp, rows in blocks:
+        masks = [point_mask(c) for c in comp]
         assert rows.dtype == np.int8
-        assert rows.tolist() == [seeded_layer(g, c) for c in comp]
-    assert any((rows == -1).any() for _, rows in blocks)
+        assert (rows == seeded_layers(g, masks,
+                                      [near[c] for c in masks])).all()
+    lines = np.array(g.lines, dtype=np.intp).reshape(-1, 3)
+    rows, _ = EXACT_PROPAGATE_ROWS(
+        seeded_layers(g, dropped, [near[c] for c in dropped]), lines,
+        -g.diameter())
+    assert len(rows) == 0
+    return len(dropped), len(kept)
+
+
+def propagated_rows(g):
+    """The number of _propagate_rows calls all_valuations(g) makes and the
+    rows it hands them in all."""
+    sizes = []
+
+    def counted(rows, lines, floor):
+        sizes.append(len(rows))
+        return EXACT_PROPAGATE_ROWS(rows, lines, floor)
+
+    with mock.patch.object(valuations, "_propagate_rows", counted):
+        all_valuations(g)
+    return len(sizes), sum(sizes)
 
 
 CHAIN = "points 9\n0 1 2\n2 3 4\n4 5 6\n6 7 8\n"
@@ -772,30 +822,41 @@ class TestClassSearch:
             "completion is not a valuation")
 
     def test_wrong_seed_raises(self, monkeypatch, h21):
-        # each completion credited to the next representative
+        # each completion credited to the next surviving representative
         exact = valuations._sweep_block
 
-        def shifted(comp, lines, partners, depth):
-            vals, origin = exact(comp, lines, partners, depth)
+        def shifted(rows, comp, lines, depth):
+            vals, origin = exact(rows, comp, lines, depth)
             return vals, (origin + 1) % len(comp)
 
         monkeypatch.setattr(valuations, "_sweep_block", shifted)
         with pytest.raises(RuntimeError, match="not have its seed's"):
             pipeline.Bundle(h21.geometry).class_valuations
 
-    def test_partner_table_built_once(self, monkeypatch, h2):
-        # one line-partner table serves every 512-seed block of a sweep
-        tables = []
-        exact = valuations._sweep_block
+    def test_partner_table_built_once(self, monkeypatch, h2, h2dual):
+        # one line-partner table serves every 512-seed block of a sweep;
+        # the survivors are propagated in full blocks of 512 rows
+        exact_start, exact_sweep = (valuations._start_rows,
+                                    valuations._sweep_block)
+        for bundle, sweeps in ((h2, 4), (h2dual, 3)):
+            tables, sizes = [], []
 
-        def recorded(comp, lines, partners, depth):
-            tables.append(partners)
-            return exact(comp, lines, partners, depth)
+            def start(comp, lines, partners):
+                tables.append(partners)
+                return exact_start(comp, lines, partners)
 
-        monkeypatch.setattr(valuations, "_sweep_block", recorded)
-        all_valuations(h2.geometry)
-        assert len(tables) == 32
-        assert all(t is tables[0] for t in tables)
+            def sweep(rows, comp, lines, depth):
+                sizes.append(len(rows))
+                return exact_sweep(rows, comp, lines, depth)
+
+            monkeypatch.setattr(valuations, "_start_rows", start)
+            monkeypatch.setattr(valuations, "_sweep_block", sweep)
+            all_valuations(bundle.geometry)
+            assert len(tables) == 32
+            assert all(t is tables[0] for t in tables)
+            assert len(sizes) == sweeps
+            assert sizes[:-1] == [valuations._BLOCK_ROWS] * (sweeps - 1)
+            assert 0 < sizes[-1] <= valuations._BLOCK_ROWS
 
     def test_four_point_line_refused(self):
         # its 4 columns must not be read as the 3 of a line
@@ -826,6 +887,27 @@ class TestBatchedSweep:
         g = from_text("points 1\n")
         assert all_valuations(g) == [Valuation(g, (0,))]
 
+    @pytest.mark.parametrize("text", ["points 3\n0 1 2\n",
+                                      "points 5\n0 1 2\n0 3 4\n"])
+    def test_tight_floor_hosts(self, text):
+        # a single line (diameter 1, floor -1, so the forced -1 layer
+        # sits on the floor) and two lines through a point (diameter 2);
+        # the cull drops only rows with a line at -1, -1, -1, and the
+        # floor stays with propagation (on CHAIN it kills a branched row)
+        g = from_text(text)
+        assert all_valuations(g) == sweep_oracle(g)
+        assert all_valuations(g)
+
+    @pytest.mark.parametrize("host, calls, rows", [("h2", 8, 1899),
+                                                   ("h2dual", 6, 1827)])
+    def test_kernel_work(self, monkeypatch, request, host, calls, rows):
+        # only the survivors of the start-row cull are propagated, in full
+        # blocks; the rows handed to propagation do not depend on blocking
+        g = request.getfixturevalue(host).geometry
+        assert propagated_rows(g) == (calls, rows)
+        monkeypatch.setattr(valuations, "_BLOCK_ROWS", 97)
+        assert propagated_rows(g)[1] == rows
+
     def test_block_boundaries(self, monkeypatch, h21):
         # 255 seeds in blocks of 7, 36 full and one of 3; frontiers in pieces
         monkeypatch.setattr(valuations, "_BLOCK_ROWS", 7)
@@ -855,14 +937,19 @@ class TestBatchedSweep:
 
 class TestSeededLayer:
     """The search starts each seed from 0 on its complement and -1 on the
-    points collinear with it; the neighbour masks are the oracle."""
+    points collinear with it, and drops it when a line lies inside that
+    -1 layer; the neighbour and line masks are the oracle."""
 
     @pytest.mark.parametrize("host", ["h2", "h2dual"])
     def test_hexagons(self, request, host):
-        assert_seeded_layer(request.getfixturevalue(host).geometry)
+        dropped, started = assert_seeded_layer(
+            request.getfixturevalue(host).geometry)
+        assert dropped > started > 0
 
     def test_two_word_host(self, h2):
-        assert_seeded_layer(relabeled(pendant_path(h2.geometry), seed=67))
+        dropped, started = assert_seeded_layer(
+            relabeled(pendant_path(h2.geometry), seed=67))
+        assert dropped > 0 and started > 0
 
     @settings(max_examples=40, deadline=None)
     @given(connected_hosts())

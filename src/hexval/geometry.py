@@ -4,12 +4,13 @@ A Geometry is a partial linear space with points 0..n-1 and lines given as
 sorted point tuples. Construction canonicalizes the line order, validates
 the partial-linear-space axiom and builds the collinearity graph as int
 bitmasks: point p's neighbours are ``neighbor_masks[p]``. The distance
-matrix (a frontier BFS over those masks per point), the masks of the
-points at each distance, the near-polygon report and the hexagon report
-built on them, and the GF(2) nullspace of the incidence matrix are
-computed on first read and kept. Distances are ints; disconnected point
-pairs get the sentinel -1. ``is_connected`` needs no distances, and
-``diameter`` reports ``INF`` for a disconnected geometry.
+matrix and the masks of the points at each distance (both from one
+frontier BFS over those masks per point), the near-polygon report and
+the hexagon report built on them, and the GF(2) nullspace of the
+incidence matrix are computed on first read and kept. Distances are
+ints; disconnected point pairs get the sentinel -1. ``is_connected``
+needs no distances, and ``diameter`` reports ``INF`` for a disconnected
+geometry.
 """
 from __future__ import annotations
 
@@ -125,20 +126,22 @@ class Geometry:
 
     @cached_property
     def dist(self) -> List[List[int]]:
-        """Point distances, one BFS per point, computed on first read."""
-        return [self._bfs(p) for p in range(self.num_points)]
+        """Point distances (-1: unreachable), computed on first read."""
+        return self._walks[0]
 
     @cached_property
     def distance_masks(self) -> List[Dict[int, int]]:
         """For each point, the mask of the points at each distance from
-        it (-1: unreachable), read off the distances on first read."""
-        masks = []
-        for row in self.dist:
-            by_dist: Dict[int, int] = {}
-            for y, d in enumerate(row):
-                by_dist[d] = by_dist.get(d, 0) | 1 << y
-            masks.append(by_dist)
-        return masks
+        it (-1: unreachable, when there are any), computed on first
+        read."""
+        return self._walks[1]
+
+    @cached_property
+    def _walks(self) -> Tuple[List[List[int]], List[Dict[int, int]]]:
+        """The distance rows and the distance masks of every point, both
+        from one BFS per point."""
+        walks = [self._bfs(p) for p in range(self.num_points)]
+        return [row for row, _ in walks], [masks for _, masks in walks]
 
     @cached_property
     def near_polygon_report(self) -> NearPolygonReport:
@@ -169,7 +172,7 @@ class Geometry:
 
     @cached_property
     def _connected(self) -> bool:
-        return not self.num_points or -1 not in self._bfs(0)
+        return not self.num_points or -1 not in self._bfs(0)[1]
 
     @cached_property
     def _diameter(self):
@@ -177,21 +180,34 @@ class Geometry:
             return INF
         return max((max(row) for row in self.dist), default=0)
 
-    def _bfs(self, start: int) -> List[int]:
-        """Distances from start (-1 when unreachable), by a frontier BFS
-        over the neighbour masks."""
+    def _bfs(self, start: int) -> Tuple[List[int], Dict[int, int]]:
+        """Distances from start (-1 when unreachable) and the mask of the
+        points at each distance, the frontiers of a BFS over the
+        neighbour masks (key -1: the unreachable points, when there are
+        any)."""
         row = [-1] * self.num_points
+        by_dist: Dict[int, int] = {}
         reached = frontier = 1 << start
         d = 0
         while frontier:
+            by_dist[d] = frontier
             step = 0
-            for q in _bits(frontier):
+            # the set bits read inline: a _bits generator per frontier
+            # costs a quarter of the walk
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                q = low.bit_length() - 1
                 row[q] = d
                 step |= self.neighbor_masks[q]
+                rest ^= low
             frontier = step & ~reached
             reached |= frontier
             d += 1
-        return row
+        unreached = ((1 << self.num_points) - 1) & ~reached
+        if unreached:
+            by_dist[-1] = unreached
+        return row, by_dist
 
     # -- basic queries ---------------------------------------------------
 

@@ -9,14 +9,16 @@ the partial assignment, undefined points branch over -1 .. -diameter, and
 completions are shifted so the minimum becomes 0. The host must be
 connected: a disconnected one has infinitely many valuations.
 
-One search does this for many hyperplanes at once: each hyperplane
-complement seeds one row of an int8 value matrix, a seed whose start row
-already puts a whole line at -1 is dropped, and the line rule is applied
-to the surviving rows in blocks of ``_BLOCK_ROWS`` per step until nothing
-changes. ``valuations_on_hyperplanes`` seeds it with given hyperplanes,
-such as the class representatives; ``all_valuations`` with every nonzero
-vector of the incidence nullspace.
-Both keep rows in value-vector order, the byte order of ``row_keys``.
+One search does this for many hyperplanes at once. The hyperplane
+complements are first screened bit-sliced, 64 seeds per machine word of
+their transposed point masks: a seed whose start row already puts a
+whole line at -1 is dropped. Each survivor seeds one row of an int8 value
+matrix, and the line rule is applied to them in blocks of
+``_BLOCK_ROWS`` per step until nothing changes.
+``valuations_on_hyperplanes`` seeds it with given hyperplanes, such as
+the class representatives; ``all_valuations`` with every nonzero vector
+of the incidence nullspace. Both keep rows in value-vector order, the
+byte order of ``row_keys``.
 ``orbit_closure`` closes rows under the automorphism generators and
 finds their orbits in the same pass; ``label_orbits`` names the orbits,
 the valuation classes, from the statistics of their smallest rows.
@@ -25,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,11 @@ from .perm import AutGroup
 _BLOCK_ROWS = 512
 #: an undefined point in the int8 value rows of the valuation search
 UNDEF = np.int8(np.iinfo(np.int8).max)
+#: (shift, mask) of the three block swaps that transpose the 8 x 8 bit
+#: matrix in a uint64, byte r holding row r
+_TRANSPOSE8 = tuple((np.uint64(s), np.uint64(m)) for s, m in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+    (28, 0x00000000F0F0F0F0)))
 
 
 @dataclass(frozen=True)
@@ -157,27 +163,81 @@ def _propagate_rows(rows: np.ndarray, lines: np.ndarray, floor: int
     return rows, kept
 
 
-def _start_rows(comp: np.ndarray, lines: np.ndarray, partners: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """The forced start rows of the bool [seeds, points] complement matrix
-    comp, and the indices of the rows kept.
+def _point_columns(seeds: np.ndarray, n: int) -> np.ndarray:
+    """The [n + 1, ceil(seeds / 64)] uint64 point columns of the [seeds,
+    words] uint64 point masks seeds: bit s of word k of row p is set when
+    seed 64k + s holds point p. Row n and the bits past the last seed are
+    0.
 
-    A row holds 0 on its complement C, -1 on every other point collinear
-    with C, and is undefined elsewhere. The -1 layer is what propagation
-    would write first: a line meeting C meets it in 2 points (the 0-or-2
-    rule the caller checks), so its third point gets -1, and no such
-    write conflicts. A row is dropped when some line lies inside its -1
-    layer, as that line reads -1, -1, -1 and the first propagation step
-    would kill it; every other first-step death is left to propagation.
+    Byte j of 8 consecutive seeds is an 8 x 8 bit matrix in one uint64,
+    transposed by three swaps of its off-diagonal blocks (Warren,
+    Hacker's Delight, section 7-3); its byte c then holds point 8j + c of
+    the 8 seeds.
+    """
+    words = -(-len(seeds) // 64)
+    nbytes = -(-n // 8)
+    data = np.zeros((64 * words, nbytes), dtype=np.uint8)
+    data[:len(seeds)] = seeds.astype("<u8").view(np.uint8).reshape(
+        len(seeds), 8 * seeds.shape[1])[:, :nbytes]
+    x = np.ascontiguousarray(data.reshape(8 * words, 8, nbytes).transpose(
+        0, 2, 1)).view("<u8")[..., 0]
+    for shift, mask in _TRANSPOSE8:
+        t = x >> shift
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    cols = np.zeros((n + 1, 8 * words), dtype=np.uint8)
+    cols[:n] = x.view(np.uint8).reshape(8 * words, 8 * nbytes).T[:n]
+    return cols.view("<u8")
+
+
+def _screen(seeds: np.ndarray, lines: np.ndarray, partners: np.ndarray
+            ) -> np.ndarray:
+    """The indices of the seeds, [seeds, words] uint64 complement masks,
+    that survive their forced start row (_start_rows), bit-sliced: each
+    step runs on 64 seeds per word of their point columns.
+
+    A line meets a complement C in 1 or 3 points exactly when the XOR of
+    its three columns is set; the lowest such seed raises RuntimeError.
+    The near set, the points off C collinear with C, is the OR of the
+    columns of each point's partners (partners[p], padded with n) off C.
+    A seed is dropped when a line lies inside its near set, as its start
+    row puts that line at -1, -1, -1 and the first propagation step would
+    kill it; every other first-step death is left to propagation.
+    """
+    n = len(partners)
+    cols = _point_columns(seeds, n)
+    odd = np.bitwise_or.reduce(
+        np.bitwise_xor.reduce(cols[lines.T], axis=0), axis=0)
+    if odd.any():
+        bad = np.unpackbits(odd.view(np.uint8), bitorder="little").argmax()
+        raise RuntimeError(f"hyperplane complement "
+                           f"{gf2.from_words(seeds[bad]):b} fails the "
+                           f"0-or-2 line rule")
+    near = np.bitwise_or.reduce(cols[partners], axis=1) & ~cols[:n]
+    dead = np.bitwise_or.reduce(
+        np.bitwise_and.reduce(near[lines.T], axis=0), axis=0)
+    return np.flatnonzero(np.unpackbits(
+        ~dead.view(np.uint8), count=len(seeds), bitorder="little"))
+
+
+def _start_rows(comp: np.ndarray, partners: np.ndarray) -> np.ndarray:
+    """The forced start rows of the bool [seeds, points] complement matrix
+    comp: 0 on its complement C, -1 on every other point collinear with C,
+    and undefined elsewhere.
+
+    The -1 layer is what propagation would write first: a line meeting C
+    meets it in 2 points (the 0-or-2 rule _screen checks), so its third
+    point gets -1, and no such write conflicts.
     """
     # partners[p] lists the next point of each line through p, padded
     # with n, a column of False appended to comp
     padded = np.concatenate([comp, np.zeros((len(comp), 1), bool)], axis=1)
     near = padded[:, partners].any(axis=2) & ~comp
-    live = np.flatnonzero(~near[:, lines].all(axis=2).any(axis=1))
-    near, comp = near[live], comp[live]
     # mask arithmetic, as np.where is slow on masks without a pattern
-    return UNDEF * ~(near | comp) - near, live
+    return UNDEF * ~(near | comp) - near
 
 
 def _sweep_block(rows: np.ndarray, comp: np.ndarray, lines: np.ndarray,
@@ -221,25 +281,6 @@ def _sweep_block(rows: np.ndarray, comp: np.ndarray, lines: np.ndarray,
             stack.append((rows[start:start + _BLOCK_ROWS],
                           seeds[start:start + _BLOCK_ROWS]))
     return np.concatenate(done), np.concatenate(done_seeds)
-
-
-def _full_blocks(pieces: Iterable[Tuple[np.ndarray, ...]]
-                 ) -> Iterator[Tuple[np.ndarray, ...]]:
-    """The row-aligned arrays of pieces regrouped into blocks of
-    _BLOCK_ROWS rows, the last one shorter; fewer than two blocks of rows
-    are held at once when no piece exceeds _BLOCK_ROWS rows."""
-    held: List[Tuple[np.ndarray, ...]] = []
-    count = 0
-    for piece in pieces:
-        held.append(piece)
-        count += len(piece[0])
-        while count >= _BLOCK_ROWS:
-            joined = [np.concatenate(arrays) for arrays in zip(*held)]
-            yield tuple(a[:_BLOCK_ROWS] for a in joined)
-            held = [tuple(a[_BLOCK_ROWS:] for a in joined)]
-            count -= _BLOCK_ROWS
-    if count:
-        yield tuple(np.concatenate(arrays) for arrays in zip(*held))
 
 
 def _line_index(g: Geometry) -> List[np.ndarray]:
@@ -292,14 +333,14 @@ def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
 
     seed_words is called after the guards: a disconnected host raises
     ValueError; a diameter of 127 or more, too large for int8 values, or
-    a line without 3 points raises GeometryError. The seeds are read in
-    blocks of _BLOCK_ROWS: each must meet every line in 0 or 2 points,
-    and its forced start row is built, or dropped when that row already
-    breaks a line (_start_rows). The surviving rows are then propagated
-    and branched in full blocks of _BLOCK_ROWS, and each completion is
-    checked to be a valuation whose hyperplane is its seed's
-    (RuntimeError otherwise). Returns the int8 value rows and the index
-    of the seed each one came from.
+    a line without 3 points raises GeometryError. All seeds are screened
+    at once, 64 per word (_screen): each must meet every line in 0 or 2
+    points, and a seed whose forced start row already breaks a line is
+    dropped. Only the survivors are unpacked, given start rows
+    (_start_rows), and propagated and branched in full blocks of
+    _BLOCK_ROWS; each completion is checked to be a valuation whose
+    hyperplane is its seed's (RuntimeError otherwise). Returns the int8
+    value rows and the index of the seed each one came from.
     """
     if not g.is_connected():
         raise ValueError("valuations require a connected geometry")
@@ -323,29 +364,17 @@ def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
     partners = np.full((n, np.bincount(p, minlength=n).max(initial=0)), n)
     partners[p, np.arange(len(p)) - np.searchsorted(p, p)] = q
     nbytes = -(-n // 8)
-
-    def survivors() -> Iterator[Tuple[np.ndarray, ...]]:
-        # per block of seeds: the kept start rows, their complements,
-        # packed seed bytes and seed indices
-        for start in range(0, len(seeds), _BLOCK_ROWS):
-            words = seeds[start:start + _BLOCK_ROWS].astype("<u8")
-            packed = words.view(np.uint8).reshape(len(words), -1)[:, :nbytes]
-            comp = np.unpackbits(packed, axis=1, count=n,
-                                 bitorder="little").astype(bool)
-            met = comp[:, lines].sum(axis=2, dtype=np.int8)
-            bad = np.flatnonzero(((met != 0) & (met != 2)).any(axis=1))
-            if bad.size:
-                raise RuntimeError(
-                    f"hyperplane complement "
-                    f"{gf2.from_words(words[bad[0]]):b} fails the 0-or-2 "
-                    f"line rule")
-            rows, live = _start_rows(comp, lines, partners)
-            yield rows, comp[live], packed[live], live + start
-
+    live = _screen(seeds, lines, partners)
     found = [np.empty((0, n), dtype=np.int8)]
     origins = [np.empty(0, dtype=np.intp)]
-    for rows, comp, packed, index in _full_blocks(survivors()):
-        vals, origin = _sweep_block(rows, comp, lines, depth)
+    for start in range(0, len(live), _BLOCK_ROWS):
+        index = live[start:start + _BLOCK_ROWS]
+        packed = seeds[index].astype("<u8").view(np.uint8).reshape(
+            len(index), -1)[:, :nbytes]
+        comp = np.unpackbits(packed, axis=1, count=n,
+                             bitorder="little").astype(bool)
+        vals, origin = _sweep_block(_start_rows(comp, partners), comp,
+                                    lines, depth)
         _check_sweep(vals, lines, packed[origin])
         found.append(vals)
         origins.append(index[origin])

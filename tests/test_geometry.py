@@ -108,6 +108,35 @@ def near_polygon_oracle(g):
     return NearPolygonReport(True, diam)
 
 
+def distance_rows(g):
+    """The distance row of every point from a BFS that writes each
+    frontier point's distance, and the masks of the points at each
+    distance rebuilt from those rows (-1: unreachable): the oracle of the
+    one-walk Geometry.dist and distance_masks."""
+    rows = []
+    for start in range(g.num_points):
+        row = [-1] * g.num_points
+        reached = frontier = 1 << start
+        d = 0
+        while frontier:
+            step = 0
+            for q in range(g.num_points):
+                if frontier >> q & 1:
+                    row[q] = d
+                    step |= g.neighbor_masks[q]
+            frontier = step & ~reached
+            reached |= frontier
+            d += 1
+        rows.append(row)
+    masks = []
+    for row in rows:
+        by_dist = {}
+        for y, d in enumerate(row):
+            by_dist[d] = by_dist.get(d, 0) | 1 << y
+        masks.append(by_dist)
+    return rows, masks
+
+
 def mask_points(masks):
     """The point sets of grid_masks' masks, in order."""
     return [frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
@@ -282,6 +311,19 @@ class TestBuild:
     def test_neighbor_masks_match_lines(self, g):
         assert list(g.neighbor_masks) == [sum(1 << q for q in nbrs)
                                           for nbrs in neighbour_sets(g)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(any_hosts(), mixed_hosts()))
+    def test_distances_and_masks_from_one_walk(self, g):
+        rows, masks = distance_rows(g)
+        assert g.dist == rows and g.distance_masks == masks
+        assert any(-1 in m for m in masks) == (not g.is_connected())
+
+    def test_hexagon_distances_and_masks(self, h2, h2dual):
+        for bundle in (h2, h2dual):
+            g = Geometry(bundle.geometry.num_points, bundle.geometry.lines)
+            # the masks first: both come from the same walk
+            assert (g.distance_masks, g.dist) == distance_rows(g)[::-1]
 
     def test_negative_point_count_rejected(self):
         with pytest.raises(GeometryError, match="negative point count"):

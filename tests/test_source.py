@@ -1,6 +1,9 @@
 """Rules that every module of the package keeps."""
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import hexval
@@ -34,6 +37,22 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(module),
                                        name, None))]
     assert missing == []
+
+
+def test_traced_relabeled_pass_completes():
+    # perfbench's span wrappers read results (such as each valuation's
+    # hyperplane) that an untraced pass never touches, so one traced pass
+    # runs in a fresh isolated interpreter, as perfbench/run.py spawns it
+    proc = subprocess.run(
+        [sys.executable, "-I", str(ROOT / "perfbench" / "worker.py"),
+         str(ROOT), "relabeled_hexagons", "1", "0", "1"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    ready, line = proc.stdout.splitlines()
+    assert ready == "ready"
+    record = json.loads(line)
+    assert record["traced"] and record["ops"]
+    assert record["failures"] == [] and record["errors"] == []
 
 
 def test_report_stages_exist():

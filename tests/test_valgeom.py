@@ -580,7 +580,8 @@ class TestSubgeometryChecks:
         vp = h2dual.vprime()
         fresh = ValuationGeometry(vp.host, vp.vpoints, vp.vlines)
         assert check_lemma_3_1(fresh, h2dual.geometry).total_grids == 112
-        assert "dist" not in fresh.as_geometry().__dict__
+        # dist and distance_masks share one walk, _walks
+        assert not {"dist", "_walks"} & fresh.as_geometry().__dict__.keys()
 
     def test_corrupted_line_detected(self, h2dual):
         corrupted = corrupted_restriction(h2dual, "collinear")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hexval import pipeline, valuations
+from hexval import gf2, pipeline, valuations
 from hexval.geometry import Geometry, GeometryError, find_ovoids, from_text
 from hexval.perm import automorphism_group, orbit
 from hexval.hyperplanes import (Hyperplane, _enumerable_basis,
@@ -834,26 +834,37 @@ class TestClassSearch:
             pipeline.Bundle(h21.geometry).class_valuations
 
     def test_partner_table_built_once(self, monkeypatch, h2, h2dual):
-        # one line-partner table serves every 512-seed block of a sweep;
-        # the survivors are propagated in full blocks of 512 rows
-        exact_start, exact_sweep = (valuations._start_rows,
-                                    valuations._sweep_block)
+        # one line-partner table serves the seed screen and every block of
+        # start rows; start rows are built only for the screen's survivors,
+        # one block per sweep, and the sweeps run on full blocks of 512
+        exact_screen, exact_start, exact_sweep = (
+            valuations._screen, valuations._start_rows,
+            valuations._sweep_block)
         for bundle, sweeps in ((h2, 4), (h2dual, 3)):
-            tables, sizes = [], []
+            tables, kept, starts, sizes = [], [], [], []
 
-            def start(comp, lines, partners):
+            def screen(seeds, lines, partners):
                 tables.append(partners)
-                return exact_start(comp, lines, partners)
+                kept.append(exact_screen(seeds, lines, partners))
+                return kept[-1]
+
+            def start(comp, partners):
+                tables.append(partners)
+                starts.append(len(comp))
+                return exact_start(comp, partners)
 
             def sweep(rows, comp, lines, depth):
                 sizes.append(len(rows))
                 return exact_sweep(rows, comp, lines, depth)
 
+            monkeypatch.setattr(valuations, "_screen", screen)
             monkeypatch.setattr(valuations, "_start_rows", start)
             monkeypatch.setattr(valuations, "_sweep_block", sweep)
             all_valuations(bundle.geometry)
-            assert len(tables) == 32
+            assert len(kept) == 1 and len(tables) == 1 + sweeps
             assert all(t is tables[0] for t in tables)
+            assert starts == sizes and sum(starts) == len(kept[0])
+            assert len(kept[0]) < 2 ** 14 - 1
             assert len(sizes) == sweeps
             assert sizes[:-1] == [valuations._BLOCK_ROWS] * (sweeps - 1)
             assert 0 < sizes[-1] <= valuations._BLOCK_ROWS
@@ -955,6 +966,133 @@ class TestSeededLayer:
     @given(connected_hosts())
     def test_random_hosts(self, g):
         assert_seeded_layer(g)
+
+
+def bool_row_screen(seeds, lines, partners):
+    """The seed screen on bool rows, the oracle of the bit-sliced
+    _screen: each block of _BLOCK_ROWS seeds is unpacked into complement
+    rows, each must meet every line in 0 or 2 points (RuntimeError at the
+    lowest failing seed), and a seed is kept unless a line lies inside its
+    near set, read from the partners gathered on the rows. Returns the
+    indices of the seeds kept."""
+    n = len(partners)
+    nbytes = -(-n // 8)
+    kept = [np.empty(0, dtype=np.intp)]
+    for start in range(0, len(seeds), valuations._BLOCK_ROWS):
+        words = seeds[start:start + valuations._BLOCK_ROWS].astype("<u8")
+        packed = words.view(np.uint8).reshape(len(words), -1)[:, :nbytes]
+        comp = np.unpackbits(packed, axis=1, count=n,
+                             bitorder="little").astype(bool)
+        met = comp[:, lines].sum(axis=2, dtype=np.int8)
+        bad = np.flatnonzero(((met != 0) & (met != 2)).any(axis=1))
+        if bad.size:
+            raise RuntimeError(
+                f"hyperplane complement {gf2.from_words(words[bad[0]]):b} "
+                f"fails the 0-or-2 line rule")
+        padded = np.concatenate([comp, np.zeros((len(comp), 1), bool)],
+                                axis=1)
+        near = padded[:, partners].any(axis=2) & ~comp
+        kept.append(start + np.flatnonzero(
+            ~near[:, lines].all(axis=2).any(axis=1)))
+    return np.concatenate(kept)
+
+
+def screen_outcome(screen, seeds, lines, partners):
+    """The seed indices screen keeps, or the message it raises."""
+    try:
+        return screen(seeds, lines, partners).tolist()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def assert_screen_matches(search):
+    """search() screens its seeds once, and keeps exactly the seeds the
+    bool-row oracle keeps, also in oracle blocks of 7 and 97 seeds.
+    Returns the seeds, lines and partner table it screened with and the
+    indices it kept."""
+    calls = []
+    exact = valuations._screen
+
+    def screen(seeds, lines, partners):
+        calls.append((seeds, lines, partners,
+                      exact(seeds, lines, partners)))
+        return calls[-1][-1]
+
+    with mock.patch.object(valuations, "_screen", screen):
+        search()
+    (seeds, lines, partners, kept), = calls
+    assert kept.dtype == np.intp
+    for block in (valuations._BLOCK_ROWS, 7, 97):
+        with mock.patch.object(valuations, "_BLOCK_ROWS", block):
+            assert kept.tolist() == bool_row_screen(seeds, lines,
+                                                    partners).tolist()
+            assert exact(seeds, lines, partners).tolist() == kept.tolist()
+    return seeds, lines, partners, kept
+
+
+class TestSeedScreen:
+    """The bit-sliced seed screen keeps exactly the seeds of the bool-row
+    screen, and names the same seed when one fails the 0-or-2 rule."""
+
+    @pytest.mark.parametrize("host, kept", [("h2", 1683),
+                                            ("h2dual", 1449)])
+    def test_hexagons(self, request, host, kept):
+        g = request.getfixturevalue(host).geometry
+        seeds, lines, partners, live = assert_screen_matches(
+            lambda: all_valuations(g))
+        # 16,383 seeds: the last word holds 63, and its padding bit is
+        # neither kept nor flagged
+        assert len(seeds) == 2 ** 14 - 1 and len(live) == kept
+        for count in (1, 63, 64, 65, 100, 129):
+            assert screen_outcome(valuations._screen, seeds[:count], lines,
+                                  partners) == \
+                screen_outcome(bool_row_screen, seeds[:count], lines,
+                               partners)
+
+    def test_two_word_host(self, h2):
+        g = relabeled(pendant_path(h2.geometry), seed=67)
+        seeds, _, _, live = assert_screen_matches(lambda: all_valuations(g))
+        assert seeds.shape[1] == 2 and 0 < len(live) < len(seeds)
+
+    def test_no_seeds(self, h2):
+        _, _, _, live = assert_screen_matches(
+            lambda: valuations_on_hyperplanes(h2.geometry, []))
+        assert len(live) == 0
+
+    @pytest.mark.parametrize("text, kept", [("points 0\n", 0),
+                                            ("points 1\n", 1)])
+    def test_point_hosts(self, text, kept):
+        g = from_text(text)
+        _, _, _, live = assert_screen_matches(lambda: all_valuations(g))
+        assert len(live) == kept
+
+    @pytest.mark.parametrize("block", [512, 7, 97])
+    def test_lowest_failing_seed_named(self, monkeypatch, h2, block):
+        # two one-point complements among the nullspace seeds: both
+        # screens name the earlier one
+        monkeypatch.setattr(valuations, "_BLOCK_ROWS", block)
+        seeds, lines, partners, _ = assert_screen_matches(
+            lambda: all_valuations(h2.geometry))
+        seeds = seeds.copy()
+        seeds[[3000, 1000]] = gf2.to_words([1 << 5, 1 << 9], 1)
+        message = screen_outcome(valuations._screen, seeds, lines, partners)
+        assert message == screen_outcome(bool_row_screen, seeds, lines,
+                                         partners)
+        assert message == f"hyperplane complement {1 << 9:b} fails the " \
+            f"0-or-2 line rule"
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_hosts(), st.lists(st.integers(0, 2 ** 12 - 1),
+                                       max_size=70))
+    def test_random_hosts(self, g, extra):
+        # the nullspace seeds, then arbitrary point masks, which may fail
+        # the 0-or-2 rule
+        seeds, lines, partners, _ = assert_screen_matches(
+            lambda: all_valuations(g))
+        mixed = np.concatenate([seeds, gf2.to_words(
+            [m & ((1 << g.num_points) - 1) for m in extra], 1)])
+        assert screen_outcome(valuations._screen, mixed, lines, partners) \
+            == screen_outcome(bool_row_screen, mixed, lines, partners)
 
 
 # h21's valuations without the last one, which the orbit of another

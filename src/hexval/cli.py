@@ -29,8 +29,8 @@ REPORT_GEOMETRIES = ("h2dual", "h2")
 # -- geometry loading ----------------------------------------------------
 
 
-def _add_source_args(sub, require=True):
-    grp = sub.add_mutually_exclusive_group(required=require)
+def _add_source_args(sub):
+    grp = sub.add_mutually_exclusive_group(required=True)
     grp.add_argument("--geometry", choices=sorted(BUILTIN_BUILDERS),
                      help="built-in geometry name")
     grp.add_argument("--in", dest="infile", metavar="FILE",
@@ -288,8 +288,12 @@ def _cmd_build(args) -> int:
     bundle = _load_bundle(args)
     text = to_text(bundle.geometry)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
@@ -478,7 +482,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        if exc.filename is None:  # no file opened, such as a broken pipe
+            raise
         print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (GeometryError, KeyError, ValueError) as exc:

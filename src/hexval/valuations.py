@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -530,14 +530,13 @@ def label_orbits(g: Geometry, rows: np.ndarray, roots: np.ndarray
     return types, [labels[i] for i in roots.tolist()]
 
 
-def classify_valuations(g: Geometry, group: AutGroup,
-                        vals: Optional[List[Valuation]] = None
+def classify_valuations(g: Geometry, group: AutGroup, vals: List[Valuation]
                         ) -> Tuple[List[ValuationType], List[str]]:
-    """Partition valuations (all of g's by default) into automorphism
-    orbits and label each orbit as one isomorphism class (see
-    label_orbits: A classical, B / B1.. intermediate, C / C1..
-    ovoidal). Returns the classes and the label of each distinct
-    valuation in value-vector order.
+    """Partition the given valuations of g into automorphism orbits and
+    label each orbit as one isomorphism class (see label_orbits: A
+    classical, B / B1.. intermediate, C / C1.. ovoidal). Returns the
+    classes and the label of each distinct valuation in value-vector
+    order.
 
     A disconnected host raises ValueError. An orbit that leaves the
     given valuations means the set is not closed under the group
@@ -545,8 +544,6 @@ def classify_valuations(g: Geometry, group: AutGroup,
     """
     if not g.is_connected():
         raise ValueError("valuations require a connected geometry")
-    if vals is None:
-        vals = all_valuations(g)
     given = unique_rows(np.array([v.values for v in vals], dtype=np.int8
                                  ).reshape(len(vals), g.num_points))
     rows, roots = orbit_closure(given, group)

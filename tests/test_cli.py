@@ -5,9 +5,6 @@ import io
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -18,6 +15,7 @@ from hexval import cli, geometry, pipeline, reference, valgeom
 from hexval.cli import run
 from hexval.geometry import Geometry, from_text, to_text
 from hexval.valgeom import ValuationGeometry, check_lemma_3_1
+from optimized import run as run_script
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -27,6 +25,12 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def invoke_optimized(*argv):
+    """invoke() under python -O, as python -O -m hexval.cli runs it."""
+    return run_script("import sys\nfrom hexval.cli import main\n"
+                      f"sys.argv = ['hexval', *{list(argv)!r}]\nmain()\n")
 
 
 class TestBuild:
@@ -322,6 +326,16 @@ class TestErrors:
         assert code == 2
         assert "nosuch.geom" in err
 
+    @pytest.mark.parametrize("argv,line", [
+        (["validate", "--in", "/"], "cannot read /: Is a directory"),
+        (["build", "--geometry", "h21", "--out", "/"],
+         "cannot write /: Is a directory"),
+        (["build", "--geometry", "h21", "--out", "missing_dir/x"],
+         "cannot write missing_dir/x: No such file or directory")])
+    def test_unusable_path(self, capsys, monkeypatch, tmp_path, argv, line):
+        monkeypatch.chdir(tmp_path)
+        assert invoke(capsys, *argv) == (2, "", line + "\n")
+
     def test_unknown_subcommand(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 2
 
@@ -385,31 +399,21 @@ class TestErrors:
     def test_check_precondition_survives_optimize(self):
         # the restriction of h21 has valuations with several zero points;
         # the precondition must hold under -O, which strips asserts
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "hexval.cli", "check",
-             "--geometry", "h21"],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert "zero point" in proc.stderr
+        code, out, err = invoke_optimized("check", "--geometry", "h21")
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "zero point" in err
 
 
 class TestOptimized:
     def test_report_all_json_matches_golden(self):
         # every invariant check is a raise, so -O (which strips asserts)
         # must reproduce the committed report byte for byte
-        root = Path(__file__).resolve().parent.parent
-        golden = (root / "perfbench" / "golden" / "report_all.json"
-                  ).read_bytes()
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "hexval.cli", "report", "--all",
-             "--format", "json"],
-            capture_output=True, env=env, timeout=600)
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stdout == golden
+        golden = GOLDEN.parent.parent / "perfbench" / "golden"
+        code, out, err = invoke_optimized("report", "--all", "--format",
+                                          "json")
+        assert code == 0, err
+        assert out.encode() == (golden / "report_all.json").read_bytes()
 
 
 @st.composite

@@ -2,11 +2,7 @@
 bounds, induced valuations and the text format."""
 import itertools
 import math
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +16,7 @@ from hexval.geometry import (Geometry, GeometryError, INF,
                              near_hexagon_point_bound, order_of, to_text)
 from hexval.perm import are_isomorphic
 from hexval.pipeline import Bundle
+from optimized import run_optimized
 from test_valuations import connected_hosts
 
 
@@ -585,12 +582,7 @@ class TestGrids:
             f"    _canonical_grid(build_h2(), frozenset({pts}))\n"
             "except RuntimeError:\n"
             "    print('raised')\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True,
-            text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "raised\n"
+        assert run_optimized(code) == "raised\n"
 
 
 class TestOvoids:

@@ -5,12 +5,8 @@ oracle that closes every enumerated hyperplane under the generators,
 permuting member masks through per-generator byte tables.
 """
 import itertools
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +20,7 @@ from hexval.hyperplanes import (MAX_DIMENSION, Hyperplane, HyperplaneClass,
                                 hyperplane_count)
 from hexval.perm import automorphism_group
 from hexval.valuations import all_valuations
+from optimized import run_optimized
 from test_perm import PermGroup, oracle_group
 
 
@@ -131,16 +128,6 @@ def small_hosts(draw):
     used = sorted({p for line in lines for p in line})
     index = {p: i for i, p in enumerate(used)}
     return Geometry(len(used), [[index[p] for p in line] for line in lines])
-
-
-def run_optimized(code):
-    """stdout of code run under python -O with hexval on the path."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def brute_force_hyperplanes(g):

@@ -8,12 +8,8 @@ alone.
 import itertools
 import math
 import operator
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
@@ -24,6 +20,7 @@ from hexval.constructions import (build_fano, build_h2, build_h2_dual,
                                   build_hexagon_2_1, grid_3x3)
 from hexval.geometry import Geometry, dual
 from hexval.perm import are_isomorphic, automorphism_group
+from optimized import run_optimized
 from test_valuations import orbit_of_function
 
 Perm = Tuple[int, ...]
@@ -392,7 +389,6 @@ class TestPrunedSearch:
             perm._check_automorphism(g, swap)
 
     def test_line_check_survives_optimize(self):
-        src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "from hexval.constructions import build_fano\n"
             "from hexval.perm import _check_automorphism\n"
@@ -400,11 +396,7 @@ class TestPrunedSearch:
             "    _check_automorphism(build_fano(), (1, 0, 2, 3, 4, 5, 6))\n"
             "except RuntimeError:\n"
             "    print('raised')\n")
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True,
-            text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "raised\n"
+        assert run_optimized(code) == "raised\n"
 
 
 class TestIsomorphism:

@@ -1,8 +1,6 @@
 """Neighboring valuations, the star operator, valuation geometries,
 line-type tables and the subgeometry checks."""
-import os
 import random
-import subprocess
 import sys
 from pathlib import Path
 
@@ -22,8 +20,9 @@ from hexval.valgeom import (EQUAL, LemmaReport, ValuationGeometry,
                             star)
 from hexval.valuations import (Valuation, classical_valuation,
                                classify_valuations)
+from optimized import run_optimized
 from test_valuations import (EXAMPLE_HOST, brute_force_valuations,
-                             connected_hosts, relabeled, run_optimized)
+                             connected_hosts, relabeled)
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS.parent / "perfbench" / "golden" / "report_all.json"
@@ -138,13 +137,7 @@ class TestStar:
             "        star(*pair)\n"
             "    except ValueError:\n"
             "        print('ValueError')\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-O", "-c", code],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "ValueError\n" * 4
+        assert run_optimized(code) == "ValueError\n" * 4
 
     def test_star_algebra_on_all_h21_lines(self, h21):
         # (i) symmetry (ii)(iii) each pair recovers the third member
@@ -372,22 +365,6 @@ def miscount(table, sizes, members):
     return EXACT_DOUBLE_COUNT(table, sizes, members)
 
 
-def run_mutant_optimized(target, mutant):
-    """What h21's line table raises under python -O with valgeom.<target>
-    replaced by the mutant of this module."""
-    return run_optimized(
-        f"import sys\n"
-        f"sys.path.insert(0, {str(TESTS)!r})\n"
-        f"import test_valgeom\n"
-        f"from hexval import pipeline, valgeom\n"
-        f"from hexval.constructions import build_hexagon_2_1\n"
-        f"valgeom.{target} = test_valgeom.{mutant}\n"
-        f"try:\n"
-        f"    pipeline.Bundle(build_hexagon_2_1()).line_table\n"
-        f"except RuntimeError as exc:\n"
-        f"    print(exc)\n")
-
-
 class TestClassLineTable:
     """class_line_table from representatives equals the line table of the
     full build, whose per-point constancy check it replaces."""
@@ -436,7 +413,15 @@ class TestClassLineTable:
         ("_star_rows", "corrupt_line_star", "do not star to"),
         ("_check_double_count", "miscount", "double count of line type")])
     def test_checks_survive_optimize(self, target, mutant, message):
-        assert message in run_mutant_optimized(target, mutant)
+        assert message in run_optimized(
+            f"import test_valgeom\n"
+            f"from hexval import pipeline, valgeom\n"
+            f"from hexval.constructions import build_hexagon_2_1\n"
+            f"valgeom.{target} = test_valgeom.{mutant}\n"
+            f"try:\n"
+            f"    pipeline.Bundle(build_hexagon_2_1()).line_table\n"
+            f"except RuntimeError as exc:\n"
+            f"    print(exc)\n")
 
 
 class TestReportPath:
@@ -618,8 +603,6 @@ class TestSubgeometryChecks:
         expected = check_lemma_3_1(corrupted_restriction(h2dual, "triangle"),
                                    h2dual.geometry)
         assert run_optimized(
-            f"import sys\n"
-            f"sys.path.insert(0, {str(TESTS)!r})\n"
             f"from test_valgeom import corrupted_restriction\n"
             f"from hexval.pipeline import get_bundle\n"
             f"from hexval.valgeom import check_lemma_3_1\n"

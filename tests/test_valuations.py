@@ -2,11 +2,7 @@
 and the scalar per-hyperplane search, statistics and isomorphism
 classification against the tuple orbit search."""
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +20,7 @@ from hexval.valuations import (Valuation, ValuationStats, all_valuations,
                                orbit_closure, ovoidal_valuation, row_keys,
                                row_stats, unique_rows,
                                valuations_on_hyperplanes)
+from optimized import run_optimized
 
 
 def tuples(rows):
@@ -374,7 +371,8 @@ class TestEnumeration:
     def test_empty_geometry_has_no_valuations(self):
         g = from_text("points 0\n")
         assert all_valuations(g) == []
-        assert classify_valuations(g, automorphism_group(g)) == ([], [])
+        assert classify_valuations(g, automorphism_group(g),
+                                   all_valuations(g)) == ([], [])
 
     def test_grid_valuation_census(self, grid3):
         # 9 classical + 6 ovoidal = 15 valuations of the 3x3 grid
@@ -436,7 +434,7 @@ class TestStatsAndClassification:
         from hexval.perm import automorphism_group
         g = grid3.geometry
         group = automorphism_group(g)
-        types, labels = classify_valuations(g, group)
+        types, labels = classify_valuations(g, group, all_valuations(g))
         assert sorted((t.label, t.class_size) for t in types) == \
             [("A", 9), ("C", 6)]
 
@@ -446,11 +444,9 @@ class TestStatsAndClassification:
     def test_disconnected_host_rejected(self):
         g = from_text("points 6\n0 1 2\n3 4 5\n")
         group = automorphism_group(g)
-        for vals in (None, [Valuation(g, (0, 1, 1, 0, 1, 1))]):
-            with pytest.raises(ValueError) as info:
-                classify_valuations(g, group, vals)
-            assert str(info.value) == \
-                "valuations require a connected geometry"
+        with pytest.raises(ValueError) as info:
+            classify_valuations(g, group, [Valuation(g, (0, 1, 1, 0, 1, 1))])
+        assert str(info.value) == "valuations require a connected geometry"
 
 
 class TestPerHyperplaneClass:
@@ -553,16 +549,6 @@ def class_rows(bundle):
     class is an int8 matrix."""
     assert all(m.dtype == np.int8 for m in bundle.class_valuations)
     return [tuples(m) for m in bundle.class_valuations]
-
-
-def run_optimized(script):
-    """The stdout of script run by python -O with this checkout's src."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 EXACT_PROPAGATE_ROWS = valuations._propagate_rows

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hexval import cli, geometry, pipeline, reference, valgeom
 from hexval.cli import run
-from hexval.geometry import Geometry, from_text, to_text
+from hexval.constructions import build_fano, grid_3x3
+from hexval.geometry import Geometry, dual, from_text, to_text
 from hexval.valgeom import ValuationGeometry, check_lemma_3_1
 from optimized import run as run_script
 
@@ -414,6 +415,62 @@ class TestOptimized:
                                           "json")
         assert code == 0, err
         assert out.encode() == (golden / "report_all.json").read_bytes()
+
+
+#: the --in hosts of the pinned invocations, written as relative names
+GOLDEN_HOSTS = {
+    "fano.geom": lambda: to_text(build_fano()),
+    "grid3.geom": lambda: to_text(grid_3x3()),
+    "grid3_dual.geom": lambda: to_text(dual(grid_3x3())),
+    "empty.geom": lambda: "points 0\n",
+    "two_lines.geom": lambda: "points 6\n0 1 2\n3 4 5\n",
+}
+#: each subcommand's argument variants after its source
+GOLDEN_VARIANTS = [
+    ["build"], ["validate"], ["aut"],
+    *[["hyperplanes", *classes, "--format", fmt]
+      for classes in ([], ["--classes"]) for fmt in ("text", "json")],
+    *[[command, *flag, "--format", fmt]
+      for command, flag in (("valuations", ["--table"]),
+                            ("valgeom", ["--lines-table"]))
+      for flag in ([], flag) for fmt in ("text", "json", "csv")],
+    ["check"], ["check", "--lemma", "3.1"], ["check", "--lemma", "9.9"],
+]
+
+
+def golden_invocations():
+    """Every pinned argv: each variant on h21 and on each --in host, and
+    the report's usage errors."""
+    sources = [["--geometry", "h21"]] + [["--in", name]
+                                         for name in GOLDEN_HOSTS]
+    argvs = [[variant[0], *source, *variant[1:]]
+             for source in sources for variant in GOLDEN_VARIANTS]
+    return argvs + [["report", "--geometry", "h21"],
+                    ["report", "--in", "fano.geom"], ["report"]]
+
+
+def run_golden_invocations(tmp_path, monkeypatch, capsys):
+    """{argv joined by spaces: [exit code, stdout, stderr]} of every
+    golden invocation, run in tmp_path with the hosts written there;
+    argparse wraps its usage errors to COLUMNS."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in GOLDEN_HOSTS.items():
+        (tmp_path / name).write_text(text())
+    return {" ".join(argv): list(invoke(capsys, *argv))
+            for argv in golden_invocations()}
+
+
+class TestGoldenInvocations:
+    def test_every_invocation_matches_golden(self, tmp_path, monkeypatch,
+                                             capsys):
+        # stdout, stderr and exit code of each subcommand and format, on
+        # h21 and on small hosts, pinned byte for byte
+        want = json.loads((GOLDEN / "cli_invocations.json").read_text(
+            encoding="utf-8"))
+        got = run_golden_invocations(tmp_path, monkeypatch, capsys)
+        assert list(got) == list(want)
+        assert [argv for argv in got if got[argv] != want[argv]] == []
 
 
 @st.composite

@@ -7,7 +7,7 @@ geometries and reproduces the full regression tables deterministically.
 
 from .constructions import (build_fano, build_h2, build_h2_dual,
                             build_hexagon_2_1, grid_3x3)
-from .geometry import (Geometry, GeometryError, Grid, OrderSpec,
+from .geometry import (Geometry, GeometryError, OrderSpec,
                        check_generalized_hexagon, check_near_polygon, dual,
                        enumerate_grids, find_ovoids, from_text,
                        near_hexagon_point_bound, order_of, to_text)
@@ -25,7 +25,7 @@ from .valuations import (Valuation, all_valuations, classical_valuation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutGroup", "Bundle", "Geometry", "GeometryError", "Grid", "Hyperplane",
+    "AutGroup", "Bundle", "Geometry", "GeometryError", "Hyperplane",
     "HyperplaneClass", "OrderSpec", "Valuation",
     "ValuationGeometry", "all_valuations", "are_isomorphic",
     "are_neighboring", "automorphism_group", "build_fano", "build_h2",

@@ -14,8 +14,9 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import reference
 from .geometry import (GeometryError, check_generalized_hexagon,
@@ -97,10 +98,8 @@ def build_report(bundle: Bundle, with_lemma: bool = False) -> dict:
     report = {
         "geometry": bundle.name,
         "aut_order": bundle.aut_order,
-        "tables": {
-            "valuations": _valuation_rows(bundle),
-            "lines": _line_rows(bundle),
-        },
+        "tables": {name: table.rows(bundle)
+                   for name, table in _TABLES.items()},
         "hyperplanes": _hyperplane_section(bundle),
         "checks": {
             "generalized_hexagon": hex_report.is_generalized_hexagon,
@@ -196,20 +195,18 @@ def _format_table(headers: Sequence[str], rows: List[Sequence]) -> str:
     return "\n".join(out)
 
 
-def _valuation_table_text(report: dict) -> str:
-    rows = [(r["type"], r["count"], r["max_value"], r["ovoid_size"],
-             r["hyperplane_size"], r["distribution"])
-            for r in report["tables"]["valuations"]]
+def _valuation_table_text(rows: List[dict]) -> str:
     return _format_table(
-        ("Type", "#", "M_f", "|O_f|", "|H_f|", "Value Distribution"), rows)
+        ("Type", "#", "M_f", "|O_f|", "|H_f|", "Value Distribution"),
+        [[r[k] for k in _VALUATION_KEYS] for r in rows])
 
 
-def _line_table_text(report: dict) -> str:
-    ptypes = sorted({pt for r in report["tables"]["lines"]
-                     for pt in r["per_point"]})
-    rows = [[r["type"]] + [r["per_point"].get(pt, "-") for pt in ptypes]
-            for r in report["tables"]["lines"]]
-    return _format_table(["Type"] + ptypes, rows)
+def _line_table_text(rows: List[dict]) -> str:
+    ptypes = sorted({pt for r in rows for pt in r["per_point"]})
+    return _format_table(
+        ["Type"] + ptypes,
+        [[r["type"]] + [r["per_point"].get(pt, "-") for pt in ptypes]
+         for r in rows])
 
 
 def _hyperplane_table_text(report: dict) -> str:
@@ -221,21 +218,36 @@ def _hyperplane_table_text(report: dict) -> str:
         rows)
 
 
+class _Table(NamedTuple):
+    """A row table of the report: its heading in the text report, its
+    rows, its CSV columns and its text renderer."""
+
+    heading: str
+    rows: Callable[[Bundle], List[dict]]
+    keys: Sequence[str]
+    text: Callable[[List[dict]], str]
+
+
+#: the report's "tables", in report order
+_TABLES = {
+    "valuations": _Table("valuations", _valuation_rows, _VALUATION_KEYS,
+                         _valuation_table_text),
+    "lines": _Table("valuation geometry lines", _line_rows, _LINE_KEYS,
+                    _line_table_text),
+}
+
+
 def _report_text(report: dict) -> str:
     parts = [f"geometry: {report['geometry']}",
-             f"automorphism group order: {report['aut_order']}",
-             "",
-             "valuations:",
-             _valuation_table_text(report),
-             "",
-             "valuation geometry lines:",
-             _line_table_text(report),
-             "",
-             f"hyperplanes: {report['hyperplanes']['total']} in "
-             f"{len(report['hyperplanes']['classes'])} classes",
-             _hyperplane_table_text(report),
-             "",
-             "checks:"]
+             f"automorphism group order: {report['aut_order']}"]
+    for name, table in _TABLES.items():
+        parts += ["", f"{table.heading}:", table.text(report["tables"][name])]
+    parts += ["",
+              f"hyperplanes: {report['hyperplanes']['total']} in "
+              f"{len(report['hyperplanes']['classes'])} classes",
+              _hyperplane_table_text(report),
+              "",
+              "checks:"]
     for key, value in report["checks"].items():
         parts.append(f"  {key}: {value}")
     return "\n".join(parts)
@@ -347,23 +359,13 @@ def _cmd_hyperplanes(args) -> int:
     return 0
 
 
-def _cmd_valuations(args) -> int:
+def _cmd_table(args) -> int:
     bundle = _load_bundle(args)
-    rows = _valuation_rows(bundle)
-    report = {"geometry": bundle.name, "tables": {"valuations": rows}}
-    _emit(report, args.format, {
-        "text": lambda: _valuation_table_text(report),
-        "csv": lambda: _csv_table(_VALUATION_KEYS, rows)})
-    return 0
-
-
-def _cmd_valgeom(args) -> int:
-    bundle = _load_bundle(args)
-    rows = _line_rows(bundle)
-    report = {"geometry": bundle.name, "tables": {"lines": rows}}
-    _emit(report, args.format, {
-        "text": lambda: _line_table_text(report),
-        "csv": lambda: _csv_table(_LINE_KEYS, rows)})
+    table = _TABLES[args.table_name]
+    rows = table.rows(bundle)
+    _emit({"geometry": bundle.name, "tables": {args.table_name: rows}},
+          args.format, {"text": lambda: table.text(rows),
+                        "csv": lambda: _csv_table(table.keys, rows)})
     return 0
 
 
@@ -441,21 +443,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.set_defaults(func=_cmd_hyperplanes)
 
-    sub = subs.add_parser("valuations", help="valuation class table")
-    _add_source_args(sub)
-    sub.add_argument("--table", action="store_true",
-                     help="print the class table (default output)")
-    sub.add_argument("--format", choices=("text", "json", "csv"),
-                     default="text")
-    sub.set_defaults(func=_cmd_valuations)
-
-    sub = subs.add_parser("valgeom", help="valuation geometry line table")
-    _add_source_args(sub)
-    sub.add_argument("--lines-table", action="store_true",
-                     help="print the line-type table (default output)")
-    sub.add_argument("--format", choices=("text", "json", "csv"),
-                     default="text")
-    sub.set_defaults(func=_cmd_valgeom)
+    for command, name, help_text, flag, flag_help in (
+            ("valuations", "valuations", "valuation class table", "--table",
+             "print the class table (default output)"),
+            ("valgeom", "lines", "valuation geometry line table",
+             "--lines-table", "print the line-type table (default output)")):
+        sub = subs.add_parser(command, help=help_text)
+        _add_source_args(sub)
+        sub.add_argument(flag, action="store_true", help=flag_help)
+        sub.add_argument("--format", choices=("text", "json", "csv"),
+                         default="text")
+        # not dest "table", which --table writes
+        sub.set_defaults(func=_cmd_table, table_name=name)
 
     sub = subs.add_parser("check", help="run a named check suite")
     _add_source_args(sub)
@@ -496,7 +495,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left, as under `| head`: the interpreter's last
+        # flush would raise again, so stdout goes to devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -44,25 +44,6 @@ class OrderSpec:
     t: Optional[int]
 
 
-@dataclass(frozen=True)
-class Grid:
-    """A (3x3)-subgrid: 9 points, 3 row lines and 3 column lines.
-
-    cells[i][j] is collinear with cells[i'][j'] iff i == i' or j == j'.
-    Canonical form: the minimal point sits at cell (0, 0), the remaining
-    rows and columns are ordered by their minimal point, and rows hold the
-    lexicographically smaller of the two parallel classes through the
-    minimal point.
-    """
-
-    cells: Tuple[Tuple[int, int, int], ...]
-    row_lines: Tuple[int, int, int]
-    col_lines: Tuple[int, int, int]
-
-    def points(self) -> frozenset:
-        return frozenset(p for row in self.cells for p in row)
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of mask, ascending."""
     while mask:
@@ -228,11 +209,6 @@ class Geometry:
         return f"<{label}: {self.num_points} points, {len(self.lines)} lines>"
 
 
-def build(num_points: int, lines: Iterable[Sequence[int]],
-          name: str = "") -> Geometry:
-    return Geometry(num_points, lines, name)
-
-
 # -- axiom checkers ------------------------------------------------------
 
 
@@ -299,26 +275,7 @@ def dual(g: Geometry) -> Geometry:
 # -- grids ---------------------------------------------------------------
 
 
-def _canonical_grid(g: Geometry, pts: frozenset) -> Grid:
-    lm = g.line_masks
-    mask = sum(1 << p for p in pts)
-    lines = sorted({li for p in pts for li in g.lines_through[p]
-                    if not lm[li] & ~mask})
-    if len(lines) != 6:
-        raise RuntimeError(f"points {sorted(pts)} contain {len(lines)} "
-                           f"lines, not the 6 of a 3x3 grid")
-    # line indices follow the sorted point tuples; a parallel class is a
-    # line through p0 and the two lines it misses
-    p0 = min(pts)
-    row0, col0 = (li for li in lines if lm[li] >> p0 & 1)
-    rows, cols = ([first] + [li for li in lines if not lm[li] & lm[first]]
-                  for first in (row0, col0))
-    cells = tuple(tuple((lm[r] & lm[c]).bit_length() - 1 for c in cols)
-                  for r in rows)
-    return Grid(cells, tuple(rows), tuple(cols))
-
-
-def grid_masks(g: Geometry) -> List[int]:
+def enumerate_grids(g: Geometry) -> List[int]:
     """The point masks of all (3x3)-subgrids, ordered as their ascending
     point lists.
 
@@ -330,7 +287,9 @@ def grid_masks(g: Geometry) -> List[int]:
     makes its 9 points distinct: otherwise two points would lie on two
     lines, or a cell would be p. Nine pairwise collinear points, as in
     AG(2, 3), are no subgrid. Points collinear off the grid's rows and
-    columns must lie on no line inside it (RuntimeError otherwise).
+    columns must lie on no line inside it: a grid whose points hold
+    other than its 6 lines raises RuntimeError. Its lines are counted
+    only when it has other than the 18 collinear pairs of a grid.
     """
     for line in g.lines:
         if len(line) != 3:
@@ -364,15 +323,14 @@ def grid_masks(g: Geometry) -> List[int]:
         if collinear == 2 * 36:
             continue
         if collinear != 2 * 18:
-            _canonical_grid(g, frozenset(_bits(mask)))
+            inside = {li for a in _bits(mask) for li in g.lines_through[a]
+                      if not g.line_masks[li] & ~mask}
+            if len(inside) != 6:
+                raise RuntimeError(f"points {list(_bits(mask))} contain "
+                                   f"{len(inside)} lines, not the 6 of a "
+                                   f"3x3 grid")
         masks.append(mask)
     return masks
-
-
-def enumerate_grids(g: Geometry) -> List[Grid]:
-    """The grids of grid_masks, in that order, in canonical form."""
-    return [_canonical_grid(g, frozenset(_bits(mask)))
-            for mask in grid_masks(g)]
 
 
 # -- ovoids --------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Geometry, _bits, grid_masks
+from .geometry import Geometry, _bits, enumerate_grids
 from .valuations import (Valuation, _line_index, _non_valuation_rows,
                          find_rows, row_keys)
 
@@ -91,8 +91,8 @@ class ValuationGeometry:
     host: Geometry
     vpoints: np.ndarray
     vlines: List[Tuple[int, int, int]]
-    point_types: Optional[List[str]] = None
-    line_types: Optional[List[str]] = None
+    point_types: List[str]
+    line_types: List[str]
     _geometry: Optional[Geometry] = field(default=None, repr=False)
 
     def as_geometry(self, name: str = "") -> Geometry:
@@ -178,7 +178,7 @@ def _neighbor_stars(vmat: np.ndarray, line_index: List[np.ndarray],
 
 
 def _checked_rows(g: Geometry, rows: Sequence[Sequence[int]],
-                  point_types: Optional[Sequence[str]]):
+                  point_types: Sequence[str]):
     """rows as an int8 matrix in value-vector order, the point types in
     that order and the host's line index. ValueError for a wrong length
     or type count, a value outside 0.._INT8_TOP (checked before the int8
@@ -190,7 +190,7 @@ def _checked_rows(g: Geometry, rows: Sequence[Sequence[int]],
     if mat.ndim != 2 or mat.shape[1] != n:
         raise ValueError(f"value vectors must have {n} entries, not an "
                          f"array of shape {mat.shape}")
-    if point_types is not None and len(point_types) != len(mat):
+    if len(point_types) != len(mat):
         raise ValueError(f"{len(point_types)} point types for "
                          f"{len(mat)} value vectors")
     bad = ((mat < 0) | (mat > _INT8_TOP)).any(axis=1)
@@ -208,8 +208,7 @@ def _checked_rows(g: Geometry, rows: Sequence[Sequence[int]],
     keys = row_keys(vmat)
     if (keys[1:] == keys[:-1]).any():
         raise ValueError("duplicate valuations")
-    if point_types is not None:
-        point_types = [point_types[i] for i in order.tolist()]
+    point_types = [point_types[i] for i in order.tolist()]
     return vmat, point_types, line_index
 
 
@@ -236,12 +235,12 @@ def _star_closed_lines(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def build_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
-                             point_types: Optional[Sequence[str]] = None
+                             point_types: Sequence[str]
                              ) -> ValuationGeometry:
     """Lines are the triples {i, j, k} with v_i, v_j neighboring, distinct
     and star(v_i, v_j) = v_k present among the input valuations.
 
-    rows are value vectors and point_types, when given, one type per row.
+    rows are value vectors and point_types one type per row.
     The rows, sorted and checked by _checked_rows (ValueError naming the
     first bad row), form one int8 [n, points] matrix V, whose row index
     is the point index. Rows are scanned in blocks against all later
@@ -265,18 +264,14 @@ def build_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
         keys.append((triple[0] * n + triple[1]) * n + triple[2])
     lines = _star_closed_lines(np.concatenate(keys), n)
     vlines = list(zip(*lines.T.tolist()))
-    line_types = None
-    if point_types is not None:
-        line_types = [_line_type_string([point_types[i] for i in line])
-                      for line in vlines]
+    line_types = [_line_type_string([point_types[i] for i in line])
+                  for line in vlines]
     return ValuationGeometry(g, vmat, vlines, point_types, line_types)
 
 
 def line_type_table(vg: ValuationGeometry) -> Dict[str, Dict[str, int]]:
     """{line type -> {point type -> lines of that type through each point
     of that point type}}; constancy within each point type is enforced."""
-    if vg.point_types is None:
-        raise ValueError("valuation geometry built without type labels")
     n = len(vg.vpoints)
     per_point: List[Dict[str, int]] = [dict() for _ in range(n)]
     for line, ltype in zip(vg.vlines, vg.line_types):
@@ -402,8 +397,6 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
 def restrict(vg: ValuationGeometry, point_types: Sequence[str],
              line_types: Sequence[str]) -> ValuationGeometry:
     """Subgeometry induced by the given point and line type labels."""
-    if vg.point_types is None:
-        raise ValueError("valuation geometry built without type labels")
     keep_pts = [i for i, t in enumerate(vg.point_types) if t in set(point_types)]
     remap = {old: new for new, old in enumerate(keep_pts)}
     keep_lines = []
@@ -460,7 +453,7 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     geometry of the dual hexagon.
 
     Every check runs on the restriction's neighbour and line masks and
-    on its grid_masks, so its distance matrix is never computed. Two
+    on its enumerate_grids masks, so its distance matrix is never computed. Two
     points of a grid are opposite when they are not collinear, which
     within a grid is the same as being at distance 2. A valuation with
     other than one zero point raises ValueError when a check reads it.
@@ -486,7 +479,7 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
             if host.dist[zero_point(a)][zero_point(b)] != 3:
                 collinear_ok = False
                 witness = witness or ("collinear", a, b)
-    grids = grid_masks(geo)
+    grids = enumerate_grids(geo)
     grid_ok = True
     grids_through = [0] * geo.num_points
     for mask in grids:

@@ -5,6 +5,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -259,7 +262,8 @@ class TestReport:
 
     def test_report_all_fast_path(self, capsys, monkeypatch):
         # built afresh, each hexagon is checked as a near polygon once,
-        # and the report reads its ovoids and grids without the searches
+        # the report reads its ovoids without the search, and the grids
+        # are searched once, on the Type-C/CCC restriction
         calls = []
         for name in ("find_ovoids", "enumerate_grids", "check_near_polygon"):
             original = getattr(geometry, name)
@@ -276,7 +280,8 @@ class TestReport:
         code, _, err = invoke(capsys, "report", "--all", "--format", "json")
         assert (code, err) == (0, "")
         assert sorted(calls) == [("check_near_polygon", "h2"),
-                                 ("check_near_polygon", "h2dual")]
+                                 ("check_near_polygon", "h2dual"),
+                                 ("enumerate_grids", "valuation-geometry")]
 
     @pytest.mark.parametrize("host", ["h2", "h21", "h2-less-a-line"])
     def test_validate_checks_near_polygon_once(self, request, capsys,
@@ -404,6 +409,29 @@ class TestErrors:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert "zero point" in err
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("argv", [
+        # block buffered, a short output fails at the last flush and a
+        # long one in the middle of print
+        ["build", "--geometry", "h21"],
+        ["report", "--all", "--format", "json"]])
+    def test_closed_reader_exits_1_without_traceback(self, argv):
+        # as under `hexval ... | head -1`: stdout is a pipe that nobody
+        # reads; the read end is closed before the child starts
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hexval.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestOptimized:

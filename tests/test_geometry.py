@@ -12,7 +12,7 @@ from hexval.constructions import (build_fano, build_hexagon_2_1, grid_3x3)
 from hexval.geometry import (Geometry, GeometryError, INF,
                              NearPolygonReport, check_generalized_hexagon,
                              check_near_polygon, dual, enumerate_grids,
-                             find_ovoids, from_text, grid_masks,
+                             find_ovoids, from_text,
                              near_hexagon_point_bound, order_of, to_text)
 from hexval.perm import are_isomorphic
 from hexval.pipeline import Bundle
@@ -70,12 +70,14 @@ def _complete_grid(g, p11, p12, p21, p22):
 def enumerate_grids_oracle(g):
     """Oracle of enumerate_grids: every 4-cycle x, c_i, y, c_j on a
     distance-2 pair x < y and two of its common neighbours, completed
-    through third_point and the distance matrix."""
+    through third_point and the distance matrix, as point masks ordered
+    by their point lists. RuntimeError when a completion's points hold
+    other than 6 lines."""
     for line in g.lines:
         if len(line) != 3:
             raise GeometryError("grid enumeration requires 3-point lines")
     nbrs = neighbour_sets(g)
-    found = {}
+    found = set()
     for x in range(g.num_points):
         for y in range(x + 1, g.num_points):
             if g.dist[x][y] != 2:
@@ -84,9 +86,15 @@ def enumerate_grids_oracle(g):
             for i in range(len(common)):
                 for j in range(i + 1, len(common)):
                     pts = _complete_grid(g, x, common[i], common[j], y)
-                    if pts is not None and pts not in found:
-                        found[pts] = geometry._canonical_grid(g, pts)
-    return [found[k] for k in sorted(found, key=sorted)]
+                    if pts is not None:
+                        found.add(pts)
+    grids = sorted(found, key=sorted)
+    for pts in grids:
+        inside = sum(1 for line in g.lines if pts.issuperset(line))
+        if inside != 6:
+            raise RuntimeError(f"points {sorted(pts)} contain {inside} "
+                               f"lines, not the 6 of a 3x3 grid")
+    return [sum(1 << p for p in pts) for pts in grids]
 
 
 def near_polygon_oracle(g):
@@ -135,14 +143,9 @@ def distance_rows(g):
 
 
 def mask_points(masks):
-    """The point sets of grid_masks' masks, in order."""
+    """The point sets of point masks, in order."""
     return [frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
             for mask in masks]
-
-
-def grid_points(grids):
-    """The point sets of canonical grids, in order."""
-    return [grid.points() for grid in grids]
 
 
 def grids_or_error(search, g):
@@ -250,48 +253,48 @@ def induced_valuation(ambient, sub_points, sub_lines, x):
 
 class TestBuild:
     def test_single_line(self):
-        g = geometry.build(3, [(0, 1, 2)])
+        g = Geometry(3, [(0, 1, 2)])
         assert g.diameter() == 1
         assert g.lines == ((0, 1, 2),)
 
     def test_two_lines_through_pair_rejected(self):
         with pytest.raises(GeometryError, match="lie on two lines"):
-            geometry.build(4, [(0, 1, 2), (0, 1, 3)])
+            Geometry(4, [(0, 1, 2), (0, 1, 3)])
 
     def test_point_out_of_range(self):
         with pytest.raises(GeometryError):
-            geometry.build(3, [(0, 1, 3)])
+            Geometry(3, [(0, 1, 3)])
 
     def test_canonical_line_order(self):
-        g = geometry.build(5, [(4, 3, 2), (1, 0, 2)])
+        g = Geometry(5, [(4, 3, 2), (1, 0, 2)])
         assert g.lines == ((0, 1, 2), (2, 3, 4))
 
     def test_disconnected_distances_are_inf(self):
         # unreachable pairs carry the integer sentinel -1; the diameter
         # of a disconnected geometry is still INF
-        g = geometry.build(6, [(0, 1, 2), (3, 4, 5)])
+        g = Geometry(6, [(0, 1, 2), (3, 4, 5)])
         assert g.dist[0][3] == -1
         assert all(type(d) is int for row in g.dist for d in row)
         assert not g.is_connected()
         assert g.diameter() == INF
 
     def test_empty_geometry(self):
-        g = geometry.build(0, [])
+        g = Geometry(0, [])
         assert g.is_connected() and g.diameter() == 0
 
     def test_distances_computed_on_first_read(self):
-        g = geometry.build(6, [(0, 1, 2), (3, 4, 5)])
+        g = Geometry(6, [(0, 1, 2), (3, 4, 5)])
         assert not g.is_connected()
         assert "dist" not in g.__dict__
         # the diameter reads the distances only on a connected geometry
         assert g.diameter() == INF
         assert g.dist[0][3] == -1 and "dist" in g.__dict__
-        line = geometry.build(3, [(0, 1, 2)])
+        line = Geometry(3, [(0, 1, 2)])
         assert line.diameter() == 1 and "dist" in line.__dict__
 
     @pytest.mark.parametrize("g", [
-        geometry.build(0, []), geometry.build(1, []),
-        geometry.build(7, [(0, 1, 2), (3, 4, 5)]), build_hexagon_2_1()],
+        Geometry(0, []), Geometry(1, []),
+        Geometry(7, [(0, 1, 2), (3, 4, 5)]), build_hexagon_2_1()],
         ids=["empty", "one-point", "disconnected", "h21"])
     def test_mask_connectivity_matches_distances(self, g):
         assert g.is_connected() == all(-1 not in row for row in g.dist)
@@ -324,10 +327,10 @@ class TestBuild:
 
     def test_negative_point_count_rejected(self):
         with pytest.raises(GeometryError, match="negative point count"):
-            geometry.build(-3, [])
+            Geometry(-3, [])
 
     def test_distance_matrix_against_floyd_warshall(self):
-        two_lines = geometry.build(6, [(0, 1, 2), (3, 4, 5)])
+        two_lines = Geometry(6, [(0, 1, 2), (3, 4, 5)])
         for g in (grid_3x3(), build_hexagon_2_1(), build_fano(), two_lines):
             n = g.num_points
             nbrs = neighbour_sets(g)
@@ -354,7 +357,7 @@ class TestAxiomCheckers:
         assert rep.is_near_polygon and rep.diameter == 3
 
     def test_disconnected_is_not_near_polygon(self):
-        g = geometry.build(6, [(0, 1, 2), (3, 4, 5)])
+        g = Geometry(6, [(0, 1, 2), (3, 4, 5)])
         assert not check_near_polygon(g).is_near_polygon
 
     def test_h2_is_generalized_hexagon(self, h2):
@@ -445,7 +448,7 @@ class TestOrderAndProfile:
         assert order_of(h21.geometry) == geometry.OrderSpec(2, 1)
 
     def test_single_line_degenerate_t(self):
-        assert order_of(geometry.build(3, [(0, 1, 2)])) == \
+        assert order_of(Geometry(3, [(0, 1, 2)])) == \
             geometry.OrderSpec(2, None)
 
     def test_h2_common_neighbors_all_unique(self, h2):
@@ -487,34 +490,11 @@ class TestGrids:
         assert enumerate_grids(h2.geometry) == []
 
     def test_grid3_has_one_grid(self):
-        g = grid_3x3()
-        grids = enumerate_grids(g)
-        assert len(grids) == 1
-        assert grids[0].points() == frozenset(range(9))
-
-    def test_grid_cell_collinearity(self):
-        g = grid_3x3()
-        grid = enumerate_grids(g)[0]
-        cells = grid.cells
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(3):
-                        a, b = cells[i][j], cells[k][l]
-                        if a == b:
-                            continue
-                        collinear = g.dist[a][b] == 1
-                        assert collinear == (i == k or j == l)
-
-    def test_grid_lines_belong_to_host(self):
-        g = grid_3x3()
-        grid = enumerate_grids(g)[0]
-        for li in grid.row_lines + grid.col_lines:
-            assert set(g.lines[li]) <= grid.points()
+        assert enumerate_grids(grid_3x3()) == [(1 << 9) - 1]
 
     def test_grids_through_point(self):
         grids = enumerate_grids(grid_3x3())
-        assert sum(0 in grid.points() for grid in grids) == 1
+        assert sum(mask & 1 for mask in grids) == 1
 
     def test_matches_oracle_on_known_geometries(self, h2, h2dual):
         vprime = h2dual.vprime().as_geometry()
@@ -522,67 +502,48 @@ class TestGrids:
             grids = enumerate_grids(g)
             assert grids == enumerate_grids_oracle(g)
             assert len(grids) == count
-            assert mask_points(grid_masks(g)) == grid_points(grids)
 
     def test_several_common_neighbours_per_cell(self):
         g = grid_with_diagonal()
         assert g.neighbor_masks[1] & g.neighbor_masks[3] == 1 | 1 << 4 | 1 << 9
         grids = enumerate_grids(g)
         assert grids == enumerate_grids_oracle(g)
-        assert grid_points(grids) == mask_points(grid_masks(g)) == [
-            frozenset(range(10)) - {4}]
+        assert mask_points(grids) == [frozenset(range(10)) - {4}]
 
     def test_affine_plane_has_no_grid(self):
         g = affine_plane_3()
         assert enumerate_grids(g) == enumerate_grids_oracle(g) == []
-        assert grid_masks(g) == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(connected_hosts(), grid_hosts()))
     def test_matches_oracle_on_random_hosts(self, g):
-        grids = grids_or_error(enumerate_grids, g)
-        assert grids == grids_or_error(enumerate_grids_oracle, g)
-        masks = grids_or_error(grid_masks, g)
-        if grids is RuntimeError:
-            assert masks is RuntimeError
-        else:
-            assert mask_points(masks) == grid_points(grids)
+        assert grids_or_error(enumerate_grids, g) \
+            == grids_or_error(enumerate_grids_oracle, g)
 
-    def test_grid_masks_raise_like_canonical_grids(self):
-        # the 3x3 grid with two diagonals added: its 9 points hold 8 lines
-        g = grid_3x3()
-        extra = Geometry(9, g.lines + ((1, 5, 6), (2, 3, 7)))
-        for search in (grid_masks, enumerate_grids, enumerate_grids_oracle):
-            with pytest.raises(RuntimeError,
-                               match="contain 8 lines, not the 6"):
-                search(extra)
+    #: the 3x3 grid with two diagonals added: its 9 points hold 8 lines
+    NOT_A_GRID = ("points [0, 1, 2, 3, 4, 5, 6, 7, 8] contain 8 lines, "
+                  "not the 6 of a 3x3 grid")
 
     @staticmethod
-    def near_grid(g):
-        """9 points: the 3 lines through point 0 and one more line through
-        a neighbour of 0; they contain 4 lines, so they are no grid."""
-        q = next(p for p in g.lines[g.lines_through[0][0]] if p != 0)
-        other = next(li for li in g.lines_through[q]
-                     if 0 not in g.lines[li])
-        pts = {p for li in g.lines_through[0] for p in g.lines[li]}
-        return frozenset(pts | set(g.lines[other]))
+    def grid_with_two_diagonals():
+        return Geometry(9, grid_3x3().lines + ((1, 5, 6), (2, 3, 7)))
 
-    def test_canonical_grid_rejects_non_grid(self, h2):
-        pts = self.near_grid(h2.geometry)
-        assert len(pts) == 9
-        with pytest.raises(RuntimeError, match="contain 4 lines"):
-            geometry._canonical_grid(h2.geometry, pts)
+    def test_non_grid_raises(self):
+        g = self.grid_with_two_diagonals()
+        for search in (enumerate_grids, enumerate_grids_oracle):
+            with pytest.raises(RuntimeError) as info:
+                search(g)
+            assert str(info.value) == self.NOT_A_GRID
 
-    def test_canonical_grid_check_survives_optimize(self, h2):
-        pts = sorted(self.near_grid(h2.geometry))
+    def test_non_grid_check_survives_optimize(self):
         code = (
-            "from hexval.constructions import build_h2\n"
-            "from hexval.geometry import _canonical_grid\n"
+            "from test_geometry import TestGrids\n"
+            "from hexval.geometry import enumerate_grids\n"
             "try:\n"
-            f"    _canonical_grid(build_h2(), frozenset({pts}))\n"
-            "except RuntimeError:\n"
-            "    print('raised')\n")
-        assert run_optimized(code) == "raised\n"
+            "    enumerate_grids(TestGrids.grid_with_two_diagonals())\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+        assert run_optimized(code) == self.NOT_A_GRID + "\n"
 
 
 class TestOvoids:
@@ -684,7 +645,7 @@ class TestInducedValuation:
 
 
     def test_unreachable_point_rejected(self):
-        g = geometry.build(6, [(0, 1, 2), (3, 4, 5)])
+        g = Geometry(6, [(0, 1, 2), (3, 4, 5)])
         with pytest.raises(GeometryError, match="not connected"):
             induced_valuation(g, [3, 4, 5], [(3, 4, 5)], 0)
 
@@ -705,5 +666,5 @@ class TestTextFormat:
             from_text("points 3\n0 x 2\n")
 
     def test_format_shape(self):
-        text = to_text(geometry.build(3, [(2, 1, 0)]))
+        text = to_text(Geometry(3, [(2, 1, 0)]))
         assert text == "points 3\n0 1 2\n"

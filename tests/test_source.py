@@ -41,13 +41,13 @@ def test_traced_functions_exist():
     assert missing == []
 
 
-def test_traced_relabeled_pass_completes():
-    # perfbench's span wrappers read results (such as each valuation's
-    # hyperplane) that an untraced pass never touches, so one traced pass
-    # runs in a fresh isolated interpreter, as perfbench/run.py spawns it
+def traced_pass(workload):
+    """One traced perfbench pass of workload (seed 1), in a fresh isolated
+    interpreter as perfbench/run.py spawns it; it must complete without
+    failures or check errors."""
     proc = subprocess.run(
         [sys.executable, "-I", str(ROOT / "perfbench" / "worker.py"),
-         str(ROOT), "relabeled_hexagons", "1", "0", "1"],
+         str(ROOT), workload, "1", "0", "1"],
         capture_output=True, text=True, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     ready, line = proc.stdout.splitlines()
@@ -55,6 +55,17 @@ def test_traced_relabeled_pass_completes():
     record = json.loads(line)
     assert record["traced"] and record["ops"]
     assert record["failures"] == [] and record["errors"] == []
+
+
+def test_traced_relabeled_pass_completes():
+    # perfbench's span wrappers read results (such as each valuation's
+    # hyperplane) that an untraced pass never touches
+    traced_pass("relabeled_hexagons")
+
+
+def test_traced_report_pass_completes():
+    # the traced report wraps the grid search and the report's stages
+    traced_pass("report_all")
 
 
 def test_report_stages_exist():

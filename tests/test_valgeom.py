@@ -154,13 +154,14 @@ class TestStar:
 
 class TestValuationGeometry:
     def test_empty_input(self, h21):
-        vg = build_valuation_geometry(h21.geometry, [])
+        vg = build_valuation_geometry(h21.geometry, [], [])
         assert vg.vpoints.shape == (0, 21) and vg.vlines == []
 
     def test_duplicates_rejected(self, h21):
         f = classical_valuation(h21.geometry, 0)
         with pytest.raises(ValueError):
-            build_valuation_geometry(h21.geometry, [f.values, f.values])
+            build_valuation_geometry(h21.geometry, [f.values, f.values],
+                                     ["A", "A"])
 
     def test_h2dual_line_counts(self, h2dual):
         vg = h2dual.valuation_geometry
@@ -221,7 +222,7 @@ class TestVectorisedBuild:
         f1 = Valuation(g, (0, 1, 1, 0, 1, 1))
         f2 = Valuation(g, (0, 1, 1, 1, 2, 2))
         with pytest.raises(ValueError, match="more than one epsilon"):
-            build_valuation_geometry(g, [f1.values, f2.values])
+            build_valuation_geometry(g, [f1.values, f2.values], ["A", "A"])
         with pytest.raises(ValueError, match="more than one epsilon"):
             class_line_table(g, [f1.values, f2.values], ["A", "A"])
         with pytest.raises(ValueError, match="not unique"):
@@ -244,7 +245,8 @@ class TestVectorisedBuild:
         values[1] += 1
         values[2] -= 1
         with pytest.raises(ValueError, match="not a valuation"):
-            build_valuation_geometry(g, [h21.valuations[0], values])
+            build_valuation_geometry(g, [h21.valuations[0], values],
+                                     ["A", "A"])
 
     @pytest.mark.parametrize("build", [build_valuation_geometry,
                                        class_line_table])
@@ -295,11 +297,6 @@ class TestLineTypeTable:
 
     def test_h2_matches_reference(self, h2):
         assert h2.line_table == reference.LINE_TABLE_H2
-
-    def test_requires_type_labels(self, h21):
-        vg = build_valuation_geometry(h21.geometry, h21.valuations)
-        with pytest.raises(ValueError):
-            line_type_table(vg)
 
     def test_double_counting_identities(self, h2, h2dual):
         # for line type T containing point type X with multiplicity m:
@@ -431,7 +428,7 @@ class TestReportPath:
     def test_report_builds_only_type_c_geometry(self, monkeypatch, capsys):
         sizes = []
 
-        def counting(g, rows, point_types=None):
+        def counting(g, rows, point_types):
             sizes.append(len(rows))
             return build_valuation_geometry(g, rows, point_types)
 
@@ -446,7 +443,7 @@ class TestReportPath:
         ("h2", reference.LINE_TABLE_H2)])
     def test_bundle_without_full_build(self, monkeypatch, request, host,
                                        table):
-        def at_most_252_rows(g, rows, point_types=None):
+        def at_most_252_rows(g, rows, point_types):
             if len(rows) > 252:
                 raise AssertionError(f"full build on {len(rows)} rows")
             return build_valuation_geometry(g, rows, point_types)
@@ -489,7 +486,9 @@ class TestRestriction:
 
 def with_lines(vp, lines):
     """The restriction vp with its lines replaced."""
-    return ValuationGeometry(vp.host, vp.vpoints, list(lines))
+    lines = list(lines)
+    return ValuationGeometry(vp.host, vp.vpoints, lines, vp.point_types,
+                             ["CCC"] * len(lines))
 
 
 def line_through_far_pair(vp):
@@ -520,7 +519,7 @@ def classical_grid(host):
     vals = [classical_valuation(host, centers[(i + j) % 3]).values
             for i in range(3) for j in range(3)]
     return ValuationGeometry(host, np.array(vals, dtype=np.int8),
-                             grid_3x3().lines)
+                             grid_3x3().lines, ["C"] * 9, ["CCC"] * 6)
 
 
 def corrupted_restriction(bundle, case):
@@ -563,7 +562,8 @@ class TestSubgeometryChecks:
 
     def test_restriction_distances_never_computed(self, h2dual):
         vp = h2dual.vprime()
-        fresh = ValuationGeometry(vp.host, vp.vpoints, vp.vlines)
+        fresh = ValuationGeometry(vp.host, vp.vpoints, vp.vlines,
+                                  vp.point_types, vp.line_types)
         assert check_lemma_3_1(fresh, h2dual.geometry).total_grids == 112
         # dist and distance_masks share one walk, _walks
         assert not {"dist", "_walks"} & fresh.as_geometry().__dict__.keys()

@@ -528,12 +528,23 @@ class TestGrids:
     def grid_with_two_diagonals():
         return Geometry(9, grid_3x3().lines + ((1, 5, 6), (2, 3, 7)))
 
-    def test_non_grid_raises(self):
+    def test_canonical_grid_rejects_non_grid(self):
         g = self.grid_with_two_diagonals()
         for search in (enumerate_grids, enumerate_grids_oracle):
             with pytest.raises(RuntimeError) as info:
                 search(g)
             assert str(info.value) == self.NOT_A_GRID
+
+    def test_grid_masks_raise_like_canonical_grids(self):
+        # the 3x3 grid with one diagonal added: its 9 points hold 7 lines
+        g = Geometry(9, grid_3x3().lines + ((1, 5, 6),))
+        errors = []
+        for search in (enumerate_grids, enumerate_grids_oracle):
+            with pytest.raises(RuntimeError,
+                               match="contain 7 lines, not the 6") as info:
+                search(g)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
     def test_non_grid_check_survives_optimize(self):
         code = (

@@ -7,20 +7,23 @@ unique minimum, all other points of the line sit one above it, and the
 global minimum is 0. Classical valuations measure distance from a fixed
 point; ovoidal valuations are 0 on an ovoid and 1 elsewhere.
 """
-from hexval import (classical_valuation, find_ovoids, get_bundle,
-                    ovoidal_valuation)
+from hexval import get_bundle
 
 bundle = get_bundle("h2")
 g = bundle.geometry
 
-# the classical valuation at point 0 is just the distance function
-f = classical_valuation(g, 0)
-print("classical valuation: max", f.max_value(),
-      "zeros", f.zero_set(), "hyperplane size", f.hyperplane().size())
+# the classical valuation at point 0 is just the distance function: its
+# row of the distance matrix
+f = g.dist[0]
+top = max(f)
+print("classical valuation: max", top,
+      "zeros", tuple(p for p, v in enumerate(f) if v == 0),
+      "hyperplane size", sum(v < top for v in f))
 
-# each ovoid gives an ovoidal valuation with maximum value 1
-ovoid = find_ovoids(g)[0]
-print("ovoidal valuation: max", ovoidal_valuation(g, ovoid).max_value())
+# each ovoid gives an ovoidal valuation with maximum value 1: 0 on the
+# ovoid, 1 elsewhere; the ovoids are the zero sets of those valuations
+ovoid = bundle.ovoids[0]
+print("ovoidal valuation: max 1, zeros", ovoid)
 
 # all valuations are generated hyperplane by hyperplane: zeros seeded on
 # the complement, line propagation, then a small branch-and-filter. The

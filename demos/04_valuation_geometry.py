@@ -7,7 +7,7 @@ for some fixed eps in {-1, 0, 1} and all points x. Every neighboring
 pair determines a third valuation f1 * f2, and the triples {f1, f2,
 f1 * f2} are the lines of the valuation geometry.
 """
-from hexval import Valuation, check_lemma_3_1, get_bundle, star
+from hexval import check_lemma_3_1, get_bundle
 
 bundle = get_bundle("h2dual")
 
@@ -16,14 +16,13 @@ vg = bundle.valuation_geometry
 print("valuation geometry:", len(vg.vpoints), "points,",
       len(vg.vlines), "lines")
 
-# the points are the rows of one int8 matrix; the scalar star takes
-# Valuation objects. It is symmetric and each pair recovers the third
-# member
-i, j, k = vg.vlines[0]
-f1, f2, f3 = (Valuation(bundle.geometry, tuple(vg.vpoints[x].tolist()))
-              for x in (i, j, k))
-print("star closed:", star(f1, f2).values == f3.values
-      and star(f1, f3).values == f2.values)
+# the points are the rows of one int8 matrix; a line is three rows, any
+# two of which are neighboring with the third as their star (values 0..3,
+# one digit per point of H^D(2))
+print("first line:")
+for x in vg.vlines[0]:
+    print(f"  {x:4d} {vg.point_types[x]}",
+          "".join(map(str, vg.vpoints[x].tolist())))
 
 # line types are sorted strings of the point-type labels; the table
 # counts the lines through one valuation of each point type, and a double

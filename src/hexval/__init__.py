@@ -15,25 +15,21 @@ from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
                           enumerate_hyperplanes)
 from .perm import AutGroup, are_isomorphic, automorphism_group
 from .pipeline import Bundle, get_bundle
-from .valgeom import (ValuationGeometry, are_neighboring,
-                      build_valuation_geometry, check_lemma_3_1,
-                      line_type_table, star)
-from .valuations import (Valuation, all_valuations, classical_valuation,
-                         classify_valuations, is_valuation,
-                         ovoidal_valuation)
+from .valgeom import (ValuationGeometry, build_valuation_geometry,
+                      check_lemma_3_1, line_type_table)
+from .valuations import Valuation, all_valuations, classify_valuations
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AutGroup", "Bundle", "Geometry", "GeometryError", "Hyperplane",
-    "HyperplaneClass", "OrderSpec", "Valuation",
-    "ValuationGeometry", "all_valuations", "are_isomorphic",
-    "are_neighboring", "automorphism_group", "build_fano", "build_h2",
-    "build_h2_dual", "build_hexagon_2_1", "build_valuation_geometry",
-    "check_generalized_hexagon", "check_lemma_3_1", "check_near_polygon",
-    "classical_valuation", "classify_hyperplanes", "classify_valuations",
-    "dual", "enumerate_grids", "enumerate_hyperplanes", "find_ovoids",
-    "from_text", "get_bundle", "grid_3x3", "is_valuation",
-    "line_type_table", "near_hexagon_point_bound", "order_of",
-    "ovoidal_valuation", "star", "to_text",
+    "HyperplaneClass", "OrderSpec", "Valuation", "ValuationGeometry",
+    "all_valuations", "are_isomorphic", "automorphism_group", "build_fano",
+    "build_h2", "build_h2_dual", "build_hexagon_2_1",
+    "build_valuation_geometry", "check_generalized_hexagon",
+    "check_lemma_3_1", "check_near_polygon", "classify_hyperplanes",
+    "classify_valuations", "dual", "enumerate_grids",
+    "enumerate_hyperplanes", "find_ovoids", "from_text", "get_bundle",
+    "grid_3x3", "line_type_table", "near_hexagon_point_bound", "order_of",
+    "to_text",
 ]

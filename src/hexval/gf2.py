@@ -3,27 +3,27 @@
 A vector, and a matrix row, is a plain Python int: bit i is coordinate
 i, so a point set of a geometry is its own GF(2) vector and XOR-based
 elimination on 63-bit vectors is a single machine-word operation.
-``rank`` and ``nullspace`` take a sequence of int rows and the column
-count. ``span_words`` lays a whole span out as a numpy array of 64-bit
-words, one row per vector.
+``nullspace`` takes a sequence of int rows and the column count;
+``span_words`` lays a whole span out as a numpy array of 64-bit words,
+one row per vector.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 _WORD = (1 << 64) - 1
 
 
-def _eliminate(row_bits: List[int], col_order: Iterable[int]):
-    """Row-reduce in place over the given column order.
+def _eliminate(row_bits: List[int], cols: int):
+    """Row-reduce in place over the columns 0..cols-1, lowest first.
 
     Returns the list of (pivot_row, pivot_col) pairs in elimination order.
     """
     pivots = []
     row = 0
-    for col in col_order:
+    for col in range(cols):
         mask = 1 << col
         pivot = None
         for r in range(row, len(row_bits)):
@@ -43,15 +43,6 @@ def _eliminate(row_bits: List[int], col_order: Iterable[int]):
     return pivots
 
 
-def rank(rows: Sequence[int], cols: int,
-         col_order: Iterable[int] | None = None) -> int:
-    """GF(2) rank of the int rows over the columns 0..cols-1, optionally
-    with a custom column elimination order."""
-    if col_order is None:
-        col_order = range(cols)
-    return len(_eliminate(list(rows), col_order))
-
-
 def nullspace(rows: Sequence[int], cols: int) -> List[int]:
     """Basis of {v : (row & v) has even weight for every row}, in reduced
     echelon form of the kernel.
@@ -60,7 +51,7 @@ def nullspace(rows: Sequence[int], cols: int) -> List[int]:
     vectors are sorted by their pivot (free) column.
     """
     bits = list(rows)
-    pivots = _eliminate(bits, range(cols))
+    pivots = _eliminate(bits, cols)
     pivot_cols = {col: row for row, col in pivots}
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     basis = []

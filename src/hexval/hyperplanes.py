@@ -52,9 +52,6 @@ class Hyperplane:
     def size(self) -> int:
         return self.member_bits.bit_count()
 
-    def points(self) -> Tuple[int, ...]:
-        return tuple(_bits(self.member_bits))
-
     def complement_bits(self) -> int:
         return ((1 << self.num_points) - 1) ^ self.member_bits
 

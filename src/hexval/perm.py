@@ -1,8 +1,7 @@
 """Automorphism groups and isomorphism search on geometry points.
 
-Permutations are image tuples (p maps point i to p[i]). Orbits of points
-and point sets come from ``orbit``, which takes the generators and their
-action as parameters.
+Permutations are image tuples (p maps point i to p[i]). ``orbit`` closes
+a point under the generators, as the automorphism search needs.
 
 Automorphism and isomorphism search runs a backtracking over points with
 candidate sets refined by full distance profiles relative to the already
@@ -21,10 +20,8 @@ stabilizer chain is built.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,18 +49,16 @@ class AutGroup:
         return math.prod(self.base_orbit_lengths)
 
 
-def orbit(generators: Sequence, start: Hashable,
-          act: Callable[[object, Hashable], Hashable]) -> set:
-    """Orbit of start under the group the generators generate; act(g, x)
-    is the image of x under the generator g, in whatever form act reads
-    (a Perm, or a table derived from one). The search closes the set
-    under the generators, which suffices because the group is finite."""
+def orbit(generators: Sequence[Perm], start: int) -> set:
+    """Orbit of the point start under the group the generators generate.
+    The search closes the set under the generators, which suffices
+    because the group is finite."""
     seen = {start}
     queue = [start]
     while queue:
         x = queue.pop()
         for g in generators:
-            y = act(g, x)
+            y = g[x]
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
@@ -226,7 +221,7 @@ def automorphism_group(g: Geometry) -> AutGroup:
         cand, assigned = search.assign(cand, assigned, b, b)
     lengths = []
     for cand, assigned, b in reversed(path):
-        orbit_b = orbit(generators, b, operator.getitem)
+        orbit_b = orbit(generators, b)
         for q in _bits(cand[b]):
             if q in orbit_b:
                 continue
@@ -234,7 +229,7 @@ def automorphism_group(g: Geometry) -> AutGroup:
                         None)
             if leaf is not None:
                 generators.append(leaf)
-                orbit_b = orbit(generators, b, operator.getitem)
+                orbit_b = orbit(generators, b)
         lengths.append(len(orbit_b))
     for gen in generators:
         _check_automorphism(g, gen)

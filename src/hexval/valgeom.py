@@ -1,17 +1,18 @@
-"""Neighboring valuations, the star composition and valuation geometries.
+"""Valuation geometries: neighboring valuations and their star, on rows.
 
 The valuation geometry of a host has the valuations as points and the
 star-closed neighboring triples {f1, f2, f1*f2} as lines. Point types come
 from the isomorphism-class labels; a line type is the lexicographically
 sorted string of its point types.
 
-`are_neighboring` and `star` are the scalar definitions on one pair of
-valuations. `build_valuation_geometry` applies the same definitions to all
-pairs as array algebra: the points are the sorted rows of one int8
-matrix, whether two rows are neighboring follows from the minimum and
-maximum of their difference, and star is an elementwise identity on two
-rows. Rows are processed in blocks sized from a fixed element budget, so
-the memory held stays bounded however many valuations there are.
+Everything here is array algebra on one int8 matrix whose sorted rows
+are the points: whether two rows are neighboring follows from the minimum
+and maximum of their difference (`_epsilon_interval`), and star is an
+elementwise identity on two rows (`_star_rows`). The scalar definitions,
+`are_neighboring` and `star` on one pair of valuations, are the tests'
+oracle (`tests/oracles.py`). Rows are processed in blocks sized from a
+fixed element budget, so the memory held stays bounded however many
+valuations there are.
 
 The report needs neither all pairs nor all lines. `class_line_table`
 scans one representative row per point type against every row with the
@@ -29,59 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Geometry, _bits, enumerate_grids
-from .valuations import (Valuation, _line_index, _non_valuation_rows,
-                         find_rows, row_keys)
-
-EQUAL = "equal"
-
-
-def are_neighboring(f1: Valuation, f2: Valuation):
-    """The unique epsilon in {-1, 0, 1} with |f1(x) - f2(x) + eps| <= 1
-    for all x; EQUAL when f1 = f2; None when not neighboring."""
-    if f1.host is not f2.host and f1.host.lines != f2.host.lines:
-        raise ValueError("valuations live on different hosts")
-    if f1.values == f2.values:
-        return EQUAL
-    lo = min(a - b for a, b in zip(f1.values, f2.values))
-    hi = max(a - b for a, b in zip(f1.values, f2.values))
-    eps_candidates = [e for e in (-1, 0, 1) if -1 - lo <= e <= 1 - hi]
-    if not eps_candidates:
-        return None
-    if len(eps_candidates) > 1:
-        raise ValueError(
-            f"epsilon not unique for distinct valuations: {eps_candidates}")
-    return eps_candidates[0]
-
-
-def star(f1: Valuation, f2: Valuation) -> Valuation:
-    """The third valuation f1 * f2 of a neighboring pair.
-
-    f3'(x) = f1(x) - 1 where f1(x) = f2(x) - eps, else
-    max(f1(x), f2(x) - eps); the result is shifted by its minimum.
-    Raises ValueError when an argument is not a valuation or the pair is
-    not neighboring.
-    """
-    for which, f in (("first", f1), ("second", f2)):
-        if not f.is_valid:
-            raise ValueError(f"{which} argument is not a valuation: "
-                             f"{f.values}")
-    eps = are_neighboring(f1, f2)
-    if eps is None:
-        raise ValueError("valuations are not neighboring")
-    if eps is EQUAL:
-        return f1
-    raw = []
-    for a, b in zip(f1.values, f2.values):
-        b = b - eps
-        raw.append(a - 1 if a == b else max(a, b))
-    m = min(raw)
-    if m not in (-1, 0, 1):
-        raise RuntimeError(f"star shifts by {m}, outside -1..1")
-    out = Valuation(f1.host, tuple(v - m for v in raw))
-    if not out.is_valid:
-        raise RuntimeError(f"star of neighboring valuations is not a "
-                           f"valuation: {out.values}")
-    return out
+from .valuations import (_line_index, _non_valuation_rows, find_rows,
+                         row_keys)
 
 
 @dataclass
@@ -95,10 +45,10 @@ class ValuationGeometry:
     line_types: List[str]
     _geometry: Optional[Geometry] = field(default=None, repr=False)
 
-    def as_geometry(self, name: str = "") -> Geometry:
+    def as_geometry(self) -> Geometry:
         if self._geometry is None:
             self._geometry = Geometry(len(self.vpoints), self.vlines,
-                                      name=name or "valuation-geometry")
+                                      name="valuation-geometry")
         return self._geometry
 
 

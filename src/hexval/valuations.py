@@ -1,11 +1,16 @@
-"""Semi-valuations and valuations of 3-points-per-line geometries.
+"""Valuations of 3-points-per-line geometries, as rows of int8 matrices.
 
 A valuation assigns an integer to every point so that each line has a
 unique minimum and the remaining points sit one above it, with global
-minimum 0. Valuations are generated hyperplane by hyperplane: the search
-starts from 0 on the hyperplane complement and -1 on the points collinear
-with it, the layer the line rule forces first; line propagation closes
-the partial assignment, undefined points branch over -1 .. -diameter, and
+minimum 0. Every check of that rule here runs on whole matrices
+(``_non_valuation_rows``); the scalar definitions the rows are tested
+against live with the tests, in ``tests/oracles.py``. ``Valuation`` is
+only the record ``all_valuations`` returns per row.
+
+Valuations are generated hyperplane by hyperplane: the search starts
+from 0 on the hyperplane complement and -1 on the points collinear with
+it, the layer the line rule forces first; line propagation closes the
+partial assignment, undefined points branch over -1 .. -diameter, and
 completions are shifted so the minimum becomes 0. The host must be
 connected: a disconnected one has infinitely many valuations.
 
@@ -26,7 +31,6 @@ the valuation classes, from the statistics of their smallest rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -51,8 +55,9 @@ _TRANSPOSE8 = tuple((np.uint64(s), np.uint64(m)) for s, m in (
 
 @dataclass(frozen=True)
 class Valuation:
-    """Integer point function with the per-line semi-valuation property
-    and minimum value 0."""
+    """One valuation of the host, as all_valuations returns it: an
+    integer point function with the per-line semi-valuation property and
+    minimum value 0."""
 
     host: Geometry
     values: Tuple[int, ...]
@@ -61,21 +66,9 @@ class Valuation:
         if len(self.values) != self.host.num_points:
             raise ValueError("value vector length mismatch")
 
-    @cached_property
-    def is_valid(self) -> bool:
-        """Whether the values form a valuation of the host, computed on
-        first use and kept with the object."""
-        return is_valuation(self.host, self.values)
-
-    def max_value(self) -> int:
-        return max(self.values)
-
-    def zero_set(self) -> Tuple[int, ...]:
-        return tuple(p for p, v in enumerate(self.values) if v == 0)
-
     def hyperplane(self) -> Hyperplane:
         """H_f: the set of points with non-maximal value."""
-        top = self.max_value()
+        top = max(self.values)
         bits = sum(1 << p for p, v in enumerate(self.values) if v < top)
         return Hyperplane(self.host.num_points, bits)
 
@@ -93,34 +86,6 @@ class ValuationType:
     label: str
     class_size: int
     stats: ValuationStats
-
-
-def is_semi_valuation(g: Geometry, values: Sequence[int]) -> bool:
-    """Each line has a unique minimum; other points are one above it."""
-    for line in g.lines:
-        vals = [values[p] for p in line]
-        low = min(vals)
-        if vals.count(low) != 1 or max(vals) > low + 1:
-            return False
-    return True
-
-
-def is_valuation(g: Geometry, values: Sequence[int]) -> bool:
-    return min(values) == 0 and is_semi_valuation(g, values)
-
-
-def classical_valuation(g: Geometry, center: int) -> Valuation:
-    """f(y) = d(center, y)."""
-    row = g.dist[center]
-    if -1 in row:
-        raise ValueError("classical valuation requires a connected geometry")
-    return Valuation(g, tuple(row))
-
-
-def ovoidal_valuation(g: Geometry, ovoid: Sequence[int]) -> Valuation:
-    members = set(ovoid)
-    return Valuation(g, tuple(0 if p in members else 1
-                              for p in range(g.num_points)))
 
 
 # -- the int8 row search -------------------------------------------------

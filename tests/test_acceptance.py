@@ -10,8 +10,9 @@ from hexval.constructions import grid_3x3
 from hexval.geometry import (check_generalized_hexagon, find_ovoids,
                              near_hexagon_point_bound, order_of)
 from hexval.perm import are_isomorphic
-from hexval.valgeom import check_lemma_3_1, star
+from hexval.valgeom import check_lemma_3_1
 from hexval.valuations import Valuation, all_valuations
+from oracles import rank, star
 from test_valuations import brute_force_valuations
 
 
@@ -159,8 +160,8 @@ def test_criterion_9_derived_values(h2, h2dual):
         ok &= sum(bundle.aut_order // c.stabilizer_order
                   for c in bundle.hyperplane_classes) == (1 << 14) - 1
     rows, n = h2.geometry.line_masks, h2.geometry.num_points
-    dim_fwd = n - gf2.rank(rows, n)
-    dim_rev = n - gf2.rank(rows, n, col_order=reversed(range(n)))
+    dim_fwd = n - rank(rows, n)
+    dim_rev = n - rank(rows, n, col_order=reversed(range(n)))
     ok &= dim_fwd == dim_rev == 14
     _verdict(9, "aut orders 12096 via class equation, nullspace dimension "
                 "by two elimination orders", ok)

@@ -21,6 +21,7 @@ from hexval.hyperplanes import (MAX_DIMENSION, Hyperplane, HyperplaneClass,
 from hexval.perm import automorphism_group
 from hexval.valuations import all_valuations
 from optimized import run_optimized
+from oracles import orbit, rank
 from test_perm import PermGroup, oracle_group
 
 
@@ -62,7 +63,7 @@ def full_line_count(g, member_bits):
 
 def oracle_classes(g, group, hyps=None):
     """Oracle: the hyperplane classes by closing each enumerated
-    hyperplane not yet seen under the generators (perm.orbit on byte
+    hyperplane not yet seen under the generators (orbit on byte
     tables), sorted like classify_hyperplanes."""
     if hyps is None:
         hyps = enumerate_hyperplanes(g)
@@ -74,18 +75,18 @@ def oracle_classes(g, group, hyps=None):
     for h in hyps:
         if h.member_bits not in unseen:
             continue
-        orbit = perm.orbit(tables, h.member_bits, permute_mask)
-        assert orbit <= all_masks
-        unseen -= orbit
-        rep_bits = min(orbit)
+        masks = orbit(tables, h.member_bits, permute_mask)
+        assert masks <= all_masks
+        unseen -= masks
+        rep_bits = min(masks)
         key = (rep_bits.bit_count(), full_line_count(g, rep_bits))
         assert all((m.bit_count(), full_line_count(g, m)) == key
-                   for m in orbit)
-        assert order % len(orbit) == 0
+                   for m in masks)
+        assert order % len(masks) == 0
         classes.append(HyperplaneClass(
             representative=Hyperplane(g.num_points, rep_bits),
-            orbit_size=len(orbit),
-            stabilizer_order=order // len(orbit),
+            orbit_size=len(masks),
+            stabilizer_order=order // len(masks),
             invariant_key=key))
     assert sum(c.orbit_size for c in classes) == len(hyps)
     classes.sort(key=lambda c: (c.invariant_key,
@@ -224,8 +225,8 @@ class TestEnumeration:
 
     def test_nullspace_dimension_two_elimination_orders(self, h2):
         rows, n = h2.geometry.line_masks, h2.geometry.num_points
-        dim = n - gf2.rank(rows, n)
-        dim_rev = n - gf2.rank(rows, n, col_order=reversed(range(n)))
+        dim = n - rank(rows, n)
+        dim_rev = n - rank(rows, n, col_order=reversed(range(n)))
         assert dim == dim_rev == 14
 
 
@@ -290,7 +291,7 @@ class TestClassification:
         mapping = {}
         for idx, cls in enumerate(h21.hyperplane_classes):
             mapping.update(dict.fromkeys(
-                perm.orbit(h21.aut_group.generators,
+                orbit(h21.aut_group.generators,
                            cls.representative.member_bits,
                            apply_perm_to_mask), idx))
         assert len(mapping) == len(h21.hyperplanes)
@@ -462,5 +463,5 @@ class TestHyperplaneType:
     def test_size_and_complement(self):
         h = Hyperplane(5, 0b10110)
         assert h.size() == 3
-        assert h.points() == (1, 2, 4)
+        assert [p for p in range(5) if h.member_bits >> p & 1] == [1, 2, 4]
         assert h.complement_bits() == 0b01001

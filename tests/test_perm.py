@@ -21,6 +21,7 @@ from hexval.constructions import (build_fano, build_h2, build_h2_dual,
 from hexval.geometry import Geometry, dual
 from hexval.perm import are_isomorphic, automorphism_group
 from optimized import run_optimized
+from oracles import orbit
 from test_valuations import orbit_of_function
 
 Perm = Tuple[int, ...]
@@ -121,7 +122,7 @@ class PermGroup:
         return n
 
     def orbit(self, point: int) -> List[int]:
-        return sorted(perm.orbit(self.generators, point, operator.getitem))
+        return sorted(orbit(self.generators, point, operator.getitem))
 
     def orbits(self) -> List[List[int]]:
         remaining = set(range(self.degree))
@@ -152,7 +153,7 @@ def brute_force_automorphisms(g):
 
 def orbit_of_set(group, points):
     """Orbit of a point set under the group, in canonical sorted order."""
-    return sorted(perm.orbit(group.generators, tuple(sorted(points)),
+    return sorted(orbit(group.generators, tuple(sorted(points)),
                              lambda g, s: tuple(sorted(g[x] for x in s))))
 
 
@@ -282,6 +283,9 @@ class TestPermGroup:
         orbits = g.orbits()
         assert sorted(p for orb in orbits for p in orb) == list(range(6))
         assert orbits == [[0, 1], [2], [3, 4, 5]]
+        # the library's point orbit, against the generic one
+        assert [sorted(perm.orbit(g.generators, orb[-1]))
+                for orb in orbits] == orbits
 
 
 class TestAutomorphisms:

@@ -12,15 +12,14 @@ from hexval import cli, pipeline, reference, valgeom
 from hexval.constructions import grid_3x3
 from hexval.geometry import Geometry, dual, from_text
 from hexval.perm import are_isomorphic, automorphism_group
-from hexval.valgeom import (EQUAL, LemmaReport, ValuationGeometry,
-                            _check_double_count,
-                            _star_closed_lines, are_neighboring,
+from hexval.valgeom import (LemmaReport, ValuationGeometry,
+                            _check_double_count, _star_closed_lines,
                             build_valuation_geometry, check_lemma_3_1,
-                            class_line_table, line_type_table, restrict,
-                            star)
-from hexval.valuations import (Valuation, classical_valuation,
-                               classify_valuations)
+                            class_line_table, line_type_table, restrict)
+from hexval.valuations import Valuation, classify_valuations
 from optimized import run_optimized
+from oracles import (EQUAL, are_neighboring, classical_valuation, is_valid,
+                     star)
 from test_valuations import (EXAMPLE_HOST, brute_force_valuations,
                              connected_hosts, relabeled)
 
@@ -115,18 +114,20 @@ class TestStar:
         values[1] += 1
         values[2] -= 1
         bad = Valuation(g, tuple(values))
-        # validity is computed once per object; later calls still raise
+        # validity is computed once per (host, values); later calls still
+        # raise
         for _ in range(2):
             with pytest.raises(ValueError, match="second argument"):
                 star(f, bad)
             with pytest.raises(ValueError, match="first argument"):
                 star(bad, f)
-        assert f.is_valid and not bad.is_valid
+        assert is_valid(f) and not is_valid(bad)
 
     def test_star_input_check_survives_optimize(self):
         # under -O asserts are stripped; the input check must still raise
         code = (
-            "from hexval import build_hexagon_2_1, classical_valuation, star\n"
+            "from hexval import build_hexagon_2_1\n"
+            "from oracles import classical_valuation, star\n"
             "from hexval.valuations import Valuation\n"
             "g = build_hexagon_2_1()\n"
             "f = classical_valuation(g, 0)\n"

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: build, validate, aut, hyperplanes, valuations, valgeom,
-check, report. Table-producing commands accept ``--format text|json|csv``;
-text and JSON render the same internal report value. Exit codes: 0 all
+check, report. ``--format`` is ``text|json`` for ``hyperplanes`` and
+``text|json|csv`` for ``valuations``, ``valgeom`` and ``report``; every
+format renders the same internal report value. Exit codes: 0 all
 checks pass, 1 a check or reproduction mismatch (cell-by-cell diff on
 standard error) or a failed internal check (one ``error:`` line), 2
 usage, input or I/O error.
@@ -16,7 +17,7 @@ import io
 import json
 import os
 import sys
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
 
 from . import reference
 from .geometry import (GeometryError, check_generalized_hexagon,
@@ -56,31 +57,30 @@ _LINE_KEYS = ("type", "per_point")
 
 
 def _valuation_rows(bundle: Bundle) -> List[dict]:
-    return [{"type": t.label,
-             "count": t.class_size,
-             "max_value": t.stats.max_value,
-             "ovoid_size": len(t.stats.zero_set),
-             "hyperplane_size": t.stats.hyperplane_size,
-             "distribution": list(t.stats.distribution)}
-            for t in bundle.valuation_types]
+    return [dict(zip(_VALUATION_KEYS, (
+        t.label, t.class_size, t.stats.max_value, len(t.stats.zero_set),
+        t.stats.hyperplane_size, list(t.stats.distribution))))
+        for t in bundle.valuation_types]
 
 
 def _line_rows(bundle: Bundle) -> List[dict]:
-    return [{"type": ltype, "per_point": dict(sorted(counts.items()))}
+    return [dict(zip(_LINE_KEYS, (ltype, dict(sorted(counts.items())))))
             for ltype, counts in sorted(bundle.line_table.items())]
 
 
-def _hyperplane_section(bundle: Bundle) -> dict:
-    classes = []
-    for idx, cls in enumerate(bundle.hyperplane_classes):
-        classes.append({
-            "size": cls.representative.size(),
-            "orbit_size": cls.orbit_size,
-            "stabilizer_order": cls.stabilizer_order,
-            "full_lines": cls.invariant_key[1],
-            "valuations": bundle.valuations_per_class[idx],
-        })
-    return {"total": bundle.hyperplane_count, "classes": classes}
+def _hyperplane_section(bundle: Bundle, classes: bool) -> dict:
+    """The hyperplane total and, when classes is set, one row per
+    hyperplane class, its columns in table order."""
+    section = {"total": bundle.hyperplane_count}
+    if classes:
+        section["classes"] = [
+            {"size": cls.representative.size(),
+             "orbit_size": cls.orbit_size,
+             "stabilizer_order": cls.stabilizer_order,
+             "full_lines": cls.invariant_key[1],
+             "valuations": bundle.valuations_per_class[idx]}
+            for idx, cls in enumerate(bundle.hyperplane_classes)]
+    return section
 
 
 def _lemma_dict(rep: LemmaReport) -> dict:
@@ -100,7 +100,7 @@ def build_report(bundle: Bundle, with_lemma: bool = False) -> dict:
         "aut_order": bundle.aut_order,
         "tables": {name: table.rows(bundle)
                    for name, table in _TABLES.items()},
-        "hyperplanes": _hyperplane_section(bundle),
+        "hyperplanes": _hyperplane_section(bundle, classes=True),
         "checks": {
             "generalized_hexagon": hex_report.is_generalized_hexagon,
             "order": [order.s, order.t],
@@ -137,17 +137,13 @@ def compare_report(report: dict, name: str) -> List[str]:
     want_rows = reference.VALUATION_TABLES[name]
     expect("valuations.types", sorted(rows),
            sorted(t for t, *_ in want_rows))
-    for label, count, m, o, h, dist in want_rows:
+    for label, *cells in want_rows:
         got = rows.get(label)
         if got is None:
             continue
-        expect(f"valuations[{label}].count", got["count"], count)
-        expect(f"valuations[{label}].max_value", got["max_value"], m)
-        expect(f"valuations[{label}].ovoid_size", got["ovoid_size"], o)
-        expect(f"valuations[{label}].hyperplane_size",
-               got["hyperplane_size"], h)
-        expect(f"valuations[{label}].distribution",
-               got["distribution"], list(dist))
+        for key, want in zip(_VALUATION_KEYS[1:], cells):
+            expect(f"valuations[{label}].{key}", got[key],
+                   list(want) if isinstance(want, tuple) else want)
     expect("valuations.total",
            sum(r["count"] for r in report["tables"]["valuations"]),
            reference.VALUATION_TOTALS[name])
@@ -209,13 +205,10 @@ def _line_table_text(rows: List[dict]) -> str:
          for r in rows])
 
 
-def _hyperplane_table_text(report: dict) -> str:
-    rows = [(i + 1, c["size"], c["orbit_size"], c["stabilizer_order"],
-             c["full_lines"], c["valuations"])
-            for i, c in enumerate(report["hyperplanes"]["classes"])]
+def _hyperplane_table_text(section: dict) -> str:
     return _format_table(
         ("class", "size", "orbit", "stabilizer", "full_lines", "valuations"),
-        rows)
+        [[i + 1, *c.values()] for i, c in enumerate(section["classes"])])
 
 
 class _Table(NamedTuple):
@@ -245,7 +238,7 @@ def _report_text(report: dict) -> str:
     parts += ["",
               f"hyperplanes: {report['hyperplanes']['total']} in "
               f"{len(report['hyperplanes']['classes'])} classes",
-              _hyperplane_table_text(report),
+              _hyperplane_table_text(report["hyperplanes"]),
               "",
               "checks:"]
     for key, value in report["checks"].items():
@@ -253,44 +246,38 @@ def _report_text(report: dict) -> str:
     return "\n".join(parts)
 
 
-def _csv_table(keys: Sequence[str], rows: List[dict]) -> str:
-    """A header of keys, then one CSV row per dict; nested values are
-    written as JSON."""
+def _csv(rows: Iterable[Sequence]) -> str:
+    """One CSV line per row; list and dict cells are written as JSON."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(keys)
-    for r in rows:
-        writer.writerow([json.dumps(r[k]) if isinstance(r[k], (list, dict))
-                         else r[k] for k in keys])
+    csv.writer(buf, lineterminator="\n").writerows(
+        [json.dumps(c) if isinstance(c, (list, dict)) else c for c in row]
+        for row in rows)
     return buf.getvalue().rstrip("\n")
-
-
-def _emit(value: dict, fmt: str, text: Dict[str, Callable[[], str]]
-          ) -> None:
-    """Print value as JSON, or for another format the string that its
-    renderer text[fmt] returns."""
-    print(json.dumps(value, indent=2, sort_keys=True) if fmt == "json"
-          else text[fmt]())
 
 
 def _report_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["section", "key", "value"])
-    writer.writerow(["meta", "geometry", report["geometry"]])
-    writer.writerow(["meta", "aut_order", report["aut_order"]])
-    for r in report["tables"]["valuations"]:
-        writer.writerow(["valuations", r["type"],
-                         json.dumps([r["count"], r["max_value"],
-                                     r["ovoid_size"], r["hyperplane_size"],
-                                     r["distribution"]])])
-    for r in report["tables"]["lines"]:
-        writer.writerow(["lines", r["type"], json.dumps(r["per_point"])])
-    for i, c in enumerate(report["hyperplanes"]["classes"]):
-        writer.writerow(["hyperplanes", i + 1, json.dumps(c)])
-    for key, value in report["checks"].items():
-        writer.writerow(["checks", key, json.dumps(value)])
-    return buf.getvalue().rstrip("\n")
+    """Rows of (section, key, value): a table row's value is its columns
+    after the key, the column itself when there is one, else a list."""
+    out = [("section", "key", "value"),
+           ("meta", "geometry", report["geometry"]),
+           ("meta", "aut_order", report["aut_order"])]
+    for name, table in _TABLES.items():
+        for r in report["tables"][name]:
+            key, *rest = (r[k] for k in table.keys)
+            out.append((name, key, rest[0] if len(rest) == 1 else rest))
+    out += [("hyperplanes", i + 1, c)
+            for i, c in enumerate(report["hyperplanes"]["classes"])]
+    out += [("checks", key, json.dumps(value))
+            for key, value in report["checks"].items()]
+    return _csv(out)
+
+
+def _emit(value: dict, fmt: str, text: Callable[[], str],
+          csv: Optional[Callable[[], str]] = None) -> None:
+    """Print value as JSON, or the string that the renderer of fmt, text
+    or csv, returns."""
+    print(json.dumps(value, indent=2, sort_keys=True) if fmt == "json"
+          else csv() if fmt == "csv" else text())
 
 
 # -- subcommands ---------------------------------------------------------
@@ -348,14 +335,12 @@ def _cmd_aut(args) -> int:
 
 def _cmd_hyperplanes(args) -> int:
     bundle = _load_bundle(args)
-    report = {"geometry": bundle.name,
-              "hyperplanes": _hyperplane_section(bundle)
-              if args.classes else
-              {"total": bundle.hyperplane_count}}
-    parts = [f"hyperplanes: {report['hyperplanes']['total']}"]
+    section = _hyperplane_section(bundle, args.classes)
+    parts = [f"hyperplanes: {section['total']}"]
     if args.classes:
-        parts.append(_hyperplane_table_text(report))
-    _emit(report, args.format, {"text": lambda: "\n".join(parts)})
+        parts.append(_hyperplane_table_text(section))
+    _emit({"geometry": bundle.name, "hyperplanes": section}, args.format,
+          lambda: "\n".join(parts))
     return 0
 
 
@@ -364,8 +349,9 @@ def _cmd_table(args) -> int:
     table = _TABLES[args.table_name]
     rows = table.rows(bundle)
     _emit({"geometry": bundle.name, "tables": {args.table_name: rows}},
-          args.format, {"text": lambda: table.text(rows),
-                        "csv": lambda: _csv_table(table.keys, rows)})
+          args.format, lambda: table.text(rows),
+          lambda: _csv([table.keys,
+                        *([r[k] for k in table.keys] for r in rows)]))
     return 0
 
 
@@ -376,16 +362,14 @@ def _cmd_check(args) -> int:
     bundle = _load_bundle(args)
     rep = check_lemma_3_1(bundle.vprime(), bundle.geometry)
     lemma = _lemma_dict(rep)
-    ok = all(lemma.values())
+    failed = [key for key, value in lemma.items() if not value]
     for key, value in lemma.items():
         print(f"{key}: {'pass' if value else 'FAIL'}")
-    if not ok:
-        for key, value in lemma.items():
-            if not value:
-                print(f"check failed: {key}", file=sys.stderr)
-        if rep.witness is not None:
-            print(f"witness: {rep.witness}", file=sys.stderr)
-    return 0 if ok else 1
+    for key in failed:
+        print(f"check failed: {key}", file=sys.stderr)
+    if failed and rep.witness is not None:
+        print(f"witness: {rep.witness}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_report(args) -> int:
@@ -403,9 +387,9 @@ def _cmd_report(args) -> int:
         if diffs:
             exit_code = 1
     payload = reports[0] if len(reports) == 1 else {"reports": reports}
-    _emit(payload, args.format, {
-        "text": lambda: "\n\n".join(_report_text(r) for r in reports),
-        "csv": lambda: "\n".join(_report_csv(r) for r in reports)})
+    _emit(payload, args.format,
+          lambda: "\n\n".join(_report_text(r) for r in reports),
+          lambda: "\n".join(_report_csv(r) for r in reports))
     return exit_code
 
 

@@ -73,7 +73,7 @@ def to_words(values: Sequence[int], words: int) -> np.ndarray:
 
 def from_words(row: np.ndarray) -> int:
     """The int whose uint64 words, low word first, are row."""
-    return sum(int(x) << (64 * w) for w, x in enumerate(row))
+    return sum(x << (64 * w) for w, x in enumerate(row.tolist()))
 
 
 def span_rows(rows: np.ndarray) -> np.ndarray:

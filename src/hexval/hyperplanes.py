@@ -15,13 +15,15 @@ kept once per geometry as ``Geometry.nullspace_basis``, is a basis in
 which vector i alone has its free column f_i, so a vector's coordinates
 are its bits at the free columns.
 
-``enumerate_hyperplanes`` lists them one by one as ``Hyperplane`` objects.
-Neither ``classify_hyperplanes`` nor the full valuation sweep builds that
-list; the classification works on coordinate vectors. An automorphism acts
-linearly on the coordinates, all 2^dim vectors and their images are
-numpy arrays built by doubling, and orbits come from min-label
-propagation. Spaces above ``MAX_DIMENSION`` are refused before anything
-is enumerated.
+All 2^dim vectors are one numpy array of words built by doubling, and
+one block scan of the lines over it (``_full_lines``) checks the 1-or-3
+line rule and counts the full lines. ``enumerate_hyperplanes`` lists the
+hyperplanes as ``Hyperplane`` objects. Neither ``classify_hyperplanes``
+nor the full valuation sweep builds that list; the classification works
+on coordinate vectors. An automorphism acts linearly on the coordinates,
+the images of all vectors are built by the same doubling, and orbits come
+from min-label propagation. Spaces above ``MAX_DIMENSION`` are refused
+before anything is enumerated.
 """
 from __future__ import annotations
 
@@ -89,33 +91,43 @@ def _enumerable_basis(g: Geometry) -> Tuple[int, ...]:
     return basis
 
 
-def _check_line_rule(g: Geometry, member_bits: int) -> bool:
-    for mask in g.line_masks:
-        count = (member_bits & mask).bit_count()
-        if count != 1 and count != mask.bit_count():
-            return False
-    return True
+def _full_lines(g: Geometry, vectors: np.ndarray) -> np.ndarray:
+    """The number of lines inside the hyperplane of each row of the
+    [vectors, words] complement masks; a row whose hyperplane meets a
+    line in neither 1 nor 3 points raises RuntimeError."""
+    size, words = vectors.shape
+    full_lines = np.zeros(size, dtype=np.int64)
+    odd = np.zeros(size, dtype=np.uint8)
+    lines = gf2.to_words(g.line_masks, words)
+    block = max(1, _BLOCK_ELEMENTS // (size * words))
+    for start in range(0, len(lines), block):
+        # a 3-point line meets a complement in 0 or 2 points, so the
+        # hyperplane in 3 or 1
+        met = np.bitwise_count(lines[start:start + block, None] & vectors
+                               ).sum(axis=2, dtype=np.uint8)
+        odd |= np.bitwise_or.reduce(met, axis=0)
+        full_lines += (met == 0).sum(axis=0)
+    bad = np.flatnonzero(odd & 1)
+    if bad.size:
+        member = ((1 << g.num_points) - 1) ^ gf2.from_words(vectors[bad[0]])
+        raise RuntimeError(f"hyperplane {member:b} fails the 1-or-3 line "
+                           f"rule")
+    return full_lines
 
 
 def enumerate_hyperplanes(g: Geometry) -> List[Hyperplane]:
     """All hyperplanes, sorted by member bitmask; count is 2^dim - 1.
 
-    The span is built by doubling; a basis whose span does not hold
-    2^dim - 1 distinct nonzero vectors, or a vector that fails the
-    1-or-3 line rule, raises RuntimeError."""
+    A basis whose span does not hold 2^dim - 1 distinct nonzero vectors,
+    or a vector that fails the 1-or-3 line rule, raises RuntimeError."""
     basis = _enumerable_basis(g)
-    span = [0]
-    for b in basis:
-        span += [v ^ b for v in span]
+    vectors = gf2.span_words(basis, g.num_points)
+    _full_lines(g, vectors)
     full = (1 << g.num_points) - 1
-    members = sorted({full ^ v for v in span if v})
-    if len(members) != len(span) - 1:
+    members = sorted({full ^ v for v in map(gf2.from_words, vectors) if v})
+    if len(members) != len(vectors) - 1:
         raise RuntimeError(f"span of a {len(basis)}-dimensional nullspace "
                            f"gave {len(members)} hyperplanes")
-    for member in members:
-        if not _check_line_rule(g, member):
-            raise RuntimeError(f"nullspace vector {full ^ member:b} fails "
-                               f"the 1-or-3 line rule")
     return [Hyperplane(g.num_points, member) for member in members]
 
 
@@ -193,22 +205,7 @@ def classify_hyperplanes(g: Geometry, group: AutGroup
 
     members = vectors ^ gf2.to_words([(1 << n) - 1], words)
     weight = np.bitwise_count(vectors).sum(axis=1, dtype=np.int64)
-    full_lines = np.zeros(size, dtype=np.int64)
-    odd = np.zeros(size, dtype=np.uint8)
-    lines = gf2.to_words(g.line_masks, words)
-    block = max(1, _BLOCK_ELEMENTS // (size * words))
-    for start in range(0, len(lines), block):
-        # a 3-point line meets a complement in 0 or 2 points, so the
-        # hyperplane in 3 or 1
-        met = np.bitwise_count(lines[start:start + block, None] & vectors
-                               ).sum(axis=2, dtype=np.uint8)
-        odd |= np.bitwise_or.reduce(met, axis=0)
-        full_lines += (met == 0).sum(axis=0)
-    bad = np.flatnonzero(odd & 1)
-    if bad.size:
-        raise RuntimeError(
-            f"hyperplane {gf2.from_words(members[bad[0]]):b} fails the "
-            f"1-or-3 line rule")
+    full_lines = _full_lines(g, vectors)
     key = (n - weight) * (len(g.lines) + 1) + full_lines
     bad = np.flatnonzero(key != key[labels])
     if bad.size:

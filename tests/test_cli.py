@@ -1,4 +1,5 @@
 """Command-line surface: subcommands, formats, exit codes."""
+import argparse
 import contextlib
 import csv
 import io
@@ -145,7 +146,7 @@ class TestValuations:
         assert header.startswith("type,count,")
 
     def test_empty_csv_table_keeps_header(self):
-        assert cli._csv_table(cli._VALUATION_KEYS, []) == (
+        assert cli._csv([cli._VALUATION_KEYS]) == (
             "type,count,max_value,ovoid_size,hyperplane_size,distribution")
 
 
@@ -235,6 +236,32 @@ class TestReport:
         code, out, err = invoke(capsys, "report", "--all", "--format", fmt)
         assert (code, err) == (0, "")
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_single_reports_join_to_all(self, capsys, h2, h2dual, fmt):
+        # --all prints each hexagon's report as --geometry does, joined;
+        # with the golden files this pins the single-report output
+        sep = "\n\n" if fmt == "text" else "\n"
+        singles = [invoke(capsys, "report", "--geometry", name,
+                          "--format", fmt)
+                   for name in cli.REPORT_GEOMETRIES]
+        assert [(code, err) for code, _, err in singles] == [(0, "")] * 2
+        code, out, err = invoke(capsys, "report", "--all", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == sep.join(single.removesuffix("\n")
+                               for _, single, _ in singles) + "\n"
+
+    def test_single_json_reports_are_all_reports(self, capsys, h2, h2dual):
+        code, out, err = invoke(capsys, "report", "--all", "--format", "json")
+        assert (code, err) == (0, "")
+        reports = json.loads(out)["reports"]
+        assert len(reports) == len(cli.REPORT_GEOMETRIES)
+        for name, report in zip(cli.REPORT_GEOMETRIES, reports):
+            code, single, err = invoke(capsys, "report", "--geometry", name,
+                                       "--format", "json")
+            assert (code, err) == (0, "")
+            assert single == json.dumps(report, indent=2,
+                                        sort_keys=True) + "\n"
 
     def test_hexagon_check_runs_once(self, capsys, monkeypatch, h2, h2dual):
         # building a hexagon checks its axioms; the report reads that
@@ -499,6 +526,31 @@ class TestGoldenInvocations:
         got = run_golden_invocations(tmp_path, monkeypatch, capsys)
         assert list(got) == list(want)
         assert [argv for argv in got if got[argv] != want[argv]] == []
+
+    def test_every_format_and_flag_is_pinned(self):
+        # each --format choice and store_true flag that the parser offers
+        # appears in a golden invocation; report's three formats are
+        # pinned by the report_all golden files (TestReport, TestOptimized)
+        pinned = GOLDEN_VARIANTS + [["report", "--all", "--format", fmt]
+                                    for fmt in ("text", "csv", "json")]
+        subparsers, = [action for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        offered = []
+        for command, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if action.dest == "format":
+                    offered += [[command, "--format", fmt]
+                                for fmt in action.choices]
+                elif isinstance(action, argparse._StoreTrueAction):
+                    offered.append([command, *action.option_strings])
+        assert ["report", "--format", "csv"] in offered
+        assert ["hyperplanes", "--classes"] in offered
+        unpinned = [[command, *option] for command, *option in offered
+                    if not any(variant[0] == command and any(
+                        variant[i:i + len(option)] == option
+                        for i in range(len(variant)))
+                        for variant in pinned)]
+        assert unpinned == []
 
 
 @st.composite

@@ -13,15 +13,16 @@ from hexval import get_bundle
 bundle = get_bundle("h2")
 
 # the incidence matrix of H(2) has nullity 14: 2^14 - 1 hyperplanes
-hyps = bundle.hyperplanes
-print("hyperplanes of H(2):", len(hyps))
-print("smallest:", min(h.size() for h in hyps),
-      "largest:", max(h.size() for h in hyps))
+print("hyperplanes of H(2):", bundle.hyperplane_count)
 
 # the automorphism group (order 12096, computed by backtracking with
-# distance-profile pruning) partitions them into isomorphism classes
-print("automorphism group order:", bundle.aut_order)
+# distance-profile pruning) partitions them into isomorphism classes;
+# size is an orbit invariant, so the class representatives give the
+# smallest and largest size without listing every hyperplane
 classes = bundle.hyperplane_classes
+sizes = [c.representative.size() for c in classes]
+print("smallest:", min(sizes), "largest:", max(sizes))
+print("automorphism group order:", bundle.aut_order)
 print("isomorphism classes:", len(classes))
 
 # the class equation recovers the total: sum of orbit sizes = 2^14 - 1

@@ -91,7 +91,7 @@ def _lemma_dict(rep: LemmaReport) -> dict:
             "triangle_free": rep.triangle_free}
 
 
-def build_report(bundle: Bundle, with_lemma: bool = False) -> dict:
+def build_report(bundle: Bundle) -> dict:
     g = bundle.geometry
     order = order_of(g)
     hex_report = check_generalized_hexagon(g)
@@ -110,7 +110,7 @@ def build_report(bundle: Bundle, with_lemma: bool = False) -> dict:
                 for i, n in enumerate(bundle.valuations_per_class) if n > 1),
         },
     }
-    if with_lemma:
+    if bundle.name == "h2dual":
         report["checks"]["lemma_3_1"] = _lemma_dict(
             check_lemma_3_1(bundle.vprime(), bundle.geometry))
     return report
@@ -377,8 +377,7 @@ def _cmd_report(args) -> int:
     exit_code = 0
     reports = []
     for name in names:
-        bundle = get_bundle(name)
-        report = build_report(bundle, with_lemma=(name == "h2dual"))
+        report = build_report(get_bundle(name))
         diffs = compare_report(report, name)
         report["checks"]["reference_match"] = not diffs
         reports.append(report)

@@ -7,11 +7,15 @@ rows of one int8 matrix (``valuations._non_valuation_rows``,
 notions are written out one valuation at a time, straight from their
 definitions: the per-line semi-valuation rule, the epsilon of a
 neighboring pair and the star f1 * f2. Next to them are the generic
-orbit closure and an elimination rank over GF(2), which the library no
-longer needs in general form.
+orbit closure, an elimination rank over GF(2), a Schreier-Sims group
+built from generators alone (the oracle of the searched automorphism
+groups), the tuple orbit of a point function (the oracle of the row
+orbits) and a depth-first enumeration of all valuations of a small host.
 """
 import functools
-from typing import Callable, Hashable, Iterable, Optional, Sequence, Tuple
+import operator
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from hexval.geometry import Geometry
 from hexval.valuations import Valuation
@@ -39,6 +43,11 @@ def is_valid(f: Valuation) -> bool:
     (host, values): equal Valuation objects share one hash and one
     cache entry."""
     return is_valuation(f.host, f.values)
+
+
+def as_valuations(host: Geometry, rows) -> List[Valuation]:
+    """The rows of an int8 value matrix as Valuation objects of host."""
+    return [Valuation(host, tuple(row)) for row in rows.tolist()]
 
 
 def zero_set(f: Valuation) -> Tuple[int, ...]:
@@ -142,3 +151,190 @@ def rank(rows: Iterable[int], cols: int,
                     break
                 row ^= basis[col]
     return len(basis)
+
+
+# -- the Schreier-Sims oracle of the searched groups ---------------------
+
+Perm = Tuple[int, ...]
+
+
+def identity(degree: int) -> Perm:
+    return tuple(range(degree))
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """(p * q)(x) = p(q(x))."""
+    return tuple(p[x] for x in q)
+
+
+def inverse(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def check_perm(p: Sequence[int], degree: int) -> Perm:
+    p = tuple(p)
+    if len(p) != degree or set(p) != set(range(degree)):
+        raise ValueError("not a permutation of 0..degree-1")
+    return p
+
+
+class PermGroup:
+    """Permutation group with a Schreier-Sims stabilizer chain."""
+
+    def __init__(self, degree: int, generators: Sequence[Sequence[int]] = ()):
+        self.degree = degree
+        self._id = identity(degree)
+        self.base: List[int] = []
+        self._chain_gens: List[List[Perm]] = []
+        self._transversals: List[Dict[int, Perm]] = []
+        self.generators: List[Perm] = []
+        for g in generators:
+            self.add_generator(g)
+
+    def add_generator(self, g: Sequence[int]):
+        g = check_perm(g, self.degree)
+        if g == self._id or self.contains(g):
+            return
+        self.generators.append(g)
+        self._insert(g, 0)
+
+    def _insert(self, g: Perm, level: int):
+        if level == len(self.base):
+            b = min(x for x in range(self.degree) if g[x] != x)
+            self.base.append(b)
+            self._chain_gens.append([])
+            self._transversals.append({b: self._id})
+        self._chain_gens[level].append(g)
+        self._recompute(level)
+
+    def _recompute(self, level: int):
+        b = self.base[level]
+        gens = self._chain_gens[level]
+        trans: Dict[int, Perm] = {b: self._id}
+        order_pts = [b]
+        qi = 0
+        while qi < len(order_pts):
+            x = order_pts[qi]
+            qi += 1
+            for h in gens:
+                y = h[x]
+                if y not in trans:
+                    trans[y] = compose(h, trans[x])
+                    order_pts.append(y)
+        self._transversals[level] = trans
+        for x in order_pts:
+            for h in gens:
+                sg = compose(inverse(trans[h[x]]), compose(h, trans[x]))
+                if sg != self._id and not self._contains_from(sg, level + 1):
+                    self._insert(sg, level + 1)
+
+    def _contains_from(self, p: Perm, level: int) -> bool:
+        for i in range(level, len(self.base)):
+            x = p[self.base[i]]
+            rep = self._transversals[i].get(x)
+            if rep is None:
+                return False
+            p = compose(inverse(rep), p)
+        return p == self._id
+
+    def contains(self, p: Sequence[int]) -> bool:
+        return self._contains_from(check_perm(p, self.degree), 0)
+
+    def order(self) -> int:
+        n = 1
+        for t in self._transversals:
+            n *= len(t)
+        return n
+
+    def orbit(self, point: int) -> List[int]:
+        return sorted(orbit(self.generators, point, operator.getitem))
+
+    def orbits(self) -> List[List[int]]:
+        remaining = set(range(self.degree))
+        out = []
+        while remaining:
+            orb = self.orbit(min(remaining))
+            out.append(orb)
+            remaining -= set(orb)
+        return out
+
+
+def oracle_group(group) -> PermGroup:
+    """The Schreier-Sims group of a searched group's generators."""
+    return PermGroup(group.degree, group.generators)
+
+
+# -- the tuple orbit search: the oracle of the row orbits ----------------
+
+
+def _compose_function(g, f):
+    return tuple(f[y] for y in g)
+
+
+def orbit_of_function(group, values):
+    """Orbit {f o theta : theta in group} of a point function, sorted: one
+    tuple composition per generator per member."""
+    start = tuple(values)
+    if len(start) != group.degree:
+        raise ValueError("function must be defined on all points")
+    return sorted(orbit(group.generators, start, _compose_function))
+
+
+# -- the depth-first enumeration: the oracle of all_valuations -----------
+
+
+def brute_force_valuations(g):
+    """Independent oracle: depth-first enumeration of all point functions
+    with values in 0..diameter satisfying the per-line rule and min 0.
+
+    Values of a min-0 valuation never exceed the diameter (stepping along
+    a geodesic from a zero point changes the value by at most 1 per hop).
+    The search always branches on the unassigned point with the most
+    assigned line-mates, so completed lines prune early.
+    """
+    if not g.is_connected():
+        raise ValueError("geometry must be connected")
+    diam = g.diameter()
+    n = g.num_points
+    values = [None] * n
+    out = []
+
+    def line_ok(li):
+        known = [values[p] for p in g.lines[li] if values[p] is not None]
+        if len(known) < len(g.lines[li]):
+            # partial: still satisfiable iff spread <= 1
+            return max(known) - min(known) <= 1
+        vals = sorted(known)
+        return vals.count(vals[0]) == 1 and all(v == vals[0] + 1
+                                                for v in vals[1:])
+
+    def pick():
+        best, best_score = -1, (-1, -1)
+        for p in range(n):
+            if values[p] is not None:
+                continue
+            assigned_mates = sum(
+                1 for li in g.lines_through[p]
+                for q in g.lines[li] if q != p and values[q] is not None)
+            score = (assigned_mates, -p)
+            if score > best_score:
+                best, best_score = p, score
+        return best
+
+    def rec(assigned):
+        if assigned == n:
+            if 0 in values:
+                out.append(tuple(values))
+            return
+        p = pick()
+        for v in range(diam + 1):
+            values[p] = v
+            if all(line_ok(li) for li in g.lines_through[p]):
+                rec(assigned + 1)
+        values[p] = None
+
+    rec(0)
+    return sorted(out)

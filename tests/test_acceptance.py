@@ -12,8 +12,7 @@ from hexval.geometry import (check_generalized_hexagon, find_ovoids,
 from hexval.perm import are_isomorphic
 from hexval.valgeom import check_lemma_3_1
 from hexval.valuations import Valuation, all_valuations
-from oracles import rank, star
-from test_valuations import brute_force_valuations
+from oracles import brute_force_valuations, rank, star
 
 
 def _verdict(number: int, title: str, ok: bool):

@@ -3,7 +3,6 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -13,13 +12,14 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from hexval import cli, geometry, pipeline, reference, valgeom
 from hexval.cli import run
 from hexval.constructions import build_fano, grid_3x3
 from hexval.geometry import Geometry, dual, from_text, to_text
 from hexval.valgeom import ValuationGeometry, check_lemma_3_1
+from hosts import EXAMPLE_HOST, disjoint_lines, partial_linear_spaces
 from optimized import run as run_script
 
 
@@ -90,8 +90,7 @@ class TestAut:
         # search's base orbits, and the classes are refused at dimension
         # 26 right after the group search
         path = tmp_path / "lines13.geom"
-        path.write_text("points 39\n" + "".join(
-            f"{3 * i} {3 * i + 1} {3 * i + 2}\n" for i in range(13)))
+        path.write_text(to_text(disjoint_lines(13)))
         start = time.perf_counter()
         code, out, _ = invoke(capsys, "aut", "--in", str(path))
         assert code == 0
@@ -553,26 +552,6 @@ class TestGoldenInvocations:
         assert unpinned == []
 
 
-@st.composite
-def partial_linear_spaces(draw):
-    """Partial linear spaces with 3-point lines on at most 12 points,
-    connected or not, every point on a line; lines sharing a pair with an
-    earlier line are dropped."""
-    n = draw(st.integers(3, 12))
-    triples = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
-                                    max_size=3), max_size=16))
-    lines, pairs = [], set()
-    for t in triples:
-        line = tuple(sorted(t))
-        new_pairs = set(itertools.combinations(line, 2))
-        if not new_pairs & pairs:
-            pairs |= new_pairs
-            lines.append(line)
-    used = sorted({p for line in lines for p in line})
-    index = {p: i for i, p in enumerate(used)}
-    return Geometry(len(used), [[index[p] for p in line] for line in lines])
-
-
 # each subcommand with the exit codes it may give: only validate and
 # check report a failed check (1), so a 1 elsewhere is an internal fault
 SUBCOMMANDS = [(["validate"], (0, 1)), (["aut"], (0, 2)),
@@ -583,7 +562,7 @@ SUBCOMMANDS = [(["validate"], (0, 1)), (["aut"], (0, 2)),
 
 class TestRandomHosts:
     @settings(max_examples=100, deadline=None)
-    @example(from_text("points 8\n1 2 6\n1 3 5\n3 4 7\n0 3 6\n"))
+    @example(from_text(EXAMPLE_HOST))
     @given(partial_linear_spaces())
     def test_every_subcommand_exits_cleanly(self, tmp_path_factory, g):
         # every input ends in a result or an error line, never a traceback

@@ -16,8 +16,8 @@ from hexval.geometry import (Geometry, GeometryError, INF,
                              near_hexagon_point_bound, order_of, to_text)
 from hexval.perm import are_isomorphic
 from hexval.pipeline import Bundle
+from hosts import partial_linear_spaces
 from optimized import run_optimized
-from test_valuations import connected_hosts
 
 
 def neighbour_sets(g):
@@ -435,7 +435,8 @@ class TestNearPolygonOracle:
             NearPolygonReport(False, INF)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(any_hosts(), mixed_hosts(), connected_hosts()))
+    @given(st.one_of(any_hosts(), mixed_hosts(),
+                     partial_linear_spaces(min_lines=1, connected=True)))
     def test_random_hosts(self, g):
         assert check_near_polygon(g) == near_polygon_oracle(g)
 
@@ -515,7 +516,8 @@ class TestGrids:
         assert enumerate_grids(g) == enumerate_grids_oracle(g) == []
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(connected_hosts(), grid_hosts()))
+    @given(st.one_of(partial_linear_spaces(min_lines=1, connected=True),
+                     grid_hosts()))
     def test_matches_oracle_on_random_hosts(self, g):
         assert grids_or_error(enumerate_grids, g) \
             == grids_or_error(enumerate_grids_oracle, g)
@@ -582,7 +584,7 @@ class TestOvoids:
         assert len(bundle.ovoids) == count
 
     @settings(max_examples=60, deadline=None)
-    @given(connected_hosts())
+    @given(partial_linear_spaces(min_lines=1, connected=True))
     def test_bundle_ovoids_match_search_on_random_hosts(self, g):
         assert Bundle(g).ovoids == find_ovoids(g)
 

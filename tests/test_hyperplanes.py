@@ -4,12 +4,11 @@ The orbit classification on nullspace coordinates is checked against an
 oracle that closes every enumerated hyperplane under the generators,
 permuting member masks through per-generator byte tables.
 """
-import itertools
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from hexval import gf2, hyperplanes, perm
 from hexval.cli import run
@@ -20,9 +19,10 @@ from hexval.hyperplanes import (MAX_DIMENSION, Hyperplane, HyperplaneClass,
                                 hyperplane_count)
 from hexval.perm import automorphism_group
 from hexval.valuations import all_valuations
+from hosts import (chain, disjoint_lines, partial_linear_spaces, pendant_path,
+                   relabeled)
 from optimized import run_optimized
-from oracles import orbit, rank
-from test_perm import PermGroup, oracle_group
+from oracles import PermGroup, oracle_group, orbit, rank
 
 
 def apply_perm_to_mask(p, mask):
@@ -92,43 +92,6 @@ def oracle_classes(g, group, hyps=None):
     classes.sort(key=lambda c: (c.invariant_key,
                                 c.representative.member_bits))
     return classes
-
-
-def relabeled(g, seed):
-    relabel = random.Random(seed).sample(range(g.num_points), g.num_points)
-    return Geometry(g.num_points,
-                    [[relabel[p] for p in line] for line in g.lines])
-
-
-def disjoint_lines(k):
-    return Geometry(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])
-
-
-def pendant_path(g):
-    """g with a path of two new lines hanging from point 0."""
-    n = g.num_points
-    return Geometry(n + 4, list(g.lines) + [(0, n, n + 1),
-                                            (n + 1, n + 2, n + 3)])
-
-
-@st.composite
-def small_hosts(draw):
-    """Partial linear spaces with 3-point lines on at most 12 points,
-    every point on a line, connected or not; lines sharing a pair with an
-    earlier line are dropped."""
-    n = draw(st.integers(3, 12))
-    triples = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
-                                    max_size=3), min_size=1, max_size=16))
-    lines, pairs = [], set()
-    for t in triples:
-        line = tuple(sorted(t))
-        new_pairs = set(itertools.combinations(line, 2))
-        if not new_pairs & pairs:
-            pairs |= new_pairs
-            lines.append(line)
-    used = sorted({p for line in lines for p in line})
-    index = {p: i for i, p in enumerate(used)}
-    return Geometry(len(used), [[index[p] for p in line] for line in lines])
 
 
 def brute_force_hyperplanes(g):
@@ -355,7 +318,7 @@ class TestAgainstOracle:
         assert classes == oracle_classes(g, group)
 
     @settings(max_examples=60, deadline=None)
-    @given(small_hosts())
+    @given(partial_linear_spaces(min_lines=1))
     def test_random_hosts(self, g):
         group = automorphism_group(g)
         assert classify_hyperplanes(g, group) == oracle_classes(g, group)
@@ -414,8 +377,7 @@ class TestEnumerationGuard:
     def test_connected_host_exits_2(self, capsys, tmp_path, argv):
         # a path of 24 lines: connected, dimension 25
         path = tmp_path / "path24.geom"
-        path.write_text("points 49\n" + "".join(
-            f"{2 * i} {2 * i + 1} {2 * i + 2}\n" for i in range(24)))
+        path.write_text(to_text(chain(24)))
         assert run([argv[0], "--in", str(path), *argv[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,16 +1,14 @@
 """Automorphism groups and isomorphism search.
 
-``PermGroup`` here is the oracle of the group the search returns: a
+``oracles.PermGroup`` is the oracle of the group the search returns: a
 deterministic Schreier-Sims stabilizer chain (base points: smallest moved
 point first) with exact order and membership, built from generators
 alone.
 """
 import itertools
 import math
-import operator
 import random
 import time
-from typing import Dict, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,123 +18,11 @@ from hexval.constructions import (build_fano, build_h2, build_h2_dual,
                                   build_hexagon_2_1, grid_3x3)
 from hexval.geometry import Geometry, dual
 from hexval.perm import are_isomorphic, automorphism_group
+from hosts import disjoint_lines, partial_linear_spaces, relabeled
 from optimized import run_optimized
-from oracles import orbit
-from test_valuations import orbit_of_function
+from oracles import (PermGroup, check_perm, compose, identity, inverse,
+                     oracle_group, orbit, orbit_of_function)
 
-Perm = Tuple[int, ...]
-
-
-# -- the Schreier-Sims oracle --------------------------------------------
-
-
-def identity(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p * q)(x) = p(q(x))."""
-    return tuple(p[x] for x in q)
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
-def check_perm(p: Sequence[int], degree: int) -> Perm:
-    p = tuple(p)
-    if len(p) != degree or set(p) != set(range(degree)):
-        raise ValueError("not a permutation of 0..degree-1")
-    return p
-
-
-class PermGroup:
-    """Permutation group with a Schreier-Sims stabilizer chain."""
-
-    def __init__(self, degree: int, generators: Sequence[Sequence[int]] = ()):
-        self.degree = degree
-        self._id = identity(degree)
-        self.base: List[int] = []
-        self._chain_gens: List[List[Perm]] = []
-        self._transversals: List[Dict[int, Perm]] = []
-        self.generators: List[Perm] = []
-        for g in generators:
-            self.add_generator(g)
-
-    def add_generator(self, g: Sequence[int]):
-        g = check_perm(g, self.degree)
-        if g == self._id or self.contains(g):
-            return
-        self.generators.append(g)
-        self._insert(g, 0)
-
-    def _insert(self, g: Perm, level: int):
-        if level == len(self.base):
-            b = min(x for x in range(self.degree) if g[x] != x)
-            self.base.append(b)
-            self._chain_gens.append([])
-            self._transversals.append({b: self._id})
-        self._chain_gens[level].append(g)
-        self._recompute(level)
-
-    def _recompute(self, level: int):
-        b = self.base[level]
-        gens = self._chain_gens[level]
-        trans: Dict[int, Perm] = {b: self._id}
-        order_pts = [b]
-        qi = 0
-        while qi < len(order_pts):
-            x = order_pts[qi]
-            qi += 1
-            for h in gens:
-                y = h[x]
-                if y not in trans:
-                    trans[y] = compose(h, trans[x])
-                    order_pts.append(y)
-        self._transversals[level] = trans
-        for x in order_pts:
-            for h in gens:
-                sg = compose(inverse(trans[h[x]]), compose(h, trans[x]))
-                if sg != self._id and not self._contains_from(sg, level + 1):
-                    self._insert(sg, level + 1)
-
-    def _contains_from(self, p: Perm, level: int) -> bool:
-        for i in range(level, len(self.base)):
-            x = p[self.base[i]]
-            rep = self._transversals[i].get(x)
-            if rep is None:
-                return False
-            p = compose(inverse(rep), p)
-        return p == self._id
-
-    def contains(self, p: Sequence[int]) -> bool:
-        return self._contains_from(check_perm(p, self.degree), 0)
-
-    def order(self) -> int:
-        n = 1
-        for t in self._transversals:
-            n *= len(t)
-        return n
-
-    def orbit(self, point: int) -> List[int]:
-        return sorted(orbit(self.generators, point, operator.getitem))
-
-    def orbits(self) -> List[List[int]]:
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            orb = self.orbit(min(remaining))
-            out.append(orb)
-            remaining -= set(orb)
-        return out
-
-
-def oracle_group(group) -> PermGroup:
-    """The Schreier-Sims group of a searched group's generators."""
-    return PermGroup(group.degree, group.generators)
 
 
 def brute_force_automorphisms(g):
@@ -188,10 +74,6 @@ def assert_same_group(pruned, oracle):
     assert all(chain.contains(p) for p in oracle.generators)
 
 
-def disjoint_lines(k):
-    return Geometry(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])
-
-
 def wreath_group(k):
     """S_3 wr S_k on k disjoint lines of 3 points, from its textbook
     generators: a transposition and a 3-cycle on the first line, the swap
@@ -204,33 +86,8 @@ def wreath_group(k):
     return PermGroup(n, gens)
 
 
-def relabeled(g, seed):
-    relabel = random.Random(seed).sample(range(g.num_points), g.num_points)
-    return Geometry(g.num_points,
-                    [[relabel[p] for p in line] for line in g.lines])
-
-
-@st.composite
-def small_hosts(draw):
-    """Partial linear spaces with 3-point lines on at most 9 points, every
-    point on a line; lines sharing a pair with an earlier line are
-    dropped."""
-    n = draw(st.integers(3, 9))
-    triples = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
-                                    max_size=3), min_size=1, max_size=12))
-    lines, pairs = [], set()
-    for t in triples:
-        line = tuple(sorted(t))
-        new_pairs = set(itertools.combinations(line, 2))
-        if not new_pairs & pairs:
-            pairs |= new_pairs
-            lines.append(line)
-    used = sorted({p for line in lines for p in line})
-    index = {p: i for i, p in enumerate(used)}
-    return Geometry(len(used), [[index[p] for p in line] for line in lines])
-
-
 perm_strategy = st.permutations(list(range(6))).map(tuple)
+small_hosts = partial_linear_spaces(max_points=9, min_lines=1, max_lines=12)
 
 
 class TestPermBasics:
@@ -379,7 +236,7 @@ class TestPrunedSearch:
                        for line in g.lines)
 
     @settings(max_examples=40, deadline=None)
-    @given(small_hosts())
+    @given(small_hosts)
     def test_random_hosts_match_enumeration(self, g):
         oracle, leaves = enumerated_automorphism_group(g)
         assert oracle.order() == leaves
@@ -406,9 +263,7 @@ class TestPrunedSearch:
 class TestIsomorphism:
     def test_relabeled_geometry_isomorphic(self, fano):
         g = fano.geometry
-        rng = random.Random(7)
-        relabel = rng.sample(range(7), 7)
-        h = Geometry(7, [[relabel[p] for p in line] for line in g.lines])
+        h = relabeled(g, seed=7)
         mapping = are_isomorphic(g, h)
         assert mapping is not None
         line_set = set(h.lines)
@@ -451,7 +306,7 @@ class TestIsomorphism:
         assert are_isomorphic(relabeled(g, seed=3), g) is not None
 
     @settings(max_examples=40, deadline=None)
-    @given(small_hosts(), small_hosts())
+    @given(small_hosts, small_hosts)
     def test_invariant_agrees_with_search(self, g1, g2):
         # the nullspace comparison only ever spares a search that would
         # find nothing

@@ -107,3 +107,27 @@ def test_all_names_resolve():
     # a stale name in __all__ breaks only ``from hexval import *``
     assert [name for name in hexval.__all__
             if not hasattr(hexval, name)] == []
+
+
+
+def test_test_modules_share_helpers_through_hosts_and_oracles():
+    # shared hosts live in hosts.py and shared oracles in oracles.py: no
+    # test module imports another, and no top-level helper function or
+    # class is defined in two of them
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "tests").glob("test_*.py"))}
+    imports, owners = [], {}
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [f"{name}:{node.lineno} {alias.name}"
+                            for alias in node.names if alias.name in modules]
+            elif isinstance(node, ast.ImportFrom) and node.module in modules:
+                imports.append(f"{name}:{node.lineno} {node.module}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.lower().startswith("test"):
+                owners.setdefault(node.name, []).append(name)
+    assert imports == []
+    assert {helper: where for helper, where in owners.items()
+            if len(where) > 1} == {}

@@ -17,11 +17,11 @@ from hexval.valgeom import (LemmaReport, ValuationGeometry,
                             build_valuation_geometry, check_lemma_3_1,
                             class_line_table, line_type_table, restrict)
 from hexval.valuations import Valuation, classify_valuations
+from hosts import EXAMPLE_HOST, partial_linear_spaces, relabeled
 from optimized import run_optimized
-from oracles import (EQUAL, are_neighboring, classical_valuation, is_valid,
+from oracles import (EQUAL, are_neighboring, as_valuations,
+                     brute_force_valuations, classical_valuation, is_valid,
                      star)
-from test_valuations import (EXAMPLE_HOST, brute_force_valuations,
-                             connected_hosts, relabeled)
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS.parent / "perfbench" / "golden" / "report_all.json"
@@ -45,11 +45,6 @@ def scalar_lines_through(vals, i):
         if k is not None:
             lines.add(tuple(sorted((i, j, k))))
     return lines
-
-
-def as_valuations(vg):
-    """The points of a valuation geometry as Valuation objects."""
-    return [Valuation(vg.host, tuple(row)) for row in vg.vpoints.tolist()]
 
 
 def scalar_build(g, rows, point_types):
@@ -144,7 +139,7 @@ class TestStar:
         # (i) symmetry (ii)(iii) each pair recovers the third member
         vg = build_valuation_geometry(h21.geometry, h21.valuations,
                                       h21.type_labels)
-        vals = as_valuations(vg)
+        vals = as_valuations(vg.host, vg.vpoints)
         for i, j, k in vg.vlines:
             fi, fj, fk = (vals[x] for x in (i, j, k))
             assert star(fi, fj).values == star(fj, fi).values == fk.values
@@ -211,7 +206,7 @@ class TestVectorisedBuild:
         for line in vg.vlines:
             for i in line:
                 through.setdefault(i, set()).add(line)
-        vals = as_valuations(vg)
+        vals = as_valuations(vg.host, vg.vpoints)
         for i in random.Random(f"valgeom/{name}").sample(
                 range(len(vg.vpoints)), 64):
             assert scalar_lines_through(vals, i) == through[i]
@@ -386,7 +381,7 @@ class TestClassLineTable:
         assert {"C1", "C2", "C3"} <= set().union(*expected.values())
 
     @settings(max_examples=40, deadline=None)
-    @given(connected_hosts())
+    @given(partial_linear_spaces(min_lines=1, connected=True))
     def test_random_hosts(self, g):
         bundle = pipeline.Bundle(g)
         expected = line_type_table(bundle.valuation_geometry)

@@ -1,16 +1,14 @@
 """Valuations: construction, enumeration against the brute-force oracle
 and the scalar per-hyperplane search, statistics and isomorphism
 classification against the tuple orbit search."""
-import itertools
-import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hexval import gf2, pipeline, valuations
-from hexval.geometry import Geometry, GeometryError, find_ovoids, from_text
+from hexval.geometry import GeometryError, find_ovoids, from_text
 from hexval.perm import automorphism_group
 from hexval.hyperplanes import (Hyperplane, _enumerable_basis,
                                enumerate_hyperplanes)
@@ -18,19 +16,17 @@ from hexval.valuations import (Valuation, ValuationStats, all_valuations,
                                classify_valuations, find_rows,
                                orbit_closure, row_keys, row_stats,
                                unique_rows, valuations_on_hyperplanes)
+from hosts import (EXAMPLE_HOST, chain, partial_linear_spaces, pendant_path,
+                   relabeled)
 from optimized import run_optimized
-from oracles import (classical_valuation, is_semi_valuation, is_valuation,
-                     orbit, ovoidal_valuation, zero_set)
+from oracles import (as_valuations, brute_force_valuations,
+                     classical_valuation, is_semi_valuation, is_valuation,
+                     orbit_of_function, ovoidal_valuation, zero_set)
 
 
 def tuples(rows):
     """The rows of an int8 value matrix as value tuples."""
     return list(map(tuple, rows.tolist()))
-
-
-def as_valuations(bundle):
-    """A bundle's valuation rows as Valuation objects."""
-    return [Valuation(bundle.geometry, v) for v in tuples(bundle.valuations)]
 
 
 def label_of(bundle):
@@ -59,22 +55,6 @@ def stats_of(val):
     st, = row_stats(val.host, np.array([val.values], dtype=np.int8))
     assert st == valuation_stats(val)
     return st
-
-
-# -- the tuple orbit search: the oracle of the row orbits ----------------
-
-
-def _compose_function(g, f):
-    return tuple(f[y] for y in g)
-
-
-def orbit_of_function(group, values):
-    """Orbit {f o theta : theta in group} of a point function, sorted: one
-    tuple composition per generator per member."""
-    start = tuple(values)
-    if len(start) != group.degree:
-        raise ValueError("function must be defined on all points")
-    return sorted(orbit(group.generators, start, _compose_function))
 
 
 # -- the scalar search: the oracle of the int8 row search ----------------
@@ -203,60 +183,6 @@ def valuations_from_hyperplane(g, hyp):
     return out
 
 
-def brute_force_valuations(g):
-    """Independent oracle: depth-first enumeration of all point functions
-    with values in 0..diameter satisfying the per-line rule and min 0.
-
-    Values of a min-0 valuation never exceed the diameter (stepping along
-    a geodesic from a zero point changes the value by at most 1 per hop).
-    The search always branches on the unassigned point with the most
-    assigned line-mates, so completed lines prune early.
-    """
-    if not g.is_connected():
-        raise ValueError("geometry must be connected")
-    diam = g.diameter()
-    n = g.num_points
-    values = [None] * n
-    out = []
-
-    def line_ok(li):
-        known = [values[p] for p in g.lines[li] if values[p] is not None]
-        if len(known) < len(g.lines[li]):
-            # partial: still satisfiable iff spread <= 1
-            return max(known) - min(known) <= 1
-        vals = sorted(known)
-        return vals.count(vals[0]) == 1 and all(v == vals[0] + 1
-                                                for v in vals[1:])
-
-    def pick():
-        best, best_score = -1, (-1, -1)
-        for p in range(n):
-            if values[p] is not None:
-                continue
-            assigned_mates = sum(
-                1 for li in g.lines_through[p]
-                for q in g.lines[li] if q != p and values[q] is not None)
-            score = (assigned_mates, -p)
-            if score > best_score:
-                best, best_score = p, score
-        return best
-
-    def rec(assigned):
-        if assigned == n:
-            if 0 in values:
-                out.append(tuple(values))
-            return
-        p = pick()
-        for v in range(diam + 1):
-            values[p] = v
-            if all(line_ok(li) for li in g.lines_through[p]):
-                rec(assigned + 1)
-        values[p] = None
-
-    rec(0)
-    return sorted(out)
-
-
 class TestPredicates:
     def test_classical_is_valuation(self, h21):
         g = h21.geometry
@@ -312,7 +238,8 @@ class TestHyperplaneLink:
 
     def test_non_valuation_hyperplane_empty(self, h2):
         # some hyperplane of H(2) carrying no valuation
-        carrying = {v.hyperplane().member_bits for v in as_valuations(h2)}
+        carrying = {v.hyperplane().member_bits for v in as_valuations(
+            h2.geometry, h2.valuations)}
         empty = next(h for h in h2.hyperplanes
                      if h.member_bits not in carrying)
         assert valuations_from_hyperplane(h2.geometry, empty) == []
@@ -484,47 +411,6 @@ class TestPerHyperplaneClass:
                 assert bundle.class_valuations_isomorphic(i) == direct
 
 
-def relabeled(g, seed):
-    relabel = random.Random(seed).sample(range(g.num_points), g.num_points)
-    return Geometry(g.num_points,
-                    [[relabel[p] for p in line] for line in g.lines])
-
-
-def pendant_path(g):
-    """g with a path of two new lines hanging from point 0."""
-    n = g.num_points
-    return Geometry(n + 4, list(g.lines) + [(0, n, n + 1),
-                                            (n + 1, n + 2, n + 3)])
-
-
-def chain(k):
-    """k lines in a row, each meeting the next in one point."""
-    return Geometry(2 * k + 1, [(2 * i, 2 * i + 1, 2 * i + 2)
-                                for i in range(k)])
-
-
-@st.composite
-def connected_hosts(draw):
-    """Connected partial linear spaces with 3-point lines on at most 12
-    points, every point on a line; lines sharing a pair with an earlier
-    line are dropped."""
-    n = draw(st.integers(3, 12))
-    triples = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
-                                    max_size=3), min_size=1, max_size=16))
-    lines, pairs = [], set()
-    for t in triples:
-        line = tuple(sorted(t))
-        new_pairs = set(itertools.combinations(line, 2))
-        if not new_pairs & pairs:
-            pairs |= new_pairs
-            lines.append(line)
-    used = sorted({p for line in lines for p in line})
-    index = {p: i for i, p in enumerate(used)}
-    g = Geometry(len(used), [[index[p] for p in line] for line in lines])
-    assume(g.is_connected())
-    return g
-
-
 def sweep_oracle(g):
     """The per-hyperplane loop that all_valuations batches."""
     return sorted(set().union(*(valuations_from_hyperplane(g, h)
@@ -666,10 +552,6 @@ def propagated_rows(g):
 
 CHAIN = "points 9\n0 1 2\n2 3 4\n4 5 6\n6 7 8\n"
 
-# the host whose distributions are shared by several orbits, and which
-# has three orbits of maximum value 1
-EXAMPLE_HOST = "points 8\n1 2 6\n1 3 5\n3 4 7\n0 3 6\n"
-
 # lowers the least value of one completed row after every propagation;
 # the search of h21 through the call appended below then raises
 CORRUPT = (
@@ -787,7 +669,7 @@ class TestClassSearch:
             assert class_rows(bundle) == class_oracle(bundle)
 
     @settings(max_examples=40, deadline=None)
-    @given(connected_hosts())
+    @given(partial_linear_spaces(min_lines=1, connected=True))
     def test_random_hosts(self, g):
         bundle = pipeline.Bundle(g)
         assert class_rows(bundle) == class_oracle(bundle)
@@ -876,7 +758,7 @@ class TestBatchedSweep:
             assert all_valuations(g) == sweep_oracle(g)
 
     @settings(max_examples=60, deadline=None)
-    @given(connected_hosts())
+    @given(partial_linear_spaces(min_lines=1, connected=True))
     def test_random_hosts(self, g):
         assert all_valuations(g) == sweep_oracle(g)
 
@@ -950,7 +832,7 @@ class TestSeededLayer:
         assert dropped > 0 and started > 0
 
     @settings(max_examples=40, deadline=None)
-    @given(connected_hosts())
+    @given(partial_linear_spaces(min_lines=1, connected=True))
     def test_random_hosts(self, g):
         assert_seeded_layer(g)
 
@@ -1069,8 +951,8 @@ class TestSeedScreen:
             f"0-or-2 line rule"
 
     @settings(max_examples=40, deadline=None)
-    @given(connected_hosts(), st.lists(st.integers(0, 2 ** 12 - 1),
-                                       max_size=70))
+    @given(partial_linear_spaces(min_lines=1, connected=True),
+           st.lists(st.integers(0, 2 ** 12 - 1), max_size=70))
     def test_random_hosts(self, g, extra):
         # the nullspace seeds, then arbitrary point masks, which may fail
         # the 0-or-2 rule
@@ -1160,12 +1042,12 @@ class TestOrbitLabels:
         assert b2.stats.distribution == b3.stats.distribution
 
     @settings(max_examples=40, deadline=None)
-    @given(connected_hosts())
+    @given(partial_linear_spaces(min_lines=1, connected=True))
     def test_random_hosts(self, g):
         assert_labels_are_orbits(pipeline.Bundle(g))
 
     @settings(max_examples=40, deadline=None)
-    @given(connected_hosts())
+    @given(partial_linear_spaces(min_lines=1, connected=True))
     def test_stats_against_oracle(self, g):
         # every row's array statistics, and each class's, which are its
         # smallest row's, equal those of the Valuation oracle
@@ -1203,7 +1085,8 @@ class TestOrbitLabels:
     def test_public_classification_matches_bundle(self, request, host):
         bundle = request.getfixturevalue(host)
         assert classify_valuations(bundle.geometry, bundle.aut_group,
-                                   as_valuations(bundle)) \
+                                   as_valuations(bundle.geometry,
+                                                 bundle.valuations)) \
             == bundle.classification
 
     def test_public_classification_relabeled(self, h21):
@@ -1217,7 +1100,8 @@ class TestOrbitLabels:
     def test_open_set_raises(self, h21):
         with pytest.raises(RuntimeError, match="leaves the given"):
             classify_valuations(h21.geometry, h21.aut_group,
-                                as_valuations(h21)[:-1])
+                                as_valuations(h21.geometry,
+                                              h21.valuations)[:-1])
 
     def test_open_set_check_survives_optimize(self):
         assert "leaves the given valuations" in run_optimized(OPEN_SET_H21)

@@ -7,6 +7,12 @@ format renders the same internal report value. Exit codes: 0 all
 checks pass, 1 a check or reproduction mismatch (cell-by-cell diff on
 standard error) or a failed internal check (one ``error:`` line), 2
 usage, input or I/O error.
+
+An ``--in`` file is read on every call, and the ``Bundle`` built from
+it is kept until another name or text arrives: consecutive ``run()``
+calls in one process on an unchanged file share one automorphism
+search, hyperplane classification and valuation search. At most one
+such bundle is held; a process per command sees no difference.
 """
 from __future__ import annotations
 
@@ -42,9 +48,17 @@ def _add_source_args(sub):
 def _load_bundle(args) -> Bundle:
     if args.geometry:
         return get_bundle(args.geometry)
+    # read on every call: a changed, removed or unreadable file is seen
     with open(args.infile, "r", encoding="utf-8") as fh:
-        g = from_text(fh.read(), name=args.infile)
-    return Bundle(g, args.infile)
+        return _bundle_from_text(fh.read(), args.infile)
+
+
+@functools.lru_cache(maxsize=1)
+def _bundle_from_text(text: str, name: str) -> Bundle:
+    """The Bundle of a geometry text read from the --in file name; the
+    last one is kept, so consecutive commands on unchanged text share
+    its stages. A parse error keeps nothing."""
+    return Bundle(from_text(text, name=name), name)
 
 
 # -- report construction -------------------------------------------------

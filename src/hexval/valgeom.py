@@ -371,6 +371,12 @@ class LemmaReport:
     through the point is seen once from each of its four opposite
     corners, so the value is 4x the number of distinct grid point sets
     through the point (16 = 4 x 4 for the dual hexagon).
+
+    witness is set when a check fails: the first collinear or grid pair
+    at the wrong zero distance, else the first triangle, else a point
+    with no path to point 0, else the first point whose completion
+    count is not 16 with that count (("no type-C valuations",) when the
+    restriction is empty).
     """
 
     connected: bool
@@ -445,6 +451,15 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     completions = [4 * count for count in grids_through]
     counts_ok = bool(completions) and all(c == 16 for c in completions)
     tri = _has_triangle(geo)
+    witness = witness or (("triangle",) + tri if tri else None)
+    if witness is None and not connected:
+        # the least point with no path to point 0 (key -1 of the walk)
+        witness = ("disconnected", 0, next(_bits(geo._bfs(0)[1][-1])))
+    elif witness is None and not counts_ok:
+        # the least point whose completion count is not 16
+        witness = next((("grid_completions", p, c)
+                        for p, c in enumerate(completions) if c != 16),
+                       ("no type-C valuations",))
     return LemmaReport(
         connected=connected,
         collinear_zero_distance=collinear_ok,
@@ -454,4 +469,4 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
         total_grids=len(grids),
         grid_completions_per_point=(completions[0]
                                     if counts_ok else None),
-        witness=witness or (("triangle",) + tri if tri else None))
+        witness=witness)

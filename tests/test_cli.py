@@ -411,8 +411,9 @@ class TestErrors:
                                *argv[1:])
         assert got == code
         assert len(out.splitlines()) == out_lines
-        assert err.splitlines() == (["check failed: grids16"]
-                                    if code else [])
+        assert err.splitlines() == (
+            ["check failed: grids16",
+             "witness: ('no type-C valuations',)"] if code else [])
 
     def test_failed_internal_check_exits_1(self, capsys, monkeypatch,
                                            tmp_path, h21):
@@ -435,6 +436,89 @@ class TestErrors:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert "zero point" in err
+
+
+#: one call of each subcommand that reads a host's stages
+MEMO_SEQUENCE = [["validate"], ["aut"], ["hyperplanes", "--classes"],
+                 ["valuations", "--format", "json"], ["valgeom"], ["check"]]
+
+
+class TestInFileMemo:
+    """Consecutive --in calls on an unchanged file share one Bundle; any
+    other name or text, or an unreadable file, is read afresh."""
+
+    @staticmethod
+    def outcomes(capsys, path, fresh):
+        """(code, stdout, stderr) of MEMO_SEQUENCE on path, with the memo
+        emptied before each call when fresh is set."""
+        got = []
+        for command, *rest in MEMO_SEQUENCE:
+            if fresh:
+                cli._bundle_from_text.cache_clear()
+            got.append(invoke(capsys, command, "--in", str(path), *rest))
+        return got
+
+    def test_stages_run_once_per_host(self, capsys, monkeypatch, tmp_path,
+                                      h21):
+        path = tmp_path / "h21.geom"
+        path.write_text(to_text(h21.geometry))
+        fresh = self.outcomes(capsys, path, fresh=True)
+        cli._bundle_from_text.cache_clear()
+        calls = []
+
+        def counted(name, original):
+            def counting(*args):
+                calls.append(name)
+                return original(*args)
+            return counting
+
+        for name in ("automorphism_group", "classify_hyperplanes",
+                     "valuations_on_hyperplanes"):
+            monkeypatch.setattr(pipeline, name,
+                                counted(name, getattr(pipeline, name)))
+        assert self.outcomes(capsys, path, fresh=False) == fresh
+        assert sorted(calls) == ["automorphism_group", "classify_hyperplanes",
+                                 "valuations_on_hyperplanes"]
+
+    def test_rewritten_and_removed_file_is_read_again(self, capsys,
+                                                      tmp_path):
+        path = tmp_path / "host.geom"
+        path.write_text(to_text(build_fano()))
+        assert invoke(capsys, "aut", "--in", str(path))[1].startswith(
+            "automorphism group order: 168\n")
+        path.write_text(to_text(grid_3x3()))
+        assert invoke(capsys, "aut", "--in", str(path))[1].startswith(
+            "automorphism group order: 72\n")
+        path.unlink()
+        assert invoke(capsys, "aut", "--in", str(path)) == (
+            2, "", f"cannot read {path}: No such file or directory\n")
+
+    def test_same_text_under_another_name(self, capsys, tmp_path):
+        names = []
+        for name in ("a.geom", "b.geom"):
+            path = tmp_path / name
+            path.write_text(to_text(build_fano()))
+            code, out, _ = invoke(capsys, "valuations", "--in", str(path),
+                                  "--format", "json")
+            assert code == 0
+            names.append(json.loads(out)["geometry"])
+        assert names == [str(tmp_path / "a.geom"), str(tmp_path / "b.geom")]
+
+    def test_stage_error_repeats(self, capsys, tmp_path):
+        path = tmp_path / "two_lines.geom"
+        path.write_text("points 6\n0 1 2\n3 4 5\n")
+        want = (2, "", "error: valuations require a connected geometry\n")
+        assert [invoke(capsys, "valuations", "--in", str(path))
+                for _ in range(2)] == [want, want]
+
+    def test_parse_error_between_loads(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.geom", tmp_path / "bad.geom"
+        good.write_text(to_text(build_fano()))
+        bad.write_text("points -3\n")
+        first = invoke(capsys, "aut", "--in", str(good))
+        assert invoke(capsys, "aut", "--in", str(bad)) == (
+            2, "", "error: negative point count -3\n")
+        assert invoke(capsys, "aut", "--in", str(good)) == first
 
 
 class TestBrokenPipe:

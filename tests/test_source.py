@@ -103,6 +103,28 @@ def test_drivers_import_no_private_names():
     assert found == []
 
 
+def test_bundles_are_built_behind_a_cache():
+    # a built-in geometry's Bundle is kept by pipeline.get_bundle and an
+    # --in file's by the CLI's memo; a Bundle built anywhere else would
+    # redo every stage that its caller reads
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "Bundle" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                owner = node
+                while owner in parents and not isinstance(
+                        owner, ast.FunctionDef):
+                    owner = parents[owner]
+                found.append(f"{path.name}:{getattr(owner, 'name', '')}")
+    assert sorted(found) == ["cli.py:_bundle_from_text",
+                             "pipeline.py:get_bundle"]
+
+
 def test_all_names_resolve():
     # a stale name in __all__ breaks only ``from hexval import *``
     assert [name for name in hexval.__all__

@@ -586,11 +586,13 @@ class TestSubgeometryChecks:
         ("connected", LemmaReport(
             connected=False, collinear_zero_distance=True,
             grid_zero_distance=True, grids_per_point_16=False,
-            triangle_free=True, total_grids=108)),
+            triangle_free=True, total_grids=108,
+            witness=("disconnected", 0, 1))),
         ("grid_count", LemmaReport(
             connected=True, collinear_zero_distance=True,
             grid_zero_distance=True, grids_per_point_16=False,
-            triangle_free=True, total_grids=111))])
+            triangle_free=True, total_grids=111,
+            witness=("grid_completions", 0, 12)))])
     def test_corrupted_restriction_detected(self, h2dual, case, expected):
         corrupted = corrupted_restriction(h2dual, case)
         assert check_lemma_3_1(corrupted, h2dual.geometry) == expected

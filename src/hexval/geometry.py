@@ -4,13 +4,13 @@ A Geometry is a partial linear space with points 0..n-1 and lines given as
 sorted point tuples. Construction canonicalizes the line order, validates
 the partial-linear-space axiom and builds the collinearity graph as int
 bitmasks: point p's neighbours are ``neighbor_masks[p]``. The distance
-matrix and the masks of the points at each distance (both from one
-frontier BFS over those masks per point), the near-polygon report and
-the hexagon report built on them, and the GF(2) nullspace of the
-incidence matrix are computed on first read and kept. Distances are
-ints; disconnected point pairs get the sentinel -1. ``is_connected``
-needs no distances, and ``diameter`` reports ``INF`` for a disconnected
-geometry.
+rows (one frontier BFS over those masks per point), the near-polygon
+report and the hexagon report built on them, and the GF(2) nullspace of
+the incidence matrix are computed on first read and kept. The rows are
+the only distance store; a reader that needs p's distance masks builds
+them from row p. Distances are ints; disconnected point pairs get the
+sentinel -1. ``is_connected`` needs no distances, and ``diameter``
+reports ``INF`` for a disconnected geometry.
 """
 from __future__ import annotations
 
@@ -25,6 +25,8 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 from . import gf2
 
 INF = math.inf
+#: most points of a geometry that from_text reads; T(2, 8) has 819
+MAX_POINTS = 1024
 
 
 class GeometryError(ValueError):
@@ -50,6 +52,16 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+def _distance_layers(row: Sequence[int]) -> List[int]:
+    """The masks of the points at each distance of a distance row,
+    indexed by distance; the last entry holds the unreachable points (0
+    when there are none), so that a row entry of -1 indexes it."""
+    layers = [0] * (max(row) + 2)
+    for y, d in enumerate(row):
+        layers[d] |= 1 << y
+    return layers
 
 
 class Geometry:
@@ -107,22 +119,9 @@ class Geometry:
 
     @cached_property
     def dist(self) -> List[List[int]]:
-        """Point distances (-1: unreachable), computed on first read."""
-        return self._walks[0]
-
-    @cached_property
-    def distance_masks(self) -> List[Dict[int, int]]:
-        """For each point, the mask of the points at each distance from
-        it (-1: unreachable, when there are any), computed on first
-        read."""
-        return self._walks[1]
-
-    @cached_property
-    def _walks(self) -> Tuple[List[List[int]], List[Dict[int, int]]]:
-        """The distance rows and the distance masks of every point, both
-        from one BFS per point."""
-        walks = [self._bfs(p) for p in range(self.num_points)]
-        return [row for row, _ in walks], [masks for _, masks in walks]
+        """Point distances (-1: unreachable), one BFS per point, computed
+        on first read."""
+        return [self._bfs(p) for p in range(self.num_points)]
 
     @cached_property
     def near_polygon_report(self) -> NearPolygonReport:
@@ -153,7 +152,7 @@ class Geometry:
 
     @cached_property
     def _connected(self) -> bool:
-        return not self.num_points or -1 not in self._bfs(0)[1]
+        return not self.num_points or -1 not in self._bfs(0)
 
     @cached_property
     def _diameter(self):
@@ -161,17 +160,13 @@ class Geometry:
             return INF
         return max((max(row) for row in self.dist), default=0)
 
-    def _bfs(self, start: int) -> Tuple[List[int], Dict[int, int]]:
-        """Distances from start (-1 when unreachable) and the mask of the
-        points at each distance, the frontiers of a BFS over the
-        neighbour masks (key -1: the unreachable points, when there are
-        any)."""
+    def _bfs(self, start: int) -> List[int]:
+        """Distances from start (-1 when unreachable), the frontiers of a
+        BFS over the neighbour masks."""
         row = [-1] * self.num_points
-        by_dist: Dict[int, int] = {}
         reached = frontier = 1 << start
         d = 0
         while frontier:
-            by_dist[d] = frontier
             step = 0
             # the set bits read inline: a _bits generator per frontier
             # costs a quarter of the walk
@@ -185,10 +180,7 @@ class Geometry:
             frontier = step & ~reached
             reached |= frontier
             d += 1
-        unreached = ((1 << self.num_points) - 1) & ~reached
-        if unreached:
-            by_dist[-1] = unreached
-        return row, by_dist
+        return row
 
     # -- basic queries ---------------------------------------------------
 
@@ -220,20 +212,20 @@ class NearPolygonReport:
 
 
 def check_near_polygon(g: Geometry) -> NearPolygonReport:
-    """(NP1) connected; (NP2) unique nearest point to x on every line:
-    the line's meet with the first of the distance masks of x that it
-    meets is one point. The witness (x, line index) is the first failure."""
+    """(NP1) connected; (NP2) unique nearest point to x on every line.
+    A line's points are pairwise collinear, so with a its first point the
+    nearest lie in layer d(x, a) - 1 of x, else in layer d(x, a); x's
+    layers come from its row and are dropped after its lines. The
+    witness (x, line index) is the first failure."""
     if not g.is_connected():
         return NearPolygonReport(False, INF)
     diam = g.diameter()
-    for x, by_dist in enumerate(g.distance_masks):
-        # connected: the distances from x are 0, 1, ..., len(by_dist) - 1
-        layers = [by_dist[d] for d in range(len(by_dist))]
-        for li, mask in enumerate(g.line_masks):
-            for layer in layers:
-                nearest = layer & mask
-                if nearest:
-                    break
+    for x, row in enumerate(g.dist):
+        # connected: layer -1, read on the lines through x, is empty
+        layers = _distance_layers(row)
+        for li, (line, mask) in enumerate(zip(g.lines, g.line_masks)):
+            d = row[line[0]]
+            nearest = layers[d - 1] & mask or layers[d] & mask
             if nearest & (nearest - 1):
                 return NearPolygonReport(False, diam, witness=(x, li))
     return NearPolygonReport(True, diam)
@@ -404,9 +396,12 @@ def from_text(text: str, name: str = "") -> Geometry:
     if not rows or not rows[0].startswith("points "):
         raise GeometryError("missing 'points N' header")
     try:
-        n = int(rows[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        _, count = rows[0].split()
+        n = int(count)
+    except ValueError as exc:
         raise GeometryError("malformed 'points N' header") from exc
+    if n > MAX_POINTS:
+        raise GeometryError(f"{n} points exceed the limit of {MAX_POINTS}")
     lines = []
     for row in rows[1:]:
         try:

@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from .geometry import Geometry, _bits
+from .geometry import Geometry, _bits, _distance_layers
 from .hyperplanes import MAX_DIMENSION
 
 Perm = Tuple[int, ...]
@@ -69,10 +69,10 @@ def orbit(generators: Sequence[Perm], start: int) -> set:
 
 
 def _point_profile(g: Geometry, p: int):
-    hist = sorted((d, mask.bit_count())
-                  for d, mask in g.distance_masks[p].items())
+    """The sorted distance row of p (its distance histogram) and the
+    sorted sizes of its lines."""
     sizes = sorted(len(g.lines[li]) for li in g.lines_through[p])
-    return (tuple(hist), tuple(sizes))
+    return (tuple(sorted(g.dist[p])), tuple(sizes))
 
 
 class _IsoSearch:
@@ -89,18 +89,21 @@ class _IsoSearch:
         self.n = n = g1.num_points
         self.dist1 = g1.dist
         self.lines1 = g1.lines
-        self.dmask2 = g2.distance_masks
+        self.dist2 = g2.dist
+        self.layers2: Dict[int, List[int]] = {}  # built on first assign
         self.line_set2 = set(g2.lines)
         self.root: Optional[List[int]] = None
         if n != g2.num_points or len(g1.lines) != len(g2.lines):
             return
         if sorted(map(len, g1.lines)) != sorted(map(len, g2.lines)):
             return
+        keys2 = [_point_profile(g2, q) for q in range(n)]
+        keys1 = keys2 if g1 is g2 else [_point_profile(g1, p)
+                                        for p in range(n)]
         profiles2: Dict[object, int] = {}
-        for q in range(n):
-            key = _point_profile(g2, q)
+        for q, key in enumerate(keys2):
             profiles2[key] = profiles2.get(key, 0) | (1 << q)
-        root = [profiles2.get(_point_profile(g1, p), 0) for p in range(n)]
+        root = [profiles2.get(key, 0) for key in keys1]
         if all(root):
             self.root = root
 
@@ -112,15 +115,15 @@ class _IsoSearch:
 
     def assign(self, cand: List[int], assigned: int, p: int, q: int
                ) -> Tuple[List[int], int]:
-        """The child node that maps p to q."""
-        cand = cand[:]
-        cand[p] = 1 << q
+        """The child node that maps p to q. A mapped point x keeps its
+        image y: q is a candidate of p, so d(q, y) = d(p, x) and q != y."""
+        layers = self.layers2.get(q)
+        if layers is None:
+            layers = self.layers2[q] = _distance_layers(self.dist2[q])
         clear = ~(1 << q)
-        drow = self.dist1[p]
-        dm = self.dmask2[q]
-        for x in range(self.n):
-            if x != p and not (assigned >> x & 1):
-                cand[x] &= dm.get(drow[x], 0) & clear
+        keep = [layer & clear for layer in layers]
+        cand = [c & keep[d] for c, d in zip(cand, self.dist1[p])]
+        cand[p] = 1 << q
         return cand, assigned | (1 << p)
 
     def settle(self, cand: List[int], assigned: int

@@ -453,8 +453,8 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     tri = _has_triangle(geo)
     witness = witness or (("triangle",) + tri if tri else None)
     if witness is None and not connected:
-        # the least point with no path to point 0 (key -1 of the walk)
-        witness = ("disconnected", 0, next(_bits(geo._bfs(0)[1][-1])))
+        # the least point with no path to point 0
+        witness = ("disconnected", 0, geo.dist[0].index(-1))
     elif witness is None and not counts_ok:
         # the least point whose completion count is not 16
         witness = next((("grid_completions", p, c)

@@ -562,6 +562,9 @@ GOLDEN_HOSTS = {
     "grid3_dual.geom": lambda: to_text(dual(grid_3x3())),
     "empty.geom": lambda: "points 0\n",
     "two_lines.geom": lambda: "points 6\n0 1 2\n3 4 5\n",
+    "huge.geom": lambda: "points 99999999999999999999\n",
+    "points_40000.geom": lambda: "points 40000\n0 1 2\n",
+    "two_counts.geom": lambda: "points 3 4\n",
 }
 #: each subcommand's argument variants after its source
 GOLDEN_VARIANTS = [

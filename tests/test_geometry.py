@@ -2,6 +2,7 @@
 bounds, induced valuations and the text format."""
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,8 +17,22 @@ from hexval.geometry import (Geometry, GeometryError, INF,
                              near_hexagon_point_bound, order_of, to_text)
 from hexval.perm import are_isomorphic
 from hexval.pipeline import Bundle
-from hosts import partial_linear_spaces
+from hosts import chain, partial_linear_spaces
 from optimized import run_optimized
+
+
+def row_masks(g):
+    """The distance masks of each point as the distance layers built from
+    its row, keyed as the oracle's: by distance, and -1 for the
+    unreachable points when there are any."""
+    masks = []
+    for row in g.dist:
+        *layers, unreachable = geometry._distance_layers(row)
+        by_dist = dict(enumerate(layers))
+        if unreachable:
+            by_dist[-1] = unreachable
+        masks.append(by_dist)
+    return masks
 
 
 def neighbour_sets(g):
@@ -116,8 +131,8 @@ def near_polygon_oracle(g):
 def distance_rows(g):
     """The distance row of every point from a BFS that writes each
     frontier point's distance, and the masks of the points at each
-    distance rebuilt from those rows (-1: unreachable): the oracle of the
-    one-walk Geometry.dist and distance_masks."""
+    distance rebuilt from those rows (-1: unreachable): the oracle of
+    Geometry.dist and of the distance layers built from its rows."""
     rows = []
     for start in range(g.num_points):
         row = [-1] * g.num_points
@@ -316,14 +331,13 @@ class TestBuild:
     @given(st.one_of(any_hosts(), mixed_hosts()))
     def test_distances_and_masks_from_one_walk(self, g):
         rows, masks = distance_rows(g)
-        assert g.dist == rows and g.distance_masks == masks
+        assert g.dist == rows and row_masks(g) == masks
         assert any(-1 in m for m in masks) == (not g.is_connected())
 
     def test_hexagon_distances_and_masks(self, h2, h2dual):
         for bundle in (h2, h2dual):
             g = Geometry(bundle.geometry.num_points, bundle.geometry.lines)
-            # the masks first: both come from the same walk
-            assert (g.distance_masks, g.dist) == distance_rows(g)[::-1]
+            assert (row_masks(g), g.dist) == distance_rows(g)[::-1]
 
     def test_negative_point_count_rejected(self):
         with pytest.raises(GeometryError, match="negative point count"):
@@ -359,6 +373,22 @@ class TestAxiomCheckers:
     def test_disconnected_is_not_near_polygon(self):
         g = Geometry(6, [(0, 1, 2), (3, 4, 5)])
         assert not check_near_polygon(g).is_near_polygon
+
+    def test_long_chain_distances_stay_quadratic(self):
+        # the distance rows are the only store, and the check builds one
+        # point's masks at a time: on 401 points the peak stays within
+        # three times the rows' pointer arrays (1.3 MiB), where masks kept
+        # for every point at each distance took 6.8 MiB. chain(500) gives
+        # 11.4 against 62 MiB, but takes 16 s under tracemalloc.
+        g = chain(200)
+        tracemalloc.start()
+        try:
+            report = check_near_polygon(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == NearPolygonReport(True, 200)
+        assert peak < 3 * 8 * g.num_points ** 2
 
     def test_h2_is_generalized_hexagon(self, h2):
         assert check_generalized_hexagon(h2.geometry).is_generalized_hexagon
@@ -673,6 +703,28 @@ class TestTextFormat:
     def test_header_required(self):
         with pytest.raises(GeometryError, match="header"):
             from_text("0 1 2\n")
+
+    @pytest.mark.parametrize("header", ["points 3 4", "points x",
+                                        "points 3x"])
+    def test_malformed_header(self, header):
+        with pytest.raises(GeometryError,
+                           match="^malformed 'points N' header$"):
+            from_text(header + "\n0 1 2\n")
+
+    def test_point_count_bound(self):
+        # T(2, 8) is read; |Aut| <= n! and the 2^k - 1 hyperplanes of a
+        # k-dimensional nullspace (k <= n) print within Python's
+        # 4,300-digit int-to-str limit
+        assert geometry.MAX_POINTS >= near_hexagon_point_bound(2, 8)
+        assert len(str(math.factorial(geometry.MAX_POINTS))) <= 4300
+        assert len(str((1 << geometry.MAX_POINTS) - 1)) <= 4300
+        largest = from_text(f"points {geometry.MAX_POINTS}\n0 1 2\n")
+        assert largest.num_points == geometry.MAX_POINTS
+        for n in (geometry.MAX_POINTS + 1, 40000, 10 ** 20 - 1):
+            with pytest.raises(GeometryError) as info:
+                from_text(f"points {n}\n")
+            assert str(info.value) == (f"{n} points exceed the limit of "
+                                       f"{geometry.MAX_POINTS}")
 
     def test_malformed_row(self):
         with pytest.raises(GeometryError):

@@ -561,8 +561,7 @@ class TestSubgeometryChecks:
         fresh = ValuationGeometry(vp.host, vp.vpoints, vp.vlines,
                                   vp.point_types, vp.line_types)
         assert check_lemma_3_1(fresh, h2dual.geometry).total_grids == 112
-        # dist and distance_masks share one walk, _walks
-        assert not {"dist", "_walks"} & fresh.as_geometry().__dict__.keys()
+        assert "dist" not in fresh.as_geometry().__dict__
 
     def test_corrupted_line_detected(self, h2dual):
         corrupted = corrupted_restriction(h2dual, "collinear")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, Tuple
 
+from . import reference
 from .geometry import Geometry, check_generalized_hexagon, dual, order_of
 
 
@@ -96,10 +97,10 @@ def _validate_hexagon(g: Geometry, label: str) -> Geometry:
             f"{label} failed the hexagon axioms: {report.reason} "
             f"(witness {report.witness})")
     spec = order_of(g)
-    if (spec.s, spec.t) != (2, 2):
+    if (spec.s, spec.t) != reference.HEXAGON_ORDER:
         raise ConstructionError(f"{label} has order {spec}, expected (2,2)")
     for p in range(g.num_points):
-        if g.distance_distribution(p) != [1, 6, 24, 32]:
+        if g.distance_distribution(p) != reference.DISTANCE_DISTRIBUTION:
             raise ConstructionError(
                 f"{label}: point {p} has distance distribution "
                 f"{g.distance_distribution(p)}")

@@ -1,16 +1,16 @@
 """Finite point-line incidence geometries.
 
 A Geometry is a partial linear space with points 0..n-1 and lines given as
-sorted point tuples. Construction canonicalizes the line order, validates
-the partial-linear-space axiom and builds the collinearity graph as int
-bitmasks: point p's neighbours are ``neighbor_masks[p]``. The distance
-rows (one frontier BFS over those masks per point), the near-polygon
-report and the hexagon report built on them, and the GF(2) nullspace of
-the incidence matrix are computed on first read and kept. The rows are
-the only distance store; a reader that needs p's distance masks builds
-them from row p. Distances are ints; disconnected point pairs get the
-sentinel -1. ``is_connected`` needs no distances, and ``diameter``
-reports ``INF`` for a disconnected geometry.
+sorted point tuples. Construction canonicalizes the line order; one pass
+then checks each line against the neighbour masks of the lines before it
+and adds it to the collinearity graph of int bitmasks: point p's
+neighbours are ``neighbor_masks[p]``. The distance rows (one frontier BFS
+over those masks per point), the near-polygon report and the hexagon
+report built on them, and the GF(2) nullspace of the incidence matrix are
+computed on first read and kept. The rows are the only distance store; a
+reader that needs p's distance masks builds them from row p. Distances are
+ints; disconnected pairs get the sentinel -1. ``is_connected`` needs no
+distances, and ``diameter`` reports ``INF`` for a disconnected geometry.
 """
 from __future__ import annotations
 
@@ -19,8 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 
@@ -75,12 +74,16 @@ class Geometry:
         self.num_points = num_points
         self.lines: Tuple[Tuple[int, ...], ...] = tuple(canon)
         self.name = name
-        self._validate()
         self._build_graph()
 
-    def _validate(self):
-        seen_pairs: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        for line in self.lines:
+    def _build_graph(self):
+        """Check each line, then add its mask, its lines_through entries and
+        its points' neighbour bits. nbrs[p] holds only earlier lines when p
+        is checked: a bit of it above p in the line's mask is a shared pair."""
+        lines_through: List[List[int]] = [[] for _ in range(self.num_points)]
+        nbrs = [0] * self.num_points
+        masks: List[int] = []
+        for li, line in enumerate(self.lines):
             if len(line) < 2:
                 raise GeometryError(f"line {line} has fewer than 2 points")
             if len(set(line)) != len(line):
@@ -88,24 +91,19 @@ class Geometry:
             for p in line:
                 if not 0 <= p < self.num_points:
                     raise GeometryError(f"point {p} out of range")
-            for i in range(len(line)):
-                for j in range(i + 1, len(line)):
-                    pair = (line[i], line[j])
-                    if pair in seen_pairs:
-                        raise GeometryError(
-                            f"points {pair[0]},{pair[1]} lie on two lines: "
-                            f"{seen_pairs[pair]} and {line}")
-                    seen_pairs[pair] = line
-
-    def _build_graph(self):
-        lines_through: List[List[int]] = [[] for _ in range(self.num_points)]
-        nbrs = [0] * self.num_points
-        self.line_masks: Tuple[int, ...] = tuple(
-            sum(1 << p for p in line) for line in self.lines)
-        for li, (line, mask) in enumerate(zip(self.lines, self.line_masks)):
+            mask = sum(1 << p for p in line)
             for p in line:
+                shared = nbrs[p] & mask & -(2 << p)
+                if shared:
+                    q = (shared & -shared).bit_length() - 1
+                    earlier = next(self.lines[lj] for lj in lines_through[p]
+                                   if masks[lj] >> q & 1)
+                    raise GeometryError(f"points {p},{q} lie on two lines: "
+                                        f"{earlier} and {line}")
                 lines_through[p].append(li)
                 nbrs[p] |= mask ^ (1 << p)
+            masks.append(mask)
+        self.line_masks: Tuple[int, ...] = tuple(masks)
         self.lines_through: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(v) for v in lines_through)
         self.neighbor_masks: Tuple[int, ...] = tuple(nbrs)
@@ -247,21 +245,16 @@ def check_generalized_hexagon(g: Geometry) -> HexagonReport:
 def order_of(g: Geometry) -> OrderSpec:
     line_sizes = {len(line) for line in g.lines}
     point_degrees = {len(g.lines_through[p]) for p in range(g.num_points)}
-    s = line_sizes.pop() - 1 if len(line_sizes) == 1 else None
-    t = point_degrees.pop() - 1 if len(point_degrees) == 1 else None
-    if s is not None and s < 1:
-        s = None
-    if t is not None and t < 1:
-        t = None
-    return OrderSpec(s, t)
+    s = line_sizes.pop() - 1 if len(line_sizes) == 1 else 0
+    t = point_degrees.pop() - 1 if len(point_degrees) == 1 else 0
+    return OrderSpec(s if s >= 1 else None, t if t >= 1 else None)
 
 
 def dual(g: Geometry) -> Geometry:
     """Interchange points and lines: new point i = old line i, new lines =
     pencils of old lines through each old point."""
-    pencils = [g.lines_through[p] for p in range(g.num_points)]
     name = f"dual({g.name})" if g.name else ""
-    return Geometry(len(g.lines), pencils, name)
+    return Geometry(len(g.lines), g.lines_through, name)
 
 
 # -- grids ---------------------------------------------------------------

@@ -81,7 +81,8 @@ def hyperplane_count(g: Geometry) -> int:
     return (1 << len(_hyperplane_basis(g))) - 1
 
 
-def _enumerable_basis(g: Geometry) -> Tuple[int, ...]:
+def enumerable_basis(g: Geometry) -> Tuple[int, ...]:
+    """_hyperplane_basis(g), refused above MAX_DIMENSION (GeometryError)."""
     basis = _hyperplane_basis(g)
     if len(basis) > MAX_DIMENSION:
         raise GeometryError(
@@ -120,7 +121,7 @@ def enumerate_hyperplanes(g: Geometry) -> List[Hyperplane]:
 
     A basis whose span does not hold 2^dim - 1 distinct nonzero vectors,
     or a vector that fails the 1-or-3 line rule, raises RuntimeError."""
-    basis = _enumerable_basis(g)
+    basis = enumerable_basis(g)
     vectors = gf2.span_words(basis, g.num_points)
     _full_lines(g, vectors)
     full = (1 << g.num_points) - 1
@@ -185,7 +186,7 @@ def classify_hyperplanes(g: Geometry, group: AutGroup
     group order and the constancy of the invariant on each orbit are
     checked (RuntimeError otherwise).
     """
-    basis = _enumerable_basis(g)
+    basis = enumerable_basis(g)
     n = g.num_points
     free = [b.bit_length() - 1 for b in basis]
     for j, b in enumerate(basis):

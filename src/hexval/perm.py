@@ -6,9 +6,10 @@ a point under the generators, as the automorphism search needs.
 Automorphism and isomorphism search runs a backtracking over points with
 candidate sets refined by full distance profiles relative to the already
 mapped points; complete maps are accepted only after an explicit
-line-preservation check. An isomorphism search stops at its first leaf;
-before it starts, ``are_isomorphic`` compares the weight distributions
-of the two incidence nullspaces, which no isomorphism changes.
+line-preservation check on point masks. An isomorphism search stops at
+its first leaf; before it starts, ``are_isomorphic`` compares the weight
+distributions of the two incidence nullspaces, which no isomorphism
+changes.
 The automorphism search prunes by cosets: along the path of the identity
 it looks, at each branch point, for one automorphism per image not yet in
 the orbit of the generators found below, so it visits a few leaves per
@@ -91,11 +92,10 @@ class _IsoSearch:
         self.lines1 = g1.lines
         self.dist2 = g2.dist
         self.layers2: Dict[int, List[int]] = {}  # built on first assign
-        self.line_set2 = set(g2.lines)
+        self.line_masks2 = set(g2.line_masks)
         self.root: Optional[List[int]] = None
-        if n != g2.num_points or len(g1.lines) != len(g2.lines):
-            return
-        if sorted(map(len, g1.lines)) != sorted(map(len, g2.lines)):
+        if n != g2.num_points or \
+                sorted(map(len, g1.lines)) != sorted(map(len, g2.lines)):
             return
         keys2 = [_point_profile(g2, q) for q in range(n)]
         keys1 = keys2 if g1 is g2 else [_point_profile(g1, p)
@@ -108,10 +108,9 @@ class _IsoSearch:
             self.root = root
 
     def verify(self, mapping: Perm) -> bool:
-        if len(set(mapping)) != self.n:
-            return False
-        return all(tuple(sorted(mapping[p] for p in line)) in self.line_set2
-                   for line in self.lines1)
+        return len(set(mapping)) == self.n and all(
+            sum(1 << mapping[x] for x in line) in self.line_masks2
+            for line in self.lines1)
 
     def assign(self, cand: List[int], assigned: int, p: int, q: int
                ) -> Tuple[List[int], int]:
@@ -242,9 +241,9 @@ def automorphism_group(g: Geometry) -> AutGroup:
 
 def _check_automorphism(g: Geometry, p: Perm) -> None:
     """Raise RuntimeError unless p maps every line of g onto a line."""
-    line_set = set(g.lines)
+    masks = set(g.line_masks)
     for line in g.lines:
-        image = tuple(sorted(p[x] for x in line))
-        if image not in line_set:
+        image = sum(1 << p[x] for x in line)
+        if image not in masks:
             raise RuntimeError(f"permutation {p} maps line {line} to "
-                               f"{image}, which is not a line")
+                               f"{tuple(_bits(image))}, which is not a line")

@@ -30,7 +30,8 @@ import numpy as np
 from .constructions import build_h2, build_h2_dual, build_hexagon_2_1
 from .geometry import Geometry
 from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
-                          enumerate_hyperplanes, hyperplane_count)
+                          enumerable_basis, enumerate_hyperplanes,
+                          hyperplane_count)
 from .perm import AutGroup, automorphism_group
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
                       class_line_table)
@@ -70,6 +71,7 @@ class Bundle:
 
     @cached_property
     def hyperplane_classes(self) -> List[HyperplaneClass]:
+        enumerable_basis(self.geometry)  # refuse before the group search
         return classify_hyperplanes(self.geometry, self.aut_group)
 
     @cached_property

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import gf2
 from .geometry import Geometry, GeometryError
-from .hyperplanes import Hyperplane, _enumerable_basis, _orbit_labels
+from .hyperplanes import Hyperplane, enumerable_basis, _orbit_labels
 from .perm import AutGroup
 
 #: most value rows the valuation search propagates together (the
@@ -369,7 +369,7 @@ def all_valuations(g: Geometry) -> List[Valuation]:
     group.
     """
     vals, _ = _search_rows(g, lambda: gf2.span_words(
-        _enumerable_basis(g), g.num_points)[1:])
+        enumerable_basis(g), g.num_points)[1:])
     return [Valuation(g, v) for v in map(tuple, unique_rows(vals).tolist())]
 
 

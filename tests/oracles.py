@@ -10,14 +10,16 @@ neighboring pair and the star f1 * f2. Next to them are the generic
 orbit closure, an elimination rank over GF(2), a Schreier-Sims group
 built from generators alone (the oracle of the searched automorphism
 groups), the tuple orbit of a point function (the oracle of the row
-orbits) and a depth-first enumeration of all valuations of a small host.
+orbits), a depth-first enumeration of all valuations of a small host and
+a table of every collinear pair (the oracle of the line checks that
+build a ``Geometry``).
 """
 import functools
 import operator
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
 
-from hexval.geometry import Geometry
+from hexval.geometry import Geometry, GeometryError
 from hexval.valuations import Valuation
 
 EQUAL = "equal"
@@ -338,3 +340,40 @@ def brute_force_valuations(g):
 
     rec(0)
     return sorted(out)
+
+
+# -- the pair table: the oracle of Geometry's one-pass line check --------
+
+
+def pair_table_incidence(num_points: int, lines: Iterable[Sequence[int]]
+                         ) -> Tuple[tuple, tuple, tuple]:
+    """The line masks, the lines through each point and the neighbour
+    masks that Geometry(num_points, lines) builds, read off its canonical
+    lines one point at a time; the lines are first checked in their
+    canonical order with a table of every collinear pair, which raises
+    the GeometryError that Geometry raises first."""
+    canon = sorted({tuple(sorted(line)) for line in lines})
+    seen_pairs: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    for line in canon:
+        if len(line) < 2:
+            raise GeometryError(f"line {line} has fewer than 2 points")
+        if len(set(line)) != len(line):
+            raise GeometryError(f"duplicate point in line {line}")
+        for p in line:
+            if not 0 <= p < num_points:
+                raise GeometryError(f"point {p} out of range")
+        for i in range(len(line)):
+            for j in range(i + 1, len(line)):
+                pair = (line[i], line[j])
+                if pair in seen_pairs:
+                    raise GeometryError(
+                        f"points {pair[0]},{pair[1]} lie on two lines: "
+                        f"{seen_pairs[pair]} and {line}")
+                seen_pairs[pair] = line
+    masks = tuple(sum(1 << p for p in line) for line in canon)
+    through = tuple(tuple(li for li, line in enumerate(canon) if p in line)
+                    for p in range(num_points))
+    neighbors = tuple(sum(1 << q for line in canon if p in line
+                          for q in line if q != p)
+                      for p in range(num_points))
+    return masks, through, neighbors

@@ -4,6 +4,7 @@ Every comparison is exact; the shared session bundles supply the heavy
 computations (automorphism groups, hyperplane classes, valuation
 geometries)."""
 import random
+from collections import Counter
 
 from hexval import gf2, reference
 from hexval.constructions import grid_3x3
@@ -29,13 +30,15 @@ def _valuation_rows(bundle):
 
 def test_criterion_1_table_1(h2dual):
     ok = (_valuation_rows(h2dual) == reference.VALUATION_TABLE_H2DUAL
-          and sum(t.class_size for t in h2dual.valuation_types) == 1575)
+          and sum(t.class_size for t in h2dual.valuation_types)
+          == reference.VALUATION_TOTALS["h2dual"])
     _verdict(1, "valuation classes of H^D(2), exact", ok)
 
 
 def test_criterion_2_table_3(h2):
     ok = (_valuation_rows(h2) == reference.VALUATION_TABLE_H2
-          and sum(t.class_size for t in h2.valuation_types) == 1431)
+          and sum(t.class_size for t in h2.valuation_types)
+          == reference.VALUATION_TOTALS["h2"])
     _verdict(2, "valuation classes of H(2), exact", ok)
 
 
@@ -69,11 +72,18 @@ def test_criterion_4_hyperplane_classes(h2, h2dual):
 def test_criterion_5_lemma_suite(h2dual):
     vp = h2dual.vprime()
     rep = check_lemma_3_1(vp, h2dual.geometry)
+    lines_per_point = Counter(x for line in vp.vlines for x in line)
     ok = (rep.connected and rep.collinear_zero_distance
           and rep.grid_zero_distance and rep.grids_per_point_16
           and rep.triangle_free
-          and len(vp.vpoints) == 252 and len(vp.vlines) == 672
-          and rep.grid_completions_per_point == 16)
+          and len(vp.vpoints) == reference.VPRIME_POINTS
+          and len(vp.vlines) == reference.VPRIME_LINES
+          and len(lines_per_point) == reference.VPRIME_POINTS
+          and set(lines_per_point.values())
+          == {reference.VPRIME_LINES_PER_POINT}
+          and rep.grid_completions_per_point
+          == reference.VPRIME_GRID_COMPLETIONS_PER_POINT
+          and rep.total_grids == reference.VPRIME_DISTINCT_GRIDS)
     _verdict(5, "subgeometry suite on H^D(2): connectivity, zero-point "
                 "distances, 16 grids per point, triangle-free", ok)
 
@@ -84,20 +94,23 @@ def test_criterion_6_constructions(h2, h2dual):
         g = bundle.geometry
         ok &= check_generalized_hexagon(g).is_generalized_hexagon
         spec = order_of(g)
-        ok &= (spec.s, spec.t) == (2, 2)
-        ok &= all(g.distance_distribution(p) == [1, 6, 24, 32]
+        ok &= (spec.s, spec.t) == reference.HEXAGON_ORDER
+        ok &= all(g.distance_distribution(p)
+                  == reference.DISTANCE_DISTRIBUTION
                   for p in range(g.num_points))
     ok &= are_isomorphic(h2.geometry, h2dual.geometry) is None
-    ok &= len(find_ovoids(h2.geometry)) == 36
-    ok &= len(find_ovoids(h2dual.geometry)) == 0
+    ok &= len(find_ovoids(h2.geometry)) == reference.OVOID_COUNT["h2"]
+    ok &= len(find_ovoids(h2dual.geometry)) == reference.OVOID_COUNT["h2dual"]
     _verdict(6, "hexagon constructions valid, non-isomorphic, 36/0 ovoids",
              ok)
 
 
 def test_criterion_7_point_bound(h2):
-    ok = (near_hexagon_point_bound(2, 2) == 63
-          and h2.geometry.num_points == 63
-          and near_hexagon_point_bound(2, 8) == 819)
+    ok = (set(reference.POINT_BOUND) == {(2, 2), (2, 8)}
+          and all(near_hexagon_point_bound(s, t) == bound
+                  for (s, t), bound in reference.POINT_BOUND.items())
+          and h2.geometry.num_points
+          == reference.POINT_BOUND[reference.HEXAGON_ORDER])
     _verdict(7, "near-hexagon point bound values 63 and 819", ok)
 
 
@@ -154,13 +167,15 @@ def test_criterion_8_oracle_suite(h2, h2dual, h21):
 def test_criterion_9_derived_values(h2, h2dual):
     ok = True
     for bundle in (h2, h2dual):
-        ok &= bundle.aut_order == 12096
+        ok &= bundle.aut_order == reference.AUT_ORDER
         # class equation: sum over classes of |Aut|/|Stab| = 2^14 - 1
         ok &= sum(bundle.aut_order // c.stabilizer_order
-                  for c in bundle.hyperplane_classes) == (1 << 14) - 1
+                  for c in bundle.hyperplane_classes) \
+            == reference.HYPERPLANE_TOTAL
     rows, n = h2.geometry.line_masks, h2.geometry.num_points
     dim_fwd = n - rank(rows, n)
     dim_rev = n - rank(rows, n, col_order=reversed(range(n)))
-    ok &= dim_fwd == dim_rev == 14
+    ok &= dim_fwd == dim_rev \
+        and (1 << dim_fwd) - 1 == reference.HYPERPLANE_TOTAL
     _verdict(9, "aut orders 12096 via class equation, nullspace dimension "
                 "by two elimination orders", ok)

@@ -88,7 +88,7 @@ class TestAut:
     def test_thirteen_disjoint_lines(self, capsys, tmp_path):
         # S_3 wr S_13, of order 6^13 * 13!: the order comes off the
         # search's base orbits, and the classes are refused at dimension
-        # 26 right after the group search
+        # 26 on the same Bundle
         path = tmp_path / "lines13.geom"
         path.write_text(to_text(disjoint_lines(13)))
         start = time.perf_counter()

@@ -6,7 +6,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hexval import geometry
 from hexval.constructions import (build_fano, build_hexagon_2_1, grid_3x3)
@@ -19,6 +19,7 @@ from hexval.perm import are_isomorphic
 from hexval.pipeline import Bundle
 from hosts import chain, partial_linear_spaces
 from optimized import run_optimized
+from oracles import pair_table_incidence
 
 
 def row_masks(g):
@@ -225,6 +226,21 @@ def mixed_hosts(draw):
 
 
 @st.composite
+def line_lists(draw):
+    """A point count from 0 to 8 and lines on it: up to 6 of 2 to 5
+    distinct points, which may share pairs, and up to 2 of 0 to 5 points
+    from -1 to the count, which may be short or hold repeated or
+    out-of-range points."""
+    n = draw(st.integers(0, 8))
+    lines = draw(st.lists(st.lists(st.integers(-1, n), max_size=5),
+                          max_size=2))
+    if n >= 2:
+        lines += draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2,
+                                       max_size=min(5, n)), max_size=6))
+    return n, lines
+
+
+@st.composite
 def grid_hosts(draw):
     """The 3x3 grid on points 0..8, or two grids sharing the row
     {0, 1, 2}, plus random lines on up to 3 more points: triangles give
@@ -279,6 +295,37 @@ class TestBuild:
     def test_point_out_of_range(self):
         with pytest.raises(GeometryError):
             Geometry(3, [(0, 1, 3)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(line_lists(), mixed_hosts().map(
+        lambda g: (g.num_points, g.lines))))
+    @example((5, [(1, 2, 3, 4), (0, 3, 4)]))
+    @example((5, [(0, 1), (0, 1, 2), (3, 9)]))
+    @example((4, [(3, 2, 1), (), (2, 2)]))
+    def test_one_pass_matches_pair_table(self, case):
+        # the first error, and its text, or the same incidence on masks
+        n, lines = case
+        try:
+            want = pair_table_incidence(n, lines)
+        except GeometryError as exc:
+            with pytest.raises(GeometryError) as info:
+                Geometry(n, lines)
+            assert str(info.value) == str(exc)
+            return
+        g = Geometry(n, lines)
+        assert (g.line_masks, g.lines_through, g.neighbor_masks) == want
+
+    def test_long_line_memory(self):
+        # one pass on masks: a table of the 523,776 pairs of this line
+        # peaked at about 51 MB
+        tracemalloc.start()
+        try:
+            g = Geometry(1024, [range(1024)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.neighbor_masks[1023] == (1 << 1023) - 1
+        assert peak < 5_000_000
 
     def test_canonical_line_order(self):
         g = Geometry(5, [(4, 3, 2), (1, 0, 2)])

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from hexval import gf2, hyperplanes, perm
+from hexval import gf2, hyperplanes, perm, pipeline
 from hexval.cli import run
 from hexval.constructions import grid_3x3
 from hexval.geometry import Geometry, GeometryError, to_text
@@ -360,11 +360,12 @@ class TestEnumerationGuard:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("argv", [["valuations"], ["valgeom"],
-                                      ["check"]])
+                                      ["check"],
+                                      ["hyperplanes", "--classes"]])
     def test_cli_exits_2(self, capsys, tmp_path, argv):
         # disconnected, so refused before the hyperplanes; hyperplanes
-        # --classes first searches the group of order 6^13 * 13!
-        # (test_cli.py, TestAut)
+        # --classes is refused at dimension 26 before the search of the
+        # group of order 6^13 * 13! (test_cli.py, TestAut)
         path = tmp_path / "lines13.geom"
         path.write_text(to_text(disjoint_lines(13)))
         assert run([argv[0], "--in", str(path), *argv[1:]]) == 2
@@ -374,8 +375,14 @@ class TestEnumerationGuard:
 
     @pytest.mark.parametrize("argv", [["hyperplanes", "--classes"],
                                       ["valuations"], ["valgeom"], ["check"]])
-    def test_connected_host_exits_2(self, capsys, tmp_path, argv):
-        # a path of 24 lines: connected, dimension 25
+    def test_connected_host_exits_2(self, capsys, monkeypatch, tmp_path,
+                                    argv):
+        # a path of 24 lines: connected, dimension 25; the dimension is
+        # read before the automorphism group, whose search is the slow
+        # part on a long host
+        searches = []
+        monkeypatch.setattr(pipeline, "automorphism_group",
+                            lambda g: searches.append(g))
         path = tmp_path / "path24.geom"
         path.write_text(to_text(chain(24)))
         assert run([argv[0], "--in", str(path), *argv[1:]]) == 2
@@ -384,6 +391,7 @@ class TestEnumerationGuard:
         assert captured.err.splitlines() == [
             "error: the hyperplane space has dimension 25; its 2^25 - 1 "
             "hyperplanes are not enumerated above dimension 24"]
+        assert searches == []
 
     def test_plain_count_still_printed(self, capsys, tmp_path):
         path = tmp_path / "lines13.geom"

@@ -153,3 +153,26 @@ def test_test_modules_share_helpers_through_hosts_and_oracles():
     assert imports == []
     assert {helper: where for helper, where in owners.items()
             if len(where) > 1} == {}
+
+
+def test_reference_names_are_read():
+    # reference.py is the contract: a constant that nothing reads is a
+    # value no check compares, and a literal restating it can drift
+    tree = ast.parse((SRC / "reference.py").read_text(encoding="utf-8"))
+    names = {target.id for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign)
+                            else [node.target])}
+    assert names
+    read = set()
+    for folder in (SRC, ROOT / "tests", ROOT / "demos"):
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+    assert sorted(names - read) == []

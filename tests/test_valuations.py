@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hexval import gf2, pipeline, valuations
 from hexval.geometry import GeometryError, find_ovoids, from_text
 from hexval.perm import automorphism_group
-from hexval.hyperplanes import (Hyperplane, _enumerable_basis,
+from hexval.hyperplanes import (Hyperplane, enumerable_basis,
                                enumerate_hyperplanes)
 from hexval.valuations import (Valuation, ValuationStats, all_valuations,
                                classify_valuations, find_rows,
@@ -515,9 +515,9 @@ def assert_seeded_layer(g):
     the numbers of seeds dropped and started."""
     blocks = kernel_start_rows(lambda: all_valuations(g))
     seeds = [0]
-    for b in _enumerable_basis(g):
+    for b in enumerable_basis(g):
         seeds += [c ^ b for c in seeds]
-    assert len(set(seeds)) == len(seeds) == 2 ** len(_enumerable_basis(g))
+    assert len(set(seeds)) == len(seeds) == 2 ** len(enumerable_basis(g))
     near = {c: near_mask(g, c) for c in seeds[1:]}
     kept = sorted(c for c, m in near.items()
                   if not any(line & m == line for line in g.line_masks))
@@ -796,7 +796,7 @@ class TestBatchedSweep:
 
     def test_seed_outside_nullspace_raises(self, monkeypatch, grid3):
         # one point meets each of its lines in 1 point
-        monkeypatch.setattr(valuations, "_enumerable_basis", lambda g: [1])
+        monkeypatch.setattr(valuations, "enumerable_basis", lambda g: [1])
         with pytest.raises(RuntimeError, match="0-or-2 line rule"):
             all_valuations(grid3.geometry)
 

@@ -7,7 +7,8 @@ valuation in value-vector order, from the search to the report. The
 hyperplane class representatives seed one batched valuation search
 (``class_valuations``, through ``valuations.valuations_on_hyperplanes``).
 One orbit pass, ``valuations.orbit_closure``, closes their rows under
-the automorphism generators and finds each row's orbit root
+the automorphism generators, looking each image up by its bytes in a
+dict of the rows seen, and finds each row's orbit root
 (``valuation_closure``); the class sizes times the valuations per
 representative must count the closure. ``classification`` labels those
 orbits, one label per row. The full sweep over every hyperplane,

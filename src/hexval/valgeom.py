@@ -16,13 +16,14 @@ valuations there are.
 
 The report needs neither all pairs nor all lines. `class_line_table`
 scans one representative row per point type against every row with the
-same kernel, and checks the counts it reads off by double counting. The
+same kernel, and checks the counts it reads off by double counting.
+Lines are deduplicated and counted as integer columns (`_count_distinct`,
+one lexsort, no packed keys) and typed by integer point-type codes. The
 Lemma 3.1 input is `build_valuation_geometry` on the type-C rows alone.
 The full build stays as the public function and the tests' oracle.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -162,15 +163,26 @@ def _checked_rows(g: Geometry, rows: Sequence[Sequence[int]],
     return vmat, point_types, line_index
 
 
-def _star_closed_lines(keys: np.ndarray, n: int) -> np.ndarray:
-    """The sorted lines, from the keys (a * n + b) * n + c of the sorted
-    triples {i, j, star(i, j)} the scan found, one per neighboring pair
-    i < j. Every pair is starred once, so a line {i, j, k} satisfies
+def _count_distinct(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the integer matrix cols in lexicographic
+    order, and how often each occurs: one lexsort over the columns, so no
+    column value is packed into a wider key that could wrap."""
+    cols = cols[np.lexsort(cols.T[::-1])]
+    # the start of each run of equal rows, and the end of the last
+    edge = np.ones(len(cols) + 1, dtype=bool)
+    edge[1:-1] = (cols[1:] != cols[:-1]).any(axis=1)
+    at = np.flatnonzero(edge)
+    return cols[at[:-1]], at[1:] - at[:-1]
+
+
+def _star_closed_lines(triples: np.ndarray) -> np.ndarray:
+    """The sorted lines, from the rows of the sorted triples
+    {i, j, star(i, j)} the scan found, one per neighboring pair i < j.
+    Every pair is starred once, so a line {i, j, k} satisfies
     star(i, j) = k, star(i, k) = j and star(j, k) = i exactly when all
     three of its pairs found it; raise unless every line has three
     distinct members and was found three times."""
-    keys, counts = np.unique(keys, return_counts=True)
-    lines = np.stack([keys // (n * n), keys // n % n, keys % n], axis=1)
+    lines, counts = _count_distinct(triples)
     repeated = np.flatnonzero((lines[:, 0] == lines[:, 1])
                               | (lines[:, 1] == lines[:, 2]))
     if repeated.size:
@@ -207,12 +219,10 @@ def build_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
     budget, so no n x n x points array is held.
     """
     vmat, point_types, line_index = _checked_rows(g, rows, point_types)
-    n = len(vmat)
-    keys = [np.zeros(0, dtype=np.int64)]
+    triples = [np.zeros((0, 3), dtype=np.intp)]
     for i, j, k in _neighbor_stars(vmat, line_index):
-        triple = np.sort(np.stack([i, j, k]), axis=0)
-        keys.append((triple[0] * n + triple[1]) * n + triple[2])
-    lines = _star_closed_lines(np.concatenate(keys), n)
+        triples.append(np.sort(np.stack([i, j, k], axis=1), axis=1))
+    lines = _star_closed_lines(np.concatenate(triples))
     vlines = list(zip(*lines.T.tolist()))
     line_types = [_line_type_string([point_types[i] for i in line])
                   for line in vlines]
@@ -288,9 +298,12 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
     against every other row with the same kernel (more than one epsilon
     raises ValueError). A line {r, j, k} is found from j, as
     star(r, j) = k, and from k; it must be found exactly twice, and
-    star(j, k) = r is checked on every line found. Then the double count
-    (_check_double_count) compares the counts of each line type across
-    its point types. A failed check raises RuntimeError.
+    star(j, k) = r is checked on every line found. Each line is typed by
+    the sorted codes of its members' point types, codes in label order,
+    and the lines are counted per (line type, representative type) pair
+    in one pass, so a type string is built once per line type. Then the
+    double count (_check_double_count) compares the counts of each line
+    type across its point types. A failed check raises RuntimeError.
     """
     vmat, point_types, line_index = _checked_rows(g, rows, point_types)
     first: Dict[str, int] = {}
@@ -298,6 +311,12 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
         first.setdefault(ptype, row)
     if not first:
         return {}
+    # point types as codes in label order, so sorted codes spell sorted
+    # labels
+    names = sorted(first)
+    code = {name: c for c, name in enumerate(names)}
+    codes = np.fromiter(map(code.__getitem__, point_types), dtype=np.intp,
+                        count=len(point_types))
     found = [np.zeros((3, 0), dtype=np.int64)]
     reps = np.array(list(first.values()), dtype=np.intp)
     for i, j, k in _neighbor_stars(vmat, line_index, reps):
@@ -308,9 +327,8 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
         t = repeated[0]
         raise RuntimeError(f"line {(int(r[t]), int(j[t]), int(k[t]))} "
                            f"repeats a member")
-    lines, counts = np.unique(
-        np.stack([r, np.minimum(j, k), np.maximum(j, k)], axis=1),
-        axis=0, return_counts=True)
+    lines, counts = _count_distinct(
+        np.stack([r, np.minimum(j, k), np.maximum(j, k)], axis=1))
     short = np.flatnonzero(counts != 2)
     if short.size:
         t = short[0]
@@ -330,16 +348,21 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
         raise RuntimeError(f"line {tuple(lines[t].tolist())}: valuations "
                            f"{j[t]} and {k[t]} do not star to "
                            f"representative {r[t]}")
+    # each line counted once per (sorted member codes, representative)
+    pairs, counts = _count_distinct(
+        np.column_stack([np.sort(codes[lines], axis=1), codes[r]]))
     table: Dict[str, Dict[str, int]] = {}
     members: Dict[str, List[str]] = {}
-    for line in lines.tolist():
-        labels = sorted(point_types[x] for x in line)
-        ltype = _line_type_string(labels)
-        members[ltype] = labels
-        counts = table.setdefault(ltype, {})
-        ptype = point_types[line[0]]
-        counts[ptype] = counts.get(ptype, 0) + 1
-    _check_double_count(table, Counter(point_types), members)
+    last = None
+    for *triple, ptype, count in np.column_stack([pairs, counts]).tolist():
+        if triple != last:
+            last, labels = triple, [names[c] for c in triple]
+            ltype = _line_type_string(labels)
+            members[ltype] = labels
+            per_rep = table.setdefault(ltype, {})
+        per_rep[names[ptype]] = per_rep.get(names[ptype], 0) + count
+    _check_double_count(table, dict(zip(names, np.bincount(codes).tolist())),
+                        members)
     return {ltype: dict(sorted(table[ltype].items()))
             for ltype in sorted(table)}
 

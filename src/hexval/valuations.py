@@ -25,12 +25,15 @@ the class representatives; ``all_valuations`` with every nonzero vector
 of the incidence nullspace. Both keep rows in value-vector order, the
 byte order of ``row_keys``.
 ``orbit_closure`` closes rows under the automorphism generators and
-finds their orbits in the same pass; ``label_orbits`` names the orbits,
-the valuation classes, from the statistics of their smallest rows.
+finds their orbits in the same pass, keeping a dict from each row's
+bytes to its discovery index as the set of rows seen and sorting once
+at the end; ``label_orbits`` names the orbits, the valuation classes,
+from the statistics of their smallest rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -382,7 +385,7 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
 
 def unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of an int8 matrix, in value-vector order."""
-    # a sort and a mask, not np.unique, whose plain form imports numpy.ma
+    # a sort and a mask: numpy's own unique imports numpy.ma
     keys = np.sort(row_keys(rows))
     keep = np.ones(len(keys), dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
@@ -411,30 +414,46 @@ def orbit_closure(seeds: np.ndarray, group: AutGroup
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """The closure of the int8 rows seeds under the images rows[:, theta]
     of the group's generators, as sorted distinct rows, and each row's
-    orbit root, the row of the orbit's smallest value vector. Rows are
-    numbered in discovery order, so each recorded image index stays
-    valid; the roots come from the images renumbered in sorted order."""
+    orbit root, the row of the orbit's smallest value vector.
+
+    A dict maps each row's bytes to its index in discovery order. Each
+    frontier, the rows found last, is mapped by one generator at a time;
+    every image is looked up by its bytes, a miss gets the next index,
+    and the misses form the next frontier. The recorded image indices
+    are renumbered to sorted order once, at the end, and min-label
+    propagation over them gives the roots.
+    """
     n = seeds.shape[1]
     perms = np.array(group.generators, dtype=np.intp).reshape(
         len(group.generators), n)
-    rows = new = unique_rows(seeds)
-    # per frontier: [frontier rows, generators] discovery indices of images
-    acts = [np.empty((0, len(perms)), dtype=np.intp)]
-    while len(new):
-        images = new[:, perms].reshape(-1, n)
-        order = np.argsort(row_keys(rows))
-        idx = find_rows(rows[order], images)
-        out = idx < 0
-        fresh = unique_rows(images[out])
-        idx = order[idx]
-        idx[out] = len(rows) + find_rows(fresh, images[out])
-        acts.append(idx.reshape(len(new), len(perms)))
-        rows, new = np.concatenate([rows, fresh]), fresh
-    order = np.argsort(row_keys(rows))
+    index: Dict[bytes, int] = {}
+
+    def lookup(rows: np.ndarray) -> np.ndarray:
+        # the bytes of each C-contiguous row; a void view needs a width
+        keys = rows.view(f"V{n}").ravel().tolist() if n else [b""] * len(rows)
+        return np.fromiter((index.setdefault(key, len(index)) for key in keys),
+                           dtype=np.intp, count=len(keys))
+
+    lookup(np.ascontiguousarray(seeds, dtype=np.int8))
+    # per frontier: [generators, frontier rows] discovery indices of images
+    acts = [np.empty((len(perms), 0), dtype=np.intp)]
+    frontiers = [np.empty((0, n), dtype=np.int8)]
+    done = 0
+    while done < len(index):
+        new = np.frombuffer(b"".join(islice(index, done, None)),
+                            dtype=np.int8).reshape(len(index) - done, n)
+        done = len(index)
+        frontiers.append(new)
+        acts.append(np.array([lookup(np.take(new, perm, axis=1))
+                              for perm in perms], dtype=np.intp
+                             ).reshape(len(perms), len(new)))
+    # values are at least 0, so byte order is value-vector order
+    order = np.array([index[key] for key in sorted(index)], dtype=np.intp)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return rows[order], _orbit_labels(rank[np.concatenate(acts)[order]].T,
-                                      len(rows))
+    return (np.concatenate(frontiers)[order],
+            _orbit_labels(rank[np.concatenate(acts, axis=1)[:, order]],
+                          len(order)))
 
 
 # -- statistics and classification ---------------------------------------

@@ -25,6 +25,25 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_np_unique():
+    # plain np.unique imports numpy.ma (13 ms on numpy 2.4.6), and its
+    # axis form pays a void-dtype sort that dominates on small inputs
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "unique" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("np", "numpy"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").startswith("numpy") \
+                    and any(alias.name == "unique" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_traced_functions_exist():
     # perfbench's tracer looks each of its targets up with a bare getattr,
     # so a moved or renamed function would crash every traced run

@@ -2,18 +2,20 @@
 line-type tables and the subgeometry checks."""
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hexval import cli, pipeline, reference, valgeom
 from hexval.constructions import grid_3x3
 from hexval.geometry import Geometry, dual, from_text
 from hexval.perm import are_isomorphic, automorphism_group
 from hexval.valgeom import (LemmaReport, ValuationGeometry,
-                            _check_double_count, _star_closed_lines,
+                            _check_double_count, _count_distinct,
+                            _star_closed_lines,
                             build_valuation_geometry, check_lemma_3_1,
                             class_line_table, line_type_table, restrict)
 from hexval.valuations import Valuation, classify_valuations
@@ -225,15 +227,45 @@ class TestVectorisedBuild:
             are_neighboring(f1, f2)
 
     def test_line_found_by_fewer_than_three_pairs_rejected(self):
-        # keys (a * n + b) * n + c of sorted triples, n = 4: the line
+        # sorted triples, one per pair that found its line: the line
         # (0, 1, 2) found by two of its pairs is not star-closed
-        key = (0 * 4 + 1) * 4 + 2
+        line = [0, 1, 2]
         with pytest.raises(RuntimeError, match="only 2 of its three"):
-            _star_closed_lines(np.array([key, key]), 4)
+            _star_closed_lines(np.array([line, line]))
         with pytest.raises(RuntimeError, match="repeats a member"):
-            _star_closed_lines(np.array([(1 * 4 + 1) * 4 + 2] * 3), 4)
-        assert _star_closed_lines(np.array([key] * 3), 4).tolist() \
+            _star_closed_lines(np.array([[1, 1, 2]] * 3))
+        assert _star_closed_lines(np.array([line] * 3)).tolist() \
             == [[0, 1, 2]]
+
+    def test_line_keys_do_not_wrap(self):
+        # members near 2^40: a key (a * n + b) * n + c packed into int64
+        # wraps once n passes 2,097,151
+        big = 1 << 40
+        cols = np.array([[big + 1, big - 1, 7], [big - 1, big + 1, 7],
+                         [big + 1, big - 1, 7], [big + 1, big - 1, 6]])
+        rows, counts = _count_distinct(cols)
+        assert rows.tolist() == [[big - 1, big + 1, 7],
+                                 [big + 1, big - 1, 6],
+                                 [big + 1, big - 1, 7]]
+        assert counts.tolist() == [1, 1, 2]
+        line, other = [big - 2, big - 1, big], [big - 2, big - 1, big + 1]
+        assert _star_closed_lines(np.array([line] * 3 + [other] * 3)
+                                  ).tolist() == [line, other]
+        with pytest.raises(RuntimeError, match=f"line \\({big - 2}, "
+                           f"{big - 1}, {big + 1}\\) is the star of only 2"):
+            _star_closed_lines(np.array([line] * 3 + [other] * 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(st.integers(-(1 << 62), 1 << 62) | st.integers(0, 2),
+                 min_size=width, max_size=width), max_size=12)))
+    def test_count_distinct_against_counter(self, rows):
+        width = len(rows[0]) if rows else 3
+        found, counts = _count_distinct(
+            np.array(rows, dtype=np.int64).reshape(len(rows), width))
+        expected = sorted(Counter(map(tuple, rows)).items())
+        assert list(zip(map(tuple, found.tolist()), counts.tolist())) \
+            == expected
 
     def test_non_valuation_rejected(self, h21):
         g = h21.geometry

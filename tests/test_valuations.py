@@ -1,6 +1,7 @@
 """Valuations: construction, enumeration against the brute-force oracle
 and the scalar per-hyperplane search, statistics and isomorphism
 classification against the tuple orbit search."""
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hexval import gf2, pipeline, valuations
 from hexval.geometry import GeometryError, find_ovoids, from_text
-from hexval.perm import automorphism_group
+from hexval.perm import AutGroup, automorphism_group
 from hexval.hyperplanes import (Hyperplane, enumerable_basis,
                                enumerate_hyperplanes)
 from hexval.valuations import (Valuation, ValuationStats, all_valuations,
@@ -1002,6 +1003,73 @@ class TestRowKeys:
                              ).tolist() == expected
         assert np.argsort(row_keys(mat), kind="stable").tolist() == sorted(
             range(len(rows)), key=lambda i: rows[i])
+
+
+def closure_oracle(seeds, group):
+    """The sorted union of the tuple orbits of the seed rows, and each
+    row's orbit root, the index of its orbit's smallest member."""
+    orbits = {}
+    for values in map(tuple, seeds.tolist()):
+        if values not in orbits:
+            members = orbit_of_function(group, values)
+            orbits.update((member, members[0]) for member in members)
+    rows = sorted(orbits)
+    index = {values: i for i, values in enumerate(rows)}
+    return rows, [index[orbits[values]] for values in rows]
+
+
+class TestOrbitClosure:
+    """orbit_closure on the cases the pipeline reaches only through the
+    CLI, against the tuple orbit search."""
+
+    def assert_matches_oracle(self, seeds, group):
+        rows, roots = orbit_closure(seeds, group)
+        assert rows.dtype == np.int8 and rows.shape[1] == seeds.shape[1]
+        assert (tuples(rows), roots.tolist()) == closure_oracle(seeds, group)
+        return rows
+
+    def test_empty_seeds(self, h21):
+        rows = self.assert_matches_oracle(
+            np.empty((0, 21), dtype=np.int8), h21.aut_group)
+        assert rows.shape == (0, 21)
+
+    @pytest.mark.parametrize("generators", [(), ((),)])
+    def test_zero_width_rows(self, generators):
+        # the host on no points: every row is the empty function
+        group = AutGroup(0, generators, (), ())
+        rows = self.assert_matches_oracle(
+            np.empty((3, 0), dtype=np.int8), group)
+        assert rows.shape == (1, 0)
+        assert orbit_closure(np.empty((0, 0), dtype=np.int8), group
+                             )[0].shape == (0, 0)
+
+    def test_duplicate_seeds(self, h21):
+        seeds = h21.class_valuations[0]
+        twice = np.concatenate([seeds[::-1], seeds, seeds[:1]])
+        rows = self.assert_matches_oracle(twice, h21.aut_group)
+        assert tuples(rows) == tuples(orbit_closure(seeds,
+                                                    h21.aut_group)[0])
+
+    def test_identity_generator(self, h21):
+        group = h21.aut_group
+        identity = tuple(range(group.degree))
+        for generators in ((identity,), (identity,) + group.generators):
+            with_identity = AutGroup(group.degree, generators, group.base,
+                                     group.base_orbit_lengths)
+            self.assert_matches_oracle(h21.valuations[::40], with_identity)
+
+    def test_closed_set_memory(self, h2):
+        # the images of the whole frontier under every generator at once
+        # peaked at 1.54 MB
+        rows, group = h2.valuations, h2.aut_group
+        tracemalloc.start()
+        try:
+            closed, _ = orbit_closure(rows, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(closed, rows)
+        assert peak < 1_300_000
 
 
 def assert_labels_are_orbits(bundle):

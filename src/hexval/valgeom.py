@@ -370,12 +370,13 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
 def restrict(vg: ValuationGeometry, point_types: Sequence[str],
              line_types: Sequence[str]) -> ValuationGeometry:
     """Subgeometry induced by the given point and line type labels."""
-    keep_pts = [i for i, t in enumerate(vg.point_types) if t in set(point_types)]
+    point_types, line_types = set(point_types), set(line_types)
+    keep_pts = [i for i, t in enumerate(vg.point_types) if t in point_types]
     remap = {old: new for new, old in enumerate(keep_pts)}
     keep_lines = []
     keep_ltypes = []
     for line, ltype in zip(vg.vlines, vg.line_types):
-        if ltype in set(line_types) and all(i in remap for i in line):
+        if ltype in line_types and all(i in remap for i in line):
             keep_lines.append(tuple(sorted(remap[i] for i in line)))
             keep_ltypes.append(ltype)
     return ValuationGeometry(

@@ -18,7 +18,8 @@ One search does this for many hyperplanes at once. The hyperplane
 complements are first screened bit-sliced, 64 seeds per machine word of
 their transposed point masks: a seed whose start row already puts a
 whole line at -1 is dropped. Each survivor seeds one row of an int8 value
-matrix, and the line rule is applied to them in blocks of
+matrix, read off the screen's point columns of the complements and of
+their -1 layers, and the line rule is applied to them in blocks of
 ``_BLOCK_ROWS`` per step until nothing changes.
 ``valuations_on_hyperplanes`` seeds it with given hyperplanes, such as
 the class representatives; ``all_valuations`` with every nonzero vector
@@ -44,8 +45,8 @@ from .hyperplanes import Hyperplane, enumerable_basis, _orbit_labels
 from .perm import AutGroup
 
 #: most value rows the valuation search propagates together (the
-#: hyperplane complements seeded at once, and each piece of a branched
-#: frontier), and that find_rows compares at once
+#: screened seeds read into start rows at once, and each piece of a
+#: branched frontier), and that find_rows compares at once
 _BLOCK_ROWS = 512
 #: an undefined point in the int8 value rows of the valuation search
 UNDEF = np.int8(np.iinfo(np.int8).max)
@@ -162,18 +163,22 @@ def _point_columns(seeds: np.ndarray, n: int) -> np.ndarray:
 
 
 def _screen(seeds: np.ndarray, lines: np.ndarray, partners: np.ndarray
-            ) -> np.ndarray:
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The indices of the seeds, [seeds, words] uint64 complement masks,
-    that survive their forced start row (_start_rows), bit-sliced: each
-    step runs on 64 seeds per word of their point columns.
+    that survive their forced start row, bit-sliced: each step runs on 64
+    seeds per word of their point columns. Returns them with the [n,
+    words] uint64 point columns of the complements and of their near
+    sets, from which the search reads its start rows.
 
     A line meets a complement C in 1 or 3 points exactly when the XOR of
     its three columns is set; the lowest such seed raises RuntimeError.
     The near set, the points off C collinear with C, is the OR of the
-    columns of each point's partners (partners[p], padded with n) off C.
-    A seed is dropped when a line lies inside its near set, as its start
-    row puts that line at -1, -1, -1 and the first propagation step would
-    kill it; every other first-step death is left to propagation.
+    columns of each point's partners (partners[p], padded with n) off C:
+    a line meeting C meets it in 2 points, so propagation would set its
+    third point to -1 first, and no two such writes conflict. A seed is
+    dropped when a line lies inside its near set, as its start row puts
+    that line at -1, -1, -1 and the first propagation step would kill it;
+    every other first-step death is left to propagation.
     """
     n = len(partners)
     cols = _point_columns(seeds, n)
@@ -187,25 +192,9 @@ def _screen(seeds: np.ndarray, lines: np.ndarray, partners: np.ndarray
     near = np.bitwise_or.reduce(cols[partners], axis=1) & ~cols[:n]
     dead = np.bitwise_or.reduce(
         np.bitwise_and.reduce(near[lines.T], axis=0), axis=0)
-    return np.flatnonzero(np.unpackbits(
+    live = np.flatnonzero(np.unpackbits(
         ~dead.view(np.uint8), count=len(seeds), bitorder="little"))
-
-
-def _start_rows(comp: np.ndarray, partners: np.ndarray) -> np.ndarray:
-    """The forced start rows of the bool [seeds, points] complement matrix
-    comp: 0 on its complement C, -1 on every other point collinear with C,
-    and undefined elsewhere.
-
-    The -1 layer is what propagation would write first: a line meeting C
-    meets it in 2 points (the 0-or-2 rule _screen checks), so its third
-    point gets -1, and no such write conflicts.
-    """
-    # partners[p] lists the next point of each line through p, padded
-    # with n, a column of False appended to comp
-    padded = np.concatenate([comp, np.zeros((len(comp), 1), bool)], axis=1)
-    near = padded[:, partners].any(axis=2) & ~comp
-    # mask arithmetic, as np.where is slow on masks without a pattern
-    return UNDEF * ~(near | comp) - near
+    return live, cols[:n], near
 
 
 def _sweep_block(rows: np.ndarray, comp: np.ndarray, lines: np.ndarray,
@@ -277,18 +266,17 @@ def _non_valuation_rows(mat: np.ndarray,
     return np.flatnonzero(bad)
 
 
-def _check_sweep(vals: np.ndarray, lines: np.ndarray, comp_bytes: np.ndarray
+def _check_sweep(vals: np.ndarray, lines: np.ndarray, comp: np.ndarray
                  ) -> None:
     """RuntimeError unless each row of vals is a valuation whose
-    maximal-value set has the packed little-endian bits of the same row
-    of comp_bytes; independent of the propagation that found it."""
+    maximal-value set is the same row of the bool complement matrix comp;
+    independent of the propagation that found it."""
     bad = _non_valuation_rows(vals, [lines.T])
     if bad.size:
         raise RuntimeError(f"completion is not a valuation: "
                            f"{tuple(vals[bad[0]].tolist())}")
-    top = np.packbits(vals == vals.max(axis=1, keepdims=True), axis=1,
-                      bitorder="little")
-    bad = np.flatnonzero((top != comp_bytes).any(axis=1))
+    top = vals == vals.max(axis=1, keepdims=True)
+    bad = np.flatnonzero((top != comp).any(axis=1))
     if bad.size:
         raise RuntimeError(f"valuation {tuple(vals[bad[0]].tolist())} does "
                            f"not have its seed's hyperplane")
@@ -304,8 +292,8 @@ def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
     a line without 3 points raises GeometryError. All seeds are screened
     at once, 64 per word (_screen): each must meet every line in 0 or 2
     points, and a seed whose forced start row already breaks a line is
-    dropped. Only the survivors are unpacked, given start rows
-    (_start_rows), and propagated and branched in full blocks of
+    dropped. The survivors' start rows are read off the screen's point
+    columns, and they are propagated and branched in full blocks of
     _BLOCK_ROWS; each completion is checked to be a valuation whose
     hyperplane is its seed's (RuntimeError otherwise). Returns the int8
     value rows and the index of the seed each one came from.
@@ -331,19 +319,23 @@ def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
     p, q = points[order], lines[:, [1, 2, 0]].ravel()[order]
     partners = np.full((n, np.bincount(p, minlength=n).max(initial=0)), n)
     partners[p, np.arange(len(p)) - np.searchsorted(p, p)] = q
-    nbytes = -(-n // 8)
-    live = _screen(seeds, lines, partners)
+    live, comp_cols, near_cols = _screen(seeds, lines, partners)
+    # seed s is bit s & 7 of byte s >> 3 of a point column's little-endian
+    # words; a block's rows are gathered from those bytes
+    comp_bytes = comp_cols.view(np.uint8).T
+    near_bytes = near_cols.view(np.uint8).T
     found = [np.empty((0, n), dtype=np.int8)]
     origins = [np.empty(0, dtype=np.intp)]
     for start in range(0, len(live), _BLOCK_ROWS):
         index = live[start:start + _BLOCK_ROWS]
-        packed = seeds[index].astype("<u8").view(np.uint8).reshape(
-            len(index), -1)[:, :nbytes]
-        comp = np.unpackbits(packed, axis=1, count=n,
-                             bitorder="little").astype(bool)
-        vals, origin = _sweep_block(_start_rows(comp, partners), comp,
+        bit = (np.uint8(1) << (index & 7).astype(np.uint8))[:, None]
+        comp = comp_bytes[index >> 3] & bit != 0
+        near = near_bytes[index >> 3] & bit != 0
+        # 0 on C, -1 on the near set, UNDEF elsewhere; mask arithmetic,
+        # as np.where is slow on masks without a pattern
+        vals, origin = _sweep_block(UNDEF * ~(near | comp) - near, comp,
                                     lines, depth)
-        _check_sweep(vals, lines, packed[origin])
+        _check_sweep(vals, lines, comp[origin])
         found.append(vals)
         origins.append(index[origin])
     return np.concatenate(found), np.concatenate(origins)

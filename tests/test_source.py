@@ -44,6 +44,19 @@ def test_no_np_unique():
     assert found == []
 
 
+def test_only_the_seed_screen_packs_bits():
+    # the valuation search reads its start rows off the screen's point
+    # columns; a second unpacking of the seeds, or a packing of the value
+    # rows, would be a second representation of the same sets
+    tree = ast.parse((SRC / "valuations.py").read_text(encoding="utf-8"))
+    owners = {node: func.name for func in tree.body
+              if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+    found = [f"valuations.py:{node.lineno}" for node in ast.walk(tree)
+             if (getattr(node, "attr", None) or getattr(node, "name", None))
+             in ("packbits", "unpackbits") and owners.get(node) != "_screen"]
+    assert found == []
+
+
 def test_traced_functions_exist():
     # perfbench's tracer looks each of its targets up with a bare getattr,
     # so a moved or renamed function would crash every traced run

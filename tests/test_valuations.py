@@ -704,37 +704,27 @@ class TestClassSearch:
             pipeline.Bundle(h21.geometry).class_valuations
 
     def test_partner_table_built_once(self, monkeypatch, h2, h2dual):
-        # one line-partner table serves the seed screen and every block of
-        # start rows; start rows are built only for the screen's survivors,
-        # one block per sweep, and the sweeps run on full blocks of 512
-        exact_screen, exact_start, exact_sweep = (
-            valuations._screen, valuations._start_rows,
-            valuations._sweep_block)
+        # one line-partner table serves the one seed screen; start rows are
+        # built only for the screen's survivors, one block per sweep, and
+        # the sweeps run on full blocks of 512
+        exact_screen = valuations._screen
         for bundle, sweeps in ((h2, 4), (h2dual, 3)):
-            tables, kept, starts, sizes = [], [], [], []
+            g = bundle.geometry
+            tables, kept = [], []
 
             def screen(seeds, lines, partners):
                 tables.append(partners)
                 kept.append(exact_screen(seeds, lines, partners))
                 return kept[-1]
 
-            def start(comp, partners):
-                tables.append(partners)
-                starts.append(len(comp))
-                return exact_start(comp, partners)
-
-            def sweep(rows, comp, lines, depth):
-                sizes.append(len(rows))
-                return exact_sweep(rows, comp, lines, depth)
-
             monkeypatch.setattr(valuations, "_screen", screen)
-            monkeypatch.setattr(valuations, "_start_rows", start)
-            monkeypatch.setattr(valuations, "_sweep_block", sweep)
-            all_valuations(bundle.geometry)
-            assert len(kept) == 1 and len(tables) == 1 + sweeps
-            assert all(t is tables[0] for t in tables)
-            assert starts == sizes and sum(starts) == len(kept[0])
-            assert len(kept[0]) < 2 ** 14 - 1
+            blocks = kernel_start_rows(lambda: all_valuations(g))
+            assert len(kept) == len(tables) == 1
+            assert tables[0].shape == (g.num_points, 3)
+            live = kept[0][0]
+            sizes = [len(rows) for _, rows in blocks]
+            assert [len(comp) for comp, _ in blocks] == sizes
+            assert sum(sizes) == len(live) < 2 ** 14 - 1
             assert len(sizes) == sweeps
             assert sizes[:-1] == [valuations._BLOCK_ROWS] * (sweeps - 1)
             assert 0 < sizes[-1] <= valuations._BLOCK_ROWS
@@ -844,10 +834,12 @@ def bool_row_screen(seeds, lines, partners):
     rows, each must meet every line in 0 or 2 points (RuntimeError at the
     lowest failing seed), and a seed is kept unless a line lies inside its
     near set, read from the partners gathered on the rows. Returns the
-    indices of the seeds kept."""
+    indices of the seeds kept and the bool [seeds, points] complement and
+    near rows of every seed."""
     n = len(partners)
     nbytes = -(-n // 8)
     kept = [np.empty(0, dtype=np.intp)]
+    comps, nears = [np.empty((0, n), bool)], [np.empty((0, n), bool)]
     for start in range(0, len(seeds), valuations._BLOCK_ROWS):
         words = seeds[start:start + valuations._BLOCK_ROWS].astype("<u8")
         packed = words.view(np.uint8).reshape(len(words), -1)[:, :nbytes]
@@ -864,22 +856,34 @@ def bool_row_screen(seeds, lines, partners):
         near = padded[:, partners].any(axis=2) & ~comp
         kept.append(start + np.flatnonzero(
             ~near[:, lines].all(axis=2).any(axis=1)))
-    return np.concatenate(kept)
+        comps.append(comp)
+        nears.append(near)
+    return np.concatenate(kept), np.concatenate(comps), np.concatenate(nears)
+
+
+def column_rows(cols, index):
+    """The bool [index, points] rows of the seeds index in the [points,
+    words] uint64 point columns cols, bit s of a column's little-endian
+    bytes being seed s."""
+    bits = np.unpackbits(np.ascontiguousarray(cols, dtype="<u8").view(
+        np.uint8), axis=1, bitorder="little").astype(bool)
+    return bits.T[index]
 
 
 def screen_outcome(screen, seeds, lines, partners):
     """The seed indices screen keeps, or the message it raises."""
     try:
-        return screen(seeds, lines, partners).tolist()
+        return screen(seeds, lines, partners)[0].tolist()
     except RuntimeError as exc:
         return str(exc)
 
 
 def assert_screen_matches(search):
     """search() screens its seeds once, and keeps exactly the seeds the
-    bool-row oracle keeps, also in oracle blocks of 7 and 97 seeds.
-    Returns the seeds, lines and partner table it screened with and the
-    indices it kept."""
+    bool-row oracle keeps, also in oracle blocks of 7 and 97 seeds; the
+    point columns it returns hold each kept seed's oracle complement and
+    near rows. Returns the seeds, lines and partner table it screened
+    with and the indices it kept."""
     calls = []
     exact = valuations._screen
 
@@ -890,13 +894,18 @@ def assert_screen_matches(search):
 
     with mock.patch.object(valuations, "_screen", screen):
         search()
-    (seeds, lines, partners, kept), = calls
+    (seeds, lines, partners, (kept, comp_cols, near_cols)), = calls
     assert kept.dtype == np.intp
+    assert comp_cols.dtype == near_cols.dtype == np.uint64
+    assert comp_cols.shape == near_cols.shape == (len(partners),
+                                                  -(-len(seeds) // 64))
     for block in (valuations._BLOCK_ROWS, 7, 97):
         with mock.patch.object(valuations, "_BLOCK_ROWS", block):
-            assert kept.tolist() == bool_row_screen(seeds, lines,
-                                                    partners).tolist()
-            assert exact(seeds, lines, partners).tolist() == kept.tolist()
+            oracle_kept, comp, near = bool_row_screen(seeds, lines, partners)
+            assert kept.tolist() == oracle_kept.tolist()
+            assert exact(seeds, lines, partners)[0].tolist() == kept.tolist()
+    assert (column_rows(comp_cols, kept) == comp[kept]).all()
+    assert (column_rows(near_cols, kept) == near[kept]).all()
     return seeds, lines, partners, kept
 
 

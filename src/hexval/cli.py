@@ -199,7 +199,7 @@ def _format_table(headers: Sequence[str], rows: List[Sequence]) -> str:
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     out = []
     for idx, row in enumerate(cells):
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        out.append("  ".join(map(str.ljust, row, widths)).rstrip())
         if idx == 0:
             out.append("  ".join("-" * w for w in widths))
     return "\n".join(out)

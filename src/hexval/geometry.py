@@ -287,13 +287,15 @@ def enumerate_grids(g: Geometry) -> List[int]:
         others = [g.lines[li][1:] for li in g.lines_through[p]
                   if g.lines[li][0] == p]
         for k, (x1, x2) in enumerate(others):
+            near1, near2 = nbr[x1] & after_p, nbr[x2] & after_p
             for y1, y2 in others[k + 1:]:
-                cells = [nbr[x] & nbr[y] & after_p for x in (x1, x2)
-                         for y in (y1, y2)]
-                if not all(cells):
+                # the cells one at a time, up to the first empty one
+                if not ((c11 := near1 & nbr[y1]) and (c12 := near1 & nbr[y2])
+                        and (c21 := near2 & nbr[y1])
+                        and (c22 := near2 & nbr[y2])):
                     continue
                 bx1, bx2, by1, by2 = 1 << x1, 1 << x2, 1 << y1, 1 << y2
-                for corners in product(*map(_bits, cells)):
+                for corners in product(*map(_bits, (c11, c12, c21, c22))):
                     z11, z12, z21, z22 = (1 << z for z in corners)
                     if ((bx1 | z11 | z12) in lines
                             and (bx2 | z21 | z22) in lines

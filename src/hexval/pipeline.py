@@ -17,9 +17,12 @@ whole nullspace; it stays as the public function and as the oracle that
 needs no automorphism group, and never reads ``hyperplanes``. The line
 table is read off the lines through one valuation of each orbit
 (``valgeom.class_line_table``), and the Lemma 3.1 input ``vprime()`` is
-the valuation geometry of the type-C rows alone, so the report never
-builds the full ``valuation_geometry``. The built-in hexagons are cached
-at module level so CLI commands and tests share one computation.
+the valuation geometry of the type-C rows, one orbit, built from the
+lines through one of them closed under the automorphism generators
+(``valgeom.orbit_valuation_geometry``), so the report never scans all
+pairs of valuations or builds the full ``valuation_geometry``. The
+built-in hexagons are cached at module level so CLI commands and tests
+share one computation.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
                           hyperplane_count)
 from .perm import AutGroup, automorphism_group
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
-                      class_line_table)
+                      class_line_table, orbit_valuation_geometry)
 from .valuations import (ValuationType, find_rows, label_orbits,
                          orbit_closure, valuations_on_hyperplanes)
 
@@ -151,11 +154,15 @@ class Bundle:
     def vprime(self) -> ValuationGeometry:
         """The Type-C/CCC restriction of the valuation geometry, built on
         the type-C valuations alone: a line with all three points of type
-        C is exactly a CCC line."""
+        C is exactly a CCC line. A label names one orbit, so the lines
+        through one type-C valuation closed under the automorphism
+        generators are all of them (``orbit_valuation_geometry``); with
+        no type-C valuation, no kernel runs."""
         type_c = [i for i, label in enumerate(self.type_labels)
                   if label == "C"]
-        return build_valuation_geometry(
-            self.geometry, self.valuations[type_c], ["C"] * len(type_c))
+        return orbit_valuation_geometry(
+            self.geometry, self.valuations[type_c], ["C"] * len(type_c),
+            self.aut_group.generators)
 
     # -- valuations per hyperplane class ---------------------------------
 

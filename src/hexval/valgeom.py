@@ -10,22 +10,25 @@ are the points: whether two rows are neighboring follows from the minimum
 and maximum of their difference (`_epsilon_interval`), and star is an
 elementwise identity on two rows (`_star_rows`). The scalar definitions,
 `are_neighboring` and `star` on one pair of valuations, are the tests'
-oracle (`tests/oracles.py`). Rows are processed in blocks sized from a
-fixed element budget, so the memory held stays bounded however many
-valuations there are.
+oracle (`tests/oracles.py`). The neighboring scan takes its rows in
+blocks sized from a fixed element budget, so it never holds a
+rows x rows x points array however many valuations there are.
 
 The report needs neither all pairs nor all lines. `class_line_table`
 scans one representative row per point type against every row with the
 same kernel, and checks the counts it reads off by double counting.
 Lines are deduplicated and counted as integer columns (`_count_distinct`,
 one lexsort, no packed keys) and typed by integer point-type codes. The
-Lemma 3.1 input is `build_valuation_geometry` on the type-C rows alone.
-The full build stays as the public function and the tests' oracle.
+Lemma 3.1 input, the type-C rows, is one automorphism orbit:
+`orbit_valuation_geometry` closes the lines through one of its rows
+under the group's action on rows and checks every line and every row's
+line count again. The full build stays as the public function and the
+tests' oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -222,11 +225,146 @@ def build_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
     triples = [np.zeros((0, 3), dtype=np.intp)]
     for i, j, k in _neighbor_stars(vmat, line_index):
         triples.append(np.sort(np.stack([i, j, k], axis=1), axis=1))
-    lines = _star_closed_lines(np.concatenate(triples))
+    return _typed_geometry(g, vmat, point_types,
+                           _star_closed_lines(np.concatenate(triples)))
+
+
+def _typed_geometry(g: Geometry, vmat: np.ndarray, point_types: List[str],
+                    lines: np.ndarray) -> ValuationGeometry:
+    """The valuation geometry on the sorted rows vmat with the sorted
+    lines, each typed by its members' point types."""
     vlines = list(zip(*lines.T.tolist()))
     line_types = [_line_type_string([point_types[i] for i in line])
                   for line in vlines]
     return ValuationGeometry(g, vmat, vlines, point_types, line_types)
+
+
+def _row_action(vmat: np.ndarray, generators: Sequence[Sequence[int]]
+                ) -> np.ndarray:
+    """The [generators, rows] index of the row f o theta for each
+    generator theta and row f of the sorted rows vmat. RuntimeError
+    unless every image is a row and every row lies in the orbit of
+    row 0."""
+    n, num_points = vmat.shape
+    perms = np.array(generators, dtype=np.intp).reshape(-1, num_points)
+    acts = find_rows(vmat, vmat[:, perms].swapaxes(0, 1).reshape(
+        -1, num_points)).reshape(len(perms), n)
+    missing = np.argwhere(acts < 0)
+    if missing.size:
+        gen, row = missing[0].tolist()
+        raise RuntimeError(f"generator {gen} maps valuation {row} (in "
+                           f"sorted order) outside the given rows")
+    reached = np.zeros(n, dtype=bool)
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached[frontier] = True
+        frontier = acts[:, frontier].ravel()
+        frontier = frontier[~reached[frontier]]
+    if not reached.all():
+        raise RuntimeError(f"valuation {int(reached.argmin())} (in sorted "
+                           f"order) is not in the orbit of valuation 0")
+    return acts
+
+
+def _lines_through_first(vmat: np.ndarray, line_index: List[np.ndarray]
+                         ) -> np.ndarray:
+    """The sorted lines {0, j, k} through row 0, as int64 triples, from
+    the kernel class_line_table uses; RuntimeError unless each is found
+    exactly twice, once from each other member."""
+    found = [np.zeros((2, 0), dtype=np.int64)]
+    for _, j, k in _neighbor_stars(vmat, line_index,
+                                   np.zeros(1, dtype=np.intp)):
+        found.append(np.stack([j, k]))
+    j, k = np.concatenate(found, axis=1)
+    pairs, counts = _count_distinct(
+        np.stack([np.minimum(j, k), np.maximum(j, k)], axis=1))
+    short = np.flatnonzero(counts != 2)
+    if short.size:
+        t = short[0]
+        raise RuntimeError(f"line {(0, *pairs[t].tolist())} through "
+                           f"valuation 0 is not found twice, once from "
+                           f"each other member, but {counts[t]} times")
+    return np.column_stack([np.zeros(len(pairs), dtype=np.int64), pairs])
+
+
+def _line_keys(lines: np.ndarray) -> List[bytes]:
+    """The bytes of each sorted int64 triple, one key per line."""
+    lines = np.ascontiguousarray(lines, dtype=np.int64)
+    return lines.view("V24").ravel().tolist()
+
+
+def _line_closure(seed: np.ndarray, acts: np.ndarray) -> np.ndarray:
+    """The sorted lines the seed lines' images under the row
+    permutations acts generate. A dict maps each line's bytes to None
+    in discovery order; each frontier, the lines found last, is mapped
+    by every permutation at once, and the lines are sorted once, at the
+    end."""
+    seen = dict.fromkeys(_line_keys(seed))
+    done = 0
+    while done < len(seen):
+        new = np.frombuffer(b"".join(islice(seen, done, None)),
+                            dtype=np.int64).reshape(len(seen) - done, 3)
+        done = len(seen)
+        seen.update(dict.fromkeys(_line_keys(np.sort(acts[:, new], axis=2))))
+    lines = np.frombuffer(b"".join(seen), dtype=np.int64).reshape(-1, 3)
+    return lines[np.lexsort(lines.T[::-1])]
+
+
+def _check_lines(vmat: np.ndarray, lines: np.ndarray, degree: int) -> None:
+    """RuntimeError unless each pair of each line has exactly one epsilon
+    and stars to the line's third member, and each row lies on degree
+    lines. The pairs are checked in three array passes, one pair of every
+    line per pass."""
+    for i, j, k in lines.T[[[0, 1, 2], [0, 2, 1], [1, 2, 0]]]:
+        lower, upper = _epsilon_interval(
+            np.subtract(vmat[i], vmat[j], dtype=np.int16).T)
+        wrong = np.flatnonzero(lower != upper)
+        if not wrong.size:
+            stars = _star_rows(vmat[i], vmat[j], lower)
+            wrong = np.flatnonzero((stars != vmat[k]).any(axis=1))
+        if wrong.size:
+            t = wrong[0]
+            raise RuntimeError(f"line {tuple(lines[t].tolist())}: "
+                               f"valuations {i[t]} and {j[t]} do not star "
+                               f"to valuation {k[t]}")
+    degrees = np.bincount(lines.ravel(), minlength=len(vmat))
+    off = np.flatnonzero(degrees != degree)
+    if off.size:
+        t = off[0]
+        raise RuntimeError(f"valuation {t} lies on {degrees[t]} lines, but "
+                           f"{degree} were found through valuation 0")
+
+
+def orbit_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
+                             point_types: Sequence[str],
+                             generators: Sequence[Sequence[int]]
+                             ) -> ValuationGeometry:
+    """build_valuation_geometry(g, rows, point_types) for rows that form
+    one orbit of the group the host automorphisms generators generate,
+    from the lines through one row closed under the group.
+
+    The rows are checked as in build_valuation_geometry. Each generator
+    theta maps row f to f o theta, which must be a row, and the rows
+    must be the orbit of row 0 (_row_action). The lines through row 0
+    come from the kernel class_line_table uses (_lines_through_first).
+    Automorphisms preserve neighboring and star, so the lines through
+    row f o theta are the images of those through row f, and closing
+    the lines through row 0 under the row permutations, one frontier at
+    a time, gives every line (_line_closure). Every line is then checked
+    again, and every row must lie on as many lines as row 0
+    (_check_lines). A failed check raises RuntimeError. With no rows no
+    kernel runs, and with no line through row 0 there is no line to
+    close or check.
+    """
+    vmat, point_types, line_index = _checked_rows(g, rows, point_types)
+    lines = np.zeros((0, 3), dtype=np.int64)
+    if len(vmat):
+        acts = _row_action(vmat, generators)
+        seed = _lines_through_first(vmat, line_index)
+        if len(seed):
+            lines = _line_closure(seed, acts)
+            _check_lines(vmat, lines, len(seed))
+    return _typed_geometry(g, vmat, point_types, lines)
 
 
 def line_type_table(vg: ValuationGeometry) -> Dict[str, Dict[str, int]]:
@@ -438,6 +576,11 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     within a grid is the same as being at distance 2. A valuation with
     other than one zero point raises ValueError when a check reads it.
     """
+    if not len(vprime.vpoints):
+        return LemmaReport(
+            connected=True, collinear_zero_distance=True,
+            grid_zero_distance=True, grids_per_point_16=False,
+            triangle_free=True, witness=("no type-C valuations",))
     geo = vprime.as_geometry()
     nbr = geo.neighbor_masks
     witness = None
@@ -473,7 +616,7 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     # Grids rooted at a point: a grid on p is completed once from each of
     # its four opposite corners, so 4 completions per distinct grid.
     completions = [4 * count for count in grids_through]
-    counts_ok = bool(completions) and all(c == 16 for c in completions)
+    counts_ok = all(c == 16 for c in completions)
     tri = _has_triangle(geo)
     witness = witness or (("triangle",) + tri if tri else None)
     if witness is None and not connected:
@@ -481,9 +624,8 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
         witness = ("disconnected", 0, geo.dist[0].index(-1))
     elif witness is None and not counts_ok:
         # the least point whose completion count is not 16
-        witness = next((("grid_completions", p, c)
-                        for p, c in enumerate(completions) if c != 16),
-                       ("no type-C valuations",))
+        witness = next(("grid_completions", p, c)
+                       for p, c in enumerate(completions) if c != 16)
     return LemmaReport(
         connected=connected,
         collinear_zero_distance=collinear_ok,

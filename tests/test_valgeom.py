@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexval import cli, pipeline, reference, valgeom
-from hexval.constructions import grid_3x3
+from hexval.constructions import build_h2_dual, build_hexagon_2_1, grid_3x3
 from hexval.geometry import Geometry, dual, from_text
 from hexval.perm import are_isomorphic, automorphism_group
 from hexval.valgeom import (LemmaReport, ValuationGeometry,
                             _check_double_count, _count_distinct,
                             _star_closed_lines,
                             build_valuation_geometry, check_lemma_3_1,
-                            class_line_table, line_type_table, restrict)
+                            class_line_table, line_type_table,
+                            orbit_valuation_geometry, restrict)
 from hexval.valuations import Valuation, classify_valuations
-from hosts import EXAMPLE_HOST, partial_linear_spaces, relabeled
+from hosts import EXAMPLE_HOST, chain, partial_linear_spaces, relabeled
 from optimized import run_optimized
 from oracles import (EQUAL, are_neighboring, as_valuations,
                      brute_force_valuations, classical_valuation, is_valid,
@@ -464,7 +465,7 @@ class TestReportPath:
         monkeypatch.setattr(pipeline, "_BUNDLES", {})
         assert cli.run(["report", "--all", "--format", "json"]) == 0
         assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
-        assert sizes == [252]
+        assert sizes == []
 
     @pytest.mark.parametrize("host,table", [
         ("h2dual", reference.LINE_TABLE_H2DUAL),
@@ -510,6 +511,149 @@ class TestRestriction:
     def test_empty_restriction(self, h2dual):
         sub = restrict(h2dual.valuation_geometry, [], [])
         assert sub.vpoints.shape == (0, 63) and sub.vlines == []
+
+
+def full_vprime(bundle):
+    """Oracle: the Type-C/CCC restriction of the full valuation geometry."""
+    vg = build_valuation_geometry(bundle.geometry, bundle.valuations,
+                                  bundle.type_labels)
+    return restrict(vg, ("C",), ("CCC",))
+
+
+def assert_same_geometry(got, want):
+    assert got.host is want.host
+    assert got.vpoints.tolist() == want.vpoints.tolist()
+    assert got.vlines == want.vlines
+    assert got.point_types == want.point_types
+    assert got.line_types == want.line_types
+
+
+def drop_first_line(vmat, line_index, rows=None):
+    """_neighbor_stars without the first line it finds, from either of
+    the line's other members."""
+    i, j, k = map(np.concatenate,
+                  zip(*EXACT_NEIGHBOR_STARS(vmat, line_index, rows)))
+    keep = (np.minimum(j, k) != min(j[0], k[0])) | (
+        np.maximum(j, k) != max(j[0], k[0]))
+    yield i[keep], j[keep], k[keep]
+
+
+def misplace_third_member(vmat, line_index, rows=None):
+    """_neighbor_stars with the first line {i, a, b} it finds turned into
+    {i, a, c}, c a member of another line through i, from both a and c."""
+    i, j, k = map(np.concatenate,
+                  zip(*EXACT_NEIGHBOR_STARS(vmat, line_index, rows)))
+    a, b = j[0], k[0]
+    c = next(x for x in j.tolist() if x not in (a, b))
+    k[(j == a) & (k == b)] = c
+    j[(j == b) & (k == a)] = c
+    yield i, j, k
+
+
+#: each fault of orbit_valuation_geometry's input on H^D(2): the
+#: _neighbor_stars mutant it needs, if any, and the error it must raise
+ORBIT_FAULTS = {
+    "foreign generator": (None, "outside the given rows"),
+    "two orbits": (None, "not in the orbit of valuation 0"),
+    "dropped line": ("drop_first_line", "lies on 8 lines, but 7 were found"),
+    "wrong third member": ("misplace_third_member", "do not star to"),
+}
+
+
+def faulty_orbit_geometry(bundle, fault):
+    """orbit_valuation_geometry on the bundle's type-C rows, with the
+    first generator swapping points 0 and 1 for a foreign generator and
+    the type-A rows added for two orbits."""
+    generators = list(bundle.aut_group.generators)
+    if fault == "foreign generator":
+        generators[0] = (1, 0, *range(2, bundle.geometry.num_points))
+    labels = ("A", "C") if fault == "two orbits" else ("C",)
+    keep = [i for i, label in enumerate(bundle.type_labels)
+            if label in labels]
+    return orbit_valuation_geometry(
+        bundle.geometry, bundle.valuations[keep],
+        [bundle.type_labels[i] for i in keep], generators)
+
+
+class TestOrbitValuationGeometry:
+    """vprime() closes the lines through one type-C valuation under the
+    group; the full all-pairs build restricted to C/CCC is its oracle."""
+
+    # TestRestriction compares H^D(2)
+    @pytest.mark.parametrize("host,points,lines", [
+        ("h2", 36, 0), ("h21", 24, 8)])
+    def test_matches_full_build(self, request, host, points, lines):
+        bundle = request.getfixturevalue(host)
+        vp = bundle.vprime()
+        assert (len(vp.vpoints), len(vp.vlines)) == (points, lines)
+        assert_same_geometry(vp, restrict(bundle.valuation_geometry,
+                                          ("C",), ("CCC",)))
+
+    @pytest.mark.parametrize("build", [
+        grid_3x3, lambda: chain(1), lambda: chain(3),
+        lambda: from_text(EXAMPLE_HOST),
+        lambda: relabeled(build_h2_dual(), 3),
+        lambda: relabeled(build_hexagon_2_1(), 5)],
+        ids=["grid3", "chain1", "chain3", "example", "h2dual-relabeled",
+             "h21-relabeled"])
+    def test_matches_full_build_on_test_hosts(self, build):
+        bundle = pipeline.Bundle(build())
+        assert_same_geometry(bundle.vprime(), full_vprime(bundle))
+
+    @settings(max_examples=60, deadline=None)
+    @given(partial_linear_spaces(max_points=10, max_lines=8,
+                                 connected=True))
+    def test_matches_full_build_on_random_hosts(self, g):
+        bundle = pipeline.Bundle(g)
+        assert_same_geometry(bundle.vprime(), full_vprime(bundle))
+
+    def test_no_type_c_runs_no_kernel(self, monkeypatch, fano):
+        calls = Counter()
+
+        def counted(name):
+            exact = getattr(valgeom, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return exact(*args)
+            return counting
+
+        for name in ("_neighbor_stars", "enumerate_grids"):
+            monkeypatch.setattr(valgeom, name, counted(name))
+        assert "C" not in fano.type_labels
+        vp = fano.vprime()
+        assert vp.vpoints.shape == (0, 7) and vp.vlines == []
+        assert check_lemma_3_1(vp, fano.geometry) == LemmaReport(
+            connected=True, collinear_zero_distance=True,
+            grid_zero_distance=True, grids_per_point_16=False,
+            triangle_free=True, total_grids=0,
+            grid_completions_per_point=None,
+            witness=("no type-C valuations",))
+        assert calls == Counter()
+
+    @pytest.mark.parametrize("fault", ORBIT_FAULTS)
+    def test_fault_detected(self, monkeypatch, h2dual, fault):
+        mutant, message = ORBIT_FAULTS[fault]
+        if mutant:
+            monkeypatch.setattr(valgeom, "_neighbor_stars", globals()[mutant])
+        with pytest.raises(RuntimeError, match=message):
+            faulty_orbit_geometry(h2dual, fault)
+
+    @pytest.mark.parametrize("fault", ORBIT_FAULTS)
+    def test_fault_detected_under_optimize(self, fault):
+        mutant, message = ORBIT_FAULTS[fault]
+        assert message in run_optimized(
+            f"import test_valgeom\n"
+            f"from hexval import valgeom\n"
+            f"from hexval.pipeline import get_bundle\n"
+            f"if {mutant!r}:\n"
+            f"    valgeom._neighbor_stars = getattr(test_valgeom,\n"
+            f"                                      {mutant!r})\n"
+            f"try:\n"
+            f"    test_valgeom.faulty_orbit_geometry(get_bundle('h2dual'),\n"
+            f"                                       {fault!r})\n"
+            f"except RuntimeError as exc:\n"
+            f"    print(exc)\n")
 
 
 def with_lines(vp, lines):

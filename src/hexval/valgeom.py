@@ -14,16 +14,18 @@ oracle (`tests/oracles.py`). The neighboring scan takes its rows in
 blocks sized from a fixed element budget, so it never holds a
 rows x rows x points array however many valuations there are.
 
-The report needs neither all pairs nor all lines. `class_line_table`
-scans one representative row per point type against every row with the
-same kernel, and checks the counts it reads off by double counting.
-Lines are deduplicated and counted as integer columns (`_count_distinct`,
-one lexsort, no packed keys) and typed by integer point-type codes. The
-Lemma 3.1 input, the type-C rows, is one automorphism orbit:
-`orbit_valuation_geometry` closes the lines through one of its rows
-under the group's action on rows and checks every line and every row's
-line count again. The full build stays as the public function and the
-tests' oracle.
+The report needs neither all pairs nor all lines. `_lines_through`
+scans chosen rows against every row with the same kernel and checks the
+lines it finds: no repeated member, each found from both other members,
+and star(j, k) = r re-checked by `_check_stars`, the one star re-check.
+`class_line_table` reads the lines through one row per point type and
+checks its counts by double counting. Lines are deduplicated and
+counted as integer columns (`_count_distinct`, one lexsort, no packed
+keys) and typed by integer point-type codes. The Lemma 3.1 input, the
+type-C rows, is one automorphism orbit: `orbit_valuation_geometry`
+closes the lines through its row 0 under the group's action on rows and
+checks every line and every row's line count again. The full build
+stays as the public function and the tests' oracle.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Geometry, _bits, enumerate_grids
+from .hyperplanes import _orbit_labels
 from .valuations import (_line_index, _non_valuation_rows, find_rows,
                          row_keys)
 
@@ -199,6 +202,53 @@ def _star_closed_lines(triples: np.ndarray) -> np.ndarray:
     return lines
 
 
+def _check_stars(vmat: np.ndarray, triples: np.ndarray) -> None:
+    """RuntimeError unless rows i and j of each triple (i, j, k) have
+    exactly one epsilon and star to row k."""
+    i, j, k = triples.T
+    lower, upper = _epsilon_interval(
+        np.subtract(vmat[i], vmat[j], dtype=np.int16).T)
+    wrong = np.flatnonzero(lower != upper)
+    if not wrong.size:
+        stars = _star_rows(vmat[i], vmat[j], lower)
+        wrong = np.flatnonzero((stars != vmat[k]).any(axis=1))
+    if wrong.size:
+        t = wrong[0]
+        raise RuntimeError(f"line {tuple(sorted(triples[t].tolist()))}: "
+                           f"valuations {i[t]} and {j[t]} do not star to "
+                           f"valuation {k[t]}")
+
+
+def _lines_through(vmat: np.ndarray, line_index: List[np.ndarray],
+                   reps: np.ndarray) -> np.ndarray:
+    """The sorted lines (r, j, k), j < k, through each of the sorted rows
+    reps, as int64 triples, from one scan of each row r against every
+    other row. A line {r, j, k} is found from j, as star(r, j) = k, and
+    from k. RuntimeError unless no line repeats a member, each line is
+    found exactly twice, once from each other member, and
+    star(j, k) = r holds on every line (_check_stars)."""
+    found = [np.zeros((3, 0), dtype=np.int64)]
+    for i, j, k in _neighbor_stars(vmat, line_index, reps):
+        found.append(np.stack([i, j, k]))
+    r, j, k = np.concatenate(found, axis=1)
+    repeated = np.flatnonzero((k == r) | (k == j))
+    if repeated.size:
+        t = repeated[0]
+        raise RuntimeError(f"line {(int(r[t]), int(j[t]), int(k[t]))} "
+                           f"repeats a member")
+    lines, counts = _count_distinct(
+        np.stack([r, np.minimum(j, k), np.maximum(j, k)], axis=1))
+    short = np.flatnonzero(counts != 2)
+    if short.size:
+        t = short[0]
+        raise RuntimeError(f"line {tuple(lines[t].tolist())} through "
+                           f"valuation {lines[t, 0]} is not found twice, "
+                           f"once from each other member, but {counts[t]} "
+                           f"times")
+    _check_stars(vmat, lines[:, [1, 2, 0]])
+    return lines
+
+
 def build_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
                              point_types: Sequence[str]
                              ) -> ValuationGeometry:
@@ -254,37 +304,12 @@ def _row_action(vmat: np.ndarray, generators: Sequence[Sequence[int]]
         gen, row = missing[0].tolist()
         raise RuntimeError(f"generator {gen} maps valuation {row} (in "
                            f"sorted order) outside the given rows")
-    reached = np.zeros(n, dtype=bool)
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        reached[frontier] = True
-        frontier = acts[:, frontier].ravel()
-        frontier = frontier[~reached[frontier]]
-    if not reached.all():
-        raise RuntimeError(f"valuation {int(reached.argmin())} (in sorted "
-                           f"order) is not in the orbit of valuation 0")
+    # the rows in the orbit of row 0 are the rows labelled 0
+    outside = np.flatnonzero(_orbit_labels(acts, n))
+    if outside.size:
+        raise RuntimeError(f"valuation {outside[0]} (in sorted order) is "
+                           f"not in the orbit of valuation 0")
     return acts
-
-
-def _lines_through_first(vmat: np.ndarray, line_index: List[np.ndarray]
-                         ) -> np.ndarray:
-    """The sorted lines {0, j, k} through row 0, as int64 triples, from
-    the kernel class_line_table uses; RuntimeError unless each is found
-    exactly twice, once from each other member."""
-    found = [np.zeros((2, 0), dtype=np.int64)]
-    for _, j, k in _neighbor_stars(vmat, line_index,
-                                   np.zeros(1, dtype=np.intp)):
-        found.append(np.stack([j, k]))
-    j, k = np.concatenate(found, axis=1)
-    pairs, counts = _count_distinct(
-        np.stack([np.minimum(j, k), np.maximum(j, k)], axis=1))
-    short = np.flatnonzero(counts != 2)
-    if short.size:
-        t = short[0]
-        raise RuntimeError(f"line {(0, *pairs[t].tolist())} through "
-                           f"valuation 0 is not found twice, once from "
-                           f"each other member, but {counts[t]} times")
-    return np.column_stack([np.zeros(len(pairs), dtype=np.int64), pairs])
 
 
 def _line_keys(lines: np.ndarray) -> List[bytes]:
@@ -311,22 +336,11 @@ def _line_closure(seed: np.ndarray, acts: np.ndarray) -> np.ndarray:
 
 
 def _check_lines(vmat: np.ndarray, lines: np.ndarray, degree: int) -> None:
-    """RuntimeError unless each pair of each line has exactly one epsilon
-    and stars to the line's third member, and each row lies on degree
-    lines. The pairs are checked in three array passes, one pair of every
-    line per pass."""
-    for i, j, k in lines.T[[[0, 1, 2], [0, 2, 1], [1, 2, 0]]]:
-        lower, upper = _epsilon_interval(
-            np.subtract(vmat[i], vmat[j], dtype=np.int16).T)
-        wrong = np.flatnonzero(lower != upper)
-        if not wrong.size:
-            stars = _star_rows(vmat[i], vmat[j], lower)
-            wrong = np.flatnonzero((stars != vmat[k]).any(axis=1))
-        if wrong.size:
-            t = wrong[0]
-            raise RuntimeError(f"line {tuple(lines[t].tolist())}: "
-                               f"valuations {i[t]} and {j[t]} do not star "
-                               f"to valuation {k[t]}")
+    """RuntimeError unless each pair of each line stars to the line's
+    third member (_check_stars, one pair of every line per pass), and
+    each row lies on degree lines."""
+    for order in ([0, 1, 2], [0, 2, 1], [1, 2, 0]):
+        _check_stars(vmat, lines[:, order])
     degrees = np.bincount(lines.ravel(), minlength=len(vmat))
     off = np.flatnonzero(degrees != degree)
     if off.size:
@@ -345,13 +359,15 @@ def orbit_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
 
     The rows are checked as in build_valuation_geometry. Each generator
     theta maps row f to f o theta, which must be a row, and the rows
-    must be the orbit of row 0 (_row_action). The lines through row 0
-    come from the kernel class_line_table uses (_lines_through_first).
-    Automorphisms preserve neighboring and star, so the lines through
-    row f o theta are the images of those through row f, and closing
-    the lines through row 0 under the row permutations, one frontier at
-    a time, gives every line (_line_closure). Every line is then checked
-    again, and every row must lie on as many lines as row 0
+    must be the orbit of row 0 (_row_action, read off _orbit_labels).
+    The lines through row 0 come from _lines_through, as in
+    class_line_table, so its repeated-member, found-twice and star
+    checks cover them too. Automorphisms preserve neighboring and star,
+    so the lines through row f o theta are the images of those through
+    row f, and closing the lines through row 0 under the row
+    permutations, one frontier at a time, gives every line
+    (_line_closure). Every line is then checked again (_check_stars on
+    each of its pairs), and every row must lie on as many lines as row 0
     (_check_lines). A failed check raises RuntimeError. With no rows no
     kernel runs, and with no line through row 0 there is no line to
     close or check.
@@ -360,7 +376,7 @@ def orbit_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
     lines = np.zeros((0, 3), dtype=np.int64)
     if len(vmat):
         acts = _row_action(vmat, generators)
-        seed = _lines_through_first(vmat, line_index)
+        seed = _lines_through(vmat, line_index, np.zeros(1, dtype=np.intp))
         if len(seed):
             lines = _line_closure(seed, acts)
             _check_lines(vmat, lines, len(seed))
@@ -432,16 +448,17 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
 
     The representative of a point type is its first valuation in
     value-vector order. The rows are checked as in
-    build_valuation_geometry, and each representative row r is scanned
-    against every other row with the same kernel (more than one epsilon
-    raises ValueError). A line {r, j, k} is found from j, as
-    star(r, j) = k, and from k; it must be found exactly twice, and
-    star(j, k) = r is checked on every line found. Each line is typed by
-    the sorted codes of its members' point types, codes in label order,
-    and the lines are counted per (line type, representative type) pair
-    in one pass, so a type string is built once per line type. Then the
-    double count (_check_double_count) compares the counts of each line
-    type across its point types. A failed check raises RuntimeError.
+    build_valuation_geometry, and _lines_through finds the lines
+    {r, j, k} through each representative row r (more than one epsilon
+    raises ValueError): no line may repeat a member, each must be found
+    exactly twice, from j as star(r, j) = k and from k, and
+    star(j, k) = r is re-checked on every line (_check_stars). Each
+    line is typed by the sorted codes of its members' point types, codes
+    in label order, and the lines are counted per (line type,
+    representative type) pair in one pass, so a type string is built
+    once per line type. Then the double count (_check_double_count)
+    compares the counts of each line type across its point types. A
+    failed check raises RuntimeError.
     """
     vmat, point_types, line_index = _checked_rows(g, rows, point_types)
     first: Dict[str, int] = {}
@@ -455,40 +472,11 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
     code = {name: c for c, name in enumerate(names)}
     codes = np.fromiter(map(code.__getitem__, point_types), dtype=np.intp,
                         count=len(point_types))
-    found = [np.zeros((3, 0), dtype=np.int64)]
-    reps = np.array(list(first.values()), dtype=np.intp)
-    for i, j, k in _neighbor_stars(vmat, line_index, reps):
-        found.append(np.stack([i, j, k]))
-    r, j, k = np.concatenate(found, axis=1)
-    repeated = np.flatnonzero((k == r) | (k == j))
-    if repeated.size:
-        t = repeated[0]
-        raise RuntimeError(f"line {(int(r[t]), int(j[t]), int(k[t]))} "
-                           f"repeats a member")
-    lines, counts = _count_distinct(
-        np.stack([r, np.minimum(j, k), np.maximum(j, k)], axis=1))
-    short = np.flatnonzero(counts != 2)
-    if short.size:
-        t = short[0]
-        raise RuntimeError(f"line {tuple(lines[t].tolist())} through "
-                           f"representative {lines[t, 0]} is not found "
-                           f"twice, once from each other member, but "
-                           f"{counts[t]} times")
-    r, j, k = lines.T
-    lower, upper = _epsilon_interval(
-        np.subtract(vmat[j], vmat[k], dtype=np.int16).T)
-    wrong = np.flatnonzero(lower != upper)
-    if not wrong.size:
-        stars = _star_rows(vmat[j], vmat[k], lower)
-        wrong = np.flatnonzero((stars != vmat[r]).any(axis=1))
-    if wrong.size:
-        t = wrong[0]
-        raise RuntimeError(f"line {tuple(lines[t].tolist())}: valuations "
-                           f"{j[t]} and {k[t]} do not star to "
-                           f"representative {r[t]}")
+    lines = _lines_through(vmat, line_index,
+                           np.array(list(first.values()), dtype=np.intp))
     # each line counted once per (sorted member codes, representative)
     pairs, counts = _count_distinct(
-        np.column_stack([np.sort(codes[lines], axis=1), codes[r]]))
+        np.column_stack([np.sort(codes[lines], axis=1), codes[lines[:, 0]]]))
     table: Dict[str, Dict[str, int]] = {}
     members: Dict[str, List[str]] = {}
     last = None

@@ -57,6 +57,23 @@ def test_only_the_seed_screen_packs_bits():
     assert found == []
 
 
+def test_one_line_finder_and_star_recheck():
+    # the lines through chosen valuations are found in _lines_through and
+    # star is re-checked on found lines in _check_stars; the full build
+    # is the tests' reference and keeps its own scan
+    allowed = {"_neighbor_stars": {"build_valuation_geometry",
+                                   "_lines_through"},
+               "_star_rows": {"_neighbor_stars", "_check_stars"}}
+    tree = ast.parse((SRC / "valgeom.py").read_text(encoding="utf-8"))
+    found = [f"valgeom.py:{node.lineno} {func.name}"
+             for func in tree.body if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in allowed
+             and func.name not in allowed[node.func.id]]
+    assert found == []
+
+
 def test_traced_functions_exist():
     # perfbench's tracer looks each of its targets up with a bare getattr,
     # so a moved or renamed function would crash every traced run

@@ -375,11 +375,26 @@ def drop_line_partner(vmat, line_index, rows=None):
 
 def corrupt_line_star(first, second, eps):
     """_star_rows, with one value of the first star raised when
-    class_line_table recomputes star(j, k) on its lines."""
+    _lines_through re-checks star(j, k) on its lines through _check_stars;
+    the stars of _neighbor_stars, called from _lines_through too, stay
+    exact."""
     stars = EXACT_STAR_ROWS(first, second, eps)
-    if sys._getframe(1).f_code.co_name == "class_line_table" and len(stars):
+    callers = (sys._getframe(1).f_code.co_name,
+               sys._getframe(2).f_code.co_name)
+    if callers == ("_check_stars", "_lines_through") and len(stars):
         stars[0, 0] += 1
     return stars
+
+
+def star_to_member(vmat, line_index, rows=None):
+    """_neighbor_stars with the first star it finds set to its own
+    representative, so that line repeats a member."""
+    changed = False
+    for i, j, k in EXACT_NEIGHBOR_STARS(vmat, line_index, rows):
+        if len(k) and not changed:
+            k, changed = k.copy(), True
+            k[0] = i[0]
+        yield i, j, k
 
 
 def miscount(table, sizes, members):
@@ -436,6 +451,7 @@ class TestClassLineTable:
 
     @pytest.mark.parametrize("target,mutant,message", [
         ("_neighbor_stars", "drop_line_partner", "not found twice"),
+        ("_neighbor_stars", "star_to_member", "repeats a member"),
         ("_star_rows", "corrupt_line_star", "do not star to"),
         ("_check_double_count", "miscount", "double count of line type")])
     def test_checks_survive_optimize(self, target, mutant, message):
@@ -557,6 +573,7 @@ ORBIT_FAULTS = {
     "two orbits": (None, "not in the orbit of valuation 0"),
     "dropped line": ("drop_first_line", "lies on 8 lines, but 7 were found"),
     "wrong third member": ("misplace_third_member", "do not star to"),
+    "star to a member": ("star_to_member", "repeats a member"),
 }
 
 

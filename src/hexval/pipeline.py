@@ -18,11 +18,11 @@ needs no automorphism group, and never reads ``hyperplanes``. The line
 table is read off the lines through one valuation of each orbit
 (``valgeom.class_line_table``), and the Lemma 3.1 input ``vprime()`` is
 the valuation geometry of the type-C rows, one orbit, built from the
-lines through one of them closed under the automorphism generators
-(``valgeom.orbit_valuation_geometry``), so the report never scans all
-pairs of valuations or builds the full ``valuation_geometry``. The
-built-in hexagons are cached at module level so CLI commands and tests
-share one computation.
+lines through one of them carried to every row by the automorphism
+generators (``valgeom.orbit_valuation_geometry``), so the report never
+scans all pairs of valuations or builds the full
+``valuation_geometry``. The built-in hexagons are cached at module
+level so CLI commands and tests share one computation.
 """
 from __future__ import annotations
 
@@ -155,9 +155,10 @@ class Bundle:
         """The Type-C/CCC restriction of the valuation geometry, built on
         the type-C valuations alone: a line with all three points of type
         C is exactly a CCC line. A label names one orbit, so the lines
-        through one type-C valuation closed under the automorphism
-        generators are all of them (``orbit_valuation_geometry``); with
-        no type-C valuation, no kernel runs."""
+        through one type-C valuation, carried to every type-C valuation
+        by the automorphism generators, are all of them
+        (``orbit_valuation_geometry``); with no type-C valuation, no
+        kernel runs."""
         type_c = [i for i, label in enumerate(self.type_labels)
                   if label == "C"]
         return orbit_valuation_geometry(

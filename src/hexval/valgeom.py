@@ -16,27 +16,27 @@ rows x rows x points array however many valuations there are.
 
 The report needs neither all pairs nor all lines. `_lines_through`
 scans chosen rows against every row with the same kernel and checks the
-lines it finds: no repeated member, each found from both other members,
-and star(j, k) = r re-checked by `_check_stars`, the one star re-check.
-`class_line_table` reads the lines through one row per point type and
-checks its counts by double counting. Lines are deduplicated and
-counted as integer columns (`_count_distinct`, one lexsort, no packed
-keys) and typed by integer point-type codes. The Lemma 3.1 input, the
-type-C rows, is one automorphism orbit: `orbit_valuation_geometry`
-closes the lines through its row 0 under the group's action on rows and
-checks every line and every row's line count again. The full build
-stays as the public function and the tests' oracle.
+lines it finds: no repeated member, each found from both other members.
+Its callers star-check each line once with `_check_stars`, the one star
+re-check. `class_line_table` reads the lines through one row per point
+type and checks its counts by double counting. Lines are deduplicated
+and counted as integer columns (`_count_distinct`, one lexsort, no
+packed keys) and typed by integer point-type codes. The Lemma 3.1
+input, the type-C rows, is one automorphism orbit:
+`orbit_valuation_geometry` carries the lines through its row 0 to every
+row in one walk under the group's action on rows, star-checks each
+distinct line and requires each to reach all three of its members. The
+full build stays as the public function and the tests' oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Geometry, _bits, enumerate_grids
-from .hyperplanes import _orbit_labels
 from .valuations import (_line_index, _non_valuation_rows, find_rows,
                          row_keys)
 
@@ -224,9 +224,9 @@ def _lines_through(vmat: np.ndarray, line_index: List[np.ndarray],
     """The sorted lines (r, j, k), j < k, through each of the sorted rows
     reps, as int64 triples, from one scan of each row r against every
     other row. A line {r, j, k} is found from j, as star(r, j) = k, and
-    from k. RuntimeError unless no line repeats a member, each line is
-    found exactly twice, once from each other member, and
-    star(j, k) = r holds on every line (_check_stars)."""
+    from k. RuntimeError unless no line repeats a member and each line is
+    found exactly twice, once from each other member; star(j, k) = r is
+    left to the caller (_check_stars)."""
     found = [np.zeros((3, 0), dtype=np.int64)]
     for i, j, k in _neighbor_stars(vmat, line_index, reps):
         found.append(np.stack([i, j, k]))
@@ -245,7 +245,6 @@ def _lines_through(vmat: np.ndarray, line_index: List[np.ndarray],
                            f"valuation {lines[t, 0]} is not found twice, "
                            f"once from each other member, but {counts[t]} "
                            f"times")
-    _check_stars(vmat, lines[:, [1, 2, 0]])
     return lines
 
 
@@ -289,12 +288,16 @@ def _typed_geometry(g: Geometry, vmat: np.ndarray, point_types: List[str],
     return ValuationGeometry(g, vmat, vlines, point_types, line_types)
 
 
-def _row_action(vmat: np.ndarray, generators: Sequence[Sequence[int]]
-                ) -> np.ndarray:
-    """The [generators, rows] index of the row f o theta for each
-    generator theta and row f of the sorted rows vmat. RuntimeError
-    unless every image is a row and every row lies in the orbit of
-    row 0."""
+def _lines_through_orbit(vmat: np.ndarray,
+                         generators: Sequence[Sequence[int]],
+                         seed: np.ndarray) -> np.ndarray:
+    """The [rows, len(seed), 3] lines through each of the sorted rows
+    vmat, carried from the lines seed through row 0. Each generator
+    theta maps row f to f o theta, which must be a row (one find_rows
+    call). A breadth-first walk from row 0 maps the lines through row f
+    onto the lines through each image of f that the walk has not reached
+    yet. RuntimeError unless every image is a row and the walk reaches
+    every row."""
     n, num_points = vmat.shape
     perms = np.array(generators, dtype=np.intp).reshape(-1, num_points)
     acts = find_rows(vmat, vmat[:, perms].swapaxes(0, 1).reshape(
@@ -304,49 +307,25 @@ def _row_action(vmat: np.ndarray, generators: Sequence[Sequence[int]]
         gen, row = missing[0].tolist()
         raise RuntimeError(f"generator {gen} maps valuation {row} (in "
                            f"sorted order) outside the given rows")
-    # the rows in the orbit of row 0 are the rows labelled 0
-    outside = np.flatnonzero(_orbit_labels(acts, n))
+    through = np.empty((n, len(seed), 3), dtype=np.int64)
+    through[0] = seed
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        found = [frontier[:0]]
+        for act in acts:
+            sources = frontier[~reached[act[frontier]]]
+            images = act[sources]
+            reached[images] = True
+            through[images] = act[through[sources]]
+            found.append(images)
+        frontier = np.concatenate(found)
+    outside = np.flatnonzero(~reached)
     if outside.size:
         raise RuntimeError(f"valuation {outside[0]} (in sorted order) is "
                            f"not in the orbit of valuation 0")
-    return acts
-
-
-def _line_keys(lines: np.ndarray) -> List[bytes]:
-    """The bytes of each sorted int64 triple, one key per line."""
-    lines = np.ascontiguousarray(lines, dtype=np.int64)
-    return lines.view("V24").ravel().tolist()
-
-
-def _line_closure(seed: np.ndarray, acts: np.ndarray) -> np.ndarray:
-    """The sorted lines the seed lines' images under the row
-    permutations acts generate. A dict maps each line's bytes to None
-    in discovery order; each frontier, the lines found last, is mapped
-    by every permutation at once, and the lines are sorted once, at the
-    end."""
-    seen = dict.fromkeys(_line_keys(seed))
-    done = 0
-    while done < len(seen):
-        new = np.frombuffer(b"".join(islice(seen, done, None)),
-                            dtype=np.int64).reshape(len(seen) - done, 3)
-        done = len(seen)
-        seen.update(dict.fromkeys(_line_keys(np.sort(acts[:, new], axis=2))))
-    lines = np.frombuffer(b"".join(seen), dtype=np.int64).reshape(-1, 3)
-    return lines[np.lexsort(lines.T[::-1])]
-
-
-def _check_lines(vmat: np.ndarray, lines: np.ndarray, degree: int) -> None:
-    """RuntimeError unless each pair of each line stars to the line's
-    third member (_check_stars, one pair of every line per pass), and
-    each row lies on degree lines."""
-    for order in ([0, 1, 2], [0, 2, 1], [1, 2, 0]):
-        _check_stars(vmat, lines[:, order])
-    degrees = np.bincount(lines.ravel(), minlength=len(vmat))
-    off = np.flatnonzero(degrees != degree)
-    if off.size:
-        t = off[0]
-        raise RuntimeError(f"valuation {t} lies on {degrees[t]} lines, but "
-                           f"{degree} were found through valuation 0")
+    return through
 
 
 def orbit_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
@@ -355,31 +334,39 @@ def orbit_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
                              ) -> ValuationGeometry:
     """build_valuation_geometry(g, rows, point_types) for rows that form
     one orbit of the group the host automorphisms generators generate,
-    from the lines through one row closed under the group.
+    from the lines through one row carried to every row by the group.
 
-    The rows are checked as in build_valuation_geometry. Each generator
-    theta maps row f to f o theta, which must be a row, and the rows
-    must be the orbit of row 0 (_row_action, read off _orbit_labels).
-    The lines through row 0 come from _lines_through, as in
-    class_line_table, so its repeated-member, found-twice and star
-    checks cover them too. Automorphisms preserve neighboring and star,
-    so the lines through row f o theta are the images of those through
-    row f, and closing the lines through row 0 under the row
-    permutations, one frontier at a time, gives every line
-    (_line_closure). Every line is then checked again (_check_stars on
-    each of its pairs), and every row must lie on as many lines as row 0
-    (_check_lines). A failed check raises RuntimeError. With no rows no
-    kernel runs, and with no line through row 0 there is no line to
-    close or check.
+    The rows are checked as in build_valuation_geometry. The lines
+    through row 0 come from _lines_through, as in class_line_table, so
+    its repeated-member and found-twice checks cover them too.
+    Automorphisms preserve neighboring and star, so the images of the
+    lines through row f under a generator theta are the lines through
+    row f o theta, and one walk from row 0 carries them to every row
+    (_lines_through_orbit, which also shows that the rows are one
+    orbit). Every distinct carried line then has each of its pairs
+    star-checked once (_check_stars), and must have been carried to all
+    three of its members. A failed check raises RuntimeError. With no
+    rows no kernel runs; with no line through row 0 the walk still
+    checks the orbit, but there is no line to check.
     """
     vmat, point_types, line_index = _checked_rows(g, rows, point_types)
     lines = np.zeros((0, 3), dtype=np.int64)
     if len(vmat):
-        acts = _row_action(vmat, generators)
         seed = _lines_through(vmat, line_index, np.zeros(1, dtype=np.intp))
+        through = _lines_through_orbit(vmat, generators, seed)
         if len(seed):
-            lines = _line_closure(seed, acts)
-            _check_lines(vmat, lines, len(seed))
+            lines, counts = _count_distinct(
+                np.sort(through.reshape(-1, 3), axis=1))
+            # stars first, so a wrong member is named as such rather
+            # than as a line carried to too few of its members
+            pairs = [[0, 1, 2], [0, 2, 1], [1, 2, 0]]
+            _check_stars(vmat, lines[:, pairs].reshape(-1, 3))
+            short = np.flatnonzero(counts != 3)
+            if short.size:
+                t = short[0]
+                raise RuntimeError(f"line {tuple(lines[t].tolist())} is "
+                                   f"carried to {counts[t]} of its three "
+                                   f"members")
     return _typed_geometry(g, vmat, point_types, lines)
 
 
@@ -450,8 +437,8 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
     value-vector order. The rows are checked as in
     build_valuation_geometry, and _lines_through finds the lines
     {r, j, k} through each representative row r (more than one epsilon
-    raises ValueError): no line may repeat a member, each must be found
-    exactly twice, from j as star(r, j) = k and from k, and
+    raises ValueError): no line may repeat a member, and each must be
+    found exactly twice, from j as star(r, j) = k and from k. Then
     star(j, k) = r is re-checked on every line (_check_stars). Each
     line is typed by the sorted codes of its members' point types, codes
     in label order, and the lines are counted per (line type,
@@ -474,6 +461,7 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
                         count=len(point_types))
     lines = _lines_through(vmat, line_index,
                            np.array(list(first.values()), dtype=np.intp))
+    _check_stars(vmat, lines[:, [1, 2, 0]])
     # each line counted once per (sorted member codes, representative)
     pairs, counts = _count_distinct(
         np.column_stack([np.sort(codes[lines], axis=1), codes[lines[:, 0]]]))
@@ -561,8 +549,9 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     Every check runs on the restriction's neighbour and line masks and
     on its enumerate_grids masks, so its distance matrix is never computed. Two
     points of a grid are opposite when they are not collinear, which
-    within a grid is the same as being at distance 2. A valuation with
-    other than one zero point raises ValueError when a check reads it.
+    within a grid is the same as being at distance 2. A valuation on a
+    line with other than one zero point raises ValueError; each zero
+    point's host distance row is read once.
     """
     if not len(vprime.vpoints):
         return LemmaReport(
@@ -575,19 +564,20 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     connected = geo.is_connected()
     zeros = vprime.vpoints == 0
     zero_counts = zeros.sum(axis=1).tolist()
-    first_zeros = zeros.argmax(axis=1).tolist() if zeros.size else []
-
-    def zero_point(i: int) -> int:
-        if zero_counts[i] != 1:
-            raise ValueError(f"Lemma 3.1 needs one zero point per valuation; "
-                             f"point {i} of the restriction has "
-                             f"{zero_counts[i]}")
-        return first_zeros[i]
-
+    # every pair the checks read lies on a line; the first point, in
+    # line order, without exactly one zero point is the one named
+    off = next((p for line in geo.lines for p in line
+                if zero_counts[p] != 1), None)
+    if off is not None:
+        raise ValueError(f"Lemma 3.1 needs one zero point per valuation; "
+                         f"point {off} of the restriction has "
+                         f"{zero_counts[off]}")
+    zero = zeros.argmax(axis=1).tolist() if zeros.size else []
+    dist = [host.dist[z] for z in zero]
     collinear_ok = True
     for line in geo.lines:
         for a, b in combinations(line, 2):
-            if host.dist[zero_point(a)][zero_point(b)] != 3:
+            if dist[a][zero[b]] != 3:
                 collinear_ok = False
                 witness = witness or ("collinear", a, b)
     grids = enumerate_grids(geo)
@@ -598,7 +588,7 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
             grids_through[a] += 1
             # the grid points after a that are opposite to it
             for b in _bits(mask & ~nbr[a] & -2 << a):
-                if host.dist[zero_point(a)][zero_point(b)] != 3:
+                if dist[a][zero[b]] != 3:
                     grid_ok = False
                     witness = witness or ("grid", a, b)
     # Grids rooted at a point: a grid on p is completed once from each of

@@ -25,21 +25,30 @@ def test_no_assert_statements():
     assert found == []
 
 
+#: numpy's set routines: on numpy 2.4.6 each imports numpy.ma on first
+#: use (np.isin on its sorting path; in1d is gone there but not in older
+#: numpy)
+MASKED_IMPORTERS = {"unique", "isin", "in1d", "setdiff1d", "intersect1d",
+                    "union1d", "setxor1d"}
+
+
 def test_no_np_unique():
-    # plain np.unique imports numpy.ma (13 ms on numpy 2.4.6), and its
+    # importing numpy.ma costs 13 ms on numpy 2.4.6, and np.unique's
     # axis form pays a void-dtype sort that dominates on small inputs
     paths = sorted(SRC.glob("*.py"))
     assert paths
     found = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "unique" \
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in MASKED_IMPORTERS \
                     and isinstance(node.value, ast.Name) \
                     and node.value.id in ("np", "numpy"):
                 found.append(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.ImportFrom) \
                     and (node.module or "").startswith("numpy") \
-                    and any(alias.name == "unique" for alias in node.names):
+                    and any(alias.name in MASKED_IMPORTERS
+                            for alias in node.names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
@@ -59,11 +68,14 @@ def test_only_the_seed_screen_packs_bits():
 
 def test_one_line_finder_and_star_recheck():
     # the lines through chosen valuations are found in _lines_through and
-    # star is re-checked on found lines in _check_stars; the full build
-    # is the tests' reference and keeps its own scan
+    # star is re-checked on found lines in _check_stars, once per line by
+    # the two callers that own the lines; the full build is the tests'
+    # reference and keeps its own scan
     allowed = {"_neighbor_stars": {"build_valuation_geometry",
                                    "_lines_through"},
-               "_star_rows": {"_neighbor_stars", "_check_stars"}}
+               "_star_rows": {"_neighbor_stars", "_check_stars"},
+               "_check_stars": {"class_line_table",
+                                "orbit_valuation_geometry"}}
     tree = ast.parse((SRC / "valgeom.py").read_text(encoding="utf-8"))
     found = [f"valgeom.py:{node.lineno} {func.name}"
              for func in tree.body if isinstance(func, ast.FunctionDef)

@@ -1,6 +1,7 @@
 """Neighboring valuations, the star operator, valuation geometries,
 line-type tables and the subgeometry checks."""
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -375,13 +376,13 @@ def drop_line_partner(vmat, line_index, rows=None):
 
 def corrupt_line_star(first, second, eps):
     """_star_rows, with one value of the first star raised when
-    _lines_through re-checks star(j, k) on its lines through _check_stars;
-    the stars of _neighbor_stars, called from _lines_through too, stay
-    exact."""
+    class_line_table re-checks star(j, k) on its lines through
+    _check_stars; the stars of _neighbor_stars, called from
+    _lines_through, stay exact."""
     stars = EXACT_STAR_ROWS(first, second, eps)
     callers = (sys._getframe(1).f_code.co_name,
                sys._getframe(2).f_code.co_name)
-    if callers == ("_check_stars", "_lines_through") and len(stars):
+    if callers == ("_check_stars", "class_line_table") and len(stars):
         stars[0, 0] += 1
     return stars
 
@@ -566,14 +567,20 @@ def misplace_third_member(vmat, line_index, rows=None):
     yield i, j, k
 
 
-#: each fault of orbit_valuation_geometry's input on H^D(2): the
+#: each fault of orbit_valuation_geometry's input: the host, the
 #: _neighbor_stars mutant it needs, if any, and the error it must raise
 ORBIT_FAULTS = {
-    "foreign generator": (None, "outside the given rows"),
-    "two orbits": (None, "not in the orbit of valuation 0"),
-    "dropped line": ("drop_first_line", "lies on 8 lines, but 7 were found"),
-    "wrong third member": ("misplace_third_member", "do not star to"),
-    "star to a member": ("star_to_member", "repeats a member"),
+    "foreign generator": ("h2dual", None, "outside the given rows"),
+    "two orbits": ("h2dual", None, "not in the orbit of valuation 0"),
+    # the 63 AAA lines of H(2) miss row 0, a type-C row, so only the
+    # walk from row 0 can find the second orbit
+    "two orbits, no line through row 0": (
+        "h2", None, "valuation 12 (in sorted order) is not in the orbit "
+                    "of valuation 0"),
+    "dropped line": ("h2dual", "drop_first_line", "of its three members"),
+    "wrong third member": ("h2dual", "misplace_third_member",
+                           "do not star to"),
+    "star to a member": ("h2dual", "star_to_member", "repeats a member"),
 }
 
 
@@ -584,7 +591,7 @@ def faulty_orbit_geometry(bundle, fault):
     generators = list(bundle.aut_group.generators)
     if fault == "foreign generator":
         generators[0] = (1, 0, *range(2, bundle.geometry.num_points))
-    labels = ("A", "C") if fault == "two orbits" else ("C",)
+    labels = ("A", "C") if fault.startswith("two orbits") else ("C",)
     keep = [i for i, label in enumerate(bundle.type_labels)
             if label in labels]
     return orbit_valuation_geometry(
@@ -593,8 +600,9 @@ def faulty_orbit_geometry(bundle, fault):
 
 
 class TestOrbitValuationGeometry:
-    """vprime() closes the lines through one type-C valuation under the
-    group; the full all-pairs build restricted to C/CCC is its oracle."""
+    """vprime() carries the lines through one type-C valuation to every
+    other by the group; the full all-pairs build restricted to C/CCC is
+    its oracle."""
 
     # TestRestriction compares H^D(2)
     @pytest.mark.parametrize("host,points,lines", [
@@ -610,9 +618,13 @@ class TestOrbitValuationGeometry:
         grid_3x3, lambda: chain(1), lambda: chain(3),
         lambda: from_text(EXAMPLE_HOST),
         lambda: relabeled(build_h2_dual(), 3),
-        lambda: relabeled(build_hexagon_2_1(), 5)],
+        lambda: relabeled(build_hexagon_2_1(), 5),
+        # no automorphism but the identity, so the walk from row 0 has no
+        # generator to follow: its one type-C valuation is its own orbit
+        lambda: from_text("points 9\n3 6 7\n8 3 2\n4 5 0\n1 2 5\n"
+                          "3 0 1\n6 0 2\n")],
         ids=["grid3", "chain1", "chain3", "example", "h2dual-relabeled",
-             "h21-relabeled"])
+             "h21-relabeled", "rigid"])
     def test_matches_full_build_on_test_hosts(self, build):
         bundle = pipeline.Bundle(build())
         assert_same_geometry(bundle.vprime(), full_vprime(bundle))
@@ -649,16 +661,17 @@ class TestOrbitValuationGeometry:
         assert calls == Counter()
 
     @pytest.mark.parametrize("fault", ORBIT_FAULTS)
-    def test_fault_detected(self, monkeypatch, h2dual, fault):
-        mutant, message = ORBIT_FAULTS[fault]
+    def test_fault_detected(self, monkeypatch, request, fault):
+        host, mutant, message = ORBIT_FAULTS[fault]
+        bundle = request.getfixturevalue(host)
         if mutant:
             monkeypatch.setattr(valgeom, "_neighbor_stars", globals()[mutant])
-        with pytest.raises(RuntimeError, match=message):
-            faulty_orbit_geometry(h2dual, fault)
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            faulty_orbit_geometry(bundle, fault)
 
     @pytest.mark.parametrize("fault", ORBIT_FAULTS)
     def test_fault_detected_under_optimize(self, fault):
-        mutant, message = ORBIT_FAULTS[fault]
+        host, mutant, message = ORBIT_FAULTS[fault]
         assert message in run_optimized(
             f"import test_valgeom\n"
             f"from hexval import valgeom\n"
@@ -667,7 +680,7 @@ class TestOrbitValuationGeometry:
             f"    valgeom._neighbor_stars = getattr(test_valgeom,\n"
             f"                                      {mutant!r})\n"
             f"try:\n"
-            f"    test_valgeom.faulty_orbit_geometry(get_bundle('h2dual'),\n"
+            f"    test_valgeom.faulty_orbit_geometry(get_bundle({host!r}),\n"
             f"                                       {fault!r})\n"
             f"except RuntimeError as exc:\n"
             f"    print(exc)\n")

@@ -11,6 +11,9 @@ computed on first read and kept. The rows are the only distance store; a
 reader that needs p's distance masks builds them from row p. Distances are
 ints; disconnected pairs get the sentinel -1. ``is_connected`` needs no
 distances, and ``diameter`` reports ``INF`` for a disconnected geometry.
+The grid search, ``grid_rows``, runs on a sorted int array of 3-point
+lines with their packed neighbour rows (``line_incidence``);
+``enumerate_grids`` wraps it for a geometry.
 """
 from __future__ import annotations
 
@@ -18,8 +21,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import gf2
 
@@ -260,64 +265,137 @@ def dual(g: Geometry) -> Geometry:
 # -- grids ---------------------------------------------------------------
 
 
-def enumerate_grids(g: Geometry) -> List[int]:
-    """The point masks of all (3x3)-subgrids, ordered as their ascending
-    point lists.
+#: the 36 position pairs i < j of a grid's 9 ascending points, in order
+GRID_PAIRS = np.array(list(combinations(range(9), 2)))
+
+#: the other two positions of each position of a 3-point line
+_OTHER_POSITIONS = [[1, 2], [0, 2], [0, 1]]
+
+#: candidate cells one block of the grid search may hold
+_GRID_BLOCK = 1 << 13
+
+
+def line_incidence(num_points: int, lines: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """The packed neighbour rows and the lines through each point of the
+    sorted 3-point lines, an int [lines, 3] array of ascending rows on
+    points 0..num_points - 1 no two of which share a pair.
+
+    Row p of the [num_points, ceil(num_points / 64)] uint64 neighbour
+    array holds p's neighbours in the gf2.to_words layout. Row p of the
+    [num_points, most lines through a point, 2] int array holds the
+    other two points, ascending, of each line through p in line order;
+    a point on fewer lines has its row padded with -1."""
+    flat = lines.ravel()
+    # the other two points of the point at each flat position
+    pair = lines[:, _OTHER_POSITIONS].reshape(-1, 2)
+    cols = pair.ravel()
+    adj = np.zeros((num_points, -(-num_points // 64)), dtype=np.uint64)
+    np.bitwise_or.at(adj, (np.repeat(flat, 2), cols >> 6),
+                     np.uint64(1) << (cols & 63).astype(np.uint64))
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=num_points)
+    slot = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts,
+                                            counts)
+    others = np.full((num_points, counts.max(initial=0), 2), -1,
+                     dtype=lines.dtype)
+    others[flat[order], slot] = pair[order]
+    return adj, others
+
+
+def _third_points(others: np.ndarray, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """The third point of the line through each collinear pair a, b."""
+    rows = others[a]
+    return rows[:, :, ::-1][rows == b[:, None, None]]
+
+
+def grid_rows(lines: np.ndarray, adj: np.ndarray,
+              others: np.ndarray) -> np.ndarray:
+    """The (3x3)-subgrids of the sorted 3-point lines, with their packed
+    neighbour rows and lines through each point (line_incidence), as the
+    rows of an int [grids, 9] array of ascending points, in ascending
+    order.
 
     A grid is found from its least point p, with its row {p, x1, x2} and
-    column {p, y1, y2} among the lines through p. Cell z_ij is a common
-    neighbour of x_i and y_j after p; a host with triangles can offer
-    several, and each is tried. A candidate is a grid when its other
-    rows {x_i, z_i1, z_i2} and columns {y_j, z_1j, z_2j} are lines. That
-    makes its 9 points distinct: otherwise two points would lie on two
-    lines, or a cell would be p. Nine pairwise collinear points, as in
-    AG(2, 3), are no subgrid. Points collinear off the grid's rows and
-    columns must lie on no line inside it: a grid whose points hold
+    column {p, y1, y2} a pair of lines whose least point is p; sorted
+    lines put those of one least point next to each other. Its row
+    {x1, z11, z12} is one of the lines through x1, read in both orders,
+    with z11 a neighbour of y1 and z12 one of y2, both tested on the
+    packed rows: then z21 is the third point of the line through y1 and
+    z11, z22 that of the line through y2 and z12, and {x2, z21, z22}
+    must be a line among those through x2. Every cell lies after p. The
+    lines make the 9 points distinct: otherwise two points would lie on
+    two lines, or a cell would be p. Nine pairwise collinear points, as
+    in AG(2, 3), are no subgrid. Points collinear off the grid's rows
+    and columns must lie on no line inside it: a grid whose points hold
     other than its 6 lines raises RuntimeError. Its lines are counted
     only when it has other than the 18 collinear pairs of a grid.
+    Candidates are taken in blocks of pairs of lines sized from a fixed
+    budget.
     """
+    first = lines[:, 0]
+    # each line i and the later lines j with the same least point
+    later = np.searchsorted(first, first, side="right") - np.arange(
+        len(lines)) - 1
+    i = np.repeat(np.arange(len(lines)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later,
+                                              later)
+    found = [np.zeros((0, 9), dtype=lines.dtype)]
+    if not len(i):
+        return found[0]
+    block = max(1, _GRID_BLOCK // (2 * others.shape[1]))
+    for start in range(0, len(i), block):
+        p, x1, x2 = lines[i[start:start + block]].T
+        _, y1, y2 = lines[j[start:start + block]].T
+        # the row {x1, z11, z12} is a line through x1 after p, its other
+        # points in either order: candidate cell z11 at flat index k of
+        # rows, z12 at k ^ 1, with z11 collinear with y1 and z12 with y2
+        rows = others[x1]
+        to_y1 = gf2.bits_at(adj, y1[:, None, None], rows)
+        to_y2 = gf2.bits_at(adj, y2[:, None, None], rows)
+        k = np.flatnonzero(to_y1 & to_y2[:, :, ::-1]
+                           & (rows[:, :, :1] > p[:, None, None]))
+        pair = k // rows[0].size
+        p, x1, x2, y1, y2 = (a[pair] for a in (p, x1, x2, y1, y2))
+        z11, z12 = rows.reshape(-1)[k], rows.reshape(-1)[k ^ 1]
+        z21 = _third_points(others, y1, z11)
+        z22 = _third_points(others, y2, z12)
+        low, high = np.minimum(z21, z22), np.maximum(z21, z22)
+        rows = others[x2]
+        keep = (low > p) & ((rows[:, :, 0] == low[:, None])
+                            & (rows[:, :, 1] == high[:, None])).any(axis=1)
+        found.append(np.sort(np.stack(
+            [p, x1, x2, y1, y2, z11, z12, z21, z22], axis=1)[keep], axis=1))
+    grids = np.concatenate(found)
+    grids = grids[np.lexsort(grids.T[::-1])]
+    fresh = np.ones(len(grids), dtype=bool)
+    fresh[1:] = (grids[1:] != grids[:-1]).any(axis=1)
+    grids = grids[fresh]
+    collinear = gf2.bits_at(adj, grids[:, GRID_PAIRS[:, 0]],
+                            grids[:, GRID_PAIRS[:, 1]]).sum(axis=1)
+    for t in np.flatnonzero((collinear != 18) & (collinear != 36)).tolist():
+        points = set(grids[t].tolist())
+        inside = {tuple(sorted((a, *other))) for a in points
+                  for other in others[a].tolist()
+                  if points.issuperset(other)}
+        if len(inside) != 6:
+            raise RuntimeError(f"points {grids[t].tolist()} contain "
+                               f"{len(inside)} lines, not the 6 of a 3x3 "
+                               f"grid")
+    return grids[collinear != 36]
+
+
+def enumerate_grids(g: Geometry) -> List[int]:
+    """The point masks of all (3x3)-subgrids, ordered as their ascending
+    point lists: grid_rows on the geometry's lines, which must have 3
+    points each (GeometryError otherwise)."""
     for line in g.lines:
         if len(line) != 3:
             raise GeometryError("grid enumeration requires 3-point lines")
-    nbr = g.neighbor_masks
-    lines = set(g.line_masks)
-    found = set()
-    for p in range(g.num_points):
-        after_p = -1 << (p + 1)
-        others = [g.lines[li][1:] for li in g.lines_through[p]
-                  if g.lines[li][0] == p]
-        for k, (x1, x2) in enumerate(others):
-            near1, near2 = nbr[x1] & after_p, nbr[x2] & after_p
-            for y1, y2 in others[k + 1:]:
-                # the cells one at a time, up to the first empty one
-                if not ((c11 := near1 & nbr[y1]) and (c12 := near1 & nbr[y2])
-                        and (c21 := near2 & nbr[y1])
-                        and (c22 := near2 & nbr[y2])):
-                    continue
-                bx1, bx2, by1, by2 = 1 << x1, 1 << x2, 1 << y1, 1 << y2
-                for corners in product(*map(_bits, (c11, c12, c21, c22))):
-                    z11, z12, z21, z22 = (1 << z for z in corners)
-                    if ((bx1 | z11 | z12) in lines
-                            and (bx2 | z21 | z22) in lines
-                            and (by1 | z11 | z21) in lines
-                            and (by2 | z12 | z22) in lines):
-                        found.add(1 << p | bx1 | bx2 | by1 | by2
-                                  | z11 | z12 | z21 | z22)
-    masks = []
-    for mask in sorted(found, key=lambda mask: list(_bits(mask))):
-        # twice the collinear pairs: 18 in a grid, 36 in AG(2, 3)
-        collinear = sum((nbr[a] & mask).bit_count() for a in _bits(mask))
-        if collinear == 2 * 36:
-            continue
-        if collinear != 2 * 18:
-            inside = {li for a in _bits(mask) for li in g.lines_through[a]
-                      if not g.line_masks[li] & ~mask}
-            if len(inside) != 6:
-                raise RuntimeError(f"points {list(_bits(mask))} contain "
-                                   f"{len(inside)} lines, not the 6 of a "
-                                   f"3x3 grid")
-        masks.append(mask)
-    return masks
+    lines = np.array(g.lines, dtype=np.intp).reshape(-1, 3)
+    grids = grid_rows(lines, *line_incidence(g.num_points, lines))
+    return [sum(1 << p for p in row) for row in grids.tolist()]
 
 
 # -- ovoids --------------------------------------------------------------

@@ -5,7 +5,8 @@ i, so a point set of a geometry is its own GF(2) vector and XOR-based
 elimination on 63-bit vectors is a single machine-word operation.
 ``nullspace`` takes a sequence of int rows and the column count;
 ``span_words`` lays a whole span out as a numpy array of 64-bit words,
-one row per vector.
+one row per vector. ``bits_at`` and ``unpack_row`` read such packed
+rows back, bit by bit or as a bool row.
 """
 from __future__ import annotations
 
@@ -74,6 +75,24 @@ def to_words(values: Sequence[int], words: int) -> np.ndarray:
 def from_words(row: np.ndarray) -> int:
     """The int whose uint64 words, low word first, are row."""
     return sum(x << (64 * w) for w, x in enumerate(row.tolist()))
+
+
+def bits_at(words: np.ndarray, rows: np.ndarray,
+            cols: np.ndarray) -> np.ndarray:
+    """Whether bit cols of row rows of the packed uint64 array words is
+    set, elementwise over the broadcast index arrays; the bits of a row
+    are in the to_words layout. A column below 0 reads some bit of its
+    row's last word, so callers mask such columns out."""
+    # one flat gather: numpy's 1-D take is faster than a 2-D index
+    flat = words.reshape(-1)[rows * words.shape[1] + (cols >> 6)]
+    return (flat >> (cols & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
+
+
+def unpack_row(row: np.ndarray, length: int) -> np.ndarray:
+    """The low length bits of the packed uint64 row, low word first, as a
+    bool array."""
+    return np.unpackbits(row.astype("<u8").view(np.uint8), count=length,
+                         bitorder="little").view(bool)
 
 
 def span_rows(rows: np.ndarray) -> np.ndarray:

@@ -157,10 +157,14 @@ class Bundle:
         C is exactly a CCC line. A label names one orbit, so the lines
         through one type-C valuation, carried to every type-C valuation
         by the automorphism generators, are all of them
-        (``orbit_valuation_geometry``); with no type-C valuation, no
+        (``orbit_valuation_geometry``). With no type-C valuation it is
+        the empty geometry on the host, returned before any row check or
         kernel runs."""
         type_c = [i for i, label in enumerate(self.type_labels)
                   if label == "C"]
+        if not type_c:
+            return ValuationGeometry(self.geometry, self.valuations[:0], [],
+                                     [], [])
         return orbit_valuation_geometry(
             self.geometry, self.valuations[type_c], ["C"] * len(type_c),
             self.aut_group.generators)

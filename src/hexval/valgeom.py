@@ -27,16 +27,24 @@ input, the type-C rows, is one automorphism orbit:
 row in one walk under the group's action on rows, star-checks each
 distinct line and requires each to reach all three of its members. The
 full build stays as the public function and the tests' oracle.
+
+`check_lemma_3_1` reads the lines of V′ as one sorted int [lines, 3]
+array, with packed uint64 neighbour rows and the grid search of
+`geometry.grid_rows`; it builds no `Geometry` of V′ and no array of
+points x points entries. Its scalar form on a restriction `Geometry` is
+the tests' oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Geometry, _bits, enumerate_grids
+from . import gf2
+from .geometry import (GRID_PAIRS, Geometry, GeometryError, grid_rows,
+                       line_incidence)
 from .valuations import (_line_index, _non_valuation_rows, find_rows,
                          row_keys)
 
@@ -169,16 +177,35 @@ def _checked_rows(g: Geometry, rows: Sequence[Sequence[int]],
     return vmat, point_types, line_index
 
 
+def _distinct(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the integer matrix cols in lexicographic
+    order, and the index among them of each row of cols: one lexsort over
+    the columns, so no column value is packed into a wider key that could
+    wrap."""
+    order = np.lexsort(cols.T[::-1])
+    cols = cols[order]
+    # the start of each run of equal rows
+    start = np.ones(len(cols), dtype=bool)
+    start[1:] = (cols[1:] != cols[:-1]).any(axis=1)
+    inverse = np.empty(len(cols), dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    return cols[start], inverse
+
+
 def _count_distinct(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the integer matrix cols in lexicographic
-    order, and how often each occurs: one lexsort over the columns, so no
-    column value is packed into a wider key that could wrap."""
-    cols = cols[np.lexsort(cols.T[::-1])]
-    # the start of each run of equal rows, and the end of the last
-    edge = np.ones(len(cols) + 1, dtype=bool)
-    edge[1:-1] = (cols[1:] != cols[:-1]).any(axis=1)
-    at = np.flatnonzero(edge)
-    return cols[at[:-1]], at[1:] - at[:-1]
+    order (_distinct), and how often each occurs."""
+    distinct, inverse = _distinct(cols)
+    return distinct, np.bincount(inverse, minlength=len(distinct))
+
+
+def _type_codes(point_types: Sequence[str]) -> Tuple[List[str], np.ndarray]:
+    """The distinct point types in label order, and each point's type as
+    its index among them, so that sorted codes spell sorted labels."""
+    names = sorted(set(point_types))
+    code = {name: c for c, name in enumerate(names)}
+    return names, np.fromiter(map(code.__getitem__, point_types),
+                              dtype=np.intp, count=len(point_types))
 
 
 def _star_closed_lines(triples: np.ndarray) -> np.ndarray:
@@ -281,11 +308,14 @@ def build_valuation_geometry(g: Geometry, rows: Sequence[Sequence[int]],
 def _typed_geometry(g: Geometry, vmat: np.ndarray, point_types: List[str],
                     lines: np.ndarray) -> ValuationGeometry:
     """The valuation geometry on the sorted rows vmat with the sorted
-    lines, each typed by its members' point types."""
-    vlines = list(zip(*lines.T.tolist()))
-    line_types = [_line_type_string([point_types[i] for i in line])
-                  for line in vlines]
-    return ValuationGeometry(g, vmat, vlines, point_types, line_types)
+    lines, each typed by its members' point types: one type string per
+    distinct sorted triple of point-type codes (_type_codes)."""
+    names, codes = _type_codes(point_types)
+    triples, kind = _distinct(np.sort(codes[lines], axis=1))
+    kinds = [_line_type_string([names[c] for c in triple])
+             for triple in triples.tolist()]
+    return ValuationGeometry(g, vmat, list(zip(*lines.T.tolist())),
+                             point_types, [kinds[k] for k in kind.tolist()])
 
 
 def _lines_through_orbit(vmat: np.ndarray,
@@ -453,12 +483,7 @@ def class_line_table(g: Geometry, rows: Sequence[Sequence[int]],
         first.setdefault(ptype, row)
     if not first:
         return {}
-    # point types as codes in label order, so sorted codes spell sorted
-    # labels
-    names = sorted(first)
-    code = {name: c for c, name in enumerate(names)}
-    codes = np.fromiter(map(code.__getitem__, point_types), dtype=np.intp,
-                        count=len(point_types))
+    names, codes = _type_codes(point_types)
     lines = _lines_through(vmat, line_index,
                            np.array(list(first.values()), dtype=np.intp))
     _check_stars(vmat, lines[:, [1, 2, 0]])
@@ -527,17 +552,86 @@ class LemmaReport:
     witness: Optional[tuple] = None
 
 
-def _has_triangle(g: Geometry) -> Optional[tuple]:
+def _line_array(num_points: int, vlines: Sequence[Sequence[int]]
+                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The points of the lines, flat in line order, and the lines as an
+    int [lines, 3] array, or None when some line has other than 3
+    points; each line sorted, the lines deduplicated and ordered as
+    Geometry(num_points, vlines) orders them. The Geometry constructor
+    itself runs only on lines that are not 3-point lines of distinct
+    points in range with no pair on two lines: it orders lines of other
+    sizes, and raises the GeometryError naming the first bad line."""
+    if any(len(line) != 3 for line in vlines):
+        lines = Geometry(num_points, vlines).lines
+        return np.fromiter(chain.from_iterable(lines), dtype=np.intp,
+                           count=sum(map(len, lines))), None
+    lines = np.sort(np.fromiter(chain.from_iterable(vlines), dtype=np.intp,
+                                count=3 * len(vlines)).reshape(-1, 3),
+                    axis=1)
+    lines = _distinct(lines)[0]
+    pairs = np.sort((lines[:, [0, 0, 1]] * num_points
+                     + lines[:, [1, 2, 2]]).ravel())
+    if not ((lines[:, 0] >= 0).all() and (lines[:, 2] < num_points).all()
+            and (lines[:, 1:] > lines[:, :-1]).all()
+            and (pairs[1:] != pairs[:-1]).all()):
+        Geometry(num_points, vlines)
+        raise RuntimeError("Geometry accepts lines that the line array "
+                           "check rejects")
+    return lines.ravel(), lines
+
+
+def _zero_points_opposite(host: Geometry, zeros: np.ndarray, a: np.ndarray,
+                          b: np.ndarray) -> np.ndarray:
+    """Whether the zero points of valuations a and b lie at distance 3 in
+    the host, elementwise, for the bool zero sets zeros of valuations
+    with one zero point each: one gather from a temporary int array of
+    the host's distance rows of the zero points of a."""
+    if not len(a):
+        return np.ones(0, dtype=bool)
+    zero = zeros.argmax(axis=1)
+    used = np.zeros(host.num_points, dtype=bool)
+    used[zero[a]] = True
+    rows = np.flatnonzero(used).tolist()
+    dist = np.fromiter(chain.from_iterable(host.dist[z] for z in rows),
+                       dtype=np.intp, count=len(rows) * host.num_points)
+    return dist.reshape(len(rows), -1)[np.cumsum(used)[zero[a]] - 1,
+                                       zero[b]] == 3
+
+
+def _first_triangle(lines: np.ndarray,
+                    adj: np.ndarray) -> Optional[Tuple[int, int, int]]:
     """A triple of pairwise collinear points on three distinct lines: the
-    first pair (a, b) of a line, in line order, with a common neighbour
-    off the line, and the least such neighbour c."""
-    nbr = g.neighbor_masks
-    for line, mask in zip(g.lines, g.line_masks):
-        for a, b in combinations(line, 2):
-            off_line = nbr[a] & nbr[b] & ~mask
-            if off_line:
-                return (a, b, (off_line & -off_line).bit_length() - 1)
+    first pair (a, b) of a line, in line order, whose packed neighbour
+    rows share a point off the line, and the least such point c. The
+    pairs are read in blocks sized from a fixed word budget."""
+    # each pair of a line and its third point
+    triples = lines[:, [[0, 1, 2], [0, 2, 1], [1, 2, 0]]].reshape(-1, 3)
+    block = max(1, _BLOCK_ELEMENTS // adj.shape[1])
+    for start in range(0, len(triples), block):
+        a, b, c = triples[start:start + block].T
+        common = adj[a] & adj[b]
+        common[np.arange(len(c)), c >> 6] &= ~(
+            np.uint64(1) << (c & 63).astype(np.uint64))
+        hit = np.flatnonzero(common.any(axis=1))
+        if hit.size:
+            t = hit[0]
+            off = gf2.from_words(common[t])
+            return int(a[t]), int(b[t]), (off & -off).bit_length() - 1
     return None
+
+
+def _first_unreached(adj: np.ndarray) -> Optional[int]:
+    """The least point with no path to point 0, from a frontier walk over
+    the packed neighbour rows adj, or None when every point has one."""
+    reached = np.zeros(len(adj), dtype=bool)
+    reached[0] = True
+    frontier = reached
+    while frontier.any():
+        frontier = gf2.unpack_row(np.bitwise_or.reduce(adj[frontier]),
+                                  len(adj)) & ~reached
+        reached |= frontier
+    missing = np.flatnonzero(~reached)
+    return int(missing[0]) if missing.size else None
 
 
 def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
@@ -546,71 +640,76 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     triangle-freeness of the Type-C/CCC restriction of the valuation
     geometry of the dual hexagon.
 
-    Every check runs on the restriction's neighbour and line masks and
-    on its enumerate_grids masks, so its distance matrix is never computed. Two
-    points of a grid are opposite when they are not collinear, which
-    within a grid is the same as being at distance 2. A valuation on a
-    line with other than one zero point raises ValueError; each zero
-    point's host distance row is read once.
+    The checks run on the restriction's lines as one sorted int
+    [lines, 3] array (_line_array, which raises on lines that are no
+    partial linear space as the Geometry constructor does) and on its
+    packed neighbour rows and lines through each point (line_incidence);
+    no restriction Geometry is built and its distance matrix is never
+    computed. A valuation on a line with other than one zero point
+    raises ValueError, before any distance is read; lines of other than
+    3 points then raise GeometryError. The grids come from grid_rows.
+    Two points of a grid are opposite when they are not collinear, which
+    within a grid is the same as being at distance 2; the collinear
+    pairs, in line order, and the opposite pairs of each grid, in grid
+    order, have their zero points' distance read in one gather. The
+    triangles are the common neighbours off a line of each pair of its
+    points, and connectivity is a frontier walk from point 0. No array
+    of points x points entries is built: the packed rows take m^2 / 8
+    bytes for m points, and the grid candidates and the triangle pairs
+    are read in blocks of a fixed size.
     """
-    if not len(vprime.vpoints):
+    num_points = len(vprime.vpoints)
+    if not num_points:
         return LemmaReport(
             connected=True, collinear_zero_distance=True,
             grid_zero_distance=True, grids_per_point_16=False,
             triangle_free=True, witness=("no type-C valuations",))
-    geo = vprime.as_geometry()
-    nbr = geo.neighbor_masks
-    witness = None
-    connected = geo.is_connected()
+    flat, lines = _line_array(num_points, vprime.vlines)
     zeros = vprime.vpoints == 0
-    zero_counts = zeros.sum(axis=1).tolist()
+    zero_counts = zeros.sum(axis=1)
     # every pair the checks read lies on a line; the first point, in
     # line order, without exactly one zero point is the one named
-    off = next((p for line in geo.lines for p in line
-                if zero_counts[p] != 1), None)
-    if off is not None:
+    off = np.flatnonzero(zero_counts[flat] != 1)
+    if off.size:
+        p = flat[off[0]]
         raise ValueError(f"Lemma 3.1 needs one zero point per valuation; "
-                         f"point {off} of the restriction has "
-                         f"{zero_counts[off]}")
-    zero = zeros.argmax(axis=1).tolist() if zeros.size else []
-    dist = [host.dist[z] for z in zero]
-    collinear_ok = True
-    for line in geo.lines:
-        for a, b in combinations(line, 2):
-            if dist[a][zero[b]] != 3:
-                collinear_ok = False
-                witness = witness or ("collinear", a, b)
-    grids = enumerate_grids(geo)
-    grid_ok = True
-    grids_through = [0] * geo.num_points
-    for mask in grids:
-        for a in _bits(mask):
-            grids_through[a] += 1
-            # the grid points after a that are opposite to it
-            for b in _bits(mask & ~nbr[a] & -2 << a):
-                if dist[a][zero[b]] != 3:
-                    grid_ok = False
-                    witness = witness or ("grid", a, b)
+                         f"point {p} of the restriction has "
+                         f"{zero_counts[p]}")
+    if lines is None:
+        raise GeometryError("grid enumeration requires 3-point lines")
+    adj, others = line_incidence(num_points, lines)
+    grids = grid_rows(lines, adj, others)
+    grid_a, grid_b = grids[:, GRID_PAIRS[:, 0]], grids[:, GRID_PAIRS[:, 1]]
+    opposite = ~gf2.bits_at(adj, grid_a, grid_b)
+    a = np.concatenate([lines[:, [0, 0, 1]].ravel(), grid_a[opposite]])
+    b = np.concatenate([lines[:, [1, 2, 2]].ravel(), grid_b[opposite]])
+    wrong = np.flatnonzero(~_zero_points_opposite(host, zeros, a, b))
+    collinear = 3 * len(lines)
+    witness = None
+    if wrong.size:
+        t = wrong[0]
+        witness = ("collinear" if t < collinear else "grid",
+                   int(a[t]), int(b[t]))
     # Grids rooted at a point: a grid on p is completed once from each of
     # its four opposite corners, so 4 completions per distinct grid.
-    completions = [4 * count for count in grids_through]
-    counts_ok = all(c == 16 for c in completions)
-    tri = _has_triangle(geo)
+    completions = 4 * np.bincount(grids.ravel(), minlength=num_points)
+    short = np.flatnonzero(completions != 16)
+    tri = _first_triangle(lines, adj)
     witness = witness or (("triangle",) + tri if tri else None)
-    if witness is None and not connected:
-        # the least point with no path to point 0
-        witness = ("disconnected", 0, geo.dist[0].index(-1))
-    elif witness is None and not counts_ok:
+    unreached = _first_unreached(adj)
+    if witness is None and unreached is not None:
+        witness = ("disconnected", 0, unreached)
+    elif witness is None and short.size:
         # the least point whose completion count is not 16
-        witness = next(("grid_completions", p, c)
-                       for p, c in enumerate(completions) if c != 16)
+        witness = ("grid_completions", int(short[0]),
+                   int(completions[short[0]]))
     return LemmaReport(
-        connected=connected,
-        collinear_zero_distance=collinear_ok,
-        grid_zero_distance=grid_ok,
-        grids_per_point_16=counts_ok,
+        connected=unreached is None,
+        collinear_zero_distance=not wrong.size or bool(wrong[0] >= collinear),
+        grid_zero_distance=not wrong.size or bool(wrong[-1] < collinear),
+        grids_per_point_16=not short.size,
         triangle_free=tri is None,
         total_grids=len(grids),
-        grid_completions_per_point=(completions[0]
-                                    if counts_ok else None),
+        grid_completions_per_point=(None if short.size
+                                    else int(completions[0])),
         witness=witness)

@@ -1,6 +1,7 @@
 """The test hosts that several test modules share: named constructions,
-one host text, and one hypothesis strategy of small partial linear
-spaces. New hosts go here, not into a test module."""
+host texts, a hypothesis strategy of small partial linear spaces and
+two of line lists that need not form one. New hosts go here, not into
+a test module."""
 import itertools
 import random
 
@@ -11,6 +12,20 @@ from hexval.geometry import Geometry
 # the host whose distributions are shared by several orbits, and which
 # has three orbits of maximum value 1
 EXAMPLE_HOST = "points 8\n1 2 6\n1 3 5\n3 4 7\n0 3 6\n"
+
+#: connected hosts with no automorphism but the identity that carry a
+#: type-C valuation, which is then an orbit of its own: ovoidal in the
+#: first three, the second non-classical orbit of a host without
+#: ovoidal valuations in the last. The random strategy rarely draws one.
+RIGID_HOSTS = {
+    "rigid": "points 9\n3 6 7\n8 3 2\n4 5 0\n1 2 5\n3 0 1\n6 0 2\n",
+    "rigid-b-c": "points 10\n0 1 8\n0 3 5\n1 3 7\n2 4 6\n2 5 8\n3 4 8\n"
+                 "3 6 9\n",
+    "rigid-c-only": "points 9\n0 4 5\n0 6 7\n1 4 7\n2 3 4\n2 5 8\n3 5 6\n"
+                    "4 6 8\n",
+    "rigid-a-b-c-d": "points 10\n0 1 7\n0 3 6\n1 5 8\n2 3 8\n2 5 6\n"
+                     "3 5 9\n4 6 9\n",
+}
 
 
 def relabeled(g, seed):
@@ -61,3 +76,27 @@ def partial_linear_spaces(draw, max_points=12, min_lines=0, max_lines=16,
     if connected:
         assume(g.is_connected())
     return g
+
+
+@st.composite
+def line_lists(draw):
+    """A point count from 0 to 8 and lines on it: up to 6 of 2 to 5
+    distinct points, which may share pairs, and up to 2 of 0 to 5 points
+    from -1 to the count, which may be short or hold repeated or
+    out-of-range points."""
+    n = draw(st.integers(0, 8))
+    lines = draw(st.lists(st.lists(st.integers(-1, n), max_size=5),
+                          max_size=2))
+    if n >= 2:
+        lines += draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2,
+                                       max_size=min(5, n)), max_size=6))
+    return n, lines
+
+
+@st.composite
+def triple_lists(draw):
+    """A point count from 3 to 8 and up to 8 lines of 3 distinct points
+    on it, which may repeat or share pairs."""
+    n = draw(st.integers(3, 8))
+    return n, draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
+                                    max_size=3), max_size=8))

@@ -12,14 +12,19 @@ built from generators alone (the oracle of the searched automorphism
 groups), the tuple orbit of a point function (the oracle of the row
 orbits), a depth-first enumeration of all valuations of a small host and
 a table of every collinear pair (the oracle of the line checks that
-build a ``Geometry``).
+build a ``Geometry``). Last come the grid search by 4-cycles completed
+through the distance matrix (the oracle of ``geometry.grid_rows``) and
+the Lemma 3.1 check on a restriction ``Geometry`` with int masks, one
+pair at a time (the oracle of ``valgeom.check_lemma_3_1``).
 """
 import functools
 import operator
+from itertools import combinations
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
 
-from hexval.geometry import Geometry, GeometryError
+from hexval.geometry import Geometry, GeometryError, _bits
+from hexval.valgeom import LemmaReport, ValuationGeometry
 from hexval.valuations import Valuation
 
 EQUAL = "equal"
@@ -377,3 +382,152 @@ def pair_table_incidence(num_points: int, lines: Iterable[Sequence[int]]
                           for q in line if q != p)
                       for p in range(num_points))
     return masks, through, neighbors
+
+
+# -- grids and the Lemma 3.1 check ---------------------------------------
+
+
+def neighbour_sets(g):
+    """The neighbours of each point, read from the lines, so an oracle
+    does not depend on the masks it checks."""
+    nbrs = [set() for _ in range(g.num_points)]
+    for line in g.lines:
+        for p in line:
+            nbrs[p].update(q for q in line if q != p)
+    return nbrs
+
+
+def third_point(g, a, b):
+    """Third point of the line through a and b (3-point lines only), or
+    None when a and b are not collinear."""
+    for li in g.lines_through[a]:
+        if b in g.lines[li]:
+            return next(p for p in g.lines[li] if p != a and p != b)
+    return None
+
+
+def complete_grid(g, p11, p12, p21, p22):
+    """Try to extend a 4-cycle (rows p11-p12, p21-p22) to a full grid."""
+    p13 = third_point(g, p11, p12)
+    p23 = third_point(g, p21, p22)
+    p31 = third_point(g, p11, p21)
+    p32 = third_point(g, p12, p22)
+    if g.dist[p13][p23] != 1 or g.dist[p31][p32] != 1:
+        return None
+    p33 = third_point(g, p13, p23)
+    if p33 != third_point(g, p31, p32):
+        return None
+    pts = {p11, p12, p13, p21, p22, p23, p31, p32, p33}
+    if len(pts) != 9:
+        return None
+    return frozenset(pts)
+
+
+def enumerate_grids_oracle(g):
+    """Oracle of enumerate_grids: every 4-cycle x, c_i, y, c_j on a
+    distance-2 pair x < y and two of its common neighbours, completed
+    through third_point and the distance matrix, as point masks ordered
+    by their point lists. RuntimeError when a completion's points hold
+    other than 6 lines."""
+    for line in g.lines:
+        if len(line) != 3:
+            raise GeometryError("grid enumeration requires 3-point lines")
+    nbrs = neighbour_sets(g)
+    found = set()
+    for x in range(g.num_points):
+        for y in range(x + 1, g.num_points):
+            if g.dist[x][y] != 2:
+                continue
+            common = sorted(nbrs[x] & nbrs[y])
+            for i in range(len(common)):
+                for j in range(i + 1, len(common)):
+                    pts = complete_grid(g, x, common[i], common[j], y)
+                    if pts is not None:
+                        found.add(pts)
+    grids = sorted(found, key=sorted)
+    for pts in grids:
+        inside = sum(1 for line in g.lines if pts.issuperset(line))
+        if inside != 6:
+            raise RuntimeError(f"points {sorted(pts)} contain {inside} "
+                               f"lines, not the 6 of a 3x3 grid")
+    return [sum(1 << p for p in pts) for pts in grids]
+
+
+def _has_triangle(g: Geometry) -> Optional[tuple]:
+    """A triple of pairwise collinear points on three distinct lines: the
+    first pair (a, b) of a line, in line order, with a common neighbour
+    off the line, and the least such neighbour c."""
+    nbr = g.neighbor_masks
+    for line, mask in zip(g.lines, g.line_masks):
+        for a, b in combinations(line, 2):
+            off_line = nbr[a] & nbr[b] & ~mask
+            if off_line:
+                return (a, b, (off_line & -off_line).bit_length() - 1)
+    return None
+
+
+def check_lemma_3_1_oracle(vprime: ValuationGeometry,
+                           host: Geometry) -> LemmaReport:
+    """Oracle of check_lemma_3_1: the same checks, witnesses and errors
+    on the restriction as a Geometry, whose constructor checks its
+    lines, with int neighbour masks, the grids of
+    enumerate_grids_oracle and one host distance lookup per pair."""
+    if not len(vprime.vpoints):
+        return LemmaReport(
+            connected=True, collinear_zero_distance=True,
+            grid_zero_distance=True, grids_per_point_16=False,
+            triangle_free=True, witness=("no type-C valuations",))
+    geo = Geometry(len(vprime.vpoints), vprime.vlines)
+    nbr = geo.neighbor_masks
+    witness = None
+    connected = geo.is_connected()
+    zeros = vprime.vpoints == 0
+    zero_counts = zeros.sum(axis=1).tolist()
+    # every pair the checks read lies on a line; the first point, in
+    # line order, without exactly one zero point is the one named
+    off = next((p for line in geo.lines for p in line
+                if zero_counts[p] != 1), None)
+    if off is not None:
+        raise ValueError(f"Lemma 3.1 needs one zero point per valuation; "
+                         f"point {off} of the restriction has "
+                         f"{zero_counts[off]}")
+    zero = zeros.argmax(axis=1).tolist() if zeros.size else []
+    dist = [host.dist[z] for z in zero]
+    collinear_ok = True
+    for line in geo.lines:
+        for a, b in combinations(line, 2):
+            if dist[a][zero[b]] != 3:
+                collinear_ok = False
+                witness = witness or ("collinear", a, b)
+    grids = enumerate_grids_oracle(geo)
+    grid_ok = True
+    grids_through = [0] * geo.num_points
+    for mask in grids:
+        for a in _bits(mask):
+            grids_through[a] += 1
+            # the grid points after a that are opposite to it
+            for b in _bits(mask & ~nbr[a] & -2 << a):
+                if dist[a][zero[b]] != 3:
+                    grid_ok = False
+                    witness = witness or ("grid", a, b)
+    # a grid on p is completed once from each of its four opposite
+    # corners, so 4 completions per distinct grid
+    completions = [4 * count for count in grids_through]
+    counts_ok = all(c == 16 for c in completions)
+    tri = _has_triangle(geo)
+    witness = witness or (("triangle",) + tri if tri else None)
+    if witness is None and not connected:
+        witness = ("disconnected", 0, geo.dist[0].index(-1))
+    elif witness is None and not counts_ok:
+        witness = next(("grid_completions", p, c)
+                       for p, c in enumerate(completions) if c != 16)
+    return LemmaReport(
+        connected=connected,
+        collinear_zero_distance=collinear_ok,
+        grid_zero_distance=grid_ok,
+        grids_per_point_16=counts_ok,
+        triangle_free=tri is None,
+        total_grids=len(grids),
+        grid_completions_per_point=(completions[0]
+                                    if counts_ok else None),
+        witness=witness)

@@ -289,14 +289,16 @@ class TestReport:
     def test_report_all_fast_path(self, capsys, monkeypatch):
         # built afresh, each hexagon is checked as a near polygon once,
         # the report reads its ovoids without the search, and the grids
-        # are searched once, on the Type-C/CCC restriction
+        # are searched once, on the 672 lines of the Type-C/CCC
+        # restriction, by the grid kernel without enumerate_grids
         calls = []
-        for name in ("find_ovoids", "enumerate_grids", "check_near_polygon"):
+        for name in ("find_ovoids", "enumerate_grids", "check_near_polygon",
+                     "grid_rows"):
             original = getattr(geometry, name)
 
-            def counting(g, name=name, original=original):
-                calls.append((name, g.name))
-                return original(g)
+            def counting(g, *rest, name=name, original=original):
+                calls.append((name, len(g) if rest else g.name))
+                return original(g, *rest)
 
             # also counts a call made through a name bound elsewhere
             for module in (geometry, pipeline, valgeom, cli):
@@ -307,7 +309,7 @@ class TestReport:
         assert (code, err) == (0, "")
         assert sorted(calls) == [("check_near_polygon", "h2"),
                                  ("check_near_polygon", "h2dual"),
-                                 ("enumerate_grids", "valuation-geometry")]
+                                 ("grid_rows", 672)]
 
     @pytest.mark.parametrize("host", ["h2", "h21", "h2-less-a-line"])
     def test_validate_checks_near_polygon_once(self, request, capsys,

@@ -17,9 +17,10 @@ from hexval.geometry import (Geometry, GeometryError, INF,
                              near_hexagon_point_bound, order_of, to_text)
 from hexval.perm import are_isomorphic
 from hexval.pipeline import Bundle
-from hosts import chain, partial_linear_spaces
+from hosts import chain, line_lists, partial_linear_spaces
 from optimized import run_optimized
-from oracles import pair_table_incidence
+from oracles import (enumerate_grids_oracle, neighbour_sets,
+                     pair_table_incidence)
 
 
 def row_masks(g):
@@ -36,16 +37,6 @@ def row_masks(g):
     return masks
 
 
-def neighbour_sets(g):
-    """The neighbours of each point, read from the lines, so an oracle
-    does not depend on the masks it checks."""
-    nbrs = [set() for _ in range(g.num_points)]
-    for line in g.lines:
-        for p in line:
-            nbrs[p].update(q for q in line if q != p)
-    return nbrs
-
-
 def common_neighbor_profile(g):
     """Histogram of common-neighbor counts over distance-2 point pairs."""
     nbrs = neighbour_sets(g)
@@ -55,62 +46,6 @@ def common_neighbor_profile(g):
             if g.dist[x][y] == 2:
                 hist[len(nbrs[x] & nbrs[y])] += 1
     return hist
-
-
-def third_point(g, a, b):
-    """Third point of the line through a and b (3-point lines only), or
-    None when a and b are not collinear."""
-    for li in g.lines_through[a]:
-        if b in g.lines[li]:
-            return next(p for p in g.lines[li] if p != a and p != b)
-    return None
-
-
-def _complete_grid(g, p11, p12, p21, p22):
-    """Try to extend a 4-cycle (rows p11-p12, p21-p22) to a full grid."""
-    p13 = third_point(g, p11, p12)
-    p23 = third_point(g, p21, p22)
-    p31 = third_point(g, p11, p21)
-    p32 = third_point(g, p12, p22)
-    if g.dist[p13][p23] != 1 or g.dist[p31][p32] != 1:
-        return None
-    p33 = third_point(g, p13, p23)
-    if p33 != third_point(g, p31, p32):
-        return None
-    pts = {p11, p12, p13, p21, p22, p23, p31, p32, p33}
-    if len(pts) != 9:
-        return None
-    return frozenset(pts)
-
-
-def enumerate_grids_oracle(g):
-    """Oracle of enumerate_grids: every 4-cycle x, c_i, y, c_j on a
-    distance-2 pair x < y and two of its common neighbours, completed
-    through third_point and the distance matrix, as point masks ordered
-    by their point lists. RuntimeError when a completion's points hold
-    other than 6 lines."""
-    for line in g.lines:
-        if len(line) != 3:
-            raise GeometryError("grid enumeration requires 3-point lines")
-    nbrs = neighbour_sets(g)
-    found = set()
-    for x in range(g.num_points):
-        for y in range(x + 1, g.num_points):
-            if g.dist[x][y] != 2:
-                continue
-            common = sorted(nbrs[x] & nbrs[y])
-            for i in range(len(common)):
-                for j in range(i + 1, len(common)):
-                    pts = _complete_grid(g, x, common[i], common[j], y)
-                    if pts is not None:
-                        found.add(pts)
-    grids = sorted(found, key=sorted)
-    for pts in grids:
-        inside = sum(1 for line in g.lines if pts.issuperset(line))
-        if inside != 6:
-            raise RuntimeError(f"points {sorted(pts)} contain {inside} "
-                               f"lines, not the 6 of a 3x3 grid")
-    return [sum(1 << p for p in pts) for pts in grids]
 
 
 def near_polygon_oracle(g):
@@ -223,21 +158,6 @@ def mixed_hosts(draw):
     if n < 2:
         return Geometry(n, [])
     return add_random_lines(draw, n, [], 12, (2, min(4, n)))
-
-
-@st.composite
-def line_lists(draw):
-    """A point count from 0 to 8 and lines on it: up to 6 of 2 to 5
-    distinct points, which may share pairs, and up to 2 of 0 to 5 points
-    from -1 to the count, which may be short or hold repeated or
-    out-of-range points."""
-    n = draw(st.integers(0, 8))
-    lines = draw(st.lists(st.lists(st.integers(-1, n), max_size=5),
-                          max_size=2))
-    if n >= 2:
-        lines += draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2,
-                                       max_size=min(5, n)), max_size=6))
-    return n, lines
 
 
 @st.composite
@@ -591,6 +511,26 @@ class TestGrids:
     def test_affine_plane_has_no_grid(self):
         g = affine_plane_3()
         assert enumerate_grids(g) == enumerate_grids_oracle(g) == []
+
+    @pytest.mark.parametrize("build", [
+        grid_with_diagonal, affine_plane_3, build_fano,
+        lambda: Geometry(17, affine_plane_3().lines + tuple(
+            tuple(8 + p for p in line) for line in grid_3x3().lines))],
+        ids=["grid-with-diagonal", "ag23", "fano", "ag23-beside-grid"])
+    def test_matches_oracle_with_triangles(self, build):
+        # triangles give cells several candidates, and the nine pairwise
+        # collinear points of AG(2, 3) are no grid; the last host has
+        # both and one grid, sharing point 8 with the affine plane
+        g = build()
+        grids = enumerate_grids(g)
+        assert grids == enumerate_grids_oracle(g)
+        assert len(grids) == (1 if g.num_points in (10, 17) else 0)
+
+    def test_matches_oracle_on_vprime_with_triangles(self, h2dual):
+        # V' with a line closing triangles on its points 0 and 96
+        vp = h2dual.vprime()
+        g = Geometry(252, vp.vlines + [(0, 61, 96)])
+        assert enumerate_grids(g) == enumerate_grids_oracle(g)
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(partial_linear_spaces(min_lines=1, connected=True),

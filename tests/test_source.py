@@ -86,6 +86,25 @@ def test_one_line_finder_and_star_recheck():
     assert found == []
 
 
+def test_one_grid_search():
+    # the grids of a line array come from geometry.grid_rows alone, which
+    # enumerate_grids wraps and the Lemma 3.1 check calls on its line
+    # array; the check builds no restriction Geometry
+    callers = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "id", None) \
+                            or getattr(node.func, "attr", None)
+                        callers.setdefault(name, set()).add(func.name)
+    assert callers["grid_rows"] == {"enumerate_grids", "check_lemma_3_1"}
+    assert "check_lemma_3_1" not in (callers.get("Geometry", set())
+                                     | callers.get("as_geometry", set()))
+
+
 def test_traced_functions_exist():
     # perfbench's tracer looks each of its targets up with a bare getattr,
     # so a moved or renamed function would crash every traced run

@@ -1,5 +1,6 @@
 """Neighboring valuations, the star operator, valuation geometries,
 line-type tables and the subgeometry checks."""
+import functools
 import random
 import re
 import sys
@@ -21,11 +22,12 @@ from hexval.valgeom import (LemmaReport, ValuationGeometry,
                             class_line_table, line_type_table,
                             orbit_valuation_geometry, restrict)
 from hexval.valuations import Valuation, classify_valuations
-from hosts import EXAMPLE_HOST, chain, partial_linear_spaces, relabeled
+from hosts import (EXAMPLE_HOST, RIGID_HOSTS, chain, line_lists,
+                   partial_linear_spaces, relabeled, triple_lists)
 from optimized import run_optimized
 from oracles import (EQUAL, are_neighboring, as_valuations,
-                     brute_force_valuations, classical_valuation, is_valid,
-                     star)
+                     brute_force_valuations, check_lemma_3_1_oracle,
+                     classical_valuation, is_valid, star)
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS.parent / "perfbench" / "golden" / "report_all.json"
@@ -530,6 +532,17 @@ class TestRestriction:
         assert sub.vpoints.shape == (0, 63) and sub.vlines == []
 
 
+#: the fixed hosts whose V' is compared with the full build and whose
+#: Lemma 3.1 check is compared with the scalar oracle
+TEST_HOSTS = {
+    "grid3": grid_3x3, "chain1": lambda: chain(1), "chain3": lambda: chain(3),
+    "example": lambda: from_text(EXAMPLE_HOST),
+    "h2dual-relabeled": lambda: relabeled(build_h2_dual(), 3),
+    "h21-relabeled": lambda: relabeled(build_hexagon_2_1(), 5),
+    **{name: functools.partial(from_text, text)
+       for name, text in RIGID_HOSTS.items()}}
+
+
 def full_vprime(bundle):
     """Oracle: the Type-C/CCC restriction of the full valuation geometry."""
     vg = build_valuation_geometry(bundle.geometry, bundle.valuations,
@@ -614,20 +627,19 @@ class TestOrbitValuationGeometry:
         assert_same_geometry(vp, restrict(bundle.valuation_geometry,
                                           ("C",), ("CCC",)))
 
-    @pytest.mark.parametrize("build", [
-        grid_3x3, lambda: chain(1), lambda: chain(3),
-        lambda: from_text(EXAMPLE_HOST),
-        lambda: relabeled(build_h2_dual(), 3),
-        lambda: relabeled(build_hexagon_2_1(), 5),
-        # no automorphism but the identity, so the walk from row 0 has no
-        # generator to follow: its one type-C valuation is its own orbit
-        lambda: from_text("points 9\n3 6 7\n8 3 2\n4 5 0\n1 2 5\n"
-                          "3 0 1\n6 0 2\n")],
-        ids=["grid3", "chain1", "chain3", "example", "h2dual-relabeled",
-             "h21-relabeled", "rigid"])
-    def test_matches_full_build_on_test_hosts(self, build):
-        bundle = pipeline.Bundle(build())
+    @pytest.mark.parametrize("host", TEST_HOSTS)
+    def test_matches_full_build_on_test_hosts(self, host):
+        bundle = pipeline.Bundle(TEST_HOSTS[host]())
         assert_same_geometry(bundle.vprime(), full_vprime(bundle))
+
+    @pytest.mark.parametrize("host", RIGID_HOSTS)
+    def test_rigid_hosts_carry_type_c(self, host):
+        # no automorphism but the identity, so the walk from row 0 has no
+        # generator to follow: the one type-C valuation is its own orbit
+        bundle = pipeline.Bundle(from_text(RIGID_HOSTS[host]))
+        assert bundle.aut_order == 1
+        assert bundle.type_labels.count("C") == 1
+        assert len(bundle.vprime().vpoints) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(partial_linear_spaces(max_points=10, max_lines=8,
@@ -647,7 +659,7 @@ class TestOrbitValuationGeometry:
                 return exact(*args)
             return counting
 
-        for name in ("_neighbor_stars", "enumerate_grids"):
+        for name in ("_checked_rows", "_neighbor_stars", "grid_rows"):
             monkeypatch.setattr(valgeom, name, counted(name))
         assert "C" not in fano.type_labels
         vp = fano.vprime()
@@ -767,7 +779,7 @@ class TestSubgeometryChecks:
         fresh = ValuationGeometry(vp.host, vp.vpoints, vp.vlines,
                                   vp.point_types, vp.line_types)
         assert check_lemma_3_1(fresh, h2dual.geometry).total_grids == 112
-        assert "dist" not in fresh.as_geometry().__dict__
+        assert fresh._geometry is None
 
     def test_corrupted_line_detected(self, h2dual):
         corrupted = corrupted_restriction(h2dual, "collinear")
@@ -813,3 +825,66 @@ class TestSubgeometryChecks:
             f"print(repr(check_lemma_3_1(corrupted_restriction(\n"
             f"    bundle, 'triangle'), bundle.geometry)))\n"
         ) == repr(expected) + "\n"
+
+
+def lemma_or_error(check, vprime, host):
+    """check(vprime, host), or the type and text of the error it raises."""
+    try:
+        return check(vprime, host)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_lemma_matches_oracle(vprime, host):
+    """The array check and the scalar oracle give the same report, or
+    raise the same error; returns it."""
+    got = lemma_or_error(check_lemma_3_1, vprime, host)
+    assert got == lemma_or_error(check_lemma_3_1_oracle, vprime, host)
+    return got
+
+
+class TestLemmaOracle:
+    """check_lemma_3_1 on line arrays and packed rows against the scalar
+    check on a restriction Geometry (oracles.check_lemma_3_1_oracle)."""
+
+    def test_hexagon(self, h2dual):
+        assert assert_lemma_matches_oracle(
+            h2dual.vprime(), h2dual.geometry).witness is None
+
+    @pytest.mark.parametrize("case,witness", [
+        ("collinear", "collinear"), ("grid", "grid"),
+        ("triangle", "triangle"), ("connected", "disconnected"),
+        ("grid_count", "grid_completions")])
+    def test_corrupted_restrictions(self, h2dual, case, witness):
+        report = assert_lemma_matches_oracle(
+            corrupted_restriction(h2dual, case), h2dual.geometry)
+        assert report.witness[0] == witness
+
+    def test_several_zero_points(self, h21):
+        assert assert_lemma_matches_oracle(h21.vprime(), h21.geometry)[0] \
+            is ValueError
+
+    @pytest.mark.parametrize("host", TEST_HOSTS)
+    def test_test_hosts(self, host):
+        bundle = pipeline.Bundle(TEST_HOSTS[host]())
+        assert_lemma_matches_oracle(bundle.vprime(), bundle.geometry)
+
+    @settings(max_examples=60, deadline=None)
+    @given(partial_linear_spaces(max_points=10, max_lines=8,
+                                 connected=True))
+    def test_random_hosts(self, g):
+        bundle = pipeline.Bundle(g)
+        assert_lemma_matches_oracle(bundle.vprime(), bundle.geometry)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(line_lists(), triple_lists()))
+    def test_any_lines(self, drawn):
+        # the first V' rows of the dual hexagon, one zero point each,
+        # under lines that may be short, long, repeated, out of range or
+        # share a pair
+        n, lines = drawn
+        bundle = pipeline.get_bundle("h2dual")
+        vp = bundle.vprime()
+        assert_lemma_matches_oracle(
+            ValuationGeometry(vp.host, vp.vpoints[:n], lines, ["C"] * n,
+                              ["CCC"] * len(lines)), bundle.geometry)

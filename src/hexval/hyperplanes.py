@@ -16,14 +16,15 @@ which vector i alone has its free column f_i, so a vector's coordinates
 are its bits at the free columns.
 
 All 2^dim vectors are one numpy array of words built by doubling, and
-one block scan of the lines over it (``_full_lines``) checks the 1-or-3
-line rule and counts the full lines. ``enumerate_hyperplanes`` lists the
-hyperplanes as ``Hyperplane`` objects. Neither ``classify_hyperplanes``
-nor the full valuation sweep builds that list; the classification works
-on coordinate vectors. An automorphism acts linearly on the coordinates,
-the images of all vectors are built by the same doubling, and orbits come
-from min-label propagation. Spaces above ``MAX_DIMENSION`` are refused
-before anything is enumerated.
+none is scanned against the lines: the 1-or-3 line rule is checked on
+the basis (``_check_line_rule``), and full lines are counted from the
+point degrees. ``enumerate_hyperplanes`` lists the hyperplanes as
+``Hyperplane`` objects. Neither ``classify_hyperplanes`` nor the full
+valuation sweep builds that list; the classification works on
+coordinate vectors. An automorphism acts linearly on the coordinates,
+the images of all vectors are built by the same doubling, and orbits
+come from min-label propagation. Spaces above ``MAX_DIMENSION`` are
+refused before anything is enumerated.
 """
 from __future__ import annotations
 
@@ -40,8 +41,6 @@ if TYPE_CHECKING:
 
 #: largest nullspace dimension whose 2^dim vectors are enumerated
 MAX_DIMENSION = 24
-#: elements of the largest [lines, vectors, words] array of the line scan
-_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,48 +91,33 @@ def enumerable_basis(g: Geometry) -> Tuple[int, ...]:
     return basis
 
 
-def _full_lines(g: Geometry, vectors: np.ndarray) -> np.ndarray:
-    """The number of lines inside the hyperplane of each row of the
-    [vectors, words] complement masks; a row whose hyperplane meets a
-    line in neither 1 nor 3 points raises RuntimeError."""
-    size, words = vectors.shape
-    full_lines = np.zeros(size, dtype=np.int64)
-    odd = np.zeros(size, dtype=np.uint8)
-    lines = gf2.to_words(g.line_masks, words)
-    block = max(1, _BLOCK_ELEMENTS // (size * words))
-    for start in range(0, len(lines), block):
-        # a 3-point line meets a complement in 0 or 2 points, so the
-        # hyperplane in 3 or 1
-        met = np.bitwise_count(lines[start:start + block, None] & vectors
-                               ).sum(axis=2, dtype=np.uint8)
-        odd |= np.bitwise_or.reduce(met, axis=0)
-        full_lines += (met == 0).sum(axis=0)
-    bad = np.flatnonzero(odd & 1)
-    if bad.size:
-        member = ((1 << g.num_points) - 1) ^ gf2.from_words(vectors[bad[0]])
-        raise RuntimeError(f"hyperplane {member:b} fails the 1-or-3 line "
-                           f"rule")
-    return full_lines
+def _check_line_rule(g: Geometry, basis: Sequence[int]) -> None:
+    """RuntimeError unless each basis vector meets each line in 0 or 2
+    points. |v & line| mod 2 is linear in v, so then every span vector
+    does, and else the first span vector to fail is 2^j for the first
+    basis vector j that fails: its hyperplane is the one named."""
+    for b in basis:
+        if any((b & mask).bit_count() & 1 for mask in g.line_masks):
+            member = ((1 << g.num_points) - 1) ^ b
+            raise RuntimeError(f"hyperplane {member:b} fails the 1-or-3 "
+                               f"line rule")
 
 
 def enumerate_hyperplanes(g: Geometry) -> List[Hyperplane]:
     """All hyperplanes, sorted by member bitmask; count is 2^dim - 1.
 
-    A basis whose span does not hold 2^dim - 1 distinct nonzero vectors,
-    or a vector that fails the 1-or-3 line rule, raises RuntimeError."""
+    A basis vector that fails the 1-or-3 line rule, or a basis whose
+    span does not hold 2^dim - 1 distinct nonzero vectors, raises
+    RuntimeError."""
     basis = enumerable_basis(g)
-    vectors = gf2.span_words(basis, g.num_points)
-    _full_lines(g, vectors)
+    _check_line_rule(g, basis)
     full = (1 << g.num_points) - 1
-    members = sorted({full ^ v for v in map(gf2.from_words, vectors) if v})
-    if len(members) != len(vectors) - 1:
+    members = sorted({full ^ v for v in map(
+        gf2.from_words, gf2.span_words(basis, g.num_points)) if v})
+    if len(members) != (1 << len(basis)) - 1:
         raise RuntimeError(f"span of a {len(basis)}-dimensional nullspace "
                            f"gave {len(members)} hyperplanes")
     return [Hyperplane(g.num_points, member) for member in members]
-
-
-def _image(p, mask: int) -> int:
-    return sum(1 << p[q] for q in _bits(mask))
 
 
 def _image_coordinates(basis: Sequence[int], free: List[int], p) -> List[int]:
@@ -143,7 +127,7 @@ def _image_coordinates(basis: Sequence[int], free: List[int], p) -> List[int]:
     coordinates lies outside the nullspace (RuntimeError)."""
     cols = []
     for b in basis:
-        img = _image(p, b)
+        img = sum(1 << p[q] for q in _bits(b))
         coords = span = 0
         for j, f in enumerate(free):
             if img >> f & 1:
@@ -181,10 +165,10 @@ def classify_hyperplanes(g: Geometry, group: AutGroup
     Member masks are [2^dim, ceil(n / 64)] uint64 words; the
     representative of a class is its least member mask, compared word by
     word from the top. Classes are sorted by (invariant_key,
-    representative). The 1-or-3 line rule on every vector, the class
-    equation (orbit sizes sum to 2^dim - 1), orbit sizes dividing the
-    group order and the constancy of the invariant on each orbit are
-    checked (RuntimeError otherwise).
+    representative). The 1-or-3 line rule, on the basis, and over all
+    2^dim vectors the class equation (orbit sizes sum to 2^dim - 1),
+    orbit sizes dividing the group order and the constancy of the
+    invariant on each orbit are checked (RuntimeError otherwise).
     """
     basis = enumerable_basis(g)
     n = g.num_points
@@ -196,17 +180,30 @@ def classify_hyperplanes(g: Geometry, group: AutGroup
     size = 1 << len(basis)
     vectors = gf2.span_words(basis, n)
     words = vectors.shape[1]
-    # row g: the index of the image of each coordinate vector under
-    # generator g, by the same doubling from the images of the basis
+    # action row g: the index of the image of each coordinate vector
+    # under generator g, by the same doubling from the images of the
+    # basis; the [G, 2^dim] table is freed once the labels are found
     images = np.array([_image_coordinates(basis, free, p)
                        for p in group.generators], dtype=np.intp)
-    actions = gf2.span_rows(
-        images.reshape(len(group.generators), len(basis)).T).T
-    labels = _orbit_labels(actions, size)
+    labels = _orbit_labels(gf2.span_rows(
+        images.reshape(len(group.generators), len(basis)).T).T, size)
 
     members = vectors ^ gf2.to_words([(1 << n) - 1], words)
     weight = np.bitwise_count(vectors).sum(axis=1, dtype=np.int64)
-    full_lines = _full_lines(g, vectors)
+    _check_line_rule(g, basis)
+    # a complement meets each line in 0 or 2 points, so the degrees of
+    # its points sum to twice the number of lines it meets: one popcount
+    # per nonzero degree, or the weight when all points share one
+    masks = {}
+    for p, through in enumerate(g.lines_through):
+        if through:
+            masks[len(through)] = masks.get(len(through), 0) | 1 << p
+    full_lines = np.full(size, 2 * len(g.lines), dtype=np.int64)
+    for d, row in zip(masks, gf2.to_words(list(masks.values()), words)):
+        full_lines -= d * (weight if masks[d] == (1 << n) - 1 else
+                           np.bitwise_count(vectors & row).sum(
+                               axis=1, dtype=np.int64))
+    full_lines //= 2
     key = (n - weight) * (len(g.lines) + 1) + full_lines
     bad = np.flatnonzero(key != key[labels])
     if bad.size:

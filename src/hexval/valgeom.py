@@ -28,7 +28,8 @@ row in one walk under the group's action on rows, star-checks each
 distinct line and requires each to reach all three of its members. The
 full build stays as the public function and the tests' oracle.
 
-`check_lemma_3_1` reads the lines of V′ as one sorted int [lines, 3]
+`check_lemma_3_1` decides a V′ with points but no line by its point
+count. Otherwise it reads the lines of V′ as one sorted int [lines, 3]
 array, with packed uint64 neighbour rows and the grid search of
 `geometry.grid_rows`; it builds no `Geometry` of V′ and no array of
 points x points entries. Its scalar form on a restriction `Geometry` is
@@ -640,23 +641,24 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     triangle-freeness of the Type-C/CCC restriction of the valuation
     geometry of the dual hexagon.
 
-    The checks run on the restriction's lines as one sorted int
-    [lines, 3] array (_line_array, which raises on lines that are no
-    partial linear space as the Geometry constructor does) and on its
-    packed neighbour rows and lines through each point (line_incidence);
-    no restriction Geometry is built and its distance matrix is never
-    computed. A valuation on a line with other than one zero point
-    raises ValueError, before any distance is read; lines of other than
-    3 points then raise GeometryError. The grids come from grid_rows.
-    Two points of a grid are opposite when they are not collinear, which
-    within a grid is the same as being at distance 2; the collinear
-    pairs, in line order, and the opposite pairs of each grid, in grid
-    order, have their zero points' distance read in one gather. The
-    triangles are the common neighbours off a line of each pair of its
-    points, and connectivity is a frontier walk from point 0. No array
-    of points x points entries is built: the packed rows take m^2 / 8
-    bytes for m points, and the grid candidates and the triangle pairs
-    are read in blocks of a fixed size.
+    A restriction with points but no line is decided by its point
+    count, with no array built. Otherwise the checks run on its lines as
+    one sorted int [lines, 3] array (_line_array, which raises on lines
+    that are no partial linear space as the Geometry constructor does)
+    and on its packed neighbour rows and lines through each point
+    (line_incidence); no restriction Geometry is built and its distance
+    matrix is never computed. A valuation on a line with other than one
+    zero point raises ValueError, before any distance is read; lines of
+    other than 3 points then raise GeometryError. The grids come from
+    grid_rows. Two points of a grid are opposite when they are not
+    collinear, which within a grid is the same as being at distance 2;
+    the collinear pairs, in line order, and the opposite pairs of each
+    grid, in grid order, have their zero points' distance read in one
+    gather. The triangles are the common neighbours off a line of each
+    pair of its points, and connectivity is a frontier walk from point
+    0. No array of points x points entries is built: the packed rows
+    take m^2 / 8 bytes for m points, and the grid candidates and the
+    triangle pairs are read in blocks of a fixed size.
     """
     num_points = len(vprime.vpoints)
     if not num_points:
@@ -664,6 +666,14 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
             connected=True, collinear_zero_distance=True,
             grid_zero_distance=True, grids_per_point_16=False,
             triangle_free=True, witness=("no type-C valuations",))
+    if not vprime.vlines:
+        # no pair to read and no grid: the point count decides the rest
+        return LemmaReport(
+            connected=num_points == 1, collinear_zero_distance=True,
+            grid_zero_distance=True, grids_per_point_16=False,
+            triangle_free=True,
+            witness=(("disconnected", 0, 1) if num_points > 1
+                     else ("grid_completions", 0, 0)))
     flat, lines = _line_array(num_points, vprime.vlines)
     zeros = vprime.vpoints == 0
     zero_counts = zeros.sum(axis=1)

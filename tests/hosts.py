@@ -28,6 +28,11 @@ RIGID_HOSTS = {
 }
 
 
+#: a connected host whose V' has three points and no line: no line of its
+#: valuation geometry has three type-C points
+LINELESS_VPRIME_HOST = "points 7\n0 1 2\n0 3 5\n0 4 6\n2 4 5\n"
+
+
 def relabeled(g, seed):
     """g with its points renumbered by a seeded random permutation."""
     relabel = random.Random(seed).sample(range(g.num_points), g.num_points)

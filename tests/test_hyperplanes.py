@@ -8,11 +8,11 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from hexval import gf2, hyperplanes, perm, pipeline
 from hexval.cli import run
-from hexval.constructions import grid_3x3
+from hexval.constructions import build_hexagon_2_1, grid_3x3
 from hexval.geometry import Geometry, GeometryError, to_text
 from hexval.hyperplanes import (MAX_DIMENSION, Hyperplane, HyperplaneClass,
                                 classify_hyperplanes, enumerate_hyperplanes,
@@ -113,6 +113,31 @@ def brute_force_hyperplanes(g):
     return sorted(out)
 
 
+#: a basis whose first vector, from the nullspace, keeps the 1-or-3 line
+#: rule and whose second, one point outside it, breaks it; each is the
+#: only one with its free column. Both functions must reject it; the
+#: classification runs under the trivial group, so no generator image is
+#: checked before the rule.
+LATER_VECTOR_BREAKS_RULE = (
+    "from hexval import perm\n"
+    "from hexval.constructions import build_hexagon_2_1\n"
+    "from hexval.geometry import Geometry\n"
+    "from hexval.hyperplanes import (classify_hyperplanes,\n"
+    "                                enumerate_hyperplanes)\n"
+    "h21 = build_hexagon_2_1()\n"
+    "b0 = h21.nullspace_basis[0]\n"
+    "q = next(p for p in range(21) if not b0 >> p & 1)\n"
+    "g = Geometry(21, h21.lines)\n"
+    "g.nullspace_basis = (b0, 1 << q)\n"
+    "trivial = perm.AutGroup(21, (), (), ())\n"
+    "for check in (enumerate_hyperplanes,\n"
+    "              lambda g: classify_hyperplanes(g, trivial)):\n"
+    "    try:\n"
+    "        check(g)\n"
+    "    except RuntimeError as exc:\n"
+    "        print(exc)\n")
+
+
 class TestEnumeration:
     def test_grid_matches_brute_force(self):
         g = grid_3x3()
@@ -166,6 +191,20 @@ class TestEnumeration:
         g.nullspace_basis = (1,)
         with pytest.raises(RuntimeError, match="fails the 1-or-3 line rule"):
             enumerate_hyperplanes(g)
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_later_basis_vector_breaks_rule(self, capsys, optimized):
+        # the rule is checked on the basis: the error names the first
+        # basis vector that breaks it, the first such vector of the span
+        if optimized:
+            out = run_optimized(LATER_VECTOR_BREAKS_RULE)
+        else:
+            exec(LATER_VECTOR_BREAKS_RULE, {})
+            out = capsys.readouterr().out
+        b0 = build_hexagon_2_1().nullspace_basis[0]
+        q = next(p for p in range(21) if not b0 >> p & 1)
+        member = ((1 << 21) - 1) ^ 1 << q
+        assert out == 2 * f"hyperplane {member:b} fails the 1-or-3 line rule\n"
 
     def test_one_nullspace_per_geometry(self, monkeypatch, h21):
         # the count, the classes, the isomorphism invariant and the full
@@ -322,6 +361,29 @@ class TestAgainstOracle:
     def test_random_hosts(self, g):
         group = automorphism_group(g)
         assert classify_hyperplanes(g, group) == oracle_classes(g, group)
+
+    @settings(max_examples=40, deadline=None)
+    @given(partial_linear_spaces(min_lines=2), st.integers(0, 2))
+    def test_random_hosts_mixed_degrees(self, g, isolated):
+        # points of several degrees, some on no line: the full lines come
+        # from one popcount per nonzero degree
+        assume(len({len(t) for t in g.lines_through}) > 1)
+        g = Geometry(g.num_points + isolated, g.lines)
+        group = automorphism_group(g)
+        assert classify_hyperplanes(g, group) == oracle_classes(g, group)
+
+    @pytest.mark.parametrize("host", ["h21", "pendant", "isolated"])
+    def test_full_lines_on_every_hyperplane(self, h2, h21, host):
+        # under the trivial group each hyperplane is its own class, so
+        # every vector's (size, full lines) key is reported
+        g = {"h21": h21.geometry, "pendant": pendant_path(h2.geometry),
+             "isolated": Geometry(22, h21.geometry.lines)}[host]
+        classes = classify_hyperplanes(g, PermGroup(g.num_points))
+        assert len(classes) == hyperplane_count(g)
+        for c in classes:
+            member = c.representative.member_bits
+            assert c.invariant_key == (member.bit_count(),
+                                       full_line_count(g, member))
 
     def test_trivial_group_and_no_hyperplanes(self):
         g = disjoint_lines(2)

@@ -22,8 +22,9 @@ from hexval.valgeom import (LemmaReport, ValuationGeometry,
                             class_line_table, line_type_table,
                             orbit_valuation_geometry, restrict)
 from hexval.valuations import Valuation, classify_valuations
-from hosts import (EXAMPLE_HOST, RIGID_HOSTS, chain, line_lists,
-                   partial_linear_spaces, relabeled, triple_lists)
+from hosts import (EXAMPLE_HOST, LINELESS_VPRIME_HOST, RIGID_HOSTS, chain,
+                   line_lists, partial_linear_spaces, relabeled,
+                   triple_lists)
 from optimized import run_optimized
 from oracles import (EQUAL, are_neighboring, as_valuations,
                      brute_force_valuations, check_lemma_3_1_oracle,
@@ -868,6 +869,30 @@ class TestLemmaOracle:
     def test_test_hosts(self, host):
         bundle = pipeline.Bundle(TEST_HOSTS[host]())
         assert_lemma_matches_oracle(bundle.vprime(), bundle.geometry)
+
+    @pytest.mark.parametrize("text,points", [
+        (RIGID_HOSTS["rigid"], 1), (LINELESS_VPRIME_HOST, 2),
+        (LINELESS_VPRIME_HOST, 3)],
+        ids=["rigid", "two-points", "three-points"])
+    def test_lineless_vprime(self, monkeypatch, text, points):
+        # a V' with points but no line is decided by its point count:
+        # no line array, neighbour rows, grid, triangle or frontier walk
+        bundle = pipeline.Bundle(from_text(text))
+        vp = bundle.vprime()
+        assert vp.vlines == [] and len(vp.vpoints) >= points
+        vprime = ValuationGeometry(vp.host, vp.vpoints[:points], [],
+                                   vp.point_types[:points], [])
+        for name in ("_line_array", "line_incidence", "grid_rows",
+                     "_first_triangle", "_first_unreached"):
+            monkeypatch.setattr(valgeom, name, None)
+        report = check_lemma_3_1(vprime, bundle.geometry)
+        monkeypatch.undo()
+        assert report == assert_lemma_matches_oracle(vprime, bundle.geometry)
+        assert report.witness == (("disconnected", 0, 1) if points > 1
+                                  else ("grid_completions", 0, 0))
+        assert report.connected == (points == 1)
+        assert (report.total_grids, report.grid_completions_per_point,
+                report.grids_per_point_16) == (0, None, False)
 
     @settings(max_examples=60, deadline=None)
     @given(partial_linear_spaces(max_points=10, max_lines=8,

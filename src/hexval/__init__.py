@@ -17,13 +17,15 @@ from .perm import AutGroup, are_isomorphic, automorphism_group
 from .pipeline import Bundle, get_bundle
 from .valgeom import (ValuationGeometry, build_valuation_geometry,
                       check_lemma_3_1, line_type_table)
-from .valuations import Valuation, all_valuations, classify_valuations
+from .valuations import (Valuation, Valuations, all_valuations,
+                         classify_valuations)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AutGroup", "Bundle", "Geometry", "GeometryError", "Hyperplane",
     "HyperplaneClass", "OrderSpec", "Valuation", "ValuationGeometry",
+    "Valuations",
     "all_valuations", "are_isomorphic", "automorphism_group", "build_fano",
     "build_h2", "build_h2_dual", "build_hexagon_2_1",
     "build_valuation_geometry", "check_generalized_hexagon",

@@ -6,7 +6,10 @@ check, report. ``--format`` is ``text|json`` for ``hyperplanes`` and
 format renders the same internal report value. Exit codes: 0 all
 checks pass, 1 a check or reproduction mismatch (cell-by-cell diff on
 standard error) or a failed internal check (one ``error:`` line), 2
-usage, input or I/O error.
+usage, input or I/O error, or a host too large for the process:
+``MemoryError`` and ``RecursionError`` end in one ``error:`` line that
+names the resource, ``out of memory`` or ``recursion depth exceeded``,
+next to the size refusals rather than among the failed checks.
 
 An ``--in`` file is read on every call, and the ``Bundle`` built from
 it is kept until another name or text arrives: consecutive ``run()``
@@ -482,6 +485,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if exc.filename is None:  # no file opened, such as a broken pipe
             raise
         print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except RecursionError:  # a RuntimeError, but not a failed check
+        print("error: recursion depth exceeded", file=sys.stderr)
         return 2
     except (GeometryError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

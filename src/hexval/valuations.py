@@ -4,8 +4,15 @@ A valuation assigns an integer to every point so that each line has a
 unique minimum and the remaining points sit one above it, with global
 minimum 0. Every check of that rule here runs on whole matrices
 (``_non_valuation_rows``); the scalar definitions the rows are tested
-against live with the tests, in ``tests/oracles.py``. ``Valuation`` is
-only the record ``all_valuations`` returns per row.
+against live with the tests, in ``tests/oracles.py``.
+``all_valuations`` returns a ``Valuations``: the host and its valuations
+held once, as the sorted distinct int8 matrix ``rows``, which
+``classify_valuations`` hands to the orbit pass as it is. Its items are
+``Valuation`` records, a host and a value tuple, built only when read.
+They stay records rather than bare rows while perfbench's tracer reads
+``v.hyperplane()`` from each item of ``all_valuations``; once perfbench
+takes its counts from the matrix, ``all_valuations`` can return ``rows``
+alone.
 
 Valuations are generated hyperplane by hyperplane: the search starts
 from 0 on the hyperplane complement and -1 on the points collinear with
@@ -33,9 +40,10 @@ from the statistics of their smallest rows.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -59,9 +67,9 @@ _TRANSPOSE8 = tuple((np.uint64(s), np.uint64(m)) for s, m in (
 
 @dataclass(frozen=True)
 class Valuation:
-    """One valuation of the host, as all_valuations returns it: an
-    integer point function with the per-line semi-valuation property and
-    minimum value 0."""
+    """One valuation of the host, an item of Valuations: an integer point
+    function with the per-line semi-valuation property and minimum value
+    0."""
 
     host: Geometry
     values: Tuple[int, ...]
@@ -75,6 +83,55 @@ class Valuation:
         top = max(self.values)
         bits = sum(1 << p for p, v in enumerate(self.values) if v < top)
         return Hyperplane(self.host.num_points, bits)
+
+
+class Valuations(Sequence):
+    """Valuations of one host, held once as the sorted distinct int8
+    matrix rows, a read-only row per valuation in value-vector order.
+
+    An item is the Valuation record of one row, built when it is read; a
+    slice is the Valuations of the rows it selects, so it keeps
+    value-vector order. It equals another Valuations of the same host and
+    rows, and any sequence of the same records in the same order. Rows
+    whose width is not the host's point count, or with a negative value,
+    which would break the byte order of row_keys, raise ValueError.
+    """
+
+    def __init__(self, host: Geometry, rows) -> None:
+        rows = np.asarray(rows, dtype=np.int8)
+        if rows.ndim == 1 and not rows.size:  # an empty list of rows
+            rows = rows.reshape(0, host.num_points)
+        if rows.ndim != 2 or rows.shape[1] != host.num_points:
+            raise ValueError(f"value rows of shape {rows.shape} on a host "
+                             f"of {host.num_points} points")
+        if rows.min(initial=0) < 0:
+            raise ValueError("a valuation row has a negative value")
+        self.host = host
+        self.rows = unique_rows(rows)
+        self.rows.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: Union[int, slice]
+                    ) -> Union[Valuation, "Valuations"]:
+        if isinstance(index, slice):
+            return Valuations(self.host, self.rows[index])
+        return Valuation(self.host, tuple(self.rows[index].tolist()))
+
+    def __iter__(self) -> Iterator[Valuation]:
+        host = self.host
+        return (Valuation(host, values)
+                for values in map(tuple, self.rows.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Valuations):
+            return other.host is self.host \
+                and np.array_equal(other.rows, self.rows)
+        if isinstance(other, Sequence):
+            return len(other) == len(self) \
+                and all(a == b for a, b in zip(self, other))
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -356,7 +413,7 @@ def valuations_on_hyperplanes(g: Geometry, hyps: Sequence[Hyperplane]
         origin[order], np.arange(1, len(hyps))))[:len(hyps)]
 
 
-def all_valuations(g: Geometry) -> List[Valuation]:
+def all_valuations(g: Geometry) -> Valuations:
     """Every valuation of g, in canonical (value-vector) order.
 
     Every nonzero vector of the incidence nullspace is a hyperplane
@@ -365,7 +422,7 @@ def all_valuations(g: Geometry) -> List[Valuation]:
     """
     vals, _ = _search_rows(g, lambda: gf2.span_words(
         enumerable_basis(g), g.num_points)[1:])
-    return [Valuation(g, v) for v in map(tuple, unique_rows(vals).tolist())]
+    return Valuations(g, vals)
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -506,22 +563,23 @@ def label_orbits(g: Geometry, rows: np.ndarray, roots: np.ndarray
     return types, [labels[i] for i in roots.tolist()]
 
 
-def classify_valuations(g: Geometry, group: AutGroup, vals: List[Valuation]
+def classify_valuations(g: Geometry, group: AutGroup, vals: Valuations
                         ) -> Tuple[List[ValuationType], List[str]]:
     """Partition the given valuations of g into automorphism orbits and
     label each orbit as one isomorphism class (see label_orbits: A
     classical, B / B1.. intermediate, C / C1.. ovoidal). Returns the
-    classes and the label of each distinct valuation in value-vector
-    order.
+    classes and the label of each valuation in value-vector order.
 
-    A disconnected host raises ValueError. An orbit that leaves the
-    given valuations means the set is not closed under the group
-    (RuntimeError).
+    A disconnected host, or rows of another width, raises ValueError. An
+    orbit that leaves the given valuations means the set is not closed
+    under the group (RuntimeError).
     """
     if not g.is_connected():
         raise ValueError("valuations require a connected geometry")
-    given = unique_rows(np.array([v.values for v in vals], dtype=np.int8
-                                 ).reshape(len(vals), g.num_points))
+    given = vals.rows
+    if given.shape[1] != g.num_points:
+        raise ValueError(f"valuations of a {given.shape[1]}-point host "
+                         f"given for a {g.num_points}-point host")
     rows, roots = orbit_closure(given, group)
     if len(rows) > len(given):
         # image of given row i under generator j at j * len(given) + i

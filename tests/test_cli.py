@@ -431,6 +431,35 @@ class TestErrors:
         assert err.splitlines() == [
             "error: line counts not constant on point type C"]
 
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError, "error: out of memory"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "error: recursion depth exceeded")])
+    @pytest.mark.parametrize("argv,module,name", [
+        (["validate"], cli, "check_generalized_hexagon"),
+        (["aut"], pipeline, "automorphism_group"),
+        (["hyperplanes", "--classes"], pipeline, "classify_hyperplanes"),
+        (["valuations"], pipeline, "orbit_closure"),
+        (["valgeom"], pipeline, "class_line_table"),
+        (["check"], cli, "check_lemma_3_1")])
+    def test_resource_exhaustion_exits_2(self, capsys, monkeypatch, tmp_path,
+                                         h21, argv, module, name, error,
+                                         line):
+        # a resource running out is neither bad input nor a failed check,
+        # and never a traceback
+        calls = []
+
+        def exhausted(*args, **kwargs):
+            calls.append(name)
+            raise error
+
+        monkeypatch.setattr(module, name, exhausted)
+        path = tmp_path / "h21.geom"
+        path.write_text(to_text(h21.geometry))
+        code, _, err = invoke(capsys, argv[0], "--in", str(path), *argv[1:])
+        assert calls == [name]
+        assert (code, err.splitlines()) == (2, [line])
+
     def test_check_precondition_survives_optimize(self):
         # the restriction of h21 has valuations with several zero points;
         # the precondition must hold under -O, which strips asserts

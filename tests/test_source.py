@@ -105,6 +105,25 @@ def test_one_grid_search():
                                      | callers.get("as_geometry", set()))
 
 
+def test_valuation_records_only_from_valuations():
+    # a set of valuations is one int8 matrix: a Valuation record is built
+    # only when an item of a Valuations is read, never as a second row
+    # representation elsewhere
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {node for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Valuations"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "Valuation" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                owner = "Valuations" if node in inside else path.name
+                owners.setdefault(owner, []).append(node.lineno)
+    assert list(owners) == ["Valuations"]
+
+
 def test_traced_functions_exist():
     # perfbench's tracer looks each of its targets up with a bare getattr,
     # so a moved or renamed function would crash every traced run

@@ -21,7 +21,7 @@ from hexval.valgeom import (LemmaReport, ValuationGeometry,
                             build_valuation_geometry, check_lemma_3_1,
                             class_line_table, line_type_table,
                             orbit_valuation_geometry, restrict)
-from hexval.valuations import Valuation, classify_valuations
+from hexval.valuations import Valuation, Valuations, classify_valuations
 from hosts import (EXAMPLE_HOST, LINELESS_VPRIME_HOST, RIGID_HOSTS, chain,
                    line_lists, partial_linear_spaces, relabeled,
                    triple_lists)
@@ -200,7 +200,7 @@ class TestVectorisedBuild:
         g = dual(grid_3x3())
         rows = brute_force_valuations(g)
         labels = classify_valuations(
-            g, automorphism_group(g), [Valuation(g, v) for v in rows])[1]
+            g, automorphism_group(g), Valuations(g, rows))[1]
         with pytest.raises(RuntimeError, match="not a valuation"):
             scalar_build(g, rows, labels)
         with pytest.raises(RuntimeError, match="not a valuation"):

@@ -13,8 +13,8 @@ from hexval.geometry import GeometryError, find_ovoids, from_text
 from hexval.perm import AutGroup, automorphism_group
 from hexval.hyperplanes import (Hyperplane, enumerable_basis,
                                enumerate_hyperplanes)
-from hexval.valuations import (Valuation, ValuationStats, all_valuations,
-                               classify_valuations, find_rows,
+from hexval.valuations import (Valuation, Valuations, ValuationStats,
+                               all_valuations, classify_valuations, find_rows,
                                orbit_closure, row_keys, row_stats,
                                unique_rows, valuations_on_hyperplanes)
 from hosts import (EXAMPLE_HOST, chain, partial_linear_spaces, pendant_path,
@@ -806,6 +806,94 @@ class TestBatchedSweep:
             "completion is not a valuation")
 
 
+class TestValuationsSequence:
+    """all_valuations returns one Valuations: the rows held once as a
+    sorted distinct int8 matrix, a Valuation record built per item read."""
+
+    @pytest.mark.parametrize("host", ["h21", "grid3", "fano",
+                                      "h21-relabeled"])
+    def test_equals_scalar_oracle(self, request, host):
+        name, _, relabel = host.partition("-")
+        g = request.getfixturevalue(name).geometry
+        if relabel:
+            g = relabeled(g, seed=11)
+        vals, oracle = all_valuations(g), sweep_oracle(g)
+        assert isinstance(vals, Valuations) and vals.host is g
+        assert vals == oracle and oracle == vals
+        assert list(vals) == oracle
+        assert vals.rows.dtype == np.int8 and not vals.rows.flags.writeable
+        assert tuples(vals.rows) == [v.values for v in oracle]
+
+    def test_slices(self, h21):
+        vals = all_valuations(h21.geometry)
+        records = list(vals)
+        for piece in (slice(2, 7), slice(None, -1), slice(None, None, 3),
+                      slice(7, 2)):
+            part = vals[piece]
+            assert isinstance(part, Valuations) and part.host is vals.host
+            assert part == records[piece] and list(part) == records[piece]
+        assert vals[-1] == records[-1] and vals[5] == records[5]
+        # a slice keeps value-vector order
+        assert vals[::-1] == vals
+
+    def test_value_vector_order(self, h21):
+        g = h21.geometry
+        rows = h21.valuations
+        # reversed and repeated rows come back sorted and distinct
+        vals = Valuations(g, np.concatenate([rows[::-1], rows[:5]]))
+        assert [v.values for v in vals] == sorted(set(tuples(rows)))
+        assert vals == all_valuations(g)
+        assert vals != all_valuations(relabeled(g, seed=11))
+        assert vals != list(vals)[:-1] and vals != 3
+
+    def test_wrong_width_refused(self, h21, grid3):
+        rows = h21.valuations
+        for bad in (rows[:, :-1], rows[0], np.zeros((2, 22), dtype=np.int8)):
+            with pytest.raises(ValueError, match="host of 21 points"):
+                Valuations(h21.geometry, bad)
+        with pytest.raises(ValueError, match="negative value"):
+            Valuations(h21.geometry, rows - 1)
+        # classify reads the rows as they are, so it checks their width
+        with pytest.raises(ValueError, match="9-point host given for a "
+                                             "21-point host"):
+            classify_valuations(h21.geometry, h21.aut_group,
+                                all_valuations(grid3.geometry))
+
+    def test_point_hosts(self):
+        empty = from_text("points 0\n")
+        assert all_valuations(empty).rows.shape == (0, 0)
+        assert Valuations(empty, []) == [] == all_valuations(empty)
+        with pytest.raises(ValueError, match="host of 0 points"):
+            Valuations(empty, np.zeros((2, 1), dtype=np.int8))
+        point = from_text("points 1\n")
+        vals = all_valuations(point)
+        assert vals.rows.tolist() == [[0]]
+        assert list(vals) == [Valuation(point, (0,))] == vals[:]
+        assert classify_valuations(point, automorphism_group(point),
+                                   vals)[1] == ["A"]
+
+    def test_unhashable(self, grid3):
+        with pytest.raises(TypeError):
+            hash(all_valuations(grid3.geometry))
+
+    def test_classification_builds_no_record(self, monkeypatch, h21):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Valuation(*args)
+
+        monkeypatch.setattr(valuations, "Valuation", counting)
+        g = h21.geometry
+        vals = all_valuations(g)
+        assert classify_valuations(g, h21.aut_group, vals) \
+            == h21.classification
+        assert built == []
+        # reading items builds them, one each
+        assert len(list(vals[:3])) == 3 and vals[-1] is not None
+        assert len(built) == 4
+
+
 class TestSeededLayer:
     """The search starts each seed from 0 on its complement and -1 on the
     points collinear with it, and drops it when a line lies inside that
@@ -1162,8 +1250,8 @@ class TestOrbitLabels:
     def test_public_classification_matches_bundle(self, request, host):
         bundle = request.getfixturevalue(host)
         assert classify_valuations(bundle.geometry, bundle.aut_group,
-                                   as_valuations(bundle.geometry,
-                                                 bundle.valuations)) \
+                                   Valuations(bundle.geometry,
+                                              bundle.valuations)) \
             == bundle.classification
 
     def test_public_classification_relabeled(self, h21):
@@ -1177,8 +1265,8 @@ class TestOrbitLabels:
     def test_open_set_raises(self, h21):
         with pytest.raises(RuntimeError, match="leaves the given"):
             classify_valuations(h21.geometry, h21.aut_group,
-                                as_valuations(h21.geometry,
-                                              h21.valuations)[:-1])
+                                Valuations(h21.geometry,
+                                           h21.valuations)[:-1])
 
     def test_open_set_check_survives_optimize(self):
         assert "leaves the given valuations" in run_optimized(OPEN_SET_H21)

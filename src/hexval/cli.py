@@ -4,12 +4,12 @@ Subcommands: build, validate, aut, hyperplanes, valuations, valgeom,
 check, report. ``--format`` is ``text|json`` for ``hyperplanes`` and
 ``text|json|csv`` for ``valuations``, ``valgeom`` and ``report``; every
 format renders the same internal report value. Exit codes: 0 all
-checks pass, 1 a check or reproduction mismatch (cell-by-cell diff on
-standard error) or a failed internal check (one ``error:`` line), 2
-usage, input or I/O error, or a host too large for the process:
-``MemoryError`` and ``RecursionError`` end in one ``error:`` line that
-names the resource, ``out of memory`` or ``recursion depth exceeded``,
-next to the size refusals rather than among the failed checks.
+checks pass; 1 a check or reproduction mismatch (cell-by-cell diff on
+standard error), a failed internal check or any other exception, a
+fault of the program (one ``error:`` line, ``error: internal error
+(<type>): <message>`` for the latter); 2 usage, input or I/O error, or
+a host too large for the process: ``MemoryError`` and ``RecursionError``
+end in ``error: out of memory`` or ``error: recursion depth exceeded``.
 
 An ``--in`` file is read on every call, and the ``Bundle`` built from
 it is kept until another name or text arrives: consecutive ``run()``
@@ -492,11 +492,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except RecursionError:  # a RuntimeError, but not a failed check
         print("error: recursion depth exceeded", file=sys.stderr)
         return 2
-    except (GeometryError, KeyError, ValueError) as exc:
+    except (GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a failed internal check
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"error: internal error ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
         return 1
 
 

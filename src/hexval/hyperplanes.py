@@ -12,8 +12,10 @@ only its dimension.
 Point sets and nullspace vectors are int bitmasks throughout: the
 incidence matrix is the tuple of line masks, and ``gf2.nullspace`` of it,
 kept once per geometry as ``Geometry.nullspace_basis``, is a basis in
-which vector i alone has its free column f_i, so a vector's coordinates
-are its bits at the free columns.
+which vector i alone has its free column f_i, its highest bit. So a
+vector's coordinates are its bits at the free columns, and in
+free-column order (``enumerable_basis``) the vector with coordinates x
+ascends with x and its hyperplane descends: no mask is sorted.
 
 All 2^dim vectors are one numpy array of words built by doubling, and
 none is scanned against the lines: the 1-or-3 line rule is checked on
@@ -22,9 +24,9 @@ point degrees. ``enumerate_hyperplanes`` lists the hyperplanes as
 ``Hyperplane`` objects. Neither ``classify_hyperplanes`` nor the full
 valuation sweep builds that list; the classification works on
 coordinate vectors. An automorphism acts linearly on the coordinates,
-the images of all vectors are built by the same doubling, and orbits
-come from min-label propagation. Spaces above ``MAX_DIMENSION`` are
-refused before anything is enumerated.
+the images of all vectors are built by the same doubling, orbits come
+from min-label propagation, and an orbit's representative is its
+largest vector. Spaces above ``MAX_DIMENSION`` are refused first.
 """
 from __future__ import annotations
 
@@ -81,13 +83,22 @@ def hyperplane_count(g: Geometry) -> int:
 
 
 def enumerable_basis(g: Geometry) -> Tuple[int, ...]:
-    """_hyperplane_basis(g), refused above MAX_DIMENSION (GeometryError)."""
+    """_hyperplane_basis(g) sorted by free column, each vector's highest
+    bit, which no other vector may hold (RuntimeError): then row i of
+    ``gf2.span_words(basis, n)`` ascends with i. Refused above
+    MAX_DIMENSION (GeometryError)."""
     basis = _hyperplane_basis(g)
     if len(basis) > MAX_DIMENSION:
         raise GeometryError(
             f"the hyperplane space has dimension {len(basis)}; its "
             f"2^{len(basis)} - 1 hyperplanes are not enumerated above "
             f"dimension {MAX_DIMENSION}")
+    basis = tuple(sorted(basis, key=int.bit_length))
+    for b in basis:
+        top = 1 << b.bit_length() >> 1
+        if sum(v & top != 0 for v in basis) != 1:
+            raise RuntimeError(f"nullspace basis vector {b:b} is not the "
+                               f"only one with its free column")
     return basis
 
 
@@ -104,20 +115,14 @@ def _check_line_rule(g: Geometry, basis: Sequence[int]) -> None:
 
 
 def enumerate_hyperplanes(g: Geometry) -> List[Hyperplane]:
-    """All hyperplanes, sorted by member bitmask; count is 2^dim - 1.
-
-    A basis vector that fails the 1-or-3 line rule, or a basis whose
-    span does not hold 2^dim - 1 distinct nonzero vectors, raises
-    RuntimeError."""
+    """All hyperplanes, sorted by member bitmask; count is 2^dim - 1:
+    the complements of span rows 2^dim - 1 down to 1 (enumerable_basis).
+    A basis vector that fails the 1-or-3 line rule raises RuntimeError."""
     basis = enumerable_basis(g)
     _check_line_rule(g, basis)
     full = (1 << g.num_points) - 1
-    members = sorted({full ^ v for v in map(
-        gf2.from_words, gf2.span_words(basis, g.num_points)) if v})
-    if len(members) != (1 << len(basis)) - 1:
-        raise RuntimeError(f"span of a {len(basis)}-dimensional nullspace "
-                           f"gave {len(members)} hyperplanes")
-    return [Hyperplane(g.num_points, member) for member in members]
+    return [Hyperplane(g.num_points, full ^ gf2.from_words(row))
+            for row in gf2.span_words(basis, g.num_points)[:0:-1]]
 
 
 def _image_coordinates(basis: Sequence[int], free: List[int], p) -> List[int]:
@@ -161,22 +166,19 @@ def classify_hyperplanes(g: Geometry, group: AutGroup
     """Partition all hyperplanes into automorphism orbits.
 
     Works on the 2^dim coordinate vectors of the nullspace (index 0 is
-    the zero vector, the full point set, which is not a hyperplane).
-    Member masks are [2^dim, ceil(n / 64)] uint64 words; the
-    representative of a class is its least member mask, compared word by
-    word from the top. Classes are sorted by (invariant_key,
-    representative). The 1-or-3 line rule, on the basis, and over all
-    2^dim vectors the class equation (orbit sizes sum to 2^dim - 1),
-    orbit sizes dividing the group order and the constancy of the
-    invariant on each orbit are checked (RuntimeError otherwise).
+    the zero vector, the full point set, which is not a hyperplane), as
+    [2^dim, ceil(n / 64)] uint64 words of complements. Member masks
+    descend with the index, so the representative of a class, its least
+    member mask, is its largest index. Classes are sorted by
+    (invariant_key, representative). The 1-or-3 line rule, on the basis,
+    and over all 2^dim vectors the class equation (orbit sizes sum to
+    2^dim - 1), orbit sizes dividing the group order and the constancy
+    of the invariant on each orbit are checked (RuntimeError otherwise).
     """
     basis = enumerable_basis(g)
     n = g.num_points
+    full = (1 << n) - 1
     free = [b.bit_length() - 1 for b in basis]
-    for j, b in enumerate(basis):
-        if any((b >> f & 1) != (i == j) for i, f in enumerate(free)):
-            raise RuntimeError(f"nullspace basis vector {b:b} is not the "
-                               f"only one with its free column")
     size = 1 << len(basis)
     vectors = gf2.span_words(basis, n)
     words = vectors.shape[1]
@@ -188,7 +190,6 @@ def classify_hyperplanes(g: Geometry, group: AutGroup
     labels = _orbit_labels(gf2.span_rows(
         images.reshape(len(group.generators), len(basis)).T).T, size)
 
-    members = vectors ^ gf2.to_words([(1 << n) - 1], words)
     weight = np.bitwise_count(vectors).sum(axis=1, dtype=np.int64)
     _check_line_rule(g, basis)
     # a complement meets each line in 0 or 2 points, so the degrees of
@@ -200,7 +201,7 @@ def classify_hyperplanes(g: Geometry, group: AutGroup
             masks[len(through)] = masks.get(len(through), 0) | 1 << p
     full_lines = np.full(size, 2 * len(g.lines), dtype=np.int64)
     for d, row in zip(masks, gf2.to_words(list(masks.values()), words)):
-        full_lines -= d * (weight if masks[d] == (1 << n) - 1 else
+        full_lines -= d * (weight if masks[d] == full else
                            np.bitwise_count(vectors & row).sum(
                                axis=1, dtype=np.int64))
     full_lines //= 2
@@ -209,20 +210,15 @@ def classify_hyperplanes(g: Geometry, group: AutGroup
     if bad.size:
         x, y = bad[0], labels[bad[0]]
         raise RuntimeError(
-            f"hyperplanes {gf2.from_words(members[y]):b} and "
-            f"{gf2.from_words(members[x]):b} lie in one orbit but have "
-            f"different (size, full lines) invariants")
+            f"hyperplanes {full ^ gf2.from_words(vectors[y]):b} and "
+            f"{full ^ gf2.from_words(vectors[x]):b} lie in one orbit but "
+            f"have different (size, full lines) invariants")
 
-    least = np.ones(size, dtype=bool)
-    top = np.iinfo(np.uint64).max
-    for w in reversed(range(words)):
-        col = np.where(least, members[:, w], top)
-        best = np.full(size, top, dtype=np.uint64)
-        np.minimum.at(best, labels, col)
-        least &= col == best[labels]
-    roots = np.flatnonzero(labels == np.arange(size))[1:]
-    reps = np.empty(size, dtype=np.intp)
-    reps[labels[least]] = np.flatnonzero(least)
+    index = np.arange(size)
+    reps = np.zeros(size, dtype=np.intp)
+    np.maximum.at(reps, labels, index)
+    roots = np.flatnonzero(labels == index)[1:]
+    roots = roots[np.lexsort((-reps[roots], key[reps[roots]]))]
     orbit_sizes = np.bincount(labels, minlength=size)
 
     order = group.order()
@@ -233,7 +229,7 @@ def classify_hyperplanes(g: Geometry, group: AutGroup
             raise RuntimeError(f"orbit size {orbit_size} does not divide "
                                f"the group order {order}")
         classes.append(HyperplaneClass(
-            representative=Hyperplane(n, gf2.from_words(members[rep])),
+            representative=Hyperplane(n, full ^ gf2.from_words(vectors[rep])),
             orbit_size=orbit_size,
             stabilizer_order=order // orbit_size,
             invariant_key=(n - int(weight[rep]), int(full_lines[rep]))))
@@ -241,6 +237,4 @@ def classify_hyperplanes(g: Geometry, group: AutGroup
     if total != size - 1:
         raise RuntimeError(f"orbit sizes sum to {total}, not to the "
                            f"{size - 1} hyperplanes")
-    classes.sort(key=lambda c: (c.invariant_key,
-                                c.representative.member_bits))
     return classes

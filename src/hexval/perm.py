@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -153,18 +154,25 @@ class _IsoSearch:
 
     def leaves(self, cand: List[int], assigned: int) -> Iterator[Perm]:
         """Every verified bijection below a node, in a fixed order. The
-        generator is lazy: taking only the first stops the search there."""
-        node = self.settle(cand, assigned)
-        if node is None:
-            return
-        cand, assigned, b = node
-        if b < 0:
+        generator is lazy: taking only the first stops the search there.
+        Each branch level is a lazy child iterator on a stack."""
+        stack = [iter([(cand, assigned)])]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+                continue
+            node = self.settle(*child)
+            if node is None:
+                continue
+            cand, assigned, b = node
+            if b >= 0:
+                stack.append(map(partial(self.assign, cand, assigned, b),
+                                 _bits(cand[b])))
+                continue
             mapping = tuple(c.bit_length() - 1 for c in cand)
             if self.verify(mapping):
                 yield mapping
-            return
-        for q in _bits(cand[b]):
-            yield from self.leaves(*self.assign(cand, assigned, b, q))
 
 
 def _nullspace_weights(g: Geometry) -> Tuple[int, Optional[Tuple[int, ...]]]:

@@ -37,7 +37,7 @@ the tests' oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,13 +59,6 @@ class ValuationGeometry:
     vlines: List[Tuple[int, int, int]]
     point_types: List[str]
     line_types: List[str]
-    _geometry: Optional[Geometry] = field(default=None, repr=False)
-
-    def as_geometry(self) -> Geometry:
-        if self._geometry is None:
-            self._geometry = Geometry(len(self.vpoints), self.vlines,
-                                      name="valuation-geometry")
-        return self._geometry
 
 
 def _line_type_string(labels: Sequence[str]) -> str:

@@ -354,6 +354,17 @@ class TestReport:
         assert json.loads(out)["checks"]["reference_match"] is False
 
 
+#: one function reached by each of the six --in subcommands, where a test
+#: injects a fault
+FAULT_SITES = [
+    (["validate"], cli, "check_generalized_hexagon"),
+    (["aut"], pipeline, "automorphism_group"),
+    (["hyperplanes", "--classes"], pipeline, "classify_hyperplanes"),
+    (["valuations"], pipeline, "orbit_closure"),
+    (["valgeom"], pipeline, "class_line_table"),
+    (["check"], cli, "check_lemma_3_1")]
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "aut", "--in", "nosuch.geom")
@@ -435,13 +446,7 @@ class TestErrors:
         (MemoryError, "error: out of memory"),
         (RecursionError("maximum recursion depth exceeded"),
          "error: recursion depth exceeded")])
-    @pytest.mark.parametrize("argv,module,name", [
-        (["validate"], cli, "check_generalized_hexagon"),
-        (["aut"], pipeline, "automorphism_group"),
-        (["hyperplanes", "--classes"], pipeline, "classify_hyperplanes"),
-        (["valuations"], pipeline, "orbit_closure"),
-        (["valgeom"], pipeline, "class_line_table"),
-        (["check"], cli, "check_lemma_3_1")])
+    @pytest.mark.parametrize("argv,module,name", FAULT_SITES)
     def test_resource_exhaustion_exits_2(self, capsys, monkeypatch, tmp_path,
                                          h21, argv, module, name, error,
                                          line):
@@ -459,6 +464,27 @@ class TestErrors:
         code, _, err = invoke(capsys, argv[0], "--in", str(path), *argv[1:])
         assert calls == [name]
         assert (code, err.splitlines()) == (2, [line])
+
+    @pytest.mark.parametrize("error,line", [
+        (KeyError("missing"), "error: internal error (KeyError): 'missing'"),
+        (Exception("broken"), "error: internal error (Exception): broken")])
+    @pytest.mark.parametrize("argv,module,name", FAULT_SITES)
+    def test_program_fault_exits_1(self, capsys, monkeypatch, tmp_path,
+                                   h21, argv, module, name, error, line):
+        # no input reaches a KeyError, so one is a fault of the program,
+        # reported as such, not as bad input
+        calls = []
+
+        def faulty(*args, **kwargs):
+            calls.append(name)
+            raise error
+
+        monkeypatch.setattr(module, name, faulty)
+        path = tmp_path / "h21.geom"
+        path.write_text(to_text(h21.geometry))
+        code, _, err = invoke(capsys, argv[0], "--in", str(path), *argv[1:])
+        assert calls == [name]
+        assert (code, err.splitlines()) == (1, [line])
 
     def test_check_precondition_survives_optimize(self):
         # the restriction of h21 has valuations with several zero points;

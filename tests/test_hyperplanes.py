@@ -94,6 +94,13 @@ def oracle_classes(g, group, hyps=None):
     return classes
 
 
+def span_rows_ascend(g):
+    """Whether the span rows of enumerable_basis(g) strictly ascend."""
+    rows = gf2.span_words(hyperplanes.enumerable_basis(g), g.num_points)
+    values = [gf2.from_words(row) for row in rows]
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 def brute_force_hyperplanes(g):
     """All proper point sets meeting every line in 1 or all points, by
     checking every subset (tiny geometries only)."""
@@ -138,6 +145,27 @@ LATER_VECTOR_BREAKS_RULE = (
     "        print(exc)\n")
 
 
+#: two nullspace vectors of h21 with one highest bit: the second holds
+#: the free column of the first. Both functions must reject them.
+SHARED_FREE_COLUMN = (
+    "from hexval import perm\n"
+    "from hexval.constructions import build_hexagon_2_1\n"
+    "from hexval.geometry import Geometry\n"
+    "from hexval.hyperplanes import (classify_hyperplanes,\n"
+    "                                enumerate_hyperplanes)\n"
+    "h21 = build_hexagon_2_1()\n"
+    "b0, b1 = h21.nullspace_basis[:2]\n"
+    "g = Geometry(21, h21.lines)\n"
+    "g.nullspace_basis = (b1, b0 ^ b1)\n"
+    "for check in (enumerate_hyperplanes,\n"
+    "              lambda g: classify_hyperplanes(\n"
+    "                  g, perm.AutGroup(21, (), (), ()))):\n"
+    "    try:\n"
+    "        check(g)\n"
+    "    except RuntimeError as exc:\n"
+    "        print(exc)\n")
+
+
 class TestEnumeration:
     def test_grid_matches_brute_force(self):
         g = grid_3x3()
@@ -176,13 +204,42 @@ class TestEnumeration:
 
     def test_rejects_dependent_basis(self, h21):
         # three nullspace vectors, so every one of them keeps the line
-        # rule, but the third is the sum of the first two: their span
-        # holds 3 nonzero vectors, not 7
+        # rule, but the third is the sum of the first two: it shares the
+        # free column of the second, and their span holds 3 nonzero
+        # vectors, not 7
         b0, b1 = h21.geometry.nullspace_basis[:2]
         g = Geometry(21, h21.geometry.lines)
         g.nullspace_basis = (b0, b1, b0 ^ b1)
-        with pytest.raises(RuntimeError, match="gave 3 hyperplanes"):
+        with pytest.raises(RuntimeError,
+                           match="not the only one with its free column"):
             enumerate_hyperplanes(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(partial_linear_spaces(min_lines=1, connected=True))
+    def test_span_rows_ascend(self, g):
+        # each basis vector's highest bit is its own free column, so span
+        # row i ascends with i
+        assert span_rows_ascend(g)
+
+    def test_span_rows_ascend_over_two_words(self, h2):
+        g = pendant_path(h2.geometry)
+        assert g.num_points > 64 and span_rows_ascend(g)
+
+    def test_reversed_basis(self, h21):
+        # the basis is sorted by free column before it is used
+        g = Geometry(21, h21.geometry.lines)
+        g.nullspace_basis = h21.geometry.nullspace_basis[::-1]
+        assert enumerate_hyperplanes(g) == h21.hyperplanes
+        assert classify_hyperplanes(g, h21.aut_group) == \
+            h21.hyperplane_classes
+
+    def test_shared_free_column_refused(self):
+        # both functions refuse, also under -O, which strips asserts; the
+        # first vector of that column is named
+        b1 = build_hexagon_2_1().nullspace_basis[1]
+        assert run_optimized(SHARED_FREE_COLUMN) == 2 * (
+            f"nullspace basis vector {b1:b} is not the only one with its "
+            f"free column\n")
 
     def test_rejects_vector_outside_nullspace(self, h21):
         # a single point meets its lines in 1 point, so its complement

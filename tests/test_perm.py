@@ -8,6 +8,7 @@ alone.
 import itertools
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -62,6 +63,24 @@ def enumerated_automorphism_group(g):
         if not group.contains(mapping):
             group.add_generator(mapping)
     return group, leaves
+
+
+def recursive_leaves(search, cand, assigned):
+    """Oracle: the leaves below a node by one recursion per branch level,
+    as _IsoSearch.leaves walked them before its explicit stack."""
+    node = search.settle(cand, assigned)
+    if node is None:
+        return
+    cand, assigned, b = node
+    if b < 0:
+        mapping = tuple(c.bit_length() - 1 for c in cand)
+        if search.verify(mapping):
+            yield mapping
+        return
+    for q in range(search.n):
+        if cand[b] >> q & 1:
+            yield from recursive_leaves(
+                search, *search.assign(cand, assigned, b, q))
 
 
 def assert_same_group(pruned, oracle):
@@ -241,6 +260,31 @@ class TestPrunedSearch:
         oracle, leaves = enumerated_automorphism_group(g)
         assert oracle.order() == leaves
         assert_same_group(automorphism_group(g), oracle)
+
+    @pytest.mark.parametrize("build", [
+        build_fano, grid_3x3, build_hexagon_2_1, lambda: disjoint_lines(3),
+        lambda: relabeled(build_hexagon_2_1(), seed=5)])
+    def test_leaves_in_recursive_order(self, build):
+        g = build()
+        search = perm._IsoSearch(g, g)
+        assert list(search.leaves(search.root, 0)) == list(
+            recursive_leaves(search, search.root, 0))
+
+    def test_deep_search_needs_no_recursion(self):
+        # between isolated points every distance is -1, so each of the
+        # 300 levels branches; the search may not use a frame per level
+        g = Geometry(303, [(0, 1, 2)])
+        search = perm._IsoSearch(g, g)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            leaf = next(search.leaves(search.root, 0))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sorted(leaf) == list(range(303)) and search.verify(leaf)
 
     def test_line_check_raises(self, fano):
         g = fano.geometry

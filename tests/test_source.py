@@ -101,8 +101,7 @@ def test_one_grid_search():
                             or getattr(node.func, "attr", None)
                         callers.setdefault(name, set()).add(func.name)
     assert callers["grid_rows"] == {"enumerate_grids", "check_lemma_3_1"}
-    assert "check_lemma_3_1" not in (callers.get("Geometry", set())
-                                     | callers.get("as_geometry", set()))
+    assert "check_lemma_3_1" not in callers.get("Geometry", set())
 
 
 def test_valuation_records_only_from_valuations():

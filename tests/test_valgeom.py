@@ -37,7 +37,8 @@ GOLDEN = TESTS.parent / "perfbench" / "golden" / "report_all.json"
 def extract_subgeometry(vg, point_types, line_types):
     """The restriction of vg to the given point and line types, as a
     plain geometry."""
-    return restrict(vg, point_types, line_types).as_geometry()
+    sub = restrict(vg, point_types, line_types)
+    return Geometry(len(sub.vpoints), sub.vlines)
 
 
 def scalar_lines_through(vals, i):
@@ -519,7 +520,7 @@ class TestRestriction:
         vp = h2dual.vprime()
         assert len(vp.vpoints) == 252
         assert len(vp.vlines) == 672
-        geo = vp.as_geometry()
+        geo = Geometry(len(vp.vpoints), vp.vlines)
         assert all(len(geo.lines_through[p]) == 8 for p in range(252))
 
     def test_extract_subgeometry_type_a(self, h2dual):
@@ -709,7 +710,7 @@ def with_lines(vp, lines):
 def line_through_far_pair(vp):
     """vp with its first line replaced by a non-star triple of valuations
     whose first two zero points are not at distance 3."""
-    geo = vp.as_geometry()
+    geo = Geometry(len(vp.vpoints), vp.vlines)
     zeros = [row.index(0) for row in vp.vpoints.tolist()]
     host = vp.host
     bad = next((i, j) for i in range(252) for j in range(i + 1, 252)
@@ -775,12 +776,20 @@ class TestSubgeometryChecks:
                                    "valuation; point 0 of the restriction "
                                    "has 7")
 
-    def test_restriction_distances_never_computed(self, h2dual):
+    def test_restriction_distances_never_computed(self, monkeypatch,
+                                                  h2dual):
+        # the check builds no Geometry of the restriction, so it never
+        # computes its distances
         vp = h2dual.vprime()
-        fresh = ValuationGeometry(vp.host, vp.vpoints, vp.vlines,
-                                  vp.point_types, vp.line_types)
-        assert check_lemma_3_1(fresh, h2dual.geometry).total_grids == 112
-        assert fresh._geometry is None
+        built, init = [], Geometry.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Geometry, "__init__", counted)
+        assert check_lemma_3_1(vp, h2dual.geometry).total_grids == 112
+        assert built == []
 
     def test_corrupted_line_detected(self, h2dual):
         corrupted = corrupted_restriction(h2dual, "collinear")

@@ -6,10 +6,11 @@ check, report. ``--format`` is ``text|json`` for ``hyperplanes`` and
 format renders the same internal report value. Exit codes: 0 all
 checks pass; 1 a check or reproduction mismatch (cell-by-cell diff on
 standard error), a failed internal check or any other exception, a
-fault of the program (one ``error:`` line, ``error: internal error
-(<type>): <message>`` for the latter); 2 usage, input or I/O error, or
-a host too large for the process: ``MemoryError`` and ``RecursionError``
-end in ``error: out of memory`` or ``error: recursion depth exceeded``.
+fault of the program such as a bare ``ValueError`` (one ``error:``
+line, ``error: internal error (<type>): <message>`` for the latter); 2
+usage or I/O error, input refused with a ``GeometryError``, or a host
+too large for the process: ``MemoryError`` and ``RecursionError`` end
+in ``error: out of memory`` or ``error: recursion depth exceeded``.
 
 An ``--in`` file is read on every call, and the ``Bundle`` built from
 it is kept until another name or text arrives: consecutive ``run()``
@@ -492,7 +493,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except RecursionError:  # a RuntimeError, but not a failed check
         print("error: recursion depth exceeded", file=sys.stderr)
         return 2
-    except (GeometryError, ValueError) as exc:
+    except GeometryError as exc:  # refused input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a failed internal check

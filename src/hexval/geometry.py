@@ -13,7 +13,9 @@ ints; disconnected pairs get the sentinel -1. ``is_connected`` needs no
 distances, and ``diameter`` reports ``INF`` for a disconnected geometry.
 The grid search, ``grid_rows``, runs on a sorted int array of 3-point
 lines with their packed neighbour rows (``line_incidence``);
-``enumerate_grids`` wraps it for a geometry.
+``enumerate_grids`` wraps it for a geometry. The valuation search and
+the Lemma 3.1 check read the same per-point layout of such an array,
+``lines_through_table``, and dedupe integer rows with ``_distinct``.
 """
 from __future__ import annotations
 
@@ -34,7 +36,8 @@ MAX_POINTS = 1024
 
 
 class GeometryError(ValueError):
-    """Raised when input violates a geometry axiom."""
+    """Raised when input is refused: it violates a geometry axiom or a
+    stage's precondition or bound. The CLI reads only it as bad input."""
 
 
 @dataclass(frozen=True)
@@ -275,32 +278,49 @@ _OTHER_POSITIONS = [[1, 2], [0, 2], [0, 1]]
 _GRID_BLOCK = 1 << 13
 
 
-def line_incidence(num_points: int, lines: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """The packed neighbour rows and the lines through each point of the
-    sorted 3-point lines, an int [lines, 3] array of ascending rows on
-    points 0..num_points - 1 no two of which share a pair.
-
-    Row p of the [num_points, ceil(num_points / 64)] uint64 neighbour
-    array holds p's neighbours in the gf2.to_words layout. Row p of the
-    [num_points, most lines through a point, 2] int array holds the
-    other two points, ascending, of each line through p in line order;
-    a point on fewer lines has its row padded with -1."""
+def lines_through_table(num_points: int, lines: np.ndarray) -> np.ndarray:
+    """The lines through each point of the sorted 3-point lines, an int
+    [lines, 3] array of ascending rows on points 0..num_points - 1: row p
+    holds the other two points, ascending, of each line through p in
+    line order, padded with -1 to the most lines through a point."""
     flat = lines.ravel()
-    # the other two points of the point at each flat position
-    pair = lines[:, _OTHER_POSITIONS].reshape(-1, 2)
-    cols = pair.ravel()
-    adj = np.zeros((num_points, -(-num_points // 64)), dtype=np.uint64)
-    np.bitwise_or.at(adj, (np.repeat(flat, 2), cols >> 6),
-                     np.uint64(1) << (cols & 63).astype(np.uint64))
     order = np.argsort(flat, kind="stable")
     counts = np.bincount(flat, minlength=num_points)
     slot = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts,
                                             counts)
     others = np.full((num_points, counts.max(initial=0), 2), -1,
                      dtype=lines.dtype)
-    others[flat[order], slot] = pair[order]
-    return adj, others
+    others[flat[order], slot] = lines[:, _OTHER_POSITIONS].reshape(-1, 2)[
+        order]
+    return others
+
+
+def line_incidence(num_points: int, lines: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """The packed neighbour rows and lines_through_table of the sorted
+    3-point lines, no two of which share a pair: row p of the
+    [num_points, ceil(num_points / 64)] uint64 neighbour array holds p's
+    neighbours in the gf2.to_words layout."""
+    cols = lines[:, _OTHER_POSITIONS].ravel()
+    adj = np.zeros((num_points, -(-num_points // 64)), dtype=np.uint64)
+    np.bitwise_or.at(adj, (np.repeat(lines.ravel(), 2), cols >> 6),
+                     np.uint64(1) << (cols & 63).astype(np.uint64))
+    return adj, lines_through_table(num_points, lines)
+
+
+def _distinct(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the integer matrix cols in lexicographic
+    order, and the index among them of each row of cols: one lexsort over
+    the columns, so no column value is packed into a wider key that could
+    wrap."""
+    order = np.lexsort(cols.T[::-1])
+    cols = cols[order]
+    # the start of each run of equal rows
+    start = np.ones(len(cols), dtype=bool)
+    start[1:] = (cols[1:] != cols[:-1]).any(axis=1)
+    inverse = np.empty(len(cols), dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    return cols[start], inverse
 
 
 def _third_points(others: np.ndarray, a: np.ndarray,
@@ -367,11 +387,7 @@ def grid_rows(lines: np.ndarray, adj: np.ndarray,
                             & (rows[:, :, 1] == high[:, None])).any(axis=1)
         found.append(np.sort(np.stack(
             [p, x1, x2, y1, y2, z11, z12, z21, z22], axis=1)[keep], axis=1))
-    grids = np.concatenate(found)
-    grids = grids[np.lexsort(grids.T[::-1])]
-    fresh = np.ones(len(grids), dtype=bool)
-    fresh[1:] = (grids[1:] != grids[:-1]).any(axis=1)
-    grids = grids[fresh]
+    grids = _distinct(np.concatenate(found))[0]
     collinear = gf2.bits_at(adj, grids[:, GRID_PAIRS[:, 0]],
                             grids[:, GRID_PAIRS[:, 1]]).sum(axis=1)
     for t in np.flatnonzero((collinear != 18) & (collinear != 36)).tolist():

@@ -5,8 +5,8 @@ i, so a point set of a geometry is its own GF(2) vector and XOR-based
 elimination on 63-bit vectors is a single machine-word operation.
 ``nullspace`` takes a sequence of int rows and the column count;
 ``span_words`` lays a whole span out as a numpy array of 64-bit words,
-one row per vector. ``bits_at`` and ``unpack_row`` read such packed
-rows back, bit by bit or as a bool row.
+one row per vector. ``bits_at`` reads such packed rows back bit by
+bit.
 """
 from __future__ import annotations
 
@@ -86,13 +86,6 @@ def bits_at(words: np.ndarray, rows: np.ndarray,
     # one flat gather: numpy's 1-D take is faster than a 2-D index
     flat = words.reshape(-1)[rows * words.shape[1] + (cols >> 6)]
     return (flat >> (cols & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
-
-
-def unpack_row(row: np.ndarray, length: int) -> np.ndarray:
-    """The low length bits of the packed uint64 row, low word first, as a
-    bool array."""
-    return np.unpackbits(row.astype("<u8").view(np.uint8), count=length,
-                         bitorder="little").view(bool)
 
 
 def span_rows(rows: np.ndarray) -> np.ndarray:

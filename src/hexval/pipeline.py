@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .constructions import build_h2, build_h2_dual, build_hexagon_2_1
-from .geometry import Geometry
+from .geometry import Geometry, GeometryError
 from .hyperplanes import (Hyperplane, HyperplaneClass, classify_hyperplanes,
                           enumerable_basis, enumerate_hyperplanes,
                           hyperplane_count)
@@ -82,7 +82,7 @@ class Bundle:
     def class_valuations(self) -> List[np.ndarray]:
         """The int8 valuation rows on each hyperplane class representative."""
         if not self.geometry.is_connected():
-            raise ValueError("valuations require a connected geometry")
+            raise GeometryError("valuations require a connected geometry")
         return valuations_on_hyperplanes(
             self.geometry,
             [cls.representative for cls in self.hyperplane_classes])

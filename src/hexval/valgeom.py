@@ -30,10 +30,12 @@ full build stays as the public function and the tests' oracle.
 
 `check_lemma_3_1` decides a V′ with points but no line by its point
 count. Otherwise it reads the lines of V′ as one sorted int [lines, 3]
-array, with packed uint64 neighbour rows and the grid search of
-`geometry.grid_rows`; it builds no `Geometry` of V′ and no array of
-points x points entries. Its scalar form on a restriction `Geometry` is
-the tests' oracle.
+array, with packed uint64 neighbour rows, the lines through each point
+(`geometry.lines_through_table`, whose components give connectivity)
+and the grid search of `geometry.grid_rows`; it builds no `Geometry` of
+V′ and no array of points x points entries. Its scalar form on a
+restriction `Geometry` is the tests' oracle. Outside value rows become
+int8 rows through `valuations.value_rows`, as a `Valuations` does.
 """
 from __future__ import annotations
 
@@ -44,10 +46,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from .geometry import (GRID_PAIRS, Geometry, GeometryError, grid_rows,
-                       line_incidence)
+from .geometry import (GRID_PAIRS, Geometry, GeometryError, _distinct,
+                       grid_rows, line_incidence)
+from .hyperplanes import _orbit_labels
 from .valuations import (_line_index, _non_valuation_rows, find_rows,
-                         row_keys)
+                         row_keys, value_rows)
 
 
 @dataclass
@@ -67,10 +70,6 @@ def _line_type_string(labels: Sequence[str]) -> str:
 
 #: int16 differences one block of the neighboring scan may hold (512 KiB).
 _BLOCK_ELEMENTS = 1 << 18
-
-#: Largest value the int8 matrix takes: star adds at most 2 to a value
-#: and the per-line check at most 1 more, which must stay below 128.
-_INT8_TOP = 124
 
 
 def _star_rows(first: np.ndarray, second: np.ndarray,
@@ -139,24 +138,13 @@ def _neighbor_stars(vmat: np.ndarray, line_index: List[np.ndarray],
 def _checked_rows(g: Geometry, rows: Sequence[Sequence[int]],
                   point_types: Sequence[str]):
     """rows as an int8 matrix in value-vector order, the point types in
-    that order and the host's line index. ValueError for a wrong length
-    or type count, a value outside 0.._INT8_TOP (checked before the int8
-    cast), a non-valuation or a repeated row."""
-    n = g.num_points
-    mat = np.asarray(rows, dtype=np.int64)
-    if mat.shape == (0,):
-        mat = mat.reshape(0, n)
-    if mat.ndim != 2 or mat.shape[1] != n:
-        raise ValueError(f"value vectors must have {n} entries, not an "
-                         f"array of shape {mat.shape}")
-    if len(point_types) != len(mat):
+    that order and the host's line index. ValueError for rows that
+    value_rows refuses, a wrong type count, a non-valuation or a repeated
+    row."""
+    vmat = value_rows(g, rows)
+    if len(point_types) != len(vmat):
         raise ValueError(f"{len(point_types)} point types for "
-                         f"{len(mat)} value vectors")
-    bad = ((mat < 0) | (mat > _INT8_TOP)).any(axis=1)
-    if bad.any():
-        raise ValueError(f"valuation values must lie in 0..{_INT8_TOP}: "
-                         f"{tuple(mat[bad.argmax()].tolist())}")
-    vmat = mat.astype(np.int8)
+                         f"{len(vmat)} value vectors")
     order = np.argsort(row_keys(vmat), kind="stable")
     vmat = vmat[order]
     line_index = _line_index(g)
@@ -169,21 +157,6 @@ def _checked_rows(g: Geometry, rows: Sequence[Sequence[int]],
         raise ValueError("duplicate valuations")
     point_types = [point_types[i] for i in order.tolist()]
     return vmat, point_types, line_index
-
-
-def _distinct(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the integer matrix cols in lexicographic
-    order, and the index among them of each row of cols: one lexsort over
-    the columns, so no column value is packed into a wider key that could
-    wrap."""
-    order = np.lexsort(cols.T[::-1])
-    cols = cols[order]
-    # the start of each run of equal rows
-    start = np.ones(len(cols), dtype=bool)
-    start[1:] = (cols[1:] != cols[:-1]).any(axis=1)
-    inverse = np.empty(len(cols), dtype=np.intp)
-    inverse[order] = np.cumsum(start) - 1
-    return cols[start], inverse
 
 
 def _count_distinct(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -614,18 +587,16 @@ def _first_triangle(lines: np.ndarray,
     return None
 
 
-def _first_unreached(adj: np.ndarray) -> Optional[int]:
-    """The least point with no path to point 0, from a frontier walk over
-    the packed neighbour rows adj, or None when every point has one."""
-    reached = np.zeros(len(adj), dtype=bool)
-    reached[0] = True
-    frontier = reached
-    while frontier.any():
-        frontier = gf2.unpack_row(np.bitwise_or.reduce(adj[frontier]),
-                                  len(adj)) & ~reached
-        reached |= frontier
-    missing = np.flatnonzero(~reached)
-    return int(missing[0]) if missing.size else None
+def _first_unreached(others: np.ndarray) -> Optional[int]:
+    """The least point with no path to point 0, or None when every point
+    has one, from the lines through each point (lines_through_table):
+    the least point of each component, by min-label propagation over
+    the maps that send each point to one of the other points of its
+    lines, a padding -1 to itself (hyperplanes._orbit_labels)."""
+    n = len(others)
+    maps = np.where(others < 0, np.arange(n)[:, None, None], others)
+    unreached = np.flatnonzero(_orbit_labels(maps.reshape(n, -1).T, n))
+    return int(unreached[0]) if unreached.size else None
 
 
 def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
@@ -641,17 +612,18 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     and on its packed neighbour rows and lines through each point
     (line_incidence); no restriction Geometry is built and its distance
     matrix is never computed. A valuation on a line with other than one
-    zero point raises ValueError, before any distance is read; lines of
-    other than 3 points then raise GeometryError. The grids come from
-    grid_rows. Two points of a grid are opposite when they are not
-    collinear, which within a grid is the same as being at distance 2;
-    the collinear pairs, in line order, and the opposite pairs of each
-    grid, in grid order, have their zero points' distance read in one
-    gather. The triangles are the common neighbours off a line of each
-    pair of its points, and connectivity is a frontier walk from point
-    0. No array of points x points entries is built: the packed rows
-    take m^2 / 8 bytes for m points, and the grid candidates and the
-    triangle pairs are read in blocks of a fixed size.
+    zero point raises GeometryError, before any distance is read, and so
+    do lines of other than 3 points. The grids come from grid_rows. Two
+    points of a grid are opposite when they are not collinear, which
+    within a grid is the same as being at distance 2; the collinear
+    pairs, in line order, and the opposite pairs of each grid, in grid
+    order, have their zero points' distance read in one gather. The
+    triangles are the common neighbours off a line of each pair of its
+    points, and connectivity comes from the components of the lines
+    through each point (_first_unreached). No array of points x points
+    entries is built: the packed rows take m^2 / 8 bytes for m points,
+    and the grid candidates and the triangle pairs are read in blocks of
+    a fixed size.
     """
     num_points = len(vprime.vpoints)
     if not num_points:
@@ -675,9 +647,9 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     off = np.flatnonzero(zero_counts[flat] != 1)
     if off.size:
         p = flat[off[0]]
-        raise ValueError(f"Lemma 3.1 needs one zero point per valuation; "
-                         f"point {p} of the restriction has "
-                         f"{zero_counts[p]}")
+        raise GeometryError(f"Lemma 3.1 needs one zero point per "
+                            f"valuation; point {p} of the restriction "
+                            f"has {zero_counts[p]}")
     if lines is None:
         raise GeometryError("grid enumeration requires 3-point lines")
     adj, others = line_incidence(num_points, lines)
@@ -699,7 +671,7 @@ def check_lemma_3_1(vprime: ValuationGeometry, host: Geometry) -> LemmaReport:
     short = np.flatnonzero(completions != 16)
     tri = _first_triangle(lines, adj)
     witness = witness or (("triangle",) + tri if tri else None)
-    unreached = _first_unreached(adj)
+    unreached = _first_unreached(others)
     if witness is None and unreached is not None:
         witness = ("disconnected", 0, unreached)
     elif witness is None and short.size:

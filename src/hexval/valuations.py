@@ -17,9 +17,13 @@ alone.
 Valuations are generated hyperplane by hyperplane: the search starts
 from 0 on the hyperplane complement and -1 on the points collinear with
 it, the layer the line rule forces first; line propagation closes the
-partial assignment, undefined points branch over -1 .. -diameter, and
-completions are shifted so the minimum becomes 0. The host must be
-connected: a disconnected one has infinitely many valuations.
+partial assignment, and an open row branches at the first undefined
+point of its first line with exactly one known value a, over a - 1, a
+and a + 1 within -diameter .. -1: at most 3 branches, whatever the point
+labelling. Completions are shifted so the minimum becomes 0. The host
+must be connected: a disconnected one has infinitely many valuations.
+Value rows from outside are turned into int8 rows by one check,
+``value_rows``, which ``Valuations`` and the valuation geometry share.
 
 One search does this for many hyperplanes at once. The hyperplane
 complements are first screened bit-sliced, 64 seeds per machine word of
@@ -48,7 +52,7 @@ from typing import Callable, Dict, Iterator, List, Tuple, Union
 import numpy as np
 
 from . import gf2
-from .geometry import Geometry, GeometryError
+from .geometry import Geometry, GeometryError, lines_through_table
 from .hyperplanes import Hyperplane, enumerable_basis, _orbit_labels
 from .perm import AutGroup
 
@@ -58,6 +62,9 @@ from .perm import AutGroup
 _BLOCK_ROWS = 512
 #: an undefined point in the int8 value rows of the valuation search
 UNDEF = np.int8(np.iinfo(np.int8).max)
+#: largest value of a value row and largest diameter searched: star adds
+#: at most 2 to a value and its per-line check 1 more, staying below 128
+_INT8_TOP = 124
 #: (shift, mask) of the three block swaps that transpose the 8 x 8 bit
 #: matrix in a uint64, byte r holding row r
 _TRANSPOSE8 = tuple((np.uint64(s), np.uint64(m)) for s, m in (
@@ -93,21 +100,12 @@ class Valuations(Sequence):
     slice is the Valuations of the rows it selects, so it keeps
     value-vector order. It equals another Valuations of the same host and
     rows, and any sequence of the same records in the same order. Rows
-    whose width is not the host's point count, or with a negative value,
-    which would break the byte order of row_keys, raise ValueError.
+    that value_rows refuses raise ValueError.
     """
 
     def __init__(self, host: Geometry, rows) -> None:
-        rows = np.asarray(rows, dtype=np.int8)
-        if rows.ndim == 1 and not rows.size:  # an empty list of rows
-            rows = rows.reshape(0, host.num_points)
-        if rows.ndim != 2 or rows.shape[1] != host.num_points:
-            raise ValueError(f"value rows of shape {rows.shape} on a host "
-                             f"of {host.num_points} points")
-        if rows.min(initial=0) < 0:
-            raise ValueError("a valuation row has a negative value")
         self.host = host
-        self.rows = unique_rows(rows)
+        self.rows = unique_rows(value_rows(host, rows))
         self.rows.flags.writeable = False
 
     def __len__(self) -> int:
@@ -147,6 +145,29 @@ class ValuationType:
     label: str
     class_size: int
     stats: ValuationStats
+
+
+def value_rows(host: Geometry, rows) -> np.ndarray:
+    """The value vectors rows on the host's points as an int8 matrix, in
+    their order. ValueError unless the values are integers, each row has
+    the host's point count and every value lies in 0.._INT8_TOP, checked
+    before the cast: then no value wraps, and the byte order of row_keys
+    is value-vector order."""
+    n = host.num_points
+    mat = np.asarray(rows)
+    if mat.ndim == 1 and not mat.size:  # an empty list of rows
+        mat = mat.reshape(0, n)
+    if mat.ndim != 2 or mat.shape[1] != n:
+        raise ValueError(f"value vectors must have {n} entries, not an "
+                         f"array of shape {mat.shape}")
+    if mat.size and mat.dtype.kind not in "iu":
+        raise ValueError(f"valuation values must be integers, not "
+                         f"{mat.dtype}")
+    if mat.min(initial=0) < 0 or mat.max(initial=0) > _INT8_TOP:
+        bad = ((mat < 0) | (mat > _INT8_TOP)).any(axis=1).argmax()
+        raise ValueError(f"valuation values must lie in 0..{_INT8_TOP}: "
+                         f"{tuple(mat[bad].tolist())}")
+    return mat.astype(np.int8, copy=False)
 
 
 # -- the int8 row search -------------------------------------------------
@@ -230,12 +251,14 @@ def _screen(seeds: np.ndarray, lines: np.ndarray, partners: np.ndarray
     A line meets a complement C in 1 or 3 points exactly when the XOR of
     its three columns is set; the lowest such seed raises RuntimeError.
     The near set, the points off C collinear with C, is the OR of the
-    columns of each point's partners (partners[p], padded with n) off C:
-    a line meeting C meets it in 2 points, so propagation would set its
-    third point to -1 first, and no two such writes conflict. A seed is
-    dropped when a line lies inside its near set, as its start row puts
-    that line at -1, -1, -1 and the first propagation step would kill it;
-    every other first-step death is left to propagation.
+    columns of each point's partners off C (gathers: a threaded BLAS
+    product stalls when other cores are busy). partners[p] holds one other
+    point of each line through p, padded with -1, which reads the zero
+    row n; a line meets C in 0 or 2 points, so that point decides, and
+    propagation would set p to -1 first. A seed is dropped when a line
+    lies inside its near set, as its start row puts that line at -1, -1,
+    -1 and the first propagation step would kill it; every other
+    first-step death is left to propagation.
     """
     n = len(partners)
     cols = _point_columns(seeds, n)
@@ -259,38 +282,43 @@ def _sweep_block(rows: np.ndarray, comp: np.ndarray, lines: np.ndarray,
     """The valuations grown from each int8 start row of rows whose
     maximal-value set is the same row of the bool complement matrix comp.
 
-    Each row is closed under line propagation; open rows branch over
-    -1 .. -depth at their lowest-index undefined point, and completions
-    are shifted to minimum 0 and kept when their maximal-value set is
-    their seed's complement. Returns the completions and the row of comp
-    each one came from. No value falls below -depth, the diameter: the
-    seed values 0 are the maximum, and a valuation changes by at most 1
-    along a line (a -1 needs a line, so depth >= 1). Branched rows are
-    propagated depth first in pieces of at most _BLOCK_ROWS, so the rows
-    held stay bounded when branching multiplies them.
+    Each row is closed under line propagation; completions are shifted
+    to minimum 0 and kept when their maximal-value set is their seed's
+    complement. Returns the completions and the row of comp each one came
+    from. No value falls below -depth, the diameter: the seed values 0
+    are the maximum, and a valuation changes by at most 1 along a line
+    (a -1 needs a line, so depth >= 1). Propagation sets the third point
+    of a line with two known values, so an open row of a connected host
+    has a line with exactly one, a; it branches at the first undefined
+    point of its first such line, over {a - 1, a, a + 1} in -depth .. -1.
+    Branched rows are propagated depth first in pieces of at most
+    _BLOCK_ROWS, so the rows held stay bounded.
     """
-    branch = np.arange(-1, -depth - 1, -1, dtype=np.int8)
+    steps = np.array([-1, 0, 1], dtype=np.int8)
     stack = [(rows, np.arange(len(rows)))]
     done, done_seeds = [], []
     while stack:
         rows, seeds = stack.pop()
         rows, kept = _propagate_rows(rows, lines, -depth)
         seeds = seeds[kept]
-        undefined = rows == UNDEF
-        open_ = undefined.any(axis=1)
+        open_ = (rows == UNDEF).any(axis=1)
         vals, origin = rows[~open_], seeds[~open_]
         vals -= vals.min(axis=1, keepdims=True)
         top = vals == vals.max(axis=1, keepdims=True)
         keep = (top == comp[origin]).all(axis=1)
         done.append(vals[keep])
         done_seeds.append(origin[keep])
-        # each open row repeats over -1 .. -depth at its lowest-index
-        # undefined point
-        x = undefined[open_].argmax(axis=1)
-        rows = np.repeat(rows[open_], depth, axis=0)
-        seeds = np.repeat(seeds[open_], depth)
-        rows[np.arange(len(rows)), np.repeat(x, depth)] = np.tile(
-            branch, len(x))
+        rows, seeds = rows[open_], seeds[open_]
+        if not len(rows):  # also on a host without lines
+            continue
+        on_lines = rows[:, lines]
+        first = ((on_lines != UNDEF).sum(axis=2) == 1).argmax(axis=1)
+        line = on_lines[np.arange(len(rows)), first]
+        x = lines[first, (line == UNDEF).argmax(axis=1)]
+        values = line.min(axis=1)[:, None] + steps
+        r, k = np.nonzero((values >= -depth) & (values <= -1))
+        rows, seeds = rows[r], seeds[r]
+        rows[np.arange(len(r)), x[r]] = values[r, k]
         for start in range(0, len(rows), _BLOCK_ROWS):
             stack.append((rows[start:start + _BLOCK_ROWS],
                           seeds[start:start + _BLOCK_ROWS]))
@@ -344,39 +372,29 @@ def _search_rows(g: Geometry, seed_words: Callable[[], np.ndarray]
     """The valuations on each hyperplane complement of seed_words(), a
     [seeds, words] uint64 array of point masks, low word first.
 
-    seed_words is called after the guards: a disconnected host raises
-    ValueError; a diameter of 127 or more, too large for int8 values, or
-    a line without 3 points raises GeometryError. All seeds are screened
-    at once, 64 per word (_screen): each must meet every line in 0 or 2
-    points, and a seed whose forced start row already breaks a line is
-    dropped. The survivors' start rows are read off the screen's point
+    seed_words is called after the guards: a disconnected host, a
+    diameter above _INT8_TOP or a line without 3 points raises
+    GeometryError. All seeds are screened at once, 64 per word (_screen):
+    each must meet every line in 0 or 2 points, and a seed whose forced
+    start row already breaks a line is dropped. The survivors' start rows are read off the screen's point
     columns, and they are propagated and branched in full blocks of
     _BLOCK_ROWS; each completion is checked to be a valuation whose
     hyperplane is its seed's (RuntimeError otherwise). Returns the int8
     value rows and the index of the seed each one came from.
     """
     if not g.is_connected():
-        raise ValueError("valuations require a connected geometry")
+        raise GeometryError("valuations require a connected geometry")
     n = g.num_points
     depth = g.diameter()
-    if depth + 1 > np.iinfo(np.int8).max:
+    if depth > _INT8_TOP:
         raise GeometryError(f"diameter {depth} is too large for the int8 "
                             f"values of the valuation search")
     if any(len(line) != 3 for line in g.lines):
         raise GeometryError("the valuation search requires 3-point lines")
     seeds = seed_words()
     lines = np.array(g.lines, dtype=np.intp).reshape(-1, 3)
-    # a point off a complement C is collinear with C when the next point
-    # of one of its lines, taken cyclically, is in C: the line holds 0 or
-    # 2 points of C. partners[p] lists those next points, padded with n.
-    # (Gathers, not a float product: a threaded BLAS call stalls when the
-    # other cores are busy.)
-    points = lines.ravel()
-    order = np.argsort(points, kind="stable")
-    p, q = points[order], lines[:, [1, 2, 0]].ravel()[order]
-    partners = np.full((n, np.bincount(p, minlength=n).max(initial=0)), n)
-    partners[p, np.arange(len(p)) - np.searchsorted(p, p)] = q
-    live, comp_cols, near_cols = _screen(seeds, lines, partners)
+    live, comp_cols, near_cols = _screen(
+        seeds, lines, lines_through_table(n, lines)[:, :, 0])
     # seed s is bit s & 7 of byte s >> 3 of a point column's little-endian
     # words; a block's rows are gathered from those bytes
     comp_bytes = comp_cols.view(np.uint8).T
@@ -570,12 +588,12 @@ def classify_valuations(g: Geometry, group: AutGroup, vals: Valuations
     classical, B / B1.. intermediate, C / C1.. ovoidal). Returns the
     classes and the label of each valuation in value-vector order.
 
-    A disconnected host, or rows of another width, raises ValueError. An
-    orbit that leaves the given valuations means the set is not closed
-    under the group (RuntimeError).
+    A disconnected host raises GeometryError, rows of another width
+    ValueError. An orbit that leaves the given valuations means the set
+    is not closed under the group (RuntimeError).
     """
     if not g.is_connected():
-        raise ValueError("valuations require a connected geometry")
+        raise GeometryError("valuations require a connected geometry")
     given = vals.rows
     if given.shape[1] != g.num_points:
         raise ValueError(f"valuations of a {given.shape[1]}-point host "

@@ -488,9 +488,9 @@ def check_lemma_3_1_oracle(vprime: ValuationGeometry,
     off = next((p for line in geo.lines for p in line
                 if zero_counts[p] != 1), None)
     if off is not None:
-        raise ValueError(f"Lemma 3.1 needs one zero point per valuation; "
-                         f"point {off} of the restriction has "
-                         f"{zero_counts[off]}")
+        raise GeometryError(f"Lemma 3.1 needs one zero point per "
+                            f"valuation; point {off} of the restriction "
+                            f"has {zero_counts[off]}")
     zero = zeros.argmax(axis=1).tolist() if zeros.size else []
     dist = [host.dist[z] for z in zero]
     collinear_ok = True

@@ -467,12 +467,14 @@ class TestErrors:
 
     @pytest.mark.parametrize("error,line", [
         (KeyError("missing"), "error: internal error (KeyError): 'missing'"),
-        (Exception("broken"), "error: internal error (Exception): broken")])
+        (Exception("broken"), "error: internal error (Exception): broken"),
+        (ValueError("bad"), "error: internal error (ValueError): bad")])
     @pytest.mark.parametrize("argv,module,name", FAULT_SITES)
     def test_program_fault_exits_1(self, capsys, monkeypatch, tmp_path,
                                    h21, argv, module, name, error, line):
-        # no input reaches a KeyError, so one is a fault of the program,
-        # reported as such, not as bad input
+        # input is refused with a GeometryError, so a KeyError or a bare
+        # ValueError is a fault of the program, reported as such, not as
+        # bad input
         calls = []
 
         def faulty(*args, **kwargs):

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from hexval import cli, pipeline, reference, valgeom
 from hexval.constructions import build_h2_dual, build_hexagon_2_1, grid_3x3
-from hexval.geometry import Geometry, dual, from_text
+from hexval.geometry import (Geometry, GeometryError, dual, from_text,
+                             lines_through_table)
 from hexval.perm import are_isomorphic, automorphism_group
 from hexval.valgeom import (LemmaReport, ValuationGeometry,
                             _check_double_count, _count_distinct,
-                            _star_closed_lines,
+                            _first_unreached, _star_closed_lines,
                             build_valuation_geometry, check_lemma_3_1,
                             class_line_table, line_type_table,
                             orbit_valuation_geometry, restrict)
@@ -872,7 +873,7 @@ class TestLemmaOracle:
 
     def test_several_zero_points(self, h21):
         assert assert_lemma_matches_oracle(h21.vprime(), h21.geometry)[0] \
-            is ValueError
+            is GeometryError
 
     @pytest.mark.parametrize("host", TEST_HOSTS)
     def test_test_hosts(self, host):
@@ -909,6 +910,17 @@ class TestLemmaOracle:
     def test_random_hosts(self, g):
         bundle = pipeline.Bundle(g)
         assert_lemma_matches_oracle(bundle.vprime(), bundle.geometry)
+
+    @settings(max_examples=60, deadline=None)
+    @given(partial_linear_spaces(), st.integers(0, 3))
+    def test_first_unreached_matches_distances(self, g, isolated):
+        # components of line arrays, connected or not, some with isolated
+        # points, against the BFS distances of a Geometry
+        m = max(1, g.num_points + isolated)
+        row = Geometry(m, g.lines).dist[0]
+        lines = np.array(g.lines, dtype=np.intp).reshape(-1, 3)
+        assert _first_unreached(lines_through_table(m, lines)) == (
+            row.index(-1) if -1 in row else None)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(line_lists(), triple_lists()))
